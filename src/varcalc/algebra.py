@@ -444,6 +444,47 @@ def contract_leg(form: LocalForm, fid, midx):
     return apply_derivation(form, par, image)
 
 
+def transport(form: LocalForm, chart, jet, h=None):
+    """Move a form onto another chart, atom by atom.
+
+    ``jet(atom, in_fn)`` gives the image of a 'j'/'v'/'ji' atom (``in_fn``
+    false) or of a jet argument of a function application, also inside a
+    fiber integral (``in_fn`` true); None drops the whole term.  ``h``
+    renumbers the horizontal legs dx^mu.  Words are renormalized on
+    ``chart``.
+    """
+    def app(a):
+        args = []
+        for x in a[3]:
+            if x[0] == 'j':
+                x = jet(x, True)
+                if x is None:
+                    return None
+            args.append(x)
+        return ('f', a[1], a[2], tuple(args))
+
+    out = LocalForm(chart)
+    for key, c in form.terms.items():
+        word = []
+        for a in key:
+            t = a[0]
+            if t == 'h':
+                b = ('h', h(a[1])) if h else a
+            elif t == 'f':
+                b = app(a)
+            elif t == 'F':
+                inner = [app(x) for x in a[2]]
+                b = None if None in inner else ('F', a[1], tuple(sorted(inner)))
+            else:
+                b = jet(a, False)
+            if b is None:
+                break
+            word.append(b)
+        else:
+            out._accum(tuple(word), c)
+    return out
+
+
 def zero_star(form: LocalForm):
     """Evaluation on the zero section of the dynamical fields."""
     chart = form.chart
@@ -584,32 +625,15 @@ class PointAssignment:
             raise UnassignedSymbol(f"no value for dx^{mu}") from None
 
 
+def _arg_values(app, assign):
+    return [Fraction(0) if a[0] == '0' else assign.jet(a[1], a[2]) for a in app[3]]
+
+
 def _app_lambda_poly(chart, app, assign):
     """Value of F^{(d)}(l*args) as dict {lambda_power: Fraction}."""
-    fn = chart.function(app[1])
-    dords, args = app[2], app[3]
-    vals = []
-    for a in args:
-        vals.append(Fraction(0) if a[0] == '0' else assign.jet(a[1], a[2]))
-    if not fn.model:
-        raise UnassignedSymbol(f"function symbol {fn.name} has no model")
     out = {}
-    for expo, c in fn.model:
-        coef = Fraction(c)
-        power = 0
-        val = Fraction(1)
-        ok = True
-        for i in range(fn.arity):
-            e, d = expo[i], dords[i]
-            if d > e:
-                ok = False
-                break
-            for k in range(d):
-                coef *= (e - k)
-            val *= vals[i] ** (e - d)
-            power += e - d
-        if ok and coef * val:
-            out[power] = out.get(power, Fraction(0)) + coef * val
+    for power, v in chart.function(app[1]).monomials(app[2], _arg_values(app, assign)):
+        out[power] = out.get(power, Fraction(0)) + v
     return out
 
 
@@ -621,20 +645,14 @@ def evaluate(form: LocalForm, assign: PointAssignment):
         for atom in key:
             t = atom[0]
             if t == 'j':
-                if chart.kind(atom[1]) == COORD:
-                    val *= assign.jet(atom[1], atom[2])
-                else:
-                    val *= assign.jet(atom[1], atom[2])
+                val *= assign.jet(atom[1], atom[2])
             elif t == 'ji':
                 v = assign.jet(atom[1], midx_zero(chart.dim))
                 if v == 0:
                     raise UnassignedSymbol("inverse of constant assigned zero")
                 val *= Fraction(1) / v
             elif t == 'f':
-                fn = chart.function(atom[1])
-                vals = [Fraction(0) if a[0] == '0' else assign.jet(a[1], a[2])
-                        for a in atom[3]]
-                val *= fn.eval_model(atom[2], vals)
+                val *= chart.function(atom[1]).eval_model(atom[2], _arg_values(atom, assign))
             elif t == 'F':
                 k, inner = atom[1], atom[2]
                 poly = {k: Fraction(1)}

@@ -11,7 +11,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, midx_zero, zero_star,
+    LocalForm, contract_leg, d_h, d_v, midx_zero, transport, zero_star,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -19,9 +19,6 @@ from .noether import Report
 from .render import render_text
 from .slicing import SigmaTheory, SliceSpec, sigma_noether, split_constraint_flux
 from .theory import SymmetryAction, Theory
-
-
-GHOST_TERM_SIGN = 1     # calibrated below against Q_BFV nilpotence
 
 
 def _vol_word(chart, orientation=1):
@@ -72,27 +69,16 @@ class BVTheory:
         z = midx_zero(chart.dim)
         param_to_ghost = {self.b2x[pf]: gf for pf, gf in self.ghosts.items()}
 
+        def jet(a, in_fn):
+            fid = self.b2x[a[1]]
+            if not in_fn:
+                fid = param_to_ghost.get(fid, fid)
+            return (a[0], fid) + a[2:]
+
         def lift(form):
             """Transport a base-chart form, promoting parameter jets to
             ghost jets in place (components are parameter-linear)."""
-            out = LocalForm(chart)
-            for key, c in form.terms.items():
-                word = []
-                for a in key:
-                    if a[0] in ('j', 'v'):
-                        fid = self.b2x[a[1]]
-                        fid = param_to_ghost.get(fid, fid)
-                        word.append((a[0], fid, a[2]))
-                    elif a[0] == 'ji':
-                        word.append(('ji', self.b2x[a[1]]))
-                    elif a[0] == 'f':
-                        word.append(('f', a[1], a[2], tuple(
-                            ('j', self.b2x[x[1]], x[2]) if x[0] == 'j' else x
-                            for x in a[3])))
-                    else:
-                        word.append(a)
-                out._accum(tuple(word), c)
-            return out
+            return transport(form, chart, jet)
 
         self.lift = lift
         L0 = lift(theory.L)
@@ -154,8 +140,7 @@ class BVTheory:
         # dv L_BV = E L_BV + d theta_BV; the flow equation makes
         # i_Q omega_BV = E L_BV exactly, so i_Q omega = dv L - d theta.
         dvL = d_v(self.L)
-        self.theta = self.suite.h_horizontal(dvL) if not dvL.is_zero() \
-            else LocalForm.zero(chart)
+        self.theta = self.suite.h_horizontal(dvL)
         rem = insert(self.Q, omega) - dvL + d_h(self.theta)
         if not rem.is_zero():
             raise ResidualNonzero("BV flow/boundary identity failed", rem)
@@ -177,9 +162,8 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
     chart = F.chart
     z = midx_zero(chart.dim)
     n = chart.dim
-    src = interior_euler(omega) if not omega.is_zero() else omega
-    EF = interior_euler(d_v(F)) if not d_v(F).is_zero() \
-        else LocalForm.zero(chart)
+    src = interior_euler(omega)
+    EF = interior_euler(d_v(F))
 
     # pairing table: for generator u, the omega term d(u') ^ d(u) vol
     pair = {}
@@ -217,8 +201,7 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
 
     X = EvolutionaryField(chart, {k: v for k, v in comps.items()
                                   if not v.is_zero()}, name="X_F")
-    resid = interior_euler(insert(X, omega)) - EF \
-        if not insert(X, omega).is_zero() else -EF
+    resid = interior_euler(insert(X, omega)) - EF
     if not resid.is_zero():
         raise NotHamiltonian(
             "no Hamiltonian vector field solves the flow equation: residual "
@@ -261,8 +244,7 @@ def check_q_nilpotent(bv: BVTheory) -> Report:
     gens = sorted(set(bv.antifields) | set(bv.antifields.values()))
     for fid in gens:
         one = LocalForm.from_word(chart, (('j', fid, z),))
-        q1 = lie_derivative(bv.Q, one)
-        q2 = lie_derivative(bv.Q, q1) if not q1.is_zero() else q1
+        q2 = lie_derivative(bv.Q, lie_derivative(bv.Q, one))
         if not q2.is_zero():
             bad.append((chart.component(fid).name, render_text(q2)))
     if bad:
@@ -350,40 +332,26 @@ class BFVTheory:
         self.sym = sym
         self.suite = get_suite(chart)
 
+        def jet(a, in_fn):
+            fid = a[1]
+            if fid in self.ghosts:
+                fid = self.ghosts[fid]
+            elif fid in self.s2x:
+                fid = self.s2x[fid]
+            else:
+                comp = schart.component(fid)
+                if comp.kind != COORD:
+                    raise VarcalcError(f"component {comp.name} has no BFV image")
+                fid = chart.by_name(comp.name).fid
+            return (a[0], fid) + a[2:]
+
         def move(form):
-            out = LocalForm(chart)
-            for key, c in form.terms.items():
-                word = []
-                for a in key:
-                    if a[0] == 'h':
-                        word.append(a)
-                    elif a[0] in ('j', 'v'):
-                        if a[1] in self.ghosts:
-                            word.append((a[0], self.ghosts[a[1]], a[2]))
-                        elif a[1] in self.s2x:
-                            word.append((a[0], self.s2x[a[1]], a[2]))
-                        else:
-                            comp = schart.component(a[1])
-                            if comp.kind == COORD:
-                                word.append((a[0], chart.by_name(comp.name).fid, a[2]))
-                            else:
-                                raise VarcalcError(
-                                    f"component {comp.name} has no BFV image")
-                    elif a[0] == 'f':
-                        args = tuple(('j', self.s2x[x[1]], x[2]) if x[0] == 'j' else x
-                                     for x in a[3])
-                        word.append(('f', a[1], a[2], args))
-                    elif a[0] == 'ji':
-                        word.append(('ji', self.s2x[a[1]]))
-                out._accum(tuple(word), c)
-            return out
+            return transport(form, chart, jet)
 
         self.move = move
         H0, hflux = split_constraint_flux(sigma, sym, H)
-        # L_BFV = <H0 - j_Sigma, c> + 1/2 <c+, [c,c]>
-        j_sig = getattr(sigma, "j_sigma", None)
-        core = H0 if j_sig is None else H0 - j_sig
-        self.L = move(core)    # parameters become ghosts via self.ghosts
+        # L_BFV = <H0, c> + 1/2 <c+, [c,c]>
+        self.L = move(H0)    # parameters become ghosts via self.ghosts
         vol = tuple(('h', mu) for mu in range(chart.dim))
         st = sym.structure
         if st is not None:
@@ -402,7 +370,7 @@ class BFVTheory:
                             self.L = self.L + LocalForm.from_word(
                                 chart,
                                 (('j', gm, z), ('j', ga, z), ('j', gb, z)) + vol,
-                                Fraction(coeff) / 2 * orientation * GHOST_TERM_SIGN)
+                                Fraction(coeff) / 2 * orientation)
         gh = {self.L.key_ghost(k) for k in self.L.terms}
         if gh - {1}:
             raise VarcalcError(f"L_BFV must have ghost degree 1, got {gh}")
@@ -412,7 +380,7 @@ class BFVTheory:
             omega._accum((('v', gm, z), ('v', cfid, z)) + vol,
                          Fraction(-orientation))
         self.omega_BFV = omega
-        self.C_BFV = core
+        self.C_BFV = H0
         self.Q = hamiltonian_vector_field(self.L, omega)
 
 
@@ -448,29 +416,13 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
         if len(partners) == 1:
             special[bfv.chart.component(gmfid).name] = partners[0]
 
-    def match(name):
-        if name in special:
-            name = special[name]
-        return _match_name(bvs.schart, name)
+    def jet(a, in_fn):
+        name = bfv.chart.component(a[1]).name
+        return (a[0], _match_name(bvs.schart, special.get(name, name))) + a[2:]
 
     def bridge(form):
         """BFV chart -> BV-slice chart, by name and ghost pairing."""
-        out = LocalForm(bvs.schart)
-        for key, c in form.terms.items():
-            word = []
-            for a in key:
-                if a[0] in ('j', 'v'):
-                    word.append((a[0], match(bfv.chart.component(a[1]).name), a[2]))
-                elif a[0] == 'f':
-                    args = tuple(('j', match(bfv.chart.component(x[1]).name), x[2])
-                                 if x[0] == 'j' else x for x in a[3])
-                    word.append(('f', a[1], a[2], args))
-                elif a[0] == 'ji':
-                    word.append(('ji', match(bfv.chart.component(a[1]).name)))
-                else:
-                    word.append(a)
-            out._accum(tuple(word), c)
-        return out
+        return transport(form, bvs.schart, jet)
 
     # 1. iota* dv theta_BV = pi* omega_BFV
     lhs = bvs.omega_sigma
@@ -515,7 +467,7 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
         bulk_gen = bvs.to_bulk(bridge(gen))
         try:
             lhs3 = bvs.express(lie_derivative(bv.Q, bulk_gen))
-        except Exception as e:
+        except VarcalcError as e:
             bad.append(f"{comp.name}: {e}")
             continue
         if not (lhs3 - rhs3).is_zero():

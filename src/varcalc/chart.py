@@ -36,6 +36,10 @@ class NonScalableTerm(VarcalcError):
     pass
 
 
+class DimensionMismatch(VarcalcError):
+    pass
+
+
 class NotConstant(VarcalcError):
     pass
 
@@ -60,6 +64,15 @@ class NotLocal(VarcalcError):
 
 class NoSolvedForm(VarcalcError):
     pass
+
+
+class NoFixpoint(VarcalcError):
+    """Substitution rounds ran out before the form stopped changing; ``form``
+    is the last (unconverged) round."""
+
+    def __init__(self, message, form=None):
+        super().__init__(message)
+        self.form = form
 
 
 class OnShellResidual(VarcalcError):
@@ -156,27 +169,24 @@ class FunctionSymbol:
     # polynomial model: dict[exponent-tuple -> Fraction], optional
     model: tuple = ()
 
-    def eval_model(self, dorders, args):
+    def monomials(self, dorders, args):
+        """(degree, value) of each model monomial prod(a_i^e_i) after the
+        partial derivatives ``dorders``, at the rational ``args``."""
         if not self.model:
             raise UnassignedSymbol(f"function symbol {self.name} has no model")
-        total = Fraction(0)
         for expo, c in self.model:
-            # differentiate the monomial prod(a_i^e_i) by dorders
+            if any(d > e for d, e in zip(dorders, expo)):
+                continue
             coef = Fraction(c)
             val = Fraction(1)
-            ok = True
-            for i in range(self.arity):
-                e = expo[i]
-                d = dorders[i]
-                if d > e:
-                    ok = False
-                    break
+            for e, d, a in zip(expo, dorders, args):
                 for k in range(d):
                     coef *= (e - k)
-                val *= args[i] ** (e - d)
-            if ok:
-                total += coef * val
-        return total
+                val *= a ** (e - d)
+            yield sum(expo) - sum(dorders), coef * val
+
+    def eval_model(self, dorders, args):
+        return sum((v for _deg, v in self.monomials(dorders, args)), Fraction(0))
 
 
 class Chart:
@@ -195,13 +205,13 @@ class Chart:
                 tuple(Fraction(sig[i]) if i == j else Fraction(0) for j in range(dim))
                 for i in range(dim)
             )
-        det = _det(self.metric)
-        if det == 0:
+        mdet = det(self.metric)
+        if mdet == 0:
             raise VarcalcError("degenerate metric")
-        if abs(det) != 1:
+        if abs(mdet) != 1:
             raise VarcalcError("metric determinant must be +-1 for exact Hodge duals")
-        self.metric_det = det
-        self.metric_inv = _inverse(self.metric)
+        self.metric_det = mdet
+        self.metric_inv = tuple(map(tuple, inverse(self.metric)))
         self.jet_cutoff = jet_cutoff
         self.orientation = orientation
         self.coord_names = tuple(coord_names) if coord_names else tuple(
@@ -286,47 +296,73 @@ class Chart:
         return new
 
 
-def _det(m):
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col] != 0:
-                piv = r
-                break
+# ---------------------------------------------------------------------------
+# exact linear algebra over Q
+# ---------------------------------------------------------------------------
+
+def rref(m):
+    """Gauss-Jordan elimination of a rational matrix (list of rows).
+
+    Returns (R, pivots, factor): the reduced row echelon form, its pivot
+    columns in order, and the product of the pivots divided out, signed by
+    the row swaps (the determinant when ``m`` is square of full rank).
+    """
+    R = [list(row) for row in m]
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    factor = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+            continue
+        if piv != r:
+            R[r], R[piv] = R[piv], R[r]
+            factor = -factor
+        factor *= R[r][c]
+        inv = Fraction(1) / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots, factor
 
 
-def _inverse(m):
+def det(m):
+    """Determinant of a square rational matrix (1 for the empty matrix)."""
+    _R, pivots, factor = rref(m)
+    return factor if len(pivots) == len(m) else Fraction(0)
+
+
+def inverse(m):
     n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise VarcalcError("singular metric")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    R, pivots, _ = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                         for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise VarcalcError("singular matrix")
+    return [row[n:] for row in R]
+
+
+def kernel(m):
+    """Basis of the kernel of m (rows of the returned list are vectors)."""
+    if not m:
+        return []
+    R, pivots, _ = rref(m)
+    cols = len(m[0])
+    pset = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pset:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][fc]
+        basis.append(v)
+    return basis

@@ -216,9 +216,7 @@ def _run_suites(seed, cases):
         w = _nz(gen, gen.rng.randint(1, 2), ch.dim)
         if w is None:
             return None
-        h = st.h_horizontal(w)
-        dhw = d_h(h) if not h.is_zero() else LocalForm.zero(ch)
-        return (w - dhw - interior_euler(w)).is_zero()
+        return (w - d_h(st.h_horizontal(w)) - interior_euler(w)).is_zero()
     loop("id = h> d + d h> + i I (q = top)", run_hor_top)
 
     def run_hor_mid(ch, st, gen):
@@ -226,10 +224,7 @@ def _run_suites(seed, cases):
         if w is None:
             return None
         h = st.h_horizontal(w)
-        dw = d_h(w)
-        hdw = st.h_horizontal(dw) if not dw.is_zero() else LocalForm.zero(ch)
-        dhw = d_h(h) if not h.is_zero() else LocalForm.zero(ch)
-        return (w - hdw - dhw).is_zero()
+        return (w - st.h_horizontal(d_h(w)) - d_h(h)).is_zero()
     loop("id = h> d + d h> (q < top)", run_hor_mid)
 
     def run_side(ch, st, gen):
@@ -271,8 +266,7 @@ def _run_suites(seed, cases):
         if w is None:
             return None
         h0w = st.h_zero(w)
-        dw = d_h(w)
-        h0dw = st.h_zero(dw) if not dw.is_zero() else LocalForm.zero(ch)
+        h0dw = st.h_zero(d_h(w))
         q = w.grading()[1]
         P = st.euler_projector(w) if q == ch.dim else LocalForm.zero(ch)
         okk = (w - d_h(h0w) - h0dw - P - alg.zero_star(w)).is_zero()
@@ -368,7 +362,8 @@ def cmd_corner(args):
     sym = _pick_symmetry(T, args.symmetry)
     cd = corner_data(sig, sym)
     rep = verify_corner_master(cd)
-    rows = [{"corner_densities": cd.h_densities, "alpha": cd.alpha_text,
+    densities = {str(k): v for k, v in cd.h_densities.items()}
+    rows = [{"corner_densities": densities, "alpha": cd.alpha_text,
              "S": cd.s_text, "master_equation": rep.passed,
              "detail": rep.detail}]
     if args.json:
@@ -448,6 +443,12 @@ def cmd_mech(args):
         csv = traj.to_csv()
         if args.csv:
             open(args.csv, "w").write(csv)
+        if args.json:
+            header, *lines = csv.splitlines()
+            cols = header.split(",")
+            print(report_json("mech flow", [
+                dict(zip(cols, map(float, line.split(",")))) for line in lines]))
+        elif args.csv:
             print(f"wrote {args.csv} ({len(traj.t)} samples)")
         else:
             sys.stdout.write(csv)

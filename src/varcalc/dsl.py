@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .chart import Chart, CONST, CPARAM, DYNAMIC, PARAM, VarcalcError
+from .chart import (
+    Chart, CONST, CPARAM, DYNAMIC, PARAM, DimensionMismatch, VarcalcError, det,
+)
 from .algebra import LocalForm, d_h, midx_zero, midx_order
 
 
@@ -28,10 +30,6 @@ class UndeclaredIdentifier(VarcalcError):
 
 
 class GradingMismatch(VarcalcError):
-    pass
-
-
-class DimensionMismatch(VarcalcError):
     pass
 
 
@@ -348,19 +346,6 @@ def _perm_sign(p):
     return sign
 
 
-def _det_small(m):
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        prod = Fraction(_perm_sign(perm))
-        for i, j in enumerate(perm):
-            prod *= m[i][j]
-        total += prod
-    return total
-
-
 # ---------------------------------------------------------------------------
 # field groups and the theory definition
 # ---------------------------------------------------------------------------
@@ -497,12 +482,10 @@ class ElabContext:
         out = []
         for K in combinations(range(n), n - k):
             M = tuple(i for i in range(n) if i not in K)
-            det = Fraction(1)
-            if k:
-                det = _det_small([[chart.metric_inv[m][h] for h in hset] for m in M])
-            if not det:
+            minor = det([[chart.metric_inv[m][h] for h in hset] for m in M])
+            if not minor:
                 continue
-            out.append((det * _perm_sign(M + K) * self.orientation, K))
+            out.append((minor * _perm_sign(M + K) * self.orientation, K))
         return out
 
     def star(self, form: LocalForm):

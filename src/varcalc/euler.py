@@ -53,16 +53,10 @@ def interior_euler(form: LocalForm, top=None):
 
 def exterior_euler(form: LocalForm, top=None):
     """E = I d; produces the Euler-Lagrange source form of a density."""
-    if form.is_zero():
-        return form
     n = form.chart.dim if top is None else top
-    p, q = form.grading()
-    if q != n:
+    if form.terms and form.grading()[1] != n:
         raise GradingError(f"exterior Euler operator needs top horizontal degree {n}")
-    dv = d_v(form)
-    if dv.is_zero():
-        return dv
-    return interior_euler(dv, top=top)
+    return interior_euler(d_v(form), top=top)
 
 
 class EvolutionaryField:
@@ -110,14 +104,10 @@ class EvolutionaryField:
 
 def insert(rho: EvolutionaryField, form: LocalForm):
     """Interior product i_rho: contracts one vertical leg with D_K(rho)."""
-    chart = form.chart
     parity = (1 + rho.ghost_shift) & 1
 
     def image(atom):
-        if atom[0] != 'v':
-            return None
-        comp = rho.component(atom[1], atom[2])
-        return comp if not comp.is_zero() else None
+        return rho.component(atom[1], atom[2]) if atom[0] == 'v' else None
 
     return apply_derivation(form, parity, image)
 
@@ -126,9 +116,3 @@ def lie_derivative(rho: EvolutionaryField, form: LocalForm):
     """Cartan formula L_rho = i_rho d_v + d_v i_rho."""
     return insert(rho, d_v(form)) + d_v(insert(rho, form))
 
-
-def prolong(rho: EvolutionaryField):
-    """The prolonged derivation on scalars and forms (equals lie_derivative)."""
-    def apply(form):
-        return lie_derivative(rho, form)
-    return apply

@@ -24,7 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .chart import COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant
+from .chart import (
+    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant, inverse, kernel, rref,
+)
 from .algebra import (
     LocalForm, apply_derivation, atom_parity, d_h, d_v, midx_shift,
     midx_zero, norm_word, prepend_atom, zero_star,
@@ -58,70 +60,19 @@ def mat_T(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_inv(A):
-    n = len(A)
-    aug = [list(A[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def mat_kernel(A):
-    """Basis of the kernel of A (rows of the returned list are vectors)."""
-    if not A:
-        return []
-    rows, cols = len(A), len(A[0])
-    M = [list(r) for r in A]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
-        basis.append(v)
-    return basis
-
-
 def pseudo_inverse_psd(D):
     """Moore-Penrose inverse of a symmetric PSD rational matrix."""
     n = len(D)
     if n == 0:
         return []
-    N = mat_kernel(D)
+    N = kernel(D)
     if not N:
-        return mat_inv(D)
+        return inverse(D)
     Nm = mat_T(N)                      # columns = kernel basis
     NNt = mat_mul(Nm, mat_T(Nm))       # n x n
     M = [[D[i][j] + NNt[i][j] for j in range(n)] for i in range(n)]
-    Minv = mat_inv(M)
-    G = mat_inv(mat_mul(mat_T(Nm), Nm))
+    Minv = inverse(M)
+    G = inverse(mat_mul(mat_T(Nm), Nm))
     Q = mat_mul(mat_mul(Nm, G), mat_T(Nm))       # projection onto ker
     IQ = [[Fraction(int(i == j)) - Q[i][j] for j in range(n)] for i in range(n)]
     return mat_mul(Minv, IQ)
@@ -239,7 +190,7 @@ class _Stratum:
                             D[i][i2] += c * c2  # (e e^T)
             P = pseudo_inverse_psd(D)
             if b < n and self.bases[b] and _has_legs(self.bases[b][0]):
-                if mat_kernel(D):
+                if kernel(D):
                     raise AssertionError(
                         "unexpected d1-cohomology below top horizontal degree")
             self.pinv[b] = P
@@ -345,29 +296,17 @@ class HomotopySuite:
         return acc
 
     # -- public operators ----------------------------------------------------
-    def interior_euler(self, form):
-        return interior_euler(form)
-
-    def exterior_euler(self, form):
-        return exterior_euler(form)
-
     def h_horizontal(self, form, special=False):
         """Anderson-style horizontal homotopy h>= on vertical degree >= 1."""
-        if form.is_zero():
-            return form
         chart = self.chart
         n = chart.dim
         if any(LocalForm.key_vdeg(k) < 1 for k in form.terms):
             raise GradingError("horizontal homotopy needs vertical degree >= 1")
         if special:
-            base = self.h_horizontal(form)
-            return self.h_horizontal(d_h(base)) if not base.is_zero() else base
+            return self.h_horizontal(d_h(self.h_horizontal(form)))
         top = form.components(lambda p, q: q == n)
         rest = form - top
-        out = self.h_inf(rest)
-        if not top.is_zero():
-            out = out + self.h_inf(top - interior_euler(top))
-        return out
+        return self.h_inf(rest) + self.h_inf(top - interior_euler(top))
 
     def h_vertical(self, form):
         """Radial-scaling vertical homotopy; lowers vertical degree by one."""
@@ -410,27 +349,16 @@ class HomotopySuite:
 
     def h_zero(self, form):
         """h0 = -hv h>= dv on vertical degree 0."""
-        if form.is_zero():
-            return form
         p, _q = form.grading()
         if p != 0:
             raise GradingError("h0 acts on vertical degree 0")
-        dv = d_v(form)
-        if dv.is_zero():
-            return LocalForm.zero(self.chart)
-        return -self.h_vertical(self.h_horizontal(dv))
+        return -self.h_vertical(self.h_horizontal(d_v(form)))
 
     def euler_projector(self, form):
         """P = hv i E on (0, top) forms."""
-        if form.is_zero():
-            return form
-        p, q = form.grading()
-        if p != 0 or q != self.chart.dim:
+        if form.terms and form.grading() != (0, self.chart.dim):
             raise GradingError("Euler projector acts on (0, top) forms")
-        E = exterior_euler(form)
-        if E.is_zero():
-            return LocalForm.zero(self.chart)
-        return self.h_vertical(E)
+        return self.h_vertical(exterior_euler(form))
 
     def euler_projector0(self, form):
         return self.euler_projector(form) + zero_star(form)
@@ -592,34 +520,11 @@ def bruteforce_dexactness(target, extra_rounds=1):
         if k not in index:
             return False
         tvec[index[k]] = c
-    rows = len(index)
-    A = [[Fraction(0)] * len(cols) for _ in range(rows)]
-    b = [Fraction(0)] * rows
+    # A x = b is consistent iff the augmented column carries no pivot
+    m = [[Fraction(0)] * len(cols) + [tvec.get(i, Fraction(0))]
+         for i in range(len(index))]
     for j, col in enumerate(cols):
         for i, c in col.items():
-            A[i][j] = c
-    for i, c in tvec.items():
-        b[i] = c
-    # consistency of A x = b by elimination
-    m = [row[:] + [b[i]] for i, row in enumerate(A)]
-    ncols = len(cols)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * bb for a, bb in zip(m[i], m[r])]
-        r += 1
-    for i in range(r, rows):
-        if m[i][ncols] and all(not x for x in m[i][:ncols]):
-            return False
-    for i in range(rows):
-        if m[i][ncols] and all(not x for x in m[i][:ncols]):
-            return False
-    return True
+            m[i][j] = c
+    _R, pivots, _ = rref(m)
+    return len(cols) not in pivots

@@ -8,11 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import VarcalcError
-
-
-class DimensionMismatch(VarcalcError):
-    pass
+from .chart import DimensionMismatch, VarcalcError
 
 
 class OriginSingularity(VarcalcError):

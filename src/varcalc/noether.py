@@ -12,7 +12,7 @@ from .chart import (
 from .algebra import (
     LocalForm, d_h, d_v, midx_zero, substitute, zero_star,
 )
-from .euler import EvolutionaryField, insert, lie_derivative
+from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
 from .theory import SymmetryAction, Theory
 from .render import render_text
@@ -46,8 +46,7 @@ def noether_cone(theory: Theory, sym: SymmetryAction):
     lrl = lie_derivative(sym.rho, theory.L)
     suite = theory.suite
     S = zero_star(lrl)
-    B = suite.h_zero(lrl) if not lrl.is_zero() else LocalForm.zero(theory.chart)
-    J = B + insert(sym.rho, theory.theta)
+    J = suite.h_zero(lrl) + insert(sym.rho, theory.theta)
     return S, J
 
 
@@ -116,18 +115,13 @@ def decompose_dual_current(theory: Theory, F: LocalForm, param_fids):
         z = LocalForm.zero(chart)
         return z, z
     Fc = promote_param_linear(F, param_fids)
-    pro_chart = Fc.chart
-    suite = get_suite(pro_chart)
+    suite = get_suite(Fc.chart)
     _p, q = F.grading()
-    dFc = d_h(Fc)
-    parts = suite.h_horizontal(dFc) if not dFc.is_zero() \
-        else LocalForm.zero(pro_chart)
+    parts = suite.h_horizontal(d_h(Fc))
     if q == n:
-        parts = parts + suite.interior_euler(Fc)
+        parts = parts + interior_euler(Fc)
     f = contract_param(parts, param_fids, chart)
-    hF = suite.h_horizontal(Fc)
-    k = -contract_param(hF, param_fids, chart) if not hF.is_zero() \
-        else LocalForm.zero(chart)
+    k = -contract_param(suite.h_horizontal(Fc), param_fids, chart)
     resid = F - f - d_h(k)
     if not resid.is_zero():
         raise ResidualNonzero("dual-current decomposition failed to close", resid)
@@ -219,7 +213,6 @@ IDENTITY_NAMES = (
 
 
 def verify_identity(theory: Theory, sym_name, ident) -> Report:
-    chart = theory.chart
     suite = theory.suite
     sym = theory.symmetry(sym_name) if sym_name else None
 
@@ -233,24 +226,18 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
     if ident == "lemma:flow-density":
         _S, J = noether_cone(theory, sym)
         A = insert(sym.rho, theory.omega) + d_v(J)
-        hА = suite.h_horizontal(A) if not A.is_zero() else LocalForm.zero(chart)
         lel = lie_derivative(sym.rho, theory.EL)
-        hl = suite.h_horizontal(lel) if not lel.is_zero() else LocalForm.zero(chart)
-        residual = A - d_h(hА) + hl
+        residual = A - d_h(suite.h_horizontal(A)) + suite.h_horizontal(lel)
         return _residual_report(ident, residual)
 
     if ident == "thm:inv-eom":
-        lel = lie_derivative(sym.rho, theory.EL)
-        residual = theory.reduce_on_shell(lel) if not lel.is_zero() else lel
+        residual = theory.reduce_on_shell(lie_derivative(sym.rho, theory.EL))
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:hamflow-closed":
         _S, J = noether_cone(theory, sym)
         A = insert(sym.rho, theory.omega) + d_v(J)
-        hA = suite.h_horizontal(A) if not A.is_zero() else LocalForm.zero(chart)
-        residual = A - d_h(hA)
-        if not residual.is_zero():
-            residual = theory.reduce_on_shell(residual)
+        residual = theory.reduce_on_shell(A - d_h(suite.h_horizontal(A)))
         return _residual_report(ident + " (integrand, on shell)", residual)
 
     if ident == "cor:equi-dJ":
@@ -269,8 +256,7 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
     if ident == "lem:inv-C":
         twin = twin_symmetry(theory, sym)
         data = noether2(theory, twin)
-        lc = lie_derivative(sym.rho, data.C)
-        residual = theory.reduce_on_shell(lc) if not lc.is_zero() else lc
+        residual = theory.reduce_on_shell(lie_derivative(sym.rho, data.C))
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:jext=0":

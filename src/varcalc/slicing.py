@@ -12,9 +12,10 @@ from .chart import (
     InvariantViolation, NoFlux, NotExact, VarcalcError, VerdictMismatch,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, midx_order, midx_zero, substitute,
+    LocalForm, contract_leg, d_h, d_v, midx_order, midx_shift, midx_zero, substitute,
+    transport,
 )
-from .euler import EvolutionaryField, lie_derivative
+from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
 from .noether import decompose_dual_current, noether_cone
 from .render import render_text
@@ -111,7 +112,7 @@ class SigmaTheory:
                                       kind=comp.kind, group=comp.group)
             self.dt_fields[bfid] = sc.fid
 
-        theta_s = self.to_sigma(theta_pulled, allow_dt=True)
+        theta_s = self.to_sigma(theta_pulled)
 
         # momenta: one per vertical leg whose coefficient carries Dt fields
         self.momenta = {}        # sigma fid of Pi -> (sigma leg fid, definition)
@@ -199,66 +200,36 @@ class SigmaTheory:
             out.terms[key] = c
         return out
 
-    def to_sigma(self, form: LocalForm, allow_dt=False):
+    def to_sigma(self, form: LocalForm):
         """Express a pulled-back bulk form in Sigma-chart variables."""
         bulk = self.theory.chart
         schart = self.schart
         t = self.spec.transverse
-        out = LocalForm(schart)
         offending = set()
 
-        def conv_midx(J):
-            return tuple(J[mu] for mu in self.tangential)
+        def jet(a, in_fn):
+            if a[0] == 'ji':
+                return ('ji', self.b2s[a[1]])
+            comp = bulk.component(a[1])
+            J = tuple(a[2][mu] for mu in self.tangential)
+            k = a[2][t]
+            if in_fn:
+                if k:
+                    offending.add(comp.name)
+                    return None
+                return ('j', self.b2s[a[1]], J)
+            if comp.kind == COORD:
+                if comp.coord_dir == t:
+                    return None        # the slice sits at coordinate value 0
+                return (a[0], schart.by_name(comp.name).fid, J)
+            if k == 0:
+                return (a[0], self.b2s[a[1]], J)
+            if k == 1 and a[1] in self.dt_fields:
+                return (a[0], self.dt_fields[a[1]], J)
+            offending.add(comp.name + "_," + str(t) * k)
+            return None
 
-        for key, c in form.terms.items():
-            word = []
-            dead = False
-            for a in key:
-                if a[0] == 'h':
-                    word.append(('h', self._bulk_dir_to_sigma[a[1]]))
-                elif a[0] in ('j', 'v'):
-                    fid, J = a[1], a[2]
-                    comp = bulk.component(fid)
-                    if comp.kind == COORD:
-                        if comp.coord_dir == t:
-                            # the slice sits at coordinate value 0
-                            dead = True
-                            break
-                        word.append((a[0], schart.by_name(comp.name).fid,
-                                     conv_midx(J)))
-                        continue
-                    k = J[t]
-                    if k == 0:
-                        word.append((a[0], self.b2s[fid], conv_midx(J)))
-                    elif k == 1 and fid in self.dt_fields:
-                        word.append((a[0], self.dt_fields[fid], conv_midx(J)))
-                    else:
-                        offending.add(
-                            comp.name + "_," + str(t) * k)
-                        dead = True
-                        break
-                elif a[0] == 'f':
-                    args = []
-                    for arg in a[3]:
-                        if arg[0] == 'j':
-                            if arg[2][t]:
-                                offending.add(bulk.component(arg[1]).name)
-                                dead = True
-                                break
-                            args.append(('j', self.b2s[arg[1]], conv_midx(arg[2])))
-                        else:
-                            args.append(arg)
-                    if dead:
-                        break
-                    word.append(('f', a[1], a[2], tuple(args)))
-                elif a[0] == 'ji':
-                    word.append(('ji', self.b2s[a[1]]))
-                else:
-                    raise VarcalcError(f"cannot restrict atom {a!r}")
-            if dead and offending:
-                continue
-            if not dead:
-                out._accum(tuple(word), c)
+        out = transport(form, schart, jet, self._bulk_dir_to_sigma.__getitem__)
         if offending:
             raise DoesNotDescend(
                 "transverse jets obstruct the restriction: "
@@ -268,7 +239,7 @@ class SigmaTheory:
     def express(self, bulk_form: LocalForm):
         """iota^* followed by momentum substitution; errors on leftovers."""
         pulled = self.pullback(bulk_form)
-        s = self.to_sigma(pulled, allow_dt=True)
+        s = self.to_sigma(pulled)
         if self.dt_solves:
             s = substitute(s, self.dt_solves)
         left = self._leftover_dt(s)
@@ -296,37 +267,21 @@ class SigmaTheory:
             mom_bind[(pfid, midx_zero(schart.dim))] = density
         work = substitute(form, mom_bind) if mom_bind else form
 
-        out = LocalForm(bulk)
-        for key, c in work.terms.items():
-            word = []
-            for a in key:
-                if a[0] == 'h':
-                    word.append(('h', self.tangential[a[1]]))
-                elif a[0] in ('j', 'v'):
-                    fid, J = a[1], a[2]
-                    if fid in dt_inv:
-                        bj = conv_midx(J)
-                        bj = tuple(b + (1 if mu == t else 0)
-                                   for mu, b in enumerate(bj))
-                        word.append((a[0], dt_inv[fid], bj))
-                    else:
-                        comp = schart.component(fid)
-                        if comp.kind == COORD:
-                            bcomp = bulk.by_name(comp.name)
-                            word.append((a[0], bcomp.fid, conv_midx(J)))
-                        else:
-                            word.append((a[0], self.s2b[fid], conv_midx(J)))
-                elif a[0] == 'f':
-                    args = tuple(
-                        ('j', self.s2b[x[1]], conv_midx(x[2])) if x[0] == 'j' else x
-                        for x in a[3])
-                    word.append(('f', a[1], a[2], args))
-                elif a[0] == 'ji':
-                    word.append(('ji', self.s2b[a[1]]))
-                else:
-                    raise VarcalcError(f"cannot push atom {a!r} to the bulk")
-            out._accum(tuple(word), c)
-        return out
+        def jet(a, in_fn):
+            fid = a[1]
+            if a[0] == 'ji':
+                return ('ji', self.s2b[fid])
+            J = conv_midx(a[2])
+            if in_fn:
+                return ('j', self.s2b[fid], J)
+            if fid in dt_inv:
+                return (a[0], dt_inv[fid], midx_shift(J, t))
+            comp = schart.component(fid)
+            if comp.kind == COORD:
+                return (a[0], bulk.by_name(comp.name).fid, J)
+            return (a[0], self.s2b[fid], J)
+
+        return transport(work, bulk, jet, self.tangential.__getitem__)
 
     def _verify_pullback(self):
         lhs = self.to_bulk(self.omega_sigma)
@@ -338,7 +293,7 @@ class SigmaTheory:
         schart = self.schart
         if self.omega_sigma.is_zero():
             return {}
-        src = self.ssuite.interior_euler(self.omega_sigma)
+        src = interior_euler(self.omega_sigma)
         fields = sorted({a[1] for k in self.omega_sigma.terms for a in k
                          if a[0] == 'v'} |
                         {a[1] for k in self.omega_sigma.terms for a in k
@@ -419,11 +374,10 @@ def sigma_param_basis(sigma: SigmaTheory, sym: SymmetryAction):
     return out
 
 
-def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, j_sigma=None,
-                       H_shift=None):
+def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, H_shift=None):
     """The equivariance cocycle table kappa(e_a, e_b) and its verification.
 
-    residual(xi, eta) = L_{rho(xi)} H_eta - H_{[xi,eta]} + j_Sigma([xi,eta])
+    residual(xi, eta) = L_{rho(xi)} H_eta - H_{[xi,eta]}
     must be d-exact with a field-independent primitive kappa.  ``H_shift``
     adds a deliberate perturbation to the Sigma-Noether form (negative
     controls); a field-dependent or non-exact residual raises NotExact.
@@ -443,8 +397,6 @@ def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, j_sigma=None,
         bb[(sigma.b2s[tfid], z)] = sigma.express(expr)
     H_br = substitute(H_eta, bb)
     residual = lhs - H_br
-    if j_sigma is not None and not j_sigma.is_zero():
-        residual = residual + substitute(j_sigma, bb)
     # the cocycle is field independent: any dynamical jet in the full
     # symbolic residual means the equivariance equation fails
     for key in residual.terms:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import (
-    DYNAMIC, PARAM, GradingError, InvariantViolation, NoSolvedForm,
+    DYNAMIC, PARAM, GradingError, InvariantViolation, NoFixpoint, NoSolvedForm,
     VarcalcError,
 )
 from .algebra import (
@@ -65,11 +65,6 @@ class SymmetryAction:
             out.extend(sorted(g.comps.values()))
         return out
 
-    def bracket_param(self, xi_group, eta_group):
-        """[xi, eta] as bindings on a third parameter copy: returns the map
-        fid_of_bracket_component -> LocalForm built from xi, eta jets."""
-        raise NotImplementedError
-
 
 def _match_components(ctx: ElabContext, g: FieldGroup, val):
     """Match an elaborated RHS against the components of a field group."""
@@ -121,14 +116,11 @@ class Theory:
             if (p, q) != (0, self.chart.dim):
                 raise GradingError(
                     f"lagrangian must be a (0, {self.chart.dim}) form, got ({p},{q})")
-        self.EL = exterior_euler(self.L) if not self.L.is_zero() \
-            else LocalForm.zero(self.chart)
+        self.EL = exterior_euler(self.L)
         dvL = d_v(self.L)
-        self.theta = self.suite.h_horizontal(dvL) if not dvL.is_zero() \
-            else LocalForm.zero(self.chart)
+        self.theta = self.suite.h_horizontal(dvL)
         self.omega = d_v(self.theta)
-        self.Lh = self.suite.euler_projector(self.L) if not self.L.is_zero() \
-            else LocalForm.zero(self.chart)
+        self.Lh = self.suite.euler_projector(self.L)
         resid = dvL - self.EL - d_h(self.theta)
         if not resid.is_zero():
             raise InvariantViolation("d_v L != E L + d theta")
@@ -194,7 +186,8 @@ class Theory:
 
     def reduce_on_shell(self, form: LocalForm, max_rounds=12):
         """Substitute declared solved forms (and their prolongations) to a
-        fixpoint; certifies membership in the prolonged EL ideal."""
+        fixpoint; certifies membership in the prolonged EL ideal.  Raises
+        NoFixpoint if the form still changes after ``max_rounds`` rounds."""
         if not self.solved:
             if form.is_zero():
                 return form
@@ -206,7 +199,8 @@ class Theory:
             if nxt == cur:
                 return nxt
             cur = nxt
-        return cur
+        raise NoFixpoint(
+            f"on-shell reduction reached no fixpoint after {max_rounds} round(s)", cur)
 
     # -- symmetry-facing API -------------------------------------------------
     def symmetry(self, name) -> SymmetryAction:

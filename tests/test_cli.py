@@ -99,6 +99,33 @@ def test_mech_flow_csv(tmp_path):
     assert len(lines) == 12
 
 
+def test_mech_flow_json():
+    code, out = run_cli("--json", "mech", "flow", "--system", "kepler",
+                        "--t", "0.1", "--dt", "0.01")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "varcalc.report.v1"
+    assert doc["command"] == "mech flow"
+    rows = doc["results"]
+    assert len(rows) == 11
+    assert sorted(rows[0]) == ["p0", "p1", "p2", "q0", "q1", "q2", "t"]
+    assert rows[0]["q0"] == 1.0 and rows[0]["p1"] == 1.0
+    assert rows[-1]["t"] == pytest.approx(0.1)
+
+
+def test_corner_json():
+    code, out = run_cli("--json", "corner", "yang_mills_su2", "--slice", "t=0",
+                        "--corner", "x=0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "varcalc.report.v1"
+    assert doc["command"] == "corner"
+    row = doc["results"][0]
+    assert row["master_equation"] is True
+    assert row["corner_densities"] and all(
+        isinstance(k, str) for k in row["corner_densities"])
+
+
 def test_mech_conserve_json():
     code, out = run_cli("--json", "mech", "conserve", "--system", "kepler",
                         "--t", "1.0", "--dt", "0.001")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varcalc.chart import (
-    InvariantViolation, NoSolvedForm, NotASymmetry, NotLocal,
+    InvariantViolation, NoFixpoint, NoSolvedForm, NotASymmetry, NotLocal,
     ResidualNonzero, OnShellResidual,
 )
 from varcalc.algebra import LocalForm, d_h, d_v, midx_zero
@@ -188,3 +188,16 @@ def test_reduce_on_shell(point_particle):
                           "lagrangian 1/2*q_,0*q_,0*dx0\n")
     with pytest.raises(NoSolvedForm):
         T2.reduce_on_shell(elaborate_form(T2.ctx, "q_,00"))
+
+
+def test_reduce_on_shell_raises_without_fixpoint(maxwell_sourced):
+    # C + j reaches zero in the first round and is confirmed a fixpoint in
+    # the second; one round is not enough to certify it
+    T = maxwell_sourced
+    data = noether2(T, T.symmetry("gauge"))
+    form = data.C + data.j
+    assert not form.is_zero()
+    with pytest.raises(NoFixpoint) as info:
+        T.reduce_on_shell(form, max_rounds=1)
+    assert info.value.form is not None and info.value.form.is_zero()
+    assert T.reduce_on_shell(form).is_zero()

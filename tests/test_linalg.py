@@ -1,0 +1,82 @@
+"""Exact linear algebra over Q, checked against sympy as an independent
+oracle on seeded random small rational matrices."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from varcalc.algebra import LocalForm, midx_zero
+from varcalc.chart import VarcalcError, det, inverse, kernel
+from varcalc.homotopy import bruteforce_dexactness, mat_mul, mat_T, pseudo_inverse_psd
+from varcalc.randforms import suite_chart
+
+sympy = pytest.importorskip("sympy")
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# zeros are drawn often so that singular and rank-deficient matrices occur
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
+rect = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda rc: matrices(*rc))
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in m])
+
+
+def from_sympy(M):
+    return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
+
+
+@SEEDED
+@given(square)
+def test_det_and_inverse_match_sympy(m):
+    M = to_sympy(m)
+    d = M.det()
+    assert det(m) == Fraction(int(d.p), int(d.q))
+    if d == 0:
+        with pytest.raises(VarcalcError):
+            inverse(m)
+    else:
+        assert inverse(m) == from_sympy(M.inv())
+
+
+@SEEDED
+@given(rect)
+def test_kernel_matches_sympy(m):
+    basis = kernel(m)
+    assert len(basis) == len(to_sympy(m).nullspace())
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+
+
+@SEEDED
+@given(rect)
+def test_pseudo_inverse_psd_matches_sympy(b):
+    # B^T B is symmetric PSD, rank-deficient whenever B has fewer rows than
+    # columns or dependent columns
+    D = mat_mul(mat_T(b), b)
+    assert pseudo_inverse_psd(D) == from_sympy(to_sympy(D).pinv())
+
+
+def test_bruteforce_rejects_non_exact_form():
+    # u_,0 u_,0 dx0 has a nonzero Euler-Lagrange expression, so it is not
+    # d-exact; every target term lies in the ansatz image, so the verdict
+    # comes from the elimination (the augmented column is a pivot)
+    ch = suite_chart(dim=1, nfields=1)
+    u = ch.by_name("u0").fid
+    ux = ('j', u, (1,))
+    target = LocalForm.from_word(ch, (ux, ux, ('h', 0)))
+    assert not bruteforce_dexactness(target)
+    exact = LocalForm.from_word(ch, (('j', u, midx_zero(1)), ux, ('h', 0)))
+    assert bruteforce_dexactness(exact)
