@@ -85,75 +85,107 @@ def _sort_key(atom):
     return (_RANK[atom[0]],) + atom[1:]
 
 
+# what norm_word does with an atom
+_KEEP, _CONST, _ONE, _ZERO = range(4)
+
+
+def _atom_data(chart, atom):
+    """(sort key, parity, action, atom) of an atom on a chart; raises
+    JetCutoffExceeded for a jet or leg above the chart's cutoff."""
+    t = atom[0]
+    action = _KEEP
+    if t in ('j', 'ji'):
+        kind = chart.kind(atom[1])
+        order = midx_order(atom[2]) if t == 'j' else 0
+        if order and kind in (COORD, CONST, CPARAM):
+            # D_mu x^nu = delta; every other derivative of a constant is 0
+            if kind == COORD and order == 1 and \
+                    atom[2][chart.component(atom[1]).coord_dir] == 1:
+                action = _ONE
+            else:
+                action = _ZERO
+        elif order > chart.jet_cutoff:
+            raise JetCutoffExceeded(
+                f"jet order {order} exceeds cutoff {chart.jet_cutoff}")
+        elif kind == CONST:
+            action = _CONST
+    elif t == 'v' and midx_order(atom[2]) > chart.jet_cutoff:
+        raise JetCutoffExceeded(
+            f"jet order {midx_order(atom[2])} exceeds cutoff {chart.jet_cutoff}")
+    return _sort_key(atom), atom_parity(chart, atom), action, atom
+
+
 def norm_word(chart, atoms, coeff):
-    """Canonicalize a word; returns (key, coeff) or None if zero."""
+    """Canonicalize a word; returns (key, coeff) or None if zero.
+
+    Atoms are sorted into canonical order with the Koszul sign of every
+    odd-odd transposition; factors of 1 are dropped, a zero factor or an
+    odd square kills the word, and named constants cancel against their
+    inverses.  Per-atom data comes from the chart's ``atom_data`` cache.
+    """
     if not coeff:
         return None
+    cache = chart.atom_data
     work = []
+    has_const = False
     for a in atoms:
-        t = a[0]
-        if t == 'j':
-            fid = a[1]
-            kind = chart.kind(fid)
-            order = midx_order(a[2])
-            if order and kind in (COORD, CONST, CPARAM):
-                if kind == COORD and order == 1:
-                    # D_mu x^nu = delta
-                    if a[2][chart.component(fid).coord_dir] == 1:
-                        continue       # factor 1
-                return None            # zero factor
-            if order > chart.jet_cutoff:
-                raise JetCutoffExceeded(
-                    f"jet order {order} exceeds cutoff {chart.jet_cutoff}")
-            work.append(a)
-        elif t == 'v':
-            if midx_order(a[2]) > chart.jet_cutoff:
-                raise JetCutoffExceeded(
-                    f"jet order {midx_order(a[2])} exceeds cutoff {chart.jet_cutoff}")
-            work.append(a)
-        else:
-            work.append(a)
-    # insertion sort, tracking odd-odd transpositions
+        d = cache.get(a)
+        if d is None:
+            d = cache[a] = _atom_data(chart, a)
+        action = d[2]
+        if action == _ZERO:
+            return None
+        if action != _ONE:
+            work.append(d)
+            has_const = has_const or action == _CONST
+    # insertion sort on the cached keys, tracking odd-odd transpositions
     sign = 1
     out = []
-    for a in work:
-        ka = _sort_key(a)
-        pa = atom_parity(chart, a)
+    for item in work:
+        ka, pa = item[0], item[1]
         i = len(out)
-        while i > 0 and _sort_key(out[i - 1]) > ka:
-            if pa and atom_parity(chart, out[i - 1]):
+        while i > 0 and out[i - 1][0] > ka:
+            if pa and out[i - 1][1]:
                 sign = -sign
             i -= 1
-        out.insert(i, a)
-    # cancel inverse-constant pairs, kill odd squares
+        out.insert(i, item)
+    if has_const:
+        out = _cancel_constants(chart, out)
+    for i in range(1, len(out)):
+        if out[i][1] and out[i][0] == out[i - 1][0]:
+            return None     # odd square
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
+    return tuple(item[3] for item in out), (coeff if sign > 0 else -coeff)
+
+
+def _cancel_constants(chart, out):
+    """Cancel named constants against their inverses in a sorted word of
+    atom data; the net powers go back in canonical place."""
     cleaned = []
     counts = {}
-    for a in out:
-        if a[0] in ('j', 'ji') and chart.kind(a[1]) == CONST:
-            key = a[1]
-            counts[key] = counts.get(key, 0) + (1 if a[0] == 'j' else -1)
+    for item in out:
+        if item[2] == _CONST:
+            a = item[3]
+            counts[a[1]] = counts.get(a[1], 0) + (1 if a[0] == 'j' else -1)
         else:
-            cleaned.append(a)
-    const_atoms = []
+            cleaned.append(item)
+    zero = midx_zero(chart.dim)
+    const_items = []
     for fid in sorted(counts):
         c = counts[fid]
-        zero = midx_zero(chart.dim)
-        if c > 0:
-            const_atoms += [('j', fid, zero)] * c
-        elif c < 0:
-            const_atoms += [('ji', fid)] * (-c)
+        a = ('j', fid, zero) if c > 0 else ('ji', fid)
+        const_items += [chart.atom_data[a]] * abs(c)
     # reinsert constants (parity 0: no signs); keep global order
     merged = []
     ci = 0
-    for a in cleaned:
-        while ci < len(const_atoms) and _sort_key(const_atoms[ci]) <= _sort_key(a):
-            merged.append(const_atoms[ci]); ci += 1
-        merged.append(a)
-    merged.extend(const_atoms[ci:])
-    for i in range(1, len(merged)):
-        if merged[i] == merged[i - 1] and atom_parity(chart, merged[i]):
-            return None
-    return tuple(merged), Fraction(coeff) * sign
+    for item in cleaned:
+        while ci < len(const_items) and const_items[ci][0] <= item[0]:
+            merged.append(const_items[ci])
+            ci += 1
+        merged.append(item)
+    merged.extend(const_items[ci:])
+    return merged
 
 
 class LocalForm:
@@ -324,16 +356,17 @@ def apply_derivation(form: LocalForm, parity, image, side="left"):
     return out
 
 
-def total_derivative(form: LocalForm, mu):
-    """The total derivative D_mu (even derivation)."""
+def total_derivative(form: LocalForm, mu, legs=True):
+    """The total derivative D_mu (even derivation); with ``legs`` false it
+    differentiates the coefficient atoms only and leaves vertical legs
+    alone."""
     chart = form.chart
-    n = chart.dim
 
     def image(atom):
         t = atom[0]
         if t == 'j':
             return LocalForm.from_word(chart, (('j', atom[1], midx_shift(atom[2], mu)),))
-        if t == 'v':
+        if t == 'v' and legs:
             return LocalForm.from_word(chart, (('v', atom[1], midx_shift(atom[2], mu)),))
         if t == 'f':
             sym, dords, args = atom[1], atom[2], atom[3]

@@ -41,6 +41,7 @@ class BVTheory:
         self.b2x: dict[int, int] = {}
         for comp in base.components:
             if comp.kind == COORD:
+                self.b2x[comp.fid] = chart.by_name(comp.name).fid
                 continue
             c = chart.add_component(comp.name, ghost=comp.ghost, kind=comp.kind,
                                     group=comp.group, indices=comp.indices)
@@ -306,6 +307,7 @@ class BFVTheory:
         self.s2x = {}
         for comp in schart.components:
             if comp.kind == COORD:
+                self.s2x[comp.fid] = chart.by_name(comp.name).fid
                 continue
             if comp.kind == DYNAMIC and comp.fid not in sigma.surviving \
                     and not comp.name.startswith("Pi_"):
@@ -333,16 +335,10 @@ class BFVTheory:
         self.suite = get_suite(chart)
 
         def jet(a, in_fn):
-            fid = a[1]
-            if fid in self.ghosts:
-                fid = self.ghosts[fid]
-            elif fid in self.s2x:
-                fid = self.s2x[fid]
-            else:
-                comp = schart.component(fid)
-                if comp.kind != COORD:
-                    raise VarcalcError(f"component {comp.name} has no BFV image")
-                fid = chart.by_name(comp.name).fid
+            fid = self.ghosts.get(a[1], self.s2x.get(a[1]))
+            if fid is None:
+                raise VarcalcError(
+                    f"component {schart.component(a[1]).name} has no BFV image")
             return (a[0], fid) + a[2:]
 
         def move(form):

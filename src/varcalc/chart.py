@@ -220,6 +220,8 @@ class Chart:
         self._by_name: dict[str, FieldComponent] = {}
         self.functions: list[FunctionSymbol] = []
         self._fn_by_name: dict[str, FunctionSymbol] = {}
+        # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
+        self.atom_data: dict[tuple, tuple] = {}
 
     # -- components ------------------------------------------------------
     def add_component(self, name, ghost=0, kind=DYNAMIC, coord_dir=-1,
@@ -293,6 +295,7 @@ class Chart:
             for c in self.components
         ]
         new._by_name = {c.name: c for c in new.components}
+        new.atom_data = {}      # the kinds differ, so the actions do too
         return new
 
 

@@ -2,11 +2,15 @@
 
 The horizontal differential splits as d = d1 + d0, where d1 shifts the
 multi-indices of the vertical legs (and is linear over the coefficient
-ring) and d0 differentiates the coefficients.  On each finite stratum of
-leg data, d1 is contracted exactly by sigma1 = e^T Delta^+ built from the
-combinatorial Laplacian of d1; the homological perturbation series in d0
-(which terminates, since sigma1 lowers total leg order) then produces a
-homotopy h for the full horizontal differential satisfying
+ring) and d0 = dx^mu ^ D_mu differentiates only the coefficient atoms.
+On each finite stratum of leg data, d1 is contracted exactly by sigma1,
+built from the combinatorial Laplacian Delta of d1 and the matrix e of d1:
+sigma1 = e^T Delta^{-1} below top horizontal degree, where d1 has no
+cohomology and Delta is invertible, and sigma1 = e^T Delta^+ (Moore-Penrose)
+at the top.  The image of each canonical leg word is computed once per
+stratum.  The homological perturbation series in d0 (which terminates,
+since sigma1 lowers total leg order) then produces a homotopy h for the
+full horizontal differential satisfying
 
     alpha = h d alpha                     on (>=1, 0) forms,
     alpha = h d alpha + d h alpha         on (>=1, 0<q<n) forms,
@@ -25,11 +29,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chart import (
-    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant, inverse, kernel, rref,
+    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant, VarcalcError,
+    inverse, kernel, rref,
 )
 from .algebra import (
     LocalForm, apply_derivation, atom_parity, d_h, d_v, midx_shift,
-    midx_zero, norm_word, prepend_atom, zero_star,
+    midx_zero, norm_word, prepend_atom, total_derivative, zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -166,59 +171,65 @@ class _Stratum:
                 cols.append(col)
             self.e[b] = (cols, len(tgt))
         self.pinv = {}
+        self.images = {}
+
+    def laplacian(self, b):
+        """Delta = e^T e + e e^T of d1 at horizontal degree b."""
+        n = self.suite.chart.dim
+        dim = len(self.bases[b])
+        D = [[Fraction(0)] * dim for _ in range(dim)]
+        if b < n:
+            cols, _ = self.e[b]
+            for j, col in enumerate(cols):
+                for jj, col2 in enumerate(cols):
+                    s = Fraction(0)
+                    for i, c in col.items():
+                        c2 = col2.get(i)
+                        if c2:
+                            s += c * c2
+                    D[jj][j] += s          # (e^T e)_{jj,j}
+        if b > 0:
+            cols, _ = self.e[b - 1]
+            for j, col in enumerate(cols):
+                for i, c in col.items():
+                    for i2, c2 in col.items():
+                        D[i][i2] += c * c2  # (e e^T)
+        return D
 
     def delta_pinv(self, b):
+        """Delta^{-1} below top degree on strata with legs (d1 is acyclic
+        there), the Moore-Penrose Delta^+ otherwise."""
         if b not in self.pinv:
-            n = self.suite.chart.dim
-            dim = len(self.bases[b])
-            D = [[Fraction(0)] * dim for _ in range(dim)]
-            if b < n:
-                cols, _ = self.e[b]
-                for j, col in enumerate(cols):
-                    for jj, col2 in enumerate(cols):
-                        s = Fraction(0)
-                        for i, c in col.items():
-                            c2 = col2.get(i)
-                            if c2:
-                                s += c * c2
-                        D[jj][j] += s          # (e^T e)_{jj,j}
-            if b > 0:
-                cols, _ = self.e[b - 1]
-                for j, col in enumerate(cols):
-                    for i, c in col.items():
-                        for i2, c2 in col.items():
-                            D[i][i2] += c * c2  # (e e^T)
-            P = pseudo_inverse_psd(D)
-            if b < n and self.bases[b] and _has_legs(self.bases[b][0]):
-                if kernel(D):
+            D = self.laplacian(b)
+            if b < self.suite.chart.dim and self.bases[b] and _has_legs(self.bases[b][0]):
+                try:
+                    self.pinv[b] = inverse(D)
+                except VarcalcError:
                     raise AssertionError(
-                        "unexpected d1-cohomology below top horizontal degree")
-            self.pinv[b] = P
+                        "unexpected d1-cohomology below top horizontal degree") from None
+            else:
+                self.pinv[b] = pseudo_inverse_psd(D)
         return self.pinv[b]
 
-    def sigma1_coords(self, b, vec):
-        """sigma1 on coordinates at horizontal degree b; returns dict over
-        bases[b-1] indices."""
-        if b == 0:
-            return {}
-        P = self.delta_pinv(b)
-        dim = len(self.bases[b])
-        z = [Fraction(0)] * dim
-        for i, c in vec.items():
-            if c:
-                for j in range(dim):
-                    if P[j][i]:
-                        z[j] += P[j][i] * c
-        cols, _ = self.e[b - 1]
-        out = {}
-        for j, col in enumerate(cols):
-            s = Fraction(0)
-            for i, c in col.items():
-                if z[i]:
-                    s += c * z[i]
-            if s:
-                out[j] = s
-        return out
+    def sigma1_image(self, word):
+        """sigma1 of a canonical leg word of this stratum, memoized as a
+        list of (target word, coefficient)."""
+        image = self.images.get(word)
+        if image is None:
+            b = sum(1 for a in word if a[0] == 'h')
+            i = self.index[b].get(word)
+            if i is None:
+                raise AssertionError("leg word missing from its stratum basis")
+            image = []
+            if b:
+                z = [row[i] for row in self.delta_pinv(b)]
+                cols, _ = self.e[b - 1]
+                for j, col in enumerate(cols):
+                    s = sum(c * z[k] for k, c in col.items() if z[k])
+                    if s:
+                        image.append((self.bases[b - 1][j], s))
+            self.images[word] = image
+        return image
 
 
 def _has_legs(word):
@@ -250,7 +261,11 @@ class HomotopySuite:
         return out
 
     def d0(self, form):
-        return d_h(form) - self.d1(form)
+        """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1)."""
+        out = LocalForm(self.chart)
+        for mu in range(self.chart.dim):
+            out = out + prepend_atom(total_derivative(form, mu, legs=False), ('h', mu))
+        return out
 
     # -- sigma1 and the perturbed homotopy ----------------------------------
     def _stratum(self, skey):
@@ -269,18 +284,13 @@ class HomotopySuite:
             if res is None:
                 continue
             lw, lsign = res
-            skey = _stratum_key(chart, lw)
-            st = self._stratum(skey)
-            b = sum(1 for a in lw if a[0] == 'h')
-            idx = st.index[b].get(lw)
-            if idx is None:
-                raise AssertionError("leg word missing from its stratum basis")
-            cpar = sum(atom_parity(chart, a) for a in coeffs) & 1
-            sgn = -1 if cpar else 1
-            image = st.sigma1_coords(b, {idx: Fraction(1)})
-            for j, c in image.items():
-                target = st.bases[b - 1][j]
-                out._accum(coeffs + target, coeff * lsign * c * sgn)
+            image = self._stratum(_stratum_key(chart, lw)).sigma1_image(lw)
+            if not image:
+                continue
+            if sum(atom_parity(chart, a) for a in coeffs) & 1:
+                lsign = -lsign
+            for target, c in image:
+                out._accum(coeffs + target, coeff * lsign * c)
         return out
 
     def h_inf(self, form):

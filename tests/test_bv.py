@@ -128,6 +128,27 @@ def test_bfv_and_compatibility(maxwell, bf4):
         assert all(r.passed for r in reps), [r.line() for r in reps]
 
 
+def test_bv_and_bfv_map_coordinates():
+    """A closed source with a coordinate coefficient: the coordinate jet y
+    lifts to the BV chart and moves to the BFV chart."""
+    from importlib import resources
+    text = resources.files("varcalc.theories").joinpath(
+        "maxwell_sourced.thy").read_text(encoding="utf-8")
+    text = text.replace("jext form 3 = dx1", "jext form 3 = y * dx1")
+    assert "y * dx1 ∧ dx2 ∧ dx3" in text
+    T = theory_from_text(text)
+    sym = T.symmetry("gauge")
+    bv = bv_extend(T, sym)
+    y = ('j', bv.chart.by_name("y").fid, midx_zero(4))
+    assert any(y in key for key in bv.L.terms)
+    assert check_q_nilpotent(bv).passed
+    assert verify_cme(bv)[0].passed
+    spec = SliceSpec(transverse=0)
+    bfv = bfv_extend(restrict_to_slice(T, spec), sym)
+    reps = verify_bvbfv(bv, bfv, spec)
+    assert len(reps) == 3 and reps[0].passed and reps[1].passed
+
+
 def test_bvbfv_orientation_negative_control(maxwell):
     sym = maxwell.symmetry("gauge")
     sig = restrict_to_slice(maxwell, SliceSpec(transverse=0))
