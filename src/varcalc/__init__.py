@@ -4,7 +4,7 @@ from .chart import Chart, FieldComponent, FunctionSymbol, VarcalcError
 from .algebra import LocalForm, PointAssignment, d_h, d_v, evaluate, substitute, zero_star
 from .euler import EvolutionaryField, exterior_euler, insert, interior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
-from .theory import SymmetryAction, Theory, build_theory, theory_from_text
+from .theory import SymmetryAction, Theory, theory_from_text
 from .noether import (NoetherData, decompose_dual_current, noether2,
                       noether_cone, verify_identity, verify_noether1)
 from .slicing import (CornerData, SigmaTheory, SliceSpec, compute_ce_cocycle,

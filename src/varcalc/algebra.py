@@ -33,10 +33,6 @@ def midx_zero(n):
     return (0,) * n
 
 
-def midx_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def midx_shift(a, mu):
     return tuple(x + (1 if i == mu else 0) for i, x in enumerate(a))
 
@@ -268,9 +264,6 @@ class LocalForm:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def copy(self):
-        return LocalForm(self.chart, dict(self.terms))
-
     # -- grading -----------------------------------------------------------
     @staticmethod
     def key_vdeg(key):
@@ -308,9 +301,6 @@ class LocalForm:
                 out.terms[k] = c
         return out
 
-    def max_vdeg(self):
-        return max((self.key_vdeg(k) for k in self.terms), default=0)
-
     def __repr__(self):
         from .render import render_text
         return f"LocalForm({render_text(self)})"
@@ -320,18 +310,16 @@ class LocalForm:
 # generic graded operators
 # ---------------------------------------------------------------------------
 
-def apply_derivation(form: LocalForm, parity, image, side="left"):
+def apply_derivation(form: LocalForm, parity, image):
     """Graded derivation: image(atom) -> LocalForm | None (None = zero).
 
     The image of an atom is spliced in place with the Koszul sign of moving
-    an operator of the given parity across the atoms after it (``side ==
-    "right"``, the convention used throughout) or before it ("left").
+    an operator of the given parity across the atoms before it (operators
+    act from the left).
     """
     chart = form.chart
     out = LocalForm(chart)
     for key, coeff in form.terms.items():
-        pars = [atom_parity(chart, a) for a in key]
-        total_par = sum(pars)
         left_par = 0
         seen = None
         for i, atom in enumerate(key):
@@ -343,16 +331,33 @@ def apply_derivation(form: LocalForm, parity, image, side="left"):
                     j += 1
                 im = image(atom)
                 if im is not None and im.terms:
-                    if side == "right":
-                        crossed = total_par - left_par - pars[i]
-                    else:
-                        crossed = left_par
-                    sgn = -1 if (parity and crossed & 1) else 1
+                    sgn = -1 if (parity and left_par & 1) else 1
                     for ikey, ic in im.terms.items():
                         word = key[:i] + ikey + key[i + 1:]
                         out._accum(word, coeff * ic * sgn * run)
                 seen = atom
-            left_par += pars[i]
+            left_par += atom_parity(chart, atom)
+    return out
+
+
+def chain_rule(chart, atom, leg):
+    """Chain rule through a function atom 'f' or a fiber integral 'F':
+    the sum over jet arguments a of the slot derivative times leg(a), the
+    derivation's image of the argument (None where it acts as zero).  A
+    slot derivative inside 'F' raises its lambda power by one."""
+    inner = (atom,) if atom[0] == 'f' else atom[2]
+    out = LocalForm(chart)
+    for ai, app in enumerate(inner):
+        sym, dords, args = app[1], app[2], app[3]
+        for slot, arg in enumerate(args):
+            d = leg(arg) if arg[0] == 'j' else None
+            if d is None:
+                continue
+            nd = dords[:slot] + (dords[slot] + 1,) + dords[slot + 1:]
+            napp = ('f', sym, nd, args)
+            if atom[0] == 'F':
+                napp = ('F', atom[1] + 1, inner[:ai] + (napp,) + inner[ai + 1:])
+            out._accum((napp, d), 1)
     return out
 
 
@@ -364,34 +369,10 @@ def total_derivative(form: LocalForm, mu, legs=True):
 
     def image(atom):
         t = atom[0]
-        if t == 'j':
-            return LocalForm.from_word(chart, (('j', atom[1], midx_shift(atom[2], mu)),))
-        if t == 'v' and legs:
-            return LocalForm.from_word(chart, (('v', atom[1], midx_shift(atom[2], mu)),))
-        if t == 'f':
-            sym, dords, args = atom[1], atom[2], atom[3]
-            out = LocalForm(chart)
-            for slot, arg in enumerate(args):
-                if arg[0] != 'j':
-                    continue
-                nd = tuple(d + (1 if s == slot else 0) for s, d in enumerate(dords))
-                darg = ('j', arg[1], midx_shift(arg[2], mu))
-                out._accum((('f', sym, nd, args), darg), 1)
-            return out
-        if t == 'F':
-            k, inner = atom[1], atom[2]
-            out = LocalForm(chart)
-            for ai, app in enumerate(inner):
-                sym, dords, args = app[1], app[2], app[3]
-                for slot, arg in enumerate(args):
-                    if arg[0] != 'j':
-                        continue
-                    nd = tuple(d + (1 if s == slot else 0) for s, d in enumerate(dords))
-                    napp = ('f', sym, nd, args)
-                    ninner = inner[:ai] + (napp,) + inner[ai + 1:]
-                    darg = ('j', arg[1], midx_shift(arg[2], mu))
-                    out._accum((('F', k + 1, ninner), darg), 1)
-            return out
+        if t == 'j' or (t == 'v' and legs):
+            return LocalForm.from_word(chart, ((t, atom[1], midx_shift(atom[2], mu)),))
+        if t in ('f', 'F'):
+            return chain_rule(chart, atom, lambda a: ('j', a[1], midx_shift(a[2], mu)))
         return None
 
     return apply_derivation(form, 0, image)
@@ -411,13 +392,6 @@ def prepend_atom(form: LocalForm, atom):
     return out
 
 
-def append_atom(form: LocalForm, atom):
-    out = LocalForm(form.chart)
-    for key, coeff in form.terms.items():
-        out._accum(key + (atom,), coeff)
-    return out
-
-
 def d_h(form: LocalForm):
     """Horizontal differential d = dx^mu ^ D_mu."""
     out = LocalForm(form.chart)
@@ -430,37 +404,30 @@ def d_v(form: LocalForm):
     """Vertical differential (variation along dynamical fields)."""
     chart = form.chart
 
+    def leg(a):
+        return ('v', a[1], a[2]) if chart.kind(a[1]) == DYNAMIC else None
+
     def image(atom):
         t = atom[0]
         if t == 'j':
-            if chart.kind(atom[1]) != DYNAMIC:
-                return None
-            return LocalForm.from_word(chart, (('v', atom[1], atom[2]),))
-        if t == 'f':
-            sym, dords, args = atom[1], atom[2], atom[3]
-            out = LocalForm(chart)
-            for slot, arg in enumerate(args):
-                if arg[0] != 'j' or chart.kind(arg[1]) != DYNAMIC:
-                    continue
-                nd = tuple(d + (1 if s == slot else 0) for s, d in enumerate(dords))
-                out._accum((('f', sym, nd, args), ('v', arg[1], arg[2])), 1)
-            return out
-        if t == 'F':
-            k, inner = atom[1], atom[2]
-            out = LocalForm(chart)
-            for ai, app in enumerate(inner):
-                sym, dords, args = app[1], app[2], app[3]
-                for slot, arg in enumerate(args):
-                    if arg[0] != 'j' or chart.kind(arg[1]) != DYNAMIC:
-                        continue
-                    nd = tuple(d + (1 if s == slot else 0) for s, d in enumerate(dords))
-                    napp = ('f', sym, nd, args)
-                    ninner = inner[:ai] + (napp,) + inner[ai + 1:]
-                    out._accum((('F', k + 1, ninner), ('v', arg[1], arg[2])), 1)
-            return out
+            v = leg(atom)
+            return None if v is None else LocalForm.from_word(chart, (v,))
+        if t in ('f', 'F'):
+            return chain_rule(chart, atom, leg)
         return None
 
     return apply_derivation(form, 1, image)
+
+
+def h_coefficient(form: LocalForm, dirs):
+    """Coefficient of dx^dirs (ascending directions) in a form: the terms
+    whose horizontal legs are exactly those, with the legs stripped."""
+    target = tuple(('h', mu) for mu in dirs)
+    out = LocalForm(form.chart)
+    for key, c in form.terms.items():
+        if tuple(a for a in key if a[0] == 'h') == target:
+            out._accum(tuple(a for a in key if a[0] != 'h'), c)
+    return out
 
 
 def contract_leg(form: LocalForm, fid, midx):

@@ -11,7 +11,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, midx_zero, transport, zero_star,
+    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_zero, transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -98,14 +98,11 @@ class BVTheory:
                         continue
                     cfid = self.ghosts[pfid]
                     expr = LocalForm(chart)
-                    for (a, b), lst in st.f.items():
-                        for cc, coeff in lst:
-                            if cc != lidx[0]:
-                                continue
-                            ga = self.ghosts[g.comps[(fidx, (a,))]]
-                            gb = self.ghosts[g.comps[(fidx, (b,))]]
-                            expr._accum((('j', ga, z), ('j', gb, z)),
-                                        -Fraction(coeff) / 2)
+                    for a, b, coeff in st.brackets_onto(lidx[0]):
+                        ga = self.ghosts[g.comps[(fidx, (a,))]]
+                        gb = self.ghosts[g.comps[(fidx, (b,))]]
+                        expr._accum((('j', ga, z), ('j', gb, z)),
+                                    -Fraction(coeff) / 2)
                     if not expr.is_zero():
                         self.qce[cfid] = expr
 
@@ -189,11 +186,11 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         if len(partners) != 1:
             raise NotHamiltonian("degenerate symplectic pairing")
         v = partners.pop()
-        dens = _density(coeff)
+        dens = h_coefficient(coeff, range(n))
         # calibrate the sign/normalization through the insertion itself
         trial = EvolutionaryField(chart, {v: dens}, name="trial")
         got_full = insert(trial, omega)
-        got = _density(contract_leg(interior_euler(got_full), u, z))
+        got = h_coefficient(contract_leg(interior_euler(got_full), u, z), range(n))
         ratio = _proportionality(got, dens)
         if ratio is None:
             raise NotHamiltonian(
@@ -208,19 +205,6 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
             "no Hamiltonian vector field solves the flow equation: residual "
             + render_text(resid))
     return X
-
-
-def _density(form):
-    """Strip a full horizontal volume word; scalar part must be left."""
-    chart = form.chart
-    vol = tuple(('h', mu) for mu in range(chart.dim))
-    out = LocalForm(chart)
-    for key, c in form.terms.items():
-        legs = tuple(a for a in key if a[0] == 'h')
-        if legs != vol:
-            raise NotHamiltonian("expected a top-degree density")
-        out._accum(tuple(a for a in key if a[0] != 'h'), c)
-    return out
 
 
 def _proportionality(got, want):
@@ -268,10 +252,9 @@ def verify_cme(bv: BVTheory) -> tuple[Report, LocalForm]:
     suite = bv.suite
     if B.is_zero():
         return Report("densitised CME", True, "{L,L} = 0"), B
-    PB = suite.euler_projector(B)
-    zb = zero_star(B)
-    if not PB.is_zero() or not zb.is_zero():
-        raise CMEFails("classical master equation fails: P({L,L}) = "
+    PB = suite.euler_projector0(B)
+    if not PB.is_zero():
+        raise CMEFails("classical master equation fails: P0({L,L}) = "
                        + render_text(PB), PB)
     prim = suite.h_zero(B)
     if not (d_h(prim) - B).is_zero():
@@ -357,16 +340,13 @@ class BFVTheory:
                         continue
                     cfid = self.ghosts[sigma.b2s[pbulk]]
                     gm = self.ghost_momenta[cfid]
-                    for (a, b), lst in st.f.items():
-                        for cc, coeff in lst:
-                            if cc != lidx[0]:
-                                continue
-                            ga = self.ghosts[sigma.b2s[g.comps[(fidx, (a,))]]]
-                            gb = self.ghosts[sigma.b2s[g.comps[(fidx, (b,))]]]
-                            self.L = self.L + LocalForm.from_word(
-                                chart,
-                                (('j', gm, z), ('j', ga, z), ('j', gb, z)) + vol,
-                                Fraction(coeff) / 2 * orientation)
+                    for a, b, coeff in st.brackets_onto(lidx[0]):
+                        ga = self.ghosts[sigma.b2s[g.comps[(fidx, (a,))]]]
+                        gb = self.ghosts[sigma.b2s[g.comps[(fidx, (b,))]]]
+                        self.L = self.L + LocalForm.from_word(
+                            chart,
+                            (('j', gm, z), ('j', ga, z), ('j', gb, z)) + vol,
+                            Fraction(coeff) / 2 * orientation)
         gh = {self.L.key_ghost(k) for k in self.L.terms}
         if gh - {1}:
             raise VarcalcError(f"L_BFV must have ghost degree 1, got {gh}")
@@ -388,8 +368,8 @@ def verify_bfv_cme(bfv: BFVTheory) -> Report:
     B = insert(bfv.Q, insert(bfv.Q, bfv.omega_BFV))
     if B.is_zero():
         return Report("BFV master equation", True, "{L,L} = 0")
-    PB = bfv.suite.euler_projector(B)
-    if not PB.is_zero() or not zero_star(B).is_zero():
+    PB = bfv.suite.euler_projector0(B)
+    if not PB.is_zero():
         raise CMEFails("BFV master equation fails", PB)
     return Report("BFV master equation", True, "{L,L} d-exact")
 
@@ -434,18 +414,15 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
     B = insert(bv.Q, insert(bv.Q, bv.omega_BV))
     ok2 = True
     det2 = ""
-    if not B.is_zero():
-        PB = bv.suite.euler_projector(B)
-        if not PB.is_zero() or not zero_star(B).is_zero():
-            ok2 = False
-            det2 = "{L_BV, L_BV} is not d-exact"
+    if not bv.suite.euler_projector0(B).is_zero():
+        ok2 = False
+        det2 = "{L_BV, L_BV} is not d-exact"
     if ok2:
         W = bvs.express(insert(bv.Q, bv.theta))
         X = W - bridge(bfv.L)
         if not X.is_zero():
             suite = bvs.ssuite
-            PX = suite.euler_projector(X)
-            if not PX.is_zero() or not zero_star(X).is_zero() or \
+            if not suite.euler_projector0(X).is_zero() or \
                     not (d_h(suite.h_zero(X)) - X).is_zero():
                 ok2 = False
                 det2 = "boundary content of the CME primitive is not L_BFV: " \

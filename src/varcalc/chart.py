@@ -109,10 +109,6 @@ class VerdictMismatch(VarcalcError):
     pass
 
 
-class MasterEquationFails(VarcalcError):
-    pass
-
-
 class NotHamiltonian(VarcalcError):
     pass
 
@@ -222,6 +218,8 @@ class Chart:
         self._fn_by_name: dict[str, FunctionSymbol] = {}
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
+        # frozenset of promoted fids -> chart, filled by promoted()
+        self.promotions: dict[frozenset, Chart] = {}
 
     # -- components ------------------------------------------------------
     def add_component(self, name, ghost=0, kind=DYNAMIC, coord_dir=-1,
@@ -256,12 +254,6 @@ class Chart:
     def kind(self, fid):
         return self.components[fid].kind
 
-    def dynamic_fids(self):
-        return [c.fid for c in self.components if c.kind == DYNAMIC]
-
-    def param_fids(self):
-        return [c.fid for c in self.components if c.kind == PARAM]
-
     # -- function symbols --------------------------------------------------
     def add_function(self, name, arity=1, model=()):
         if name in self._fn_by_name:
@@ -284,10 +276,17 @@ class Chart:
     def promoted(self, fids):
         """A copy of this chart where the given parameter components are
         dynamical (the action Lie algebroid chart).  Component ids are
-        preserved, so forms can be moved across verbatim."""
-        fids = set(fids)
+        preserved, so forms can be moved across verbatim.  Promoting the
+        same fids again returns the same chart, so its homotopy strata are
+        built once."""
+        fids = frozenset(fids)
+        new = self.promotions.get(fids)
+        if new is not None:
+            return new
         new = Chart.__new__(Chart)
         new.__dict__.update(self.__dict__)
+        # the copy gets its own homotopy suite (homotopy.get_suite)
+        new.__dict__.pop("_homotopy_suite", None)
         new.components = [
             FieldComponent(c.name, c.fid, c.ghost,
                            DYNAMIC if c.fid in fids else c.kind,
@@ -296,6 +295,8 @@ class Chart:
         ]
         new._by_name = {c.name: c for c in new.components}
         new.atom_data = {}      # the kinds differ, so the actions do too
+        new.promotions = {}
+        self.promotions[fids] = new
         return new
 
 

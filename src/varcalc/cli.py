@@ -15,9 +15,8 @@ from importlib import resources
 import numpy as np
 
 from .chart import VarcalcError
-from .algebra import LocalForm, d_h, d_v
 from .render import form_json, render_text, report_json
-from .randforms import FormGenerator, suite_chart
+from .verify import run_suites
 from . import mech as mechmod
 
 
@@ -25,7 +24,7 @@ class UsageError(VarcalcError):
     pass
 
 
-def _load_theory(path, cutoff=None):
+def _load_theory(path):
     from .theory import theory_from_text
     from .dsl import SyntaxError_
     if os.path.exists(path):
@@ -38,10 +37,8 @@ def _load_theory(path, cutoff=None):
         except FileNotFoundError:
             raise UsageError(f"theory file not found: {path}")
     env = os.environ.get("VARCALC_JET_CUTOFF")
-    if cutoff is None and env:
-        cutoff = int(env)
     try:
-        return theory_from_text(text, jet_cutoff=cutoff)
+        return theory_from_text(text, jet_cutoff=int(env) if env else None)
     except SyntaxError_ as e:
         raise UsageError(f"{path}:{e}") from e
 
@@ -161,130 +158,13 @@ def cmd_noether2(args):
     return 0
 
 
-def _run_suites(seed, cases):
-    """Randomized identity suites: every HomotopySuite identity on >= the
-    requested number of nonzero random forms (mixed chart dimensions 2-3,
-    jet order <= 2, polynomial degree <= 3)."""
-    from .euler import interior_euler
-    from .homotopy import get_suite
-    import varcalc.algebra as alg
-
-    charts = [suite_chart(dim=2, nfields=2, ghost_field=True),
-              suite_chart(dim=3, nfields=2, ghost_field=True)]
-    suites = [get_suite(ch) for ch in charts]
-    gens = [FormGenerator(ch, seed=seed + i, max_order=2, max_degree=3)
-            for i, ch in enumerate(charts)]
-    mix = [2] * (3 * cases // 4) + [3] * (cases - 3 * cases // 4)
-
-    rows = [{"seed": seed, "cases": cases}]
-    ok = True
-
-    def loop(name, run):
-        nonlocal ok
-        done = 0
-        failed = 0
-        idx = 0
-        guard = 0
-        while done < cases and guard < 20 * cases:
-            guard += 1
-            which = 0 if mix[idx % len(mix)] == 2 else 1
-            idx += 1
-            res = run(charts[which], suites[which], gens[which])
-            if res is None:
-                continue
-            done += 1
-            if not res:
-                failed += 1
-        rows.append({"identity": name, "checked": done, "failed": failed})
-        ok = ok and failed == 0 and done >= cases
-
-    def _nz(gen, p, q):
-        w = gen.form(p, q, nterms=2)
-        return None if w.is_zero() else w
-
-    def run_retract(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim)
-        if w is None:
-            return None
-        I = interior_euler(w)
-        if I.is_zero():
-            return True
-        return (interior_euler(I) - I).is_zero()
-    loop("I o i = id on source forms (I idempotent)", run_retract)
-
-    def run_hor_top(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim)
-        if w is None:
-            return None
-        return (w - d_h(st.h_horizontal(w)) - interior_euler(w)).is_zero()
-    loop("id = h> d + d h> + i I (q = top)", run_hor_top)
-
-    def run_hor_mid(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), gen.rng.randint(0, ch.dim - 1))
-        if w is None:
-            return None
-        h = st.h_horizontal(w)
-        return (w - st.h_horizontal(d_h(w)) - d_h(h)).is_zero()
-    loop("id = h> d + d h> (q < top)", run_hor_mid)
-
-    def run_side(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim - 1)
-        if w is None:
-            return None
-        dw = d_h(w)
-        if dw.is_zero():
-            return True
-        return interior_euler(dw).is_zero()
-    loop("I o h> = 0 (I annihilates Im d)", run_side)
-
-    def run_vert(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return (w - st.h_vertical(d_v(w)) - d_v(hv) - alg.zero_star(w)).is_zero()
-    loop("id = hv dv + dv hv + p*0*", run_vert)
-
-    def run_vert_anti(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return (st.h_vertical(d_h(w)) + d_h(hv)).is_zero()
-    loop("hv d + d hv = 0", run_vert_anti)
-
-    def run_vert_sq(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return st.h_vertical(hv).is_zero() and alg.zero_star(hv).is_zero()
-    loop("hv hv = 0 and 0* hv = 0", run_vert_sq)
-
-    def run_h0(ch, st, gen):
-        w = _nz(gen, 0, gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        h0w = st.h_zero(w)
-        h0dw = st.h_zero(d_h(w))
-        q = w.grading()[1]
-        P = st.euler_projector(w) if q == ch.dim else LocalForm.zero(ch)
-        okk = (w - d_h(h0w) - h0dw - P - alg.zero_star(w)).is_zero()
-        if okk and not P.is_zero():
-            okk = (st.euler_projector(P) - P).is_zero()
-        return okk
-    loop("id = d h0 + h0 d + P + p*0*; P P = P", run_h0)
-
-    return ok, rows
-
-
 def cmd_verify(args):
     from .noether import IDENTITY_NAMES, verify_identity
     from .chart import NotLocal
     rows = []
     ok = True
     if args.suites or not args.theory:
-        sok, rows2 = _run_suites(args.seed, args.cases)
+        sok, rows2 = run_suites(args.seed, args.cases)
         ok = ok and sok
         rows.extend(rows2)
     if args.theory:
@@ -482,16 +362,14 @@ def build_parser():
     ap.add_argument("--json", action="store_true", help="emit varcalc.report.v1 JSON")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, theory=True):
+    metavars = {"--slice": "t=0", "--corner": "x1=0"}
+
+    def add(name, fn, *flags, nargs=None):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if theory:
-            p.add_argument("theory", help="theory file (.thy) or bundled name")
-        p.add_argument("--symmetry", default=None)
-        p.add_argument("--slice", default=None, metavar="t=0")
-        p.add_argument("--corner", default=None, metavar="x1=0")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cases", type=int, default=200)
+        p.add_argument("theory", nargs=nargs, help="theory file (.thy) or bundled name")
+        for flag in flags:
+            p.add_argument(flag, default=None, metavar=metavars.get(flag))
         return p
 
     add("el", cmd_el)
@@ -500,22 +378,21 @@ def build_parser():
     add("project", cmd_project)
     pe = add("equiv", cmd_equiv)
     pe.add_argument("other", help="second theory file")
-    add("noether", cmd_noether)
-    add("noether2", cmd_noether2)
-    pv = add("verify", cmd_verify)
+    add("noether", cmd_noether, "--symmetry")
+    add("noether2", cmd_noether2, "--symmetry")
+    # verify may run suites without a theory
+    pv = add("verify", cmd_verify, "--symmetry", nargs="?")
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--cases", type=int, default=200)
     pv.add_argument("--identity", default=None)
     pv.add_argument("--all", action="store_true")
     pv.add_argument("--suites", action="store_true",
                     help="run the randomized homotopy identity suites")
-    # verify may run suites without a theory
-    for a in pv._actions:
-        if a.dest == "theory":
-            a.nargs = "?"
-    add("canonical", cmd_canonical)
-    add("corner", cmd_corner)
-    add("bv", cmd_bv)
-    add("cme", cmd_cme)
-    add("bvbfv", cmd_bvbfv)
+    add("canonical", cmd_canonical, "--symmetry", "--slice", "--corner")
+    add("corner", cmd_corner, "--symmetry", "--slice", "--corner")
+    add("bv", cmd_bv, "--symmetry")
+    add("cme", cmd_cme, "--symmetry")
+    add("bvbfv", cmd_bvbfv, "--symmetry", "--slice", "--corner")
 
     pm = sub.add_parser("mech")
     pm.set_defaults(fn=cmd_mech)

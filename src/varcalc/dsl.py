@@ -302,6 +302,12 @@ class Structure:
     def bracket_coeffs(self, a, b):
         return self.f.get((a, b), [])
 
+    def brackets_onto(self, c):
+        """(a, b, f^{ab}_c) for every bracket [e_a, e_b] with an e_c term,
+        in table order."""
+        return [(a, b, coeff) for (a, b), lst in self.f.items()
+                for cc, coeff in lst if cc == c]
+
     def check_jacobi(self):
         n = self.dim
         ftab = {}

@@ -29,7 +29,7 @@ def minus_D(form, midx):
     return out
 
 
-def interior_euler(form: LocalForm, top=None):
+def interior_euler(form: LocalForm):
     """Takens' interior Euler operator on (p>=1, top) forms.
 
     I(w) = (1/p) sum_a  du^a ^ sum_K (-D)_K (i^a_K w)
@@ -38,7 +38,7 @@ def interior_euler(form: LocalForm, top=None):
         return form
     chart = form.chart
     p, q = form.grading()
-    n = chart.dim if top is None else top
+    n = chart.dim
     if q != n or p < 1:
         raise GradingError(f"interior Euler operator needs (p>=1, q={n}), got ({p},{q})")
     out = LocalForm(chart)
@@ -51,12 +51,12 @@ def interior_euler(form: LocalForm, top=None):
     return out * Fraction(1, p)
 
 
-def exterior_euler(form: LocalForm, top=None):
+def exterior_euler(form: LocalForm):
     """E = I d; produces the Euler-Lagrange source form of a density."""
-    n = form.chart.dim if top is None else top
+    n = form.chart.dim
     if form.terms and form.grading()[1] != n:
         raise GradingError(f"exterior Euler operator needs top horizontal degree {n}")
-    return interior_euler(d_v(form), top=top)
+    return interior_euler(d_v(form))
 
 
 class EvolutionaryField:

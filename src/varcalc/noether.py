@@ -103,13 +103,13 @@ def contract_param(form: LocalForm, param_fids, base_chart):
     return out
 
 
-def decompose_dual_current(theory: Theory, F: LocalForm, param_fids):
+def decompose_dual_current(F: LocalForm, param_fids):
     """F = f + d k for a parameter-linear local map F.
 
     f = hpar(h>= d F_check + I F_check)   (the interior term at top degree)
     k = -hpar h>= F_check
     """
-    chart = theory.chart
+    chart = F.chart
     n = chart.dim
     if F.is_zero():
         z = LocalForm.zero(chart)
@@ -142,8 +142,8 @@ def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
         raise NotLocal(f"{sym.name} is not a local symmetry")
     S, J = noether_cone(theory, sym)
     pf = sym.param_fids()
-    C, K = decompose_dual_current(theory, J, pf)
-    s, j = decompose_dual_current(theory, S, pf)
+    C, K = decompose_dual_current(J, pf)
+    s, j = decompose_dual_current(S, pf)
     onshell = theory.reduce_on_shell(C + j)
     if not onshell.is_zero():
         raise OnShellResidual(
@@ -189,15 +189,11 @@ def bracket_bindings(theory: Theory, sym: SymmetryAction, twin: SymmetryAction):
         for (fidx, lidx), tfid in tg.comps.items():
             expr = LocalForm.zero(chart)
             if st is not None and lidx:
-                c = lidx[0]
-                for (a, b), lst in st.f.items():
-                    for cc, coeff in lst:
-                        if cc != c:
-                            continue
-                        fa = g.comps[(fidx, (a,))]
-                        fb = tg.comps[(fidx, (b,))]
-                        expr = expr + LocalForm.from_word(
-                            chart, (('j', fa, z), ('j', fb, z)), coeff)
+                for a, b, coeff in st.brackets_onto(lidx[0]):
+                    fa = g.comps[(fidx, (a,))]
+                    fb = tg.comps[(fidx, (b,))]
+                    expr = expr + LocalForm.from_word(
+                        chart, (('j', fa, z), ('j', fb, z)), coeff)
             out[(tfid, z)] = expr
     return out
 

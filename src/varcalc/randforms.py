@@ -9,8 +9,8 @@ from .chart import Chart, DYNAMIC
 from .algebra import LocalForm, iter_midx
 
 
-def suite_chart(dim=2, nfields=2, ghost_field=False, cutoff=12):
-    ch = Chart(dim, signature=[1] * dim, jet_cutoff=cutoff)
+def suite_chart(dim=2, nfields=2, ghost_field=False):
+    ch = Chart(dim, signature=[1] * dim, jet_cutoff=12)
     ch.add_coordinates()
     for i in range(nfields):
         ch.add_component(f"u{i}")
@@ -56,8 +56,7 @@ class FormGenerator:
             out._accum(tuple(word), self.rational())
         return out
 
-    def form_random_grading(self, pmax=2, nterms=3, pmin=0, qmin=0, qmax=None):
-        q_hi = self.chart.dim if qmax is None else qmax
-        p = self.rng.randint(pmin, pmax)
-        q = self.rng.randint(qmin, q_hi)
+    def form_random_grading(self, pmax=2, nterms=3):
+        p = self.rng.randint(0, pmax)
+        q = self.rng.randint(0, self.chart.dim)
         return self.form(p, q, nterms)

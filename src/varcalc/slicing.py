@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chart import (
-    Chart, COORD, DYNAMIC, DegenerateSlice, DoesNotDescend, GradingError,
+    Chart, COORD, DYNAMIC, DegenerateSlice, DoesNotDescend,
     InvariantViolation, NoFlux, NotExact, VarcalcError, VerdictMismatch,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, midx_order, midx_shift, midx_zero, substitute,
-    transport,
+    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_order, midx_shift,
+    midx_zero, substitute, transport,
 )
 from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -26,7 +26,6 @@ from .theory import Theory, SymmetryAction, _solve_linear
 class SliceSpec:
     transverse: int = 0          # bulk direction transverse to the slice
     corner: int | None = None    # bulk direction whose slice bounds Sigma
-    orientation: int = 1
 
     def __post_init__(self):
         if self.corner is not None and self.corner == self.transverse:
@@ -56,15 +55,13 @@ class SigmaTheory:
         try:
             schart = Chart(n - 1, metric=sig_metric,
                            coord_names=[bulk.coord_names[mu] for mu in self.tangential],
-                           jet_cutoff=bulk.jet_cutoff,
-                           orientation=spec.orientation)
+                           jet_cutoff=bulk.jet_cutoff)
         except VarcalcError:
             # tangential metric block may be degenerate (null slices); the
             # Sigma homotopy suite never uses it
             schart = Chart(n - 1, signature=[1] * (n - 1),
                            coord_names=[bulk.coord_names[mu] for mu in self.tangential],
-                           jet_cutoff=bulk.jet_cutoff,
-                           orientation=spec.orientation)
+                           jet_cutoff=bulk.jet_cutoff)
         schart.add_coordinates()
         self.schart = schart
         self.ssuite = get_suite(schart)
@@ -127,7 +124,7 @@ class SigmaTheory:
                           if a[0] == 'j' and a[1] in set(self.dt_fields.values())})
             if not dts:
                 continue
-            density = self._density_of_top(C)
+            density = h_coefficient(C, range(schart.dim))
             bname = schart.component(sfid).name
             pc = schart.add_component("Pi_" + bname, ghost=schart.ghost(sfid),
                                       kind=DYNAMIC, group="Pi_" + bname)
@@ -164,18 +161,6 @@ class SigmaTheory:
     @property
     def _transbulk(self):
         return {c.fid for c in self.theory.chart.components if c.kind != COORD}
-
-    def _density_of_top(self, C):
-        """Strip the unique top-Sigma horizontal word from a (0, top) form."""
-        schart = self.schart
-        out = LocalForm(schart)
-        vol = tuple(('h', mu) for mu in range(schart.dim))
-        for key, c in C.terms.items():
-            legs = tuple(a for a in key if a[0] == 'h')
-            if legs != vol:
-                raise GradingError("momentum coefficient is not a top form")
-            out._accum(tuple(a for a in key if a[0] != 'h'), c)
-        return out
 
     def _leftover_dt(self, form):
         dtset = set(self.dt_fields.values())
@@ -335,7 +320,7 @@ def split_constraint_flux(sigma: SigmaTheory, sym: SymmetryAction, H=None):
     if H is None:
         H = sigma_noether(sigma, sym)
     pfids = [sigma.b2s[fid] for fid in sym.param_fids()]
-    H0, hflux = decompose_dual_current(sigma.ssuite, H, pfids)
+    H0, hflux = decompose_dual_current(H, pfids)
     return H0, hflux
 
 
@@ -477,8 +462,7 @@ class CornerData:
     s_text: str = "1/2 <h_d, [c,c]> + 1/2 k(c,c)"
 
 
-def corner_data(sigma: SigmaTheory, sym: SymmetryAction, k_table=None,
-                structure=None) -> CornerData:
+def corner_data(sigma: SigmaTheory, sym: SymmetryAction) -> CornerData:
     if sigma.spec.corner is None:
         raise VarcalcError("slice declares no corner")
     H = sigma_noether(sigma, sym)
@@ -497,12 +481,12 @@ def corner_data(sigma: SigmaTheory, sym: SymmetryAction, k_table=None,
                 continue
             rest.terms[kk] = c
         densities[key] = render_text(rest)
-    st = structure if structure is not None else sym.structure
+    st = sym.structure
     f = dict(st.f) if st is not None else {}
     dims = [len(g.comps) for g in sym.param_groups]
     dim = sum(dims)
     return CornerData(basis=sorted(densities), dim=max(dim, 1), f=f,
-                      k=dict(k_table or {}), h_densities=densities)
+                      k={}, h_densities=densities)
 
 
 def _kval(k, a, b):

@@ -10,7 +10,8 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, midx_zero, substitute, zero_star,
+    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_zero, substitute,
+    zero_star,
 )
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
@@ -29,8 +30,7 @@ class SymmetryAction:
     out on the conventions used for the shipped corpus.
     """
 
-    def __init__(self, theory, name, param_groups, assignments, structure=None,
-                 reflect=True):
+    def __init__(self, theory, name, param_groups, assignments, structure=None):
         self.theory = theory
         self.name = name
         self.param_groups = param_groups
@@ -43,18 +43,15 @@ class SymmetryAction:
             g = ctx.groups[gname]
             val = ctx.elaborate(parse_expression(rhs_text, line))
             comps.update(_match_components(ctx, g, val))
-        sign = -1 if reflect else 1
         self.rho = EvolutionaryField(
-            chart, {fid: f * sign for fid, f in comps.items()}, name=name)
-        base = structure
-        if base is None:
+            chart, {fid: -f for fid, f in comps.items()}, name=name)
+        if structure is None:
             self.structure = None
         else:
-            st = ctx.structures[base]
+            st = ctx.structures[structure]
             flipped = {ab: [(c, -coeff) for c, coeff in lst]
                        for ab, lst in st.f.items()}
-            self.structure = Structure(st.name, st.dim,
-                                       flipped if reflect else st.f, st.kappa)
+            self.structure = Structure(st.name, st.dim, flipped, st.kappa)
         self.is_local = all(
             theory.chart.kind(fid) == PARAM
             for g in param_groups for fid in g.comps.values())
@@ -82,22 +79,9 @@ def _match_components(ctx: ElabContext, g: FieldGroup, val):
         form = val.comps.get(lidx)
         if form is None:
             continue
-        comp_form = _extract_h_coeff(form, fidx)
+        comp_form = h_coefficient(form, fidx)
         if not comp_form.is_zero():
             out[fid] = comp_form
-    return out
-
-
-def _extract_h_coeff(form: LocalForm, fidx):
-    """Coefficient of dx^{fidx} (ascending tuple) in a horizontal form."""
-    chart = form.chart
-    out = LocalForm(chart)
-    target = tuple(('h', mu) for mu in fidx)
-    for key, c in form.terms.items():
-        legs = tuple(a for a in key if a[0] == 'h')
-        if legs == target:
-            body = tuple(a for a in key if a[0] != 'h')
-            out._accum(body, c)
     return out
 
 
@@ -150,11 +134,7 @@ class Theory:
         """The EL source component for a field, with legs stripped."""
         for gfid, coeff in self.el_generators:
             if gfid == fid:
-                out = LocalForm(self.chart)
-                for key, c in coeff.terms.items():
-                    body = tuple(a for a in key if a[0] != 'h')
-                    out._accum(body, c)
-                return out
+                return h_coefficient(coeff, range(self.chart.dim))
         return None
 
     def _build_solved_forms(self):
@@ -281,10 +261,6 @@ def _remove_one(key, atom):
     out = list(key)
     out.remove(atom)
     return tuple(out)
-
-
-def build_theory(td: TheoryDef, jet_cutoff=None) -> Theory:
-    return Theory(td, jet_cutoff=jet_cutoff)
 
 
 def theory_from_text(text, jet_cutoff=None) -> Theory:

@@ -93,9 +93,9 @@ def test_criterion_4_yang_mills_external_current_forced_zero():
 
 
 def test_criterion_5_homotopy_identity_suites():
-    from varcalc.cli import _run_suites
+    from varcalc.verify import run_suites
     t0 = time.time()
-    ok, rows = _run_suites(seed=0, cases=200)
+    ok, rows = run_suites(seed=0, cases=200)
     elapsed = time.time() - t0
     assert ok
     for r in rows[1:]:

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from varcalc.cli import main
+from varcalc.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -32,6 +32,46 @@ def test_project_point_particle():
 def test_unknown_flag_rejected():
     code, _ = run_cli("el", "maxwell", "--bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("el", "maxwell", "--symmetry", "nope"),
+    ("theta", "maxwell", "--slice", "t=0"),
+    ("equiv", "maxwell", "maxwell", "--corner", "x=0"),
+    ("noether", "maxwell", "--slice", "t=0"),
+    ("noether2", "maxwell", "--seed", "1"),
+    ("bv", "maxwell", "--cases", "5"),
+    ("canonical", "maxwell", "--seed", "1"),
+    ("verify", "maxwell", "--slice", "t=0"),
+])
+def test_flag_the_command_ignores_is_rejected(argv):
+    code, _ = run_cli(*argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # README "Command line"
+    ("verify", "--all", "maxwell"),
+    ("verify", "--suites", "--cases", "200"),
+    ("canonical", "maxwell", "--slice", "t=0"),
+    ("corner", "yang_mills_su2", "--slice", "t=0", "--corner", "x=0"),
+    ("bvbfv", "bf_abelian_4d", "--symmetry", "gaugeA", "--slice", "t=0"),
+    ("mech", "flow", "--system", "kepler", "--t", "10", "--dt", "1e-3",
+     "--csv", "orbit.csv"),
+    ("mech", "reduce", "--q", "1,0,0", "--p", "0,1,0"),
+    # the benchmark's corpus workload
+    ("verify", "maxwell", "--all", "--symmetry", "gauge"),
+    ("noether", "maxwell", "--symmetry", "gauge"),
+    ("noether2", "maxwell", "--symmetry", "gauge"),
+    ("bv", "maxwell", "--symmetry", "gauge"),
+    ("cme", "maxwell", "--symmetry", "gauge"),
+    ("bvbfv", "maxwell", "--slice", "t=0", "--symmetry", "gauge"),
+    ("corner", "maxwell", "--slice", "t=0", "--corner", "x=0", "--symmetry", "gauge"),
+    ("canonical", "bf_abelian_4d", "--slice", "t=0", "--symmetry", "gaugeA"),
+    ("equiv", "maxwell", "maxwell"),
+])
+def test_documented_flags_parse(argv):
+    build_parser().parse_args(["--json", *argv])
 
 
 def test_missing_theory_file():

@@ -11,6 +11,7 @@ from varcalc.chart import (
 from varcalc.algebra import LocalForm, d_h, d_v, midx_zero
 from varcalc.dsl import elaborate_form
 from varcalc.euler import insert, lie_derivative
+from varcalc.homotopy import get_suite
 from varcalc.noether import (
     IDENTITY_NAMES, decompose_dual_current, noether2, noether_cone,
     verify_identity, verify_noether1,
@@ -143,13 +144,22 @@ def test_noether2_reconstruction_bf(bf4):
 
 def test_dual_current_trivial_and_reconstruction(maxwell):
     z = LocalForm.zero(maxwell.chart)
-    f, k = decompose_dual_current(maxwell, z, maxwell.symmetry("gauge").param_fids())
+    f, k = decompose_dual_current(z, maxwell.symmetry("gauge").param_fids())
     assert f.is_zero() and k.is_zero()
     # F = d(xi) ^ beta with parameter-free beta, below top degree
     beta = elaborate_form(maxwell.ctx, "A1 * dx2")
     F = elaborate_form(maxwell.ctx, "d(xi)").wedge(beta)
-    f2, k2 = decompose_dual_current(maxwell, F, maxwell.symmetry("gauge").param_fids())
+    f2, k2 = decompose_dual_current(F, maxwell.symmetry("gauge").param_fids())
     assert (F - f2 - d_h(k2)).is_zero()
+
+
+def test_promoted_chart_has_its_own_suite(maxwell):
+    ch = maxwell.chart
+    fids = maxwell.symmetry("gauge").param_fids()
+    pro = ch.promoted(fids)
+    assert ch.promoted(fids) is pro
+    assert get_suite(ch.promoted(fids)).chart is ch.promoted(fids)
+    assert get_suite(ch).chart is ch
 
 
 def test_yang_mills_external_current_vanishes(yang_mills):
