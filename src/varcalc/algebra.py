@@ -550,6 +550,26 @@ def substitute(form: LocalForm, bindings):
             cache[key] = d_v(ex) if vertical else ex
         return cache[key]
 
+    def app(atom):
+        args = []
+        for a in atom[3]:
+            if a[0] == 'j':
+                r = bound_expr(a[1], a[2], False)
+                if r is not None:
+                    if r.is_zero():
+                        args.append(('0',))
+                        continue
+                    if len(r.terms) == 1:
+                        (w, c), = r.terms.items()
+                        if c == 1 and len(w) == 1 and w[0][0] == 'j':
+                            args.append(w[0])
+                            continue
+                    raise VarcalcError(
+                        "substitution inside a function argument must be "
+                        "a plain jet or zero")
+            args.append(a)
+        return ('f', atom[1], atom[2], tuple(args))
+
     out = LocalForm(chart)
     for key, coeff in form.terms.items():
         # expand word left-to-right, splicing replacements
@@ -562,24 +582,9 @@ def substitute(form: LocalForm, bindings):
             elif t == 'v':
                 rep = bound_expr(atom[1], atom[2], True)
             elif t == 'f':
-                args = []
-                for a in atom[3]:
-                    if a[0] == 'j':
-                        r = bound_expr(a[1], a[2], False)
-                        if r is not None:
-                            if r.is_zero():
-                                args.append(('0',))
-                                continue
-                            if len(r.terms) == 1:
-                                (w, c), = r.terms.items()
-                                if c == 1 and len(w) == 1 and w[0][0] == 'j':
-                                    args.append(w[0])
-                                    continue
-                            raise VarcalcError(
-                                "substitution inside a function argument must be "
-                                "a plain jet or zero")
-                    args.append(a)
-                atom = ('f', atom[1], atom[2], tuple(args))
+                atom = app(atom)
+            elif t == 'F':
+                atom = ('F', atom[1], tuple(sorted(app(x) for x in atom[2])))
             if rep is None:
                 parts.append(LocalForm.from_word(chart, (atom,)))
             else:

@@ -353,20 +353,41 @@ def inverse(m):
     return [row[n:] for row in R]
 
 
-def kernel(m):
-    """Basis of the kernel of m (rows of the returned list are vectors)."""
-    if not m:
+def mat_mul(A, B):
+    n, m, k = len(A), len(B[0]) if B else 0, len(B)
+    out = [[Fraction(0)] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                row = out[i]
+                for j in range(m):
+                    if Bt[j]:
+                        row[j] += a * Bt[j]
+    return out
+
+
+def mat_T(A):
+    if not A:
         return []
-    R, pivots, _ = rref(m)
-    cols = len(m[0])
-    pset = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pset:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
-        basis.append(v)
-    return basis
+    return [list(col) for col in zip(*A)]
+
+
+def pseudo_inverse_psd(D):
+    """Moore-Penrose inverse of a symmetric PSD rational matrix.
+
+    The rank factorization D = C F reads off the rref of D: F is its nonzero
+    rows and C the pivot columns of D (so C^T is the pivot rows, D being
+    symmetric).  Then D^+ = F^T (C^T D F^T)^{-1} C^T, where
+    C^T D F^T = (C^T C)(F F^T) is r x r and invertible for r = rank D.
+    """
+    R, pivots, _ = rref(D)
+    if not pivots:
+        return [[Fraction(0)] * len(D) for _ in D]
+    F = R[:len(pivots)]
+    Ct = [D[p] for p in pivots]
+    Ft = mat_T(F)
+    core = inverse(mat_mul(mat_mul(Ct, mat_T(Ct)), mat_mul(F, Ft)))
+    return mat_mul(Ft, mat_mul(core, Ct))

@@ -236,6 +236,8 @@ def cmd_canonical(args):
 def cmd_corner(args):
     from .slicing import restrict_to_slice, corner_data, verify_corner_master
     T = _load_theory(args.theory)
+    if not args.corner and T.chart.dim < 2:
+        raise VarcalcError("corner needs a chart of dimension >= 2")
     spec = _parse_slice(T, args.slice, args.corner or
                         f"{T.chart.coord_names[1]}=0")
     sig = restrict_to_slice(T, spec)

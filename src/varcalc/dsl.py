@@ -642,6 +642,9 @@ class ElabContext:
         if len(v.terms) == 1:
             (w, c), = v.terms.items()
             if c == 1 and len(w) == 1 and w[0][0] == 'j':
+                if self.chart.ghost(w[0][1]) & 1:
+                    raise GradingMismatch("function arguments must be even, "
+                                          "not odd ghosts")
                 return w[0]
         raise GradingMismatch("function arguments must be plain jets or 0")
 

@@ -4,13 +4,14 @@ The horizontal differential splits as d = d1 + d0, where d1 shifts the
 multi-indices of the vertical legs (and is linear over the coefficient
 ring) and d0 = dx^mu ^ D_mu differentiates only the coefficient atoms.
 On each finite stratum of leg data, d1 is contracted exactly by sigma1,
-built from the combinatorial Laplacian Delta of d1 and the matrix e of d1:
-sigma1 = e^T Delta^{-1} below top horizontal degree, where d1 has no
-cohomology and Delta is invertible, and sigma1 = e^T Delta^+ (Moore-Penrose)
-at the top.  The image of each canonical leg word is computed once per
-stratum.  The homological perturbation series in d0 (which terminates,
-since sigma1 lowers total leg order) then produces a homotopy h for the
-full horizontal differential satisfying
+the Moore-Penrose inverse of the matrix e of d1 from degree b-1 to b:
+sigma1 = e^T (e e^T)^+ = e^+ at every horizontal degree b >= 1.  Below
+top horizontal degree on strata with legs d1 has no cohomology, which is
+checked as rank e_{b-1} + rank e_b = dim C_b.  The image of each
+canonical leg word is computed once per stratum.  The homological
+perturbation series in d0 (which terminates, since sigma1 lowers total
+leg order) then produces a homotopy h for the full horizontal
+differential satisfying
 
     alpha = h d alpha                     on (>=1, 0) forms,
     alpha = h d alpha + d h alpha         on (>=1, 0<q<n) forms,
@@ -29,58 +30,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chart import (
-    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant, VarcalcError,
-    inverse, kernel, rref,
+    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant,
+    pseudo_inverse_psd, rref,
 )
 from .algebra import (
     LocalForm, apply_derivation, atom_parity, d_h, d_v, midx_shift,
     midx_zero, norm_word, prepend_atom, total_derivative, zero_star,
 )
 from .euler import interior_euler, exterior_euler
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over Q
-# ---------------------------------------------------------------------------
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]) if B else 0, len(B)
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    if Bt[j]:
-                        row[j] += a * Bt[j]
-    return out
-
-
-def mat_T(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
-
-
-def pseudo_inverse_psd(D):
-    """Moore-Penrose inverse of a symmetric PSD rational matrix."""
-    n = len(D)
-    if n == 0:
-        return []
-    N = kernel(D)
-    if not N:
-        return inverse(D)
-    Nm = mat_T(N)                      # columns = kernel basis
-    NNt = mat_mul(Nm, mat_T(Nm))       # n x n
-    M = [[D[i][j] + NNt[i][j] for j in range(n)] for i in range(n)]
-    Minv = inverse(M)
-    G = inverse(mat_mul(mat_T(Nm), Nm))
-    Q = mat_mul(mat_mul(Nm, G), mat_T(Nm))       # projection onto ker
-    IQ = [[Fraction(int(i == j)) - Q[i][j] for j in range(n)] for i in range(n)]
-    return mat_mul(Minv, IQ)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +87,7 @@ def _distributions(total, slots, dim):
 class _Stratum:
     def __init__(self, suite, fids, V):
         self.suite = suite
+        self.fids = fids
         chart = suite.chart
         n = chart.dim
         self.bases = {}
@@ -170,45 +128,34 @@ class _Stratum:
                     col[idx[k]] = c
                 cols.append(col)
             self.e[b] = (cols, len(tgt))
+        self.ranks = {}
         self.pinv = {}
         self.images = {}
 
-    def laplacian(self, b):
-        """Delta = e^T e + e e^T of d1 at horizontal degree b."""
-        n = self.suite.chart.dim
-        dim = len(self.bases[b])
-        D = [[Fraction(0)] * dim for _ in range(dim)]
-        if b < n:
-            cols, _ = self.e[b]
-            for j, col in enumerate(cols):
-                for jj, col2 in enumerate(cols):
-                    s = Fraction(0)
-                    for i, c in col.items():
-                        c2 = col2.get(i)
-                        if c2:
-                            s += c * c2
-                    D[jj][j] += s          # (e^T e)_{jj,j}
-        if b > 0:
-            cols, _ = self.e[b - 1]
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    for i2, c2 in col.items():
-                        D[i][i2] += c * c2  # (e e^T)
-        return D
+    def rank(self, b):
+        """Rank of the d1 matrix e from degree b to b+1."""
+        if b not in self.ranks:
+            cols, ntgt = self.e[b]
+            self.ranks[b] = len(rref([[col.get(i, 0) for i in range(ntgt)]
+                                      for col in cols])[1])
+        return self.ranks[b]
 
     def delta_pinv(self, b):
-        """Delta^{-1} below top degree on strata with legs (d1 is acyclic
-        there), the Moore-Penrose Delta^+ otherwise."""
+        """(e e^T)^+ for the d1 matrix e from degree b-1 to b, so that
+        sigma1 = e^T (e e^T)^+ = e^+.  Below top degree on strata with
+        legs d1 is acyclic, which is checked on the ranks of e."""
         if b not in self.pinv:
-            D = self.laplacian(b)
-            if b < self.suite.chart.dim and self.bases[b] and _has_legs(self.bases[b][0]):
-                try:
-                    self.pinv[b] = inverse(D)
-                except VarcalcError:
-                    raise AssertionError(
-                        "unexpected d1-cohomology below top horizontal degree") from None
-            else:
-                self.pinv[b] = pseudo_inverse_psd(D)
+            if (self.fids and b < self.suite.chart.dim
+                    and self.rank(b - 1) + self.rank(b) != len(self.bases[b])):
+                raise AssertionError(
+                    "unexpected d1-cohomology below top horizontal degree")
+            dim = len(self.bases[b])
+            D = [[Fraction(0)] * dim for _ in range(dim)]
+            for col in self.e[b - 1][0]:
+                for i, c in col.items():
+                    for i2, c2 in col.items():
+                        D[i][i2] += c * c2
+            self.pinv[b] = pseudo_inverse_psd(D)
         return self.pinv[b]
 
     def sigma1_image(self, word):
@@ -230,10 +177,6 @@ class _Stratum:
                         image.append((self.bases[b - 1][j], s))
             self.images[word] = image
         return image
-
-
-def _has_legs(word):
-    return any(a[0] == 'v' for a in word)
 
 
 # ---------------------------------------------------------------------------

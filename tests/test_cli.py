@@ -166,6 +166,14 @@ def test_corner_json():
         isinstance(k, str) for k in row["corner_densities"])
 
 
+def test_corner_on_one_dimensional_theory_is_an_error():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("corner", "point_particle")
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("error: corner needs a chart of dimension >= 2")
+
+
 def test_mech_conserve_json():
     code, out = run_cli("--json", "mech", "conserve", "--system", "kepler",
                         "--t", "1.0", "--dt", "0.001")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from varcalc.chart import Chart, JetCutoffExceeded, UnassignedSymbol
+from varcalc.chart import Chart, JetCutoffExceeded, UnassignedSymbol, VarcalcError
 from varcalc.algebra import (
     LocalForm, PointAssignment, d_h, d_v, evaluate, iter_midx, midx_zero,
     substitute, total_derivative,
@@ -133,6 +133,29 @@ def test_substitute_zero_and_prolongation():
     out2 = substitute(g, {(q, z): xext})
     expect = LocalForm.from_word(ch, (('j', x, z),), 2)
     assert (out2 - expect).is_zero()
+
+
+def test_substitute_rewrites_fiber_integral_arguments():
+    ch = Chart(1)
+    ch.add_coordinates()
+    u, w, a = (ch.add_component(nm).fid for nm in ("u", "w", "a"))
+    g = ch.add_function("g", arity=2).sym_id
+    z = midx_zero(1)
+    ju, jw, ja = ('j', u, z), ('j', w, z), ('j', a, z)
+
+    def fint(*apps):
+        inner = tuple(sorted(('f', g, (0, 0), args) for args in apps))
+        return LocalForm.from_word(ch, (('F', 0, inner),))
+
+    form = fint((ju, ('j', u, (1,))), (jw, ('0',)))
+    # u := a renames the jet and its derivative and moves g(a, a_,0) after
+    # g(w, 0) in the sorted applications; w := 0 zeroes its slot
+    assert substitute(form, {(u, z): LocalForm.from_word(ch, (ja,))}) == \
+        fint((ja, ('j', a, (1,))), (jw, ('0',)))
+    assert substitute(form, {(w, z): LocalForm.zero(ch)}) == \
+        fint((ju, ('j', u, (1,))), (('0',), ('0',)))
+    with pytest.raises(VarcalcError, match="plain jet or zero"):
+        substitute(form, {(u, z): LocalForm.from_word(ch, (jw, jw))})
 
 
 def test_scaling_substitution_matches_vertical_homotopy_termwise():

@@ -1,14 +1,16 @@
 """The exact horizontal-homotopy hot path against its defining formulas:
-d0 = d_h - d1, Delta^{-1} = Delta^+ wherever the inverse is used, and
-memoized sigma1 images equal to freshly computed ones."""
+d0 = d_h - d1, sigma1 = e^+ (checked against sympy), the d1-acyclicity
+check, and memoized sigma1 images equal to freshly computed ones."""
 
 from fractions import Fraction
 
 import pytest
 
 from varcalc.algebra import LocalForm, d_h, midx_zero
-from varcalc.homotopy import HomotopySuite, get_suite, pseudo_inverse_psd
+from varcalc.homotopy import HomotopySuite, _Stratum, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
+
+sympy = pytest.importorskip("sympy")
 
 
 def _chart(dim):
@@ -55,18 +57,43 @@ def _exercise(suite, gen, n):
         suite.h_horizontal(w)
 
 
+def _dense(st, b):
+    """The d1 matrix e from degree b to b+1 as a sympy matrix."""
+    cols, ntgt = st.e[b]
+    return sympy.Matrix(ntgt, len(cols), lambda i, j: cols[j].get(i, 0))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_delta_inverse_equals_pseudo_inverse_on_every_stratum(dim):
+def test_sigma1_is_pseudo_inverse_of_d1_on_every_stratum(dim):
     ch = _chart(dim)
     suite = HomotopySuite(ch)
     _exercise(suite, FormGenerator(ch, seed=5), 12)
-    assert suite._strata
     degrees = 0
     for st in suite._strata.values():
-        for b in range(dim + 1):
-            assert st.delta_pinv(b) == pseudo_inverse_psd(st.laplacian(b))
+        for b in range(1, dim + 1):
+            if not 0 < len(st.bases[b]) <= 20 or len(st.bases[b - 1]) > 20:
+                continue
+            pinv = _dense(st, b - 1).pinv()
+            for i, word in enumerate(st.bases[b]):
+                image = dict(st.sigma1_image(word))
+                assert [image.get(w, 0) for w in st.bases[b - 1]] == list(pinv.col(i))
             degrees += 1
-    assert degrees > dim + 1
+    assert degrees > 2 * dim
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_d1_cohomology_below_top_degree_is_rejected(dim):
+    ch = _chart(dim)
+    suite = HomotopySuite(ch)
+    _exercise(suite, FormGenerator(ch, seed=5), 4)
+    key = next(k for k, s in suite._strata.items()
+               if s.fids and _dense(s, 0).rank() > 0)
+    _Stratum(suite, *key).delta_pinv(1)          # acyclic as built
+    broken = _Stratum(suite, *key)
+    cols, ntgt = broken.e[0]
+    broken.e[0] = ([{}] * len(cols), ntgt)
+    with pytest.raises(AssertionError, match="unexpected d1-cohomology"):
+        broken.delta_pinv(1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from varcalc.dsl import (
-    ElabContext, SyntaxError_, UndeclaredIdentifier, build_context,
+    ElabContext, GradingMismatch, SyntaxError_, UndeclaredIdentifier, build_context,
     elaborate_form, parse_expression, parse_theory,
 )
 from varcalc.chart import VarcalcError
@@ -31,6 +31,20 @@ def test_undeclared_identifier():
     chart, ctx = build_context(td)
     with pytest.raises(UndeclaredIdentifier):
         elaborate_form(ctx, td.lagrangian, td.lagrangian_line)
+
+
+def test_odd_ghost_function_argument_is_rejected():
+    # the formal chain rule treats arguments as even: d_v(d_v(g(c, u)))
+    # would not vanish for an odd c
+    td = parse_theory("theory t\ndimension 2\nsignature + +\n"
+                      "field u scalar\nfield c scalar ghost 1\n"
+                      "function g arity 2\nlagrangian 0\n")
+    chart, ctx = build_context(td)
+    with pytest.raises(GradingMismatch, match="odd ghosts"):
+        elaborate_form(ctx, "g(c, u)")
+    with pytest.raises(GradingMismatch, match="odd ghosts"):
+        elaborate_form(ctx, "fint(0; g(u, c_,1))")
+    assert not elaborate_form(ctx, "g(u, 0) * c").is_zero()
 
 
 def test_star_one_is_the_volume_form():
