@@ -430,18 +430,27 @@ def h_coefficient(form: LocalForm, dirs):
     return out
 
 
-def contract_leg(form: LocalForm, fid, midx):
-    """Interior product with the coordinate vertical vector dual to one leg."""
+def contract_legs(form: LocalForm):
+    """Every single-leg interior product of a form in one scan: {(fid, K):
+    i_(fid,K) form} over the vertical legs the form holds.  A word gives each
+    leg run (equal atoms sit together in a normalized word) the word without
+    one leg, times the run length and apply_derivation's sign for image 1:
+    minus when the leg is odd and the atoms before it have odd total parity."""
     chart = form.chart
-    par = (1 + chart.ghost(fid)) & 1
-    target = ('v', fid, midx)
-
-    def image(atom):
-        if atom == target:
-            return LocalForm.scalar(chart, 1)
-        return None
-
-    return apply_derivation(form, par, image)
+    out = {}
+    for key, coeff in form.terms.items():
+        left_par = 0
+        seen = None
+        for i, atom in enumerate(key):
+            par = atom_parity(chart, atom)
+            if atom[0] == 'v' and atom != seen:
+                if atom[1:] not in out:
+                    out[atom[1:]] = LocalForm(chart)
+                sgn = -1 if par and left_par & 1 else 1
+                out[atom[1:]]._accum(key[:i] + key[i + 1:], coeff * sgn * key.count(atom))
+            seen = atom
+            left_par += par
+    return out
 
 
 def transport(form: LocalForm, chart, jet, h=None):

@@ -11,7 +11,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_zero, transport,
+    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_zero, transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -177,10 +177,11 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         pair.setdefault(f1, []).append((f2, key, c))
 
     comps = {}
+    EF_legs = contract_legs(EF)
     for u in sorted(pair):
         # coefficient of d(u) in EF determines X along the partner of u
-        coeff = contract_leg(EF, u, z)
-        if coeff.is_zero():
+        coeff = EF_legs.get((u, z))
+        if coeff is None:
             continue
         partners = {v for v, _k, _c in pair[u]}
         if len(partners) != 1:
@@ -190,8 +191,8 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         # calibrate the sign/normalization through the insertion itself
         trial = EvolutionaryField(chart, {v: dens}, name="trial")
         got_full = insert(trial, omega)
-        got = h_coefficient(contract_leg(interior_euler(got_full), u, z), range(n))
-        ratio = _proportionality(got, dens)
+        got = contract_legs(interior_euler(got_full)).get((u, z), LocalForm(chart))
+        ratio = _proportionality(h_coefficient(got, range(n)), dens)
         if ratio is None:
             raise NotHamiltonian(
                 f"cannot solve the flow equation along {chart.component(v).name}")

@@ -66,6 +66,8 @@ def _parse_slice(theory, slice_arg, corner_arg=None):
 def _pick_symmetry(theory, name):
     if name:
         return theory.symmetry(name)
+    if not theory.symmetries:
+        raise VarcalcError("theory declares no symmetry")
     if len(theory.symmetries) == 1:
         return next(iter(theory.symmetries.values()))
     local = [s for s in theory.symmetries.values() if s.is_local]

@@ -6,19 +6,9 @@ from fractions import Fraction
 
 from .chart import GradingError, GhostDegreeMismatch
 from .algebra import (
-    LocalForm, apply_derivation, apply_midx_derivative, contract_leg, d_v,
+    LocalForm, apply_derivation, apply_midx_derivative, contract_legs, d_v,
     midx_zero, prepend_atom,
 )
-
-
-def leg_multiindices(form):
-    """The set of (fid, midx) vertical legs appearing in a form."""
-    out = set()
-    for key in form.terms:
-        for atom in key:
-            if atom[0] == 'v':
-                out.add((atom[1], atom[2]))
-    return out
 
 
 def minus_D(form, midx):
@@ -42,11 +32,9 @@ def interior_euler(form: LocalForm):
     if q != n or p < 1:
         raise GradingError(f"interior Euler operator needs (p>=1, q={n}), got ({p},{q})")
     out = LocalForm(chart)
-    for fid, K in sorted(leg_multiindices(form)):
-        contracted = contract_leg(form, fid, K)
-        if contracted.is_zero():
-            continue
-        ibp = minus_D(contracted, K)
+    legs = contract_legs(form)
+    for fid, K in sorted(legs):
+        ibp = minus_D(legs[fid, K], K)
         out = out + prepend_atom(ibp, ('v', fid, midx_zero(chart.dim)))
     return out * Fraction(1, p)
 

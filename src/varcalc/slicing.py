@@ -12,7 +12,7 @@ from .chart import (
     InvariantViolation, NoFlux, NotExact, VarcalcError, VerdictMismatch,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_order, midx_shift,
+    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_order, midx_shift,
     midx_zero, substitute, transport,
 )
 from .euler import EvolutionaryField, interior_euler, lie_derivative
@@ -115,10 +115,9 @@ class SigmaTheory:
         self.momenta = {}        # sigma fid of Pi -> (sigma leg fid, definition)
         self.dt_solves = {}      # bindings (sigma Dt fid, 0) -> expression
         z = midx_zero(schart.dim)
-        legs = sorted({a[1] for k in theta_s.terms for a in k if a[0] == 'v'})
-        for sfid in legs:
-            C = contract_leg(theta_s, sfid, z)
-            if C.is_zero():
+        legs = contract_legs(theta_s)
+        for (sfid, K), C in sorted(legs.items()):
+            if K != z:
                 continue
             dts = sorted({a[1] for k in C.terms for a in k
                           if a[0] == 'j' and a[1] in set(self.dt_fields.values())})
@@ -286,8 +285,9 @@ class SigmaTheory:
         table = {}
         kernel = []
         z = midx_zero(schart.dim)
+        legs = contract_legs(src)
         for f in fields:
-            co = contract_leg(src, f, z)
+            co = legs.get((f, z), LocalForm(schart))
             partners = sorted({schart.component(a[1]).name
                                for k in co.terms for a in k if a[0] == 'v'})
             nm = schart.component(f).name

@@ -10,7 +10,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_leg, d_h, d_v, h_coefficient, midx_zero, substitute,
+    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_zero, substitute,
     zero_star,
 )
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
@@ -123,12 +123,9 @@ class Theory:
 
     # -- Euler-Lagrange generators and solved forms -------------------------
     def _extract_generators(self):
-        out = []
-        for fid in sorted({a[1] for k in self.EL.terms for a in k if a[0] == 'v'}):
-            coeff = contract_leg(self.EL, fid, midx_zero(self.chart.dim))
-            if not coeff.is_zero():
-                out.append((fid, coeff))
-        return out
+        z = midx_zero(self.chart.dim)
+        legs = contract_legs(self.EL)
+        return [(fid, legs[fid, K]) for fid, K in sorted(legs) if K == z]
 
     def _scalar_generator(self, fid):
         """The EL source component for a field, with legs stripped."""

@@ -128,6 +128,14 @@ def test_bfv_and_compatibility(maxwell, bf4):
         assert all(r.passed for r in reps), [r.line() for r in reps]
 
 
+def test_bvbfv_compatibility_yang_mills(yang_mills, bv_ym):
+    """All three BV-BFV conditions on the SU(2) Yang-Mills slice t = 0."""
+    spec = SliceSpec(transverse=0)
+    bfv = bfv_extend(restrict_to_slice(yang_mills, spec), yang_mills.symmetry("gauge"))
+    reps = verify_bvbfv(bv_ym, bfv, spec)
+    assert len(reps) == 3 and all(r.passed for r in reps), [r.line() for r in reps]
+
+
 def test_bv_and_bfv_map_coordinates():
     """A closed source with a coordinate coefficient: the coordinate jet y
     lifts to the BV chart and moves to the BFV chart."""

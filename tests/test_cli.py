@@ -174,6 +174,16 @@ def test_corner_on_one_dimensional_theory_is_an_error():
     assert err.getvalue().startswith("error: corner needs a chart of dimension >= 2")
 
 
+@pytest.mark.parametrize("argv", [("noether", "point_particle"),
+                                  ("cme", "scalar_field_null")])
+def test_theory_without_symmetry_is_an_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.getvalue() == "error: theory declares no symmetry\n"
+
+
 def test_mech_conserve_json():
     code, out = run_cli("--json", "mech", "conserve", "--system", "kepler",
                         "--t", "1.0", "--dt", "0.001")
