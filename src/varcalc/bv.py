@@ -6,12 +6,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import (
-    Chart, COORD, DYNAMIC, CMEFails, NoBracket,
+    DYNAMIC, CMEFails, NoBracket,
     NotHamiltonian, NotLocal, NotStronglyHamiltonian, ResidualNonzero,
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_zero, transport,
+    LocalForm, atom_parity, contract_legs, d_h, d_v, h_coefficient, midx_zero,
+    transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -21,8 +22,9 @@ from .slicing import SigmaTheory, SliceSpec, sigma_noether, split_constraint_flu
 from .theory import SymmetryAction, Theory
 
 
-def _vol_word(chart, orientation=1):
-    return tuple(('h', mu) for mu in range(chart.dim)), Fraction(orientation)
+def _vol(chart):
+    """The volume word dx0 ∧ ... ∧ dx(n-1)."""
+    return tuple(('h', mu) for mu in range(chart.dim))
 
 
 class BVTheory:
@@ -35,35 +37,20 @@ class BVTheory:
         self.base_theory = theory
         self.sym = sym
 
-        chart = Chart(base.dim, metric=base.metric, coord_names=base.coord_names,
-                      jet_cutoff=base.jet_cutoff, orientation=base.orientation)
-        chart.add_coordinates()
-        self.b2x: dict[int, int] = {}
-        for comp in base.components:
-            if comp.kind == COORD:
-                self.b2x[comp.fid] = chart.by_name(comp.name).fid
-                continue
-            c = chart.add_component(comp.name, ghost=comp.ghost, kind=comp.kind,
-                                    group=comp.group, indices=comp.indices)
-            self.b2x[comp.fid] = c.fid
-        for fn in base.functions:
-            chart.add_function(fn.name, fn.arity, fn.model)
+        chart, self.b2x = base.derive(base.coord_names, base.metric,
+                                      orientation=base.orientation)
 
         # ghosts replace the symmetry parameters; antifields double the fields
-        pfids = sym.param_fids()
         self.ghosts = {}             # base param fid -> ghost fid
-        for pf in pfids:
-            pc = base.component(pf)
-            g = chart.add_component("c_" + pc.name, ghost=1, kind=DYNAMIC,
-                                    group="ghost")
-            self.ghosts[pf] = g.fid
+        for pf in sym.param_fids():
+            self.ghosts[pf] = chart.add_component(
+                "c_" + base.component(pf).name, ghost=1).fid
         self.antifields = {}         # chart fid (field or ghost) -> antifield fid
         matter = [self.b2x[c.fid] for c in base.components if c.kind == DYNAMIC]
         for fid in matter + sorted(self.ghosts.values()):
             comp = chart.component(fid)
-            a = chart.add_component(comp.name + "_dag", ghost=-1 - comp.ghost,
-                                    kind=DYNAMIC, group="antifield")
-            self.antifields[fid] = a.fid
+            self.antifields[fid] = chart.add_component(
+                comp.name + "_dag", ghost=-1 - comp.ghost).fid
         self.chart = chart
         self.suite = get_suite(chart)
 
@@ -89,24 +76,14 @@ class BVTheory:
         for bfid, comp_form in sym.rho.components.items():
             self.qce[self.b2x[bfid]] = lift(comp_form)
         # Q_CE on ghosts: -1/2 [c, c] with the engine bracket
-        st = sym.structure
-        if st is not None:
-            groups = sym.param_groups
-            for g in groups:
-                for (fidx, lidx), pfid in g.comps.items():
-                    if not lidx:
-                        continue
-                    cfid = self.ghosts[pfid]
-                    expr = LocalForm(chart)
-                    for a, b, coeff in st.brackets_onto(lidx[0]):
-                        ga = self.ghosts[g.comps[(fidx, (a,))]]
-                        gb = self.ghosts[g.comps[(fidx, (b,))]]
-                        expr._accum((('j', ga, z), ('j', gb, z)),
-                                    -Fraction(coeff) / 2)
-                    if not expr.is_zero():
-                        self.qce[cfid] = expr
+        qc = {}
+        for p, a, b, coeff in sym.bracket_terms():
+            qc.setdefault(self.ghosts[p], LocalForm(chart))._accum(
+                (('j', self.ghosts[a], z), ('j', self.ghosts[b], z)),
+                -Fraction(coeff) / 2)
+        self.qce.update((fid, q) for fid, q in qc.items() if not q.is_zero())
 
-        vol, ovol = _vol_word(chart)
+        vol = _vol(chart)
         LBV = L0
         for fid, qf in sorted(self.qce.items()):
             af = self.antifields[fid]
@@ -156,14 +133,22 @@ def zero_ghost_body(bv: BVTheory, form):
 
 
 def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryField:
-    """Solve I i_X omega = I dv F for X, for source-constant pairings."""
+    """Solve I i_X omega = I dv F for X, for source-constant pairings.
+
+    A term c d(u1) ∧ d(u2) vol of omega turns X = D d/du2 into the d(u1)
+    coefficient c (-1)^(P p1) D of I i_X omega, and X = D d/du1 into the
+    d(u2) coefficient c (-1)^(P p2 + p1 p2) D, where p1, p2 are the parities
+    of the legs and P that of i_X (notes/decisions.md §6).
+    """
     chart = F.chart
     z = midx_zero(chart.dim)
-    n = chart.dim
     src = interior_euler(omega)
     EF = interior_euler(d_v(F))
+    # i_X has parity 1 + gh X, and X shifts ghost degree by gh F - gh omega
+    P = (1 + F.ghost_degree() - src.ghost_degree()) & 1
 
-    # pairing table: for generator u, the omega term d(u') ^ d(u) vol
+    # pairing table: generator u -> (partner v, coefficient of d(u) in
+    # I i_X omega per unit X along v), one entry per omega term
     pair = {}
     for key, c in src.terms.items():
         legs = [a for a in key if a[0] == 'v']
@@ -173,8 +158,9 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         (f1, m1), (f2, m2) = (legs[0][1], legs[0][2]), (legs[1][1], legs[1][2])
         if m1 != z or m2 != z:
             raise NotHamiltonian("symplectic pairing involves higher jets")
-        pair.setdefault(f2, []).append((f1, key, c))
-        pair.setdefault(f1, []).append((f2, key, c))
+        p1, p2 = (atom_parity(chart, a) for a in legs)
+        pair.setdefault(f2, []).append((f1, c * (-1) ** (P * p2 + p1 * p2)))
+        pair.setdefault(f1, []).append((f2, c * (-1) ** (P * p1)))
 
     comps = {}
     EF_legs = contract_legs(EF)
@@ -183,19 +169,12 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         coeff = EF_legs.get((u, z))
         if coeff is None:
             continue
-        partners = {v for v, _k, _c in pair[u]}
+        partners = {v for v, _r in pair[u]}
         if len(partners) != 1:
             raise NotHamiltonian("degenerate symplectic pairing")
         v = partners.pop()
-        dens = h_coefficient(coeff, range(n))
-        # calibrate the sign/normalization through the insertion itself
-        trial = EvolutionaryField(chart, {v: dens}, name="trial")
-        got_full = insert(trial, omega)
-        got = contract_legs(interior_euler(got_full)).get((u, z), LocalForm(chart))
-        ratio = _proportionality(h_coefficient(got, range(n)), dens)
-        if ratio is None:
-            raise NotHamiltonian(
-                f"cannot solve the flow equation along {chart.component(v).name}")
+        ratio = sum(r for _v, r in pair[u])
+        dens = h_coefficient(coeff, range(chart.dim))
         comps[v] = comps.get(v, LocalForm.zero(chart)) + dens * (Fraction(1) / ratio)
 
     X = EvolutionaryField(chart, {k: v for k, v in comps.items()
@@ -206,17 +185,6 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
             "no Hamiltonian vector field solves the flow equation: residual "
             + render_text(resid))
     return X
-
-
-def _proportionality(got, want):
-    """The rational r with got = r * want, if it exists."""
-    if got.is_zero() or want.is_zero():
-        return None
-    key = next(iter(want.terms))
-    if key not in got.terms:
-        return None
-    r = got.terms[key] / want.terms[key]
-    return r if (got - want * r).is_zero() else None
 
 
 def bv_extend(theory: Theory, sym: SymmetryAction) -> BVTheory:
@@ -240,16 +208,17 @@ def check_q_nilpotent(bv: BVTheory) -> Report:
     return Report("Q_BV^2 = 0 on all generators", True)
 
 
-def bv_bracket(F: LocalForm, G: LocalForm, omega: LocalForm) -> LocalForm:
-    XF = hamiltonian_vector_field(F, omega)
-    XG = hamiltonian_vector_field(G, omega)
+def bv_bracket(XF: EvolutionaryField, XG: EvolutionaryField,
+               omega: LocalForm) -> LocalForm:
+    """The densitised bracket {F, G} = i_XF i_XG omega of two functionals,
+    given their Hamiltonian vector fields."""
     return insert(XF, insert(XG, omega))
 
 
 def verify_cme(bv: BVTheory) -> tuple[Report, LocalForm]:
     """Densitised classical master equation: P({L,L}) = 0 and 0*({L,L}) = 0
     certify {L_BV, L_BV} in Im(d); returns the h-primitive."""
-    B = insert(bv.Q, insert(bv.Q, bv.omega_BV))
+    B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
     suite = bv.suite
     if B.is_zero():
         return Report("densitised CME", True, "{L,L} = 0"), B
@@ -284,35 +253,20 @@ class BFVTheory:
                 len(g.comps) > 1 for g in sym.param_groups):
             raise NoBracket("BFV extension needs bracket data")
 
-        chart = Chart(schart.dim, signature=[1] * schart.dim,
-                      coord_names=schart.coord_names,
-                      jet_cutoff=schart.jet_cutoff, orientation=orientation)
-        chart.add_coordinates()
-        self.s2x = {}
-        for comp in schart.components:
-            if comp.kind == COORD:
-                self.s2x[comp.fid] = chart.by_name(comp.name).fid
-                continue
-            if comp.kind == DYNAMIC and comp.fid not in sigma.surviving \
-                    and not comp.name.startswith("Pi_"):
-                continue
-            c = chart.add_component(comp.name, ghost=comp.ghost, kind=comp.kind,
-                                    group=comp.group)
-            self.s2x[comp.fid] = c.fid
-        for fn in schart.functions:
-            chart.add_function(fn.name, fn.arity, fn.model)
+        chart, self.s2x = schart.derive(
+            schart.coord_names, orientation=orientation,
+            keep=lambda c: c.kind != DYNAMIC or c.fid in sigma.surviving
+            or c.name.startswith("Pi_"))
         z = midx_zero(chart.dim)
-        pfids = [sigma.b2s[f] for f in sym.param_fids()]
-        self.ghosts = {}
-        self.ghost_momenta = {}
-        for pf in pfids:
-            pc = schart.component(pf)
-            g = chart.add_component("c_" + pc.name, ghost=1, kind=DYNAMIC,
-                                    group="ghost")
-            gm = chart.add_component("c_" + pc.name + "_dag", ghost=-1,
-                                     kind=DYNAMIC, group="ghost momentum")
-            self.ghosts[pf] = g.fid
-            self.ghost_momenta[g.fid] = gm.fid
+        self.ghosts = {}             # sigma param fid -> ghost fid
+        self.ghost_momenta = {}      # ghost fid -> ghost momentum fid
+        c_of = {}                    # bulk param fid -> ghost fid
+        for pf in sym.param_fids():
+            sf = sigma.b2s[pf]
+            name = "c_" + schart.component(sf).name
+            c_of[pf] = self.ghosts[sf] = chart.add_component(name, ghost=1).fid
+            self.ghost_momenta[c_of[pf]] = chart.add_component(
+                name + "_dag", ghost=-1).fid
         self.chart = chart
         self.sigma = sigma
         self.sym = sym
@@ -332,22 +286,11 @@ class BFVTheory:
         H0, hflux = split_constraint_flux(sigma, sym, H)
         # L_BFV = <H0, c> + 1/2 <c+, [c,c]>
         self.L = move(H0)    # parameters become ghosts via self.ghosts
-        vol = tuple(('h', mu) for mu in range(chart.dim))
-        st = sym.structure
-        if st is not None:
-            for g in sym.param_groups:
-                for (fidx, lidx), pbulk in g.comps.items():
-                    if not lidx:
-                        continue
-                    cfid = self.ghosts[sigma.b2s[pbulk]]
-                    gm = self.ghost_momenta[cfid]
-                    for a, b, coeff in st.brackets_onto(lidx[0]):
-                        ga = self.ghosts[sigma.b2s[g.comps[(fidx, (a,))]]]
-                        gb = self.ghosts[sigma.b2s[g.comps[(fidx, (b,))]]]
-                        self.L = self.L + LocalForm.from_word(
-                            chart,
-                            (('j', gm, z), ('j', ga, z), ('j', gb, z)) + vol,
-                            Fraction(coeff) / 2 * orientation)
+        vol = _vol(chart)
+        for p, a, b, coeff in sym.bracket_terms():
+            self.L._accum((('j', self.ghost_momenta[c_of[p]], z),
+                           ('j', c_of[a], z), ('j', c_of[b], z)) + vol,
+                          Fraction(coeff) / 2 * orientation)
         gh = {self.L.key_ghost(k) for k in self.L.terms}
         if gh - {1}:
             raise VarcalcError(f"L_BFV must have ghost degree 1, got {gh}")
@@ -366,7 +309,7 @@ def bfv_extend(sigma: SigmaTheory, sym: SymmetryAction, orientation=1) -> BFVThe
 
 
 def verify_bfv_cme(bfv: BFVTheory) -> Report:
-    B = insert(bfv.Q, insert(bfv.Q, bfv.omega_BFV))
+    B = bv_bracket(bfv.Q, bfv.Q, bfv.omega_BFV)
     if B.is_zero():
         return Report("BFV master equation", True, "{L,L} = 0")
     PB = bfv.suite.euler_projector0(B)
@@ -412,7 +355,7 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
     # the bulk bracket is d-exact (the densitised CME) and the boundary
     # content of its canonical primitive is L_BFV, i.e.
     # iota*(i_Q theta_BV) - L_BFV is d_Sigma-exact.
-    B = insert(bv.Q, insert(bv.Q, bv.omega_BV))
+    B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
     ok2 = True
     det2 = ""
     if not bv.suite.euler_projector0(B).is_zero():

@@ -8,7 +8,7 @@ its chart; operators read grading and parity data from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
@@ -145,8 +145,6 @@ class FieldComponent:
     kind: str = DYNAMIC
     # for COORD components: which chart direction this coordinate names
     coord_dir: int = -1
-    group: str = ""          # name of the declaring field group, if any
-    indices: tuple = ()      # (form indices..., lie index) bookkeeping
 
 
 @dataclass(frozen=True)
@@ -222,12 +220,10 @@ class Chart:
         self.promotions: dict[frozenset, Chart] = {}
 
     # -- components ------------------------------------------------------
-    def add_component(self, name, ghost=0, kind=DYNAMIC, coord_dir=-1,
-                      group="", indices=()):
+    def add_component(self, name, ghost=0, kind=DYNAMIC, coord_dir=-1):
         if name in self._by_name:
             raise VarcalcError(f"duplicate component {name!r}")
-        comp = FieldComponent(name, len(self.components), ghost, kind,
-                              coord_dir, group, tuple(indices))
+        comp = FieldComponent(name, len(self.components), ghost, kind, coord_dir)
         self.components.append(comp)
         self._by_name[name] = comp
         return comp
@@ -273,6 +269,27 @@ class Chart:
             raise VarcalcError(f"unknown function symbol {name!r}") from None
 
     # -- derived charts ----------------------------------------------------
+    def derive(self, coord_names, metric=None, orientation=1, keep=None):
+        """A new chart on the named coordinates (a Euclidean metric when
+        ``metric`` is None) with copies of this chart's non-coordinate
+        components that ``keep`` accepts (all by default), in this chart's
+        order after the coordinates, and of its function symbols.  Returns
+        the chart and the fid map from this chart to it, which covers the
+        copies and the coordinates both charts name."""
+        new = Chart(len(coord_names), metric=metric, coord_names=coord_names,
+                    jet_cutoff=self.jet_cutoff, orientation=orientation)
+        new.add_coordinates()
+        fids = {}
+        for c in self.components:
+            if c.kind == COORD:
+                if new.has_name(c.name):
+                    fids[c.fid] = new.by_name(c.name).fid
+            elif keep is None or keep(c):
+                fids[c.fid] = new.add_component(c.name, c.ghost, c.kind).fid
+        for fn in self.functions:
+            new.add_function(fn.name, fn.arity, fn.model)
+        return new, fids
+
     def promoted(self, fids):
         """A copy of this chart where the given parameter components are
         dynamical (the action Lie algebroid chart).  Component ids are
@@ -287,12 +304,8 @@ class Chart:
         new.__dict__.update(self.__dict__)
         # the copy gets its own homotopy suite (homotopy.get_suite)
         new.__dict__.pop("_homotopy_suite", None)
-        new.components = [
-            FieldComponent(c.name, c.fid, c.ghost,
-                           DYNAMIC if c.fid in fids else c.kind,
-                           c.coord_dir, c.group, c.indices)
-            for c in self.components
-        ]
+        new.components = [replace(c, kind=DYNAMIC) if c.fid in fids else c
+                          for c in self.components]
         new._by_name = {c.name: c for c in new.components}
         new.atom_data = {}      # the kinds differ, so the actions do too
         new.promotions = {}

@@ -435,7 +435,7 @@ class ElabContext:
                     cname += "".join(str(i) for i in fidx)
                 if a is not None:
                     cname += f"_{a}"
-                comp = chart.add_component(cname, ghost=ghost, kind=kind, group=name)
+                comp = chart.add_component(cname, ghost=ghost, kind=kind)
                 key = (fidx, (a,) if a is not None else ())
                 comps[key] = comp.fid
         g = FieldGroup(name, form_degree, lie, ghost, kind, comps, multiplicity)

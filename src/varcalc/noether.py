@@ -183,18 +183,9 @@ def bracket_bindings(theory: Theory, sym: SymmetryAction, twin: SymmetryAction):
     engine's internal bracket), turning X_eta into X_{[xi,eta]}."""
     chart = theory.chart
     z = midx_zero(chart.dim)
-    out = {}
-    for g, tg in zip(sym.param_groups, twin.param_groups):
-        st = sym.structure
-        for (fidx, lidx), tfid in tg.comps.items():
-            expr = LocalForm.zero(chart)
-            if st is not None and lidx:
-                for a, b, coeff in st.brackets_onto(lidx[0]):
-                    fa = g.comps[(fidx, (a,))]
-                    fb = tg.comps[(fidx, (b,))]
-                    expr = expr + LocalForm.from_word(
-                        chart, (('j', fa, z), ('j', fb, z)), coeff)
-            out[(tfid, z)] = expr
+    out = {(tfid, z): LocalForm(chart) for tfid in twin.param_fids()}
+    for tfid, fa, fb, coeff in sym.bracket_terms(twin):
+        out[(tfid, z)]._accum((('j', fa, z), ('j', fb, z)), coeff)
     return out
 
 

@@ -50,34 +50,18 @@ class SigmaTheory:
         self._bulk_dir_to_sigma = {mu: i for i, mu in enumerate(self.tangential)}
 
         # --- Sigma chart -----------------------------------------------------
+        names = [bulk.coord_names[mu] for mu in self.tangential]
         sig_metric = [[bulk.metric[a][b] for b in self.tangential]
                       for a in self.tangential]
         try:
-            schart = Chart(n - 1, metric=sig_metric,
-                           coord_names=[bulk.coord_names[mu] for mu in self.tangential],
-                           jet_cutoff=bulk.jet_cutoff)
+            schart, self.b2s = bulk.derive(names, sig_metric)
         except VarcalcError:
             # tangential metric block may be degenerate (null slices); the
             # Sigma homotopy suite never uses it
-            schart = Chart(n - 1, signature=[1] * (n - 1),
-                           coord_names=[bulk.coord_names[mu] for mu in self.tangential],
-                           jet_cutoff=bulk.jet_cutoff)
-        schart.add_coordinates()
+            schart, self.b2s = bulk.derive(names)
+        self.s2b = {s: b for b, s in self.b2s.items()}
         self.schart = schart
         self.ssuite = get_suite(schart)
-
-        # tangential copies of bulk components
-        self.b2s: dict[int, int] = {}
-        self.s2b: dict[int, int] = {}
-        for comp in bulk.components:
-            if comp.kind == COORD:
-                continue
-            sc = schart.add_component(comp.name, ghost=comp.ghost, kind=comp.kind,
-                                      group=comp.group, indices=comp.indices)
-            self.b2s[comp.fid] = sc.fid
-            self.s2b[sc.fid] = comp.fid
-        for fn in bulk.functions:
-            schart.add_function(fn.name, fn.arity, fn.model)
 
         # --- restrict theta and introduce momenta ----------------------------
         theta_pulled = self.pullback(theory.theta)
@@ -106,7 +90,7 @@ class SigmaTheory:
         for bfid in sorted(needed):
             comp = bulk.component(bfid)
             sc = schart.add_component("Dt_" + comp.name, ghost=comp.ghost,
-                                      kind=comp.kind, group=comp.group)
+                                      kind=comp.kind)
             self.dt_fields[bfid] = sc.fid
 
         theta_s = self.to_sigma(theta_pulled)
@@ -126,7 +110,7 @@ class SigmaTheory:
             density = h_coefficient(C, range(schart.dim))
             bname = schart.component(sfid).name
             pc = schart.add_component("Pi_" + bname, ghost=schart.ghost(sfid),
-                                      kind=DYNAMIC, group="Pi_" + bname)
+                                      kind=DYNAMIC)
             self.momenta[pc.fid] = (sfid, density)
             # solve density == Pi for the lex-max Dt field appearing linearly
             eq = density - LocalForm.from_word(schart, (('j', pc.fid, z),))
@@ -202,10 +186,8 @@ class SigmaTheory:
                     offending.add(comp.name)
                     return None
                 return ('j', self.b2s[a[1]], J)
-            if comp.kind == COORD:
-                if comp.coord_dir == t:
-                    return None        # the slice sits at coordinate value 0
-                return (a[0], schart.by_name(comp.name).fid, J)
+            if comp.kind == COORD and comp.coord_dir == t:
+                return None            # the slice sits at coordinate value 0
             if k == 0:
                 return (a[0], self.b2s[a[1]], J)
             if k == 1 and a[1] in self.dt_fields:
@@ -260,9 +242,6 @@ class SigmaTheory:
                 return ('j', self.s2b[fid], J)
             if fid in dt_inv:
                 return (a[0], dt_inv[fid], midx_shift(J, t))
-            comp = schart.component(fid)
-            if comp.kind == COORD:
-                return (a[0], bulk.by_name(comp.name).fid, J)
             return (a[0], self.s2b[fid], J)
 
         return transport(work, bulk, jet, self.tangential.__getitem__)

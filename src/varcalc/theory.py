@@ -62,6 +62,20 @@ class SymmetryAction:
             out.extend(sorted(g.comps.values()))
         return out
 
+    def bracket_terms(self, other=None):
+        """The terms of the bracket [xi, eta] of this action's parameter xi
+        with ``other``'s parameter eta (default xi itself): (c, a, b, f) for
+        each term f xi^a eta^b of its component c, as parameter fids, with a
+        from this action and c, b from ``other``."""
+        other = other or self
+        if self.structure is None:
+            return
+        for g, og in zip(self.param_groups, other.param_groups):
+            for (fidx, lidx), c in og.comps.items():
+                if lidx:
+                    for a, b, f in self.structure.brackets_onto(lidx[0]):
+                        yield c, g.comps[(fidx, (a,))], og.comps[(fidx, (b,))], f
+
 
 def _match_components(ctx: ElabContext, g: FieldGroup, val):
     """Match an elaborated RHS against the components of a field group."""
