@@ -18,7 +18,9 @@ handling lives in exactly one place.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 from .chart import (
     Chart, COORD, CONST, CPARAM, DYNAMIC,
@@ -184,6 +186,88 @@ def _cancel_constants(chart, out):
     return merged
 
 
+def _add(terms, key, c):
+    """terms[key] += c for a normalized key, dropping a zero sum."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+    else:
+        new = old + c
+        if new:
+            terms[key] = new
+        else:
+            del terms[key]
+
+
+def _data(chart, atom):
+    d = chart.atom_data.get(atom)
+    if d is None:
+        d = chart.atom_data[atom] = _atom_data(chart, atom)
+    return d
+
+
+def _word_data(chart, key):
+    """The sort keys of a normalized word and its odd-prefix counts:
+    odd[m] is the number of odd atoms in key[:m]."""
+    cache = chart.atom_data
+    try:
+        data = [cache[a] for a in key]
+    except KeyError:
+        data = [_data(chart, a) for a in key]
+    return [d[0] for d in data], list(accumulate([d[1] for d in data], initial=0))
+
+
+def _splice(key, keys, odd, i, drop, ins):
+    """Merge a normalized run of atoms into a normalized word.
+
+    ``ins`` is the atom data of the new atoms in canonical order; they go
+    in at index i of ``key``, whose own atom key[i] (the first of its run)
+    is dropped when ``drop`` is true.  Each new atom lands at its bisect
+    position p among the other atoms, and an odd one crosses the odd atoms
+    between i and p, read off the odd-prefix counts.  Returns (word, parity
+    of the Koszul sign) or None when an odd atom meets its equal at the
+    seam.  Named constants are not cancelled here: callers send words
+    where one enters through norm_word.
+    """
+    n = len(key)
+    par_i = odd[i + 1] - odd[i] if drop else 0
+    sign = 0
+    word = ()
+    prev = 0
+    for kx, px, _action, x in ins:
+        p = bisect_left(keys, kx)
+        if px:
+            if p < n and keys[p] == kx and not (drop and p == i):
+                return None     # odd square
+            sign ^= (odd[p] - (par_i if p > i else 0) - odd[i]) & 1
+        if drop and prev <= i < p:
+            word += key[prev:i] + key[i + 1:p]
+        else:
+            word += key[prev:p]
+        word += (x,)
+        prev = p
+    if drop and prev <= i:
+        word += key[prev:i] + key[i + 1:]
+    else:
+        word += key[prev:]
+    return word, sign
+
+
+def _image_data(chart, im):
+    """(word, coeff, -coeff, atom data) per term of an image form; the atom
+    data is None when the word holds a named constant or its inverse, which
+    must go through norm_word to cancel."""
+    if im is None or not im.terms:
+        return None
+    out = []
+    for ikey, ic in im.terms.items():
+        ins = tuple(_data(chart, a) for a in ikey)
+        if any(d[2] == _CONST for d in ins):
+            ins = None
+        out.append((ikey, ic, -ic, ins))
+    return out
+
+
 class LocalForm:
     """A normalized sum of graded words with rational coefficients."""
 
@@ -211,24 +295,14 @@ class LocalForm:
 
     def _accum(self, atoms, coeff):
         res = norm_word(self.chart, atoms, coeff)
-        if res is None:
-            return
-        key, c = res
-        new = self.terms.get(key, 0) + c
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        if res is not None:
+            _add(self.terms, *res)
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other):
         out = LocalForm(self.chart, dict(self.terms))
         for k, c in other.terms.items():
-            new = out.terms.get(k, 0) + c
-            if new:
-                out.terms[k] = new
-            else:
-                out.terms.pop(k, None)
+            _add(out.terms, k, c)
         return out
 
     def __sub__(self, other):
@@ -315,28 +389,41 @@ def apply_derivation(form: LocalForm, parity, image):
 
     The image of an atom is spliced in place with the Koszul sign of moving
     an operator of the given parity across the atoms before it (operators
-    act from the left).
+    act from the left).  Each distinct atom's image is computed once per
+    call, and its words are merged into the normalized word (_splice).
     """
     chart = form.chart
     out = LocalForm(chart)
+    terms = out.terms
+    images = {}
     for key, coeff in form.terms.items():
-        left_par = 0
-        seen = None
-        for i, atom in enumerate(key):
-            if atom != seen:    # derive each distinct atom once per run
-                run = 1
-                j = i + 1
-                while j < len(key) and key[j] == atom:
-                    run += 1
-                    j += 1
-                im = image(atom)
-                if im is not None and im.terms:
-                    sgn = -1 if (parity and left_par & 1) else 1
-                    for ikey, ic in im.terms.items():
-                        word = key[:i] + ikey + key[i + 1:]
-                        out._accum(word, coeff * ic * sgn * run)
-                seen = atom
-            left_par += atom_parity(chart, atom)
+        keys = odd = None
+        n = len(key)
+        i = 0
+        while i < n:            # derive each distinct atom once per run
+            atom = key[i]
+            j = i + 1
+            while j < n and key[j] == atom:
+                j += 1
+            if atom in images:
+                im = images[atom]
+            else:
+                im = images[atom] = _image_data(chart, image(atom))
+            if im is not None:
+                if keys is None:
+                    keys, odd = _word_data(chart, key)
+                run = j - i
+                flip = parity & odd[i] & 1
+                c0 = coeff * run if run > 1 else coeff
+                for ikey, ic, nic, ins in im:
+                    if ins is None:
+                        out._accum(key[:i] + ikey + key[i + 1:],
+                                   c0 * (nic if flip else ic))
+                        continue
+                    res = _splice(key, keys, odd, i, True, ins)
+                    if res is not None:
+                        _add(terms, res[0], c0 * (nic if res[1] ^ flip else ic))
+            i = j
     return out
 
 
@@ -386,9 +473,21 @@ def apply_midx_derivative(form, midx):
 
 
 def prepend_atom(form: LocalForm, atom):
-    out = LocalForm(form.chart)
+    """atom ∧ form, merged into each normalized word (_splice)."""
+    chart = form.chart
+    out = LocalForm(chart)
+    if not form.terms:
+        return out
+    d = _data(chart, atom)
+    if d[2] != _KEEP:
+        for key, coeff in form.terms.items():
+            out._accum((atom,) + key, coeff)
+        return out
     for key, coeff in form.terms.items():
-        out._accum((atom,) + key, coeff)
+        keys, odd = _word_data(chart, key)
+        res = _splice(key, keys, odd, 0, False, (d,))
+        if res is not None:
+            _add(out.terms, res[0], -coeff if res[1] else coeff)
     return out
 
 
@@ -447,7 +546,8 @@ def contract_legs(form: LocalForm):
                 if atom[1:] not in out:
                     out[atom[1:]] = LocalForm(chart)
                 sgn = -1 if par and left_par & 1 else 1
-                out[atom[1:]]._accum(key[:i] + key[i + 1:], coeff * sgn * key.count(atom))
+                _add(out[atom[1:]].terms, key[:i] + key[i + 1:],
+                     coeff * sgn * key.count(atom))
             seen = atom
             left_par += par
     return out

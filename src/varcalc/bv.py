@@ -238,7 +238,7 @@ def verify_cme(bv: BVTheory) -> tuple[Report, LocalForm]:
 # ---------------------------------------------------------------------------
 
 class BFVTheory:
-    def __init__(self, sigma: SigmaTheory, sym: SymmetryAction, orientation=1):
+    def __init__(self, sigma: SigmaTheory, sym: SymmetryAction):
         theory = sigma.theory
         schart = sigma.schart
         # strong Hamiltonian flow equation: i_rho omega_Sigma = -dv H
@@ -253,6 +253,8 @@ class BFVTheory:
                 len(g.comps) > 1 for g in sym.param_groups):
             raise NoBracket("BFV extension needs bracket data")
 
+        # the slice x^t = const carries the induced orientation (-1)^t
+        orientation = -1 if sigma.spec.transverse & 1 else 1
         chart, self.s2x = schart.derive(
             schart.coord_names, orientation=orientation,
             keep=lambda c: c.kind != DYNAMIC or c.fid in sigma.surviving
@@ -304,8 +306,8 @@ class BFVTheory:
         self.Q = hamiltonian_vector_field(self.L, omega)
 
 
-def bfv_extend(sigma: SigmaTheory, sym: SymmetryAction, orientation=1) -> BFVTheory:
-    return BFVTheory(sigma, sym, orientation=orientation)
+def bfv_extend(sigma: SigmaTheory, sym: SymmetryAction) -> BFVTheory:
+    return BFVTheory(sigma, sym)
 
 
 def verify_bfv_cme(bfv: BFVTheory) -> Report:

@@ -323,6 +323,8 @@ def rref(m):
     Returns (R, pivots, factor): the reduced row echelon form, its pivot
     columns in order, and the product of the pivots divided out, signed by
     the row swaps (the determinant when ``m`` is square of full rank).
+    Row updates touch the pivot row's nonzero entries only; the entries a
+    pivot row has before its pivot column are zero.
     """
     R = [list(row) for row in m]
     nrows = len(R)
@@ -339,13 +341,18 @@ def rref(m):
         if piv != r:
             R[r], R[piv] = R[piv], R[r]
             factor = -factor
-        factor *= R[r][c]
-        inv = Fraction(1) / R[r][c]
-        R[r] = [x * inv for x in R[r]]
+        row = R[r]
+        factor *= row[c]
+        inv = Fraction(1) / row[c]
+        nz = [j for j in range(c, ncols) if row[j]]
+        for j in nz:
+            row[j] *= inv
         for i in range(nrows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+            other = R[i]
+            if i != r and other[c]:
+                f = other[c]
+                for j in nz:
+                    other[j] -= f * row[j]
         pivots.append(c)
         r += 1
     return R, pivots, factor

@@ -168,12 +168,34 @@ def test_bv_and_bfv_map_coordinates():
     assert len(reps) == 3 and reps[0].passed and reps[1].passed
 
 
-def test_bvbfv_orientation_negative_control(maxwell):
-    sym = maxwell.symmetry("gauge")
-    sig = restrict_to_slice(maxwell, SliceSpec(transverse=0))
-    bfv_bad = bfv_extend(sig, sym, orientation=-1)
-    bv = bv_extend(maxwell, sym)
-    reps = verify_bvbfv(bv, bfv_bad, SliceSpec(transverse=0))
+@pytest.mark.parametrize("t", range(4))
+def test_bvbfv_maxwell_every_slice(maxwell, bv_maxwell, t):
+    """All three conditions on every coordinate slice x^t = 0: the BFV
+    data carries the induced orientation (-1)^t of the slice."""
+    spec = SliceSpec(transverse=t)
+    bfv = bfv_extend(restrict_to_slice(maxwell, spec), maxwell.symmetry("gauge"))
+    assert bfv.chart.orientation == (-1) ** t
+    reps = verify_bvbfv(bv_maxwell, bfv, spec)
+    assert len(reps) == 3 and all(r.passed for r in reps), [r.line() for r in reps]
+
+
+def test_bvbfv_yang_mills_odd_slice(yang_mills, bv_ym):
+    spec = SliceSpec(transverse=1)
+    bfv = bfv_extend(restrict_to_slice(yang_mills, spec), yang_mills.symmetry("gauge"))
+    reps = verify_bvbfv(bv_ym, bfv, spec)
+    assert len(reps) == 3 and all(r.passed for r in reps), [r.line() for r in reps]
+
+
+def test_bvbfv_orientation_negative_control(maxwell, bv_maxwell):
+    """The ghost pairing of the opposite orientation fails condition 1."""
+    spec = SliceSpec(transverse=0)
+    bfv = bfv_extend(restrict_to_slice(maxwell, spec), maxwell.symmetry("gauge"))
+    z = midx_zero(bfv.chart.dim)
+    vol = tuple(('h', mu) for mu in range(bfv.chart.dim))
+    for cfid, gm in bfv.ghost_momenta.items():
+        # -1 -> +1: the pairing term bfv_extend writes for orientation -1
+        bfv.omega_BFV._accum((('v', gm, z), ('v', cfid, z)) + vol, 2)
+    reps = verify_bvbfv(bv_maxwell, bfv, spec)
     assert not reps[0].passed
 
 

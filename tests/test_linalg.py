@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varcalc.algebra import LocalForm, midx_zero
-from varcalc.chart import VarcalcError, det, inverse, mat_mul, mat_T, pseudo_inverse_psd
+from varcalc.chart import (
+    VarcalcError, det, inverse, mat_mul, mat_T, pseudo_inverse_psd, rref,
+)
 from varcalc.homotopy import bruteforce_dexactness
 from varcalc.randforms import suite_chart
 
@@ -36,6 +38,33 @@ def to_sympy(m):
 
 def from_sympy(M):
     return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
+
+
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def sparse_matrices(rows, cols):
+    """At most two nonzero entries per row, as in the stratum matrices."""
+    row = st.dictionaries(st.integers(0, cols - 1), nonzero, max_size=2).map(
+        lambda d: [d.get(j, Fraction(0)) for j in range(cols)])
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+sparse = st.tuples(st.integers(1, 8), st.integers(1, 10)).flatmap(
+    lambda rc: sparse_matrices(*rc))
+
+
+@settings(SEEDED, max_examples=60)
+@given(sparse)
+def test_rref_of_mostly_zero_rows_matches_sympy(m):
+    R, pivots, factor = rref(m)
+    S, spivots = to_sympy(m).rref()
+    assert R == from_sympy(S)
+    assert tuple(pivots) == spivots
+    assert all(type(x) is Fraction for row in R for x in row)
+    if len(m) == len(m[0]):
+        d = to_sympy(m).det()
+        assert (factor if len(pivots) == len(m) else 0) == Fraction(int(d.p), int(d.q))
 
 
 @SEEDED
