@@ -553,75 +553,80 @@ def contract_legs(form: LocalForm):
     return out
 
 
-def transport(form: LocalForm, chart, jet, h=None):
-    """Move a form onto another chart, atom by atom.
+def transport(form: LocalForm, chart, image, h=None):
+    """The algebra morphism onto ``chart`` given by an image per atom.
 
-    ``jet(atom, in_fn)`` gives the image of a 'j'/'v'/'ji' atom (``in_fn``
-    false) or of a jet argument of a function application, also inside a
-    fiber integral (``in_fn`` true); None drops the whole term.  ``h``
-    renumbers the horizontal legs dx^mu.  Words are renormalized on
-    ``chart``.
+    ``image(atom, False)`` maps a 'j'/'v'/'ji' atom, or an 'f'/'F' atom
+    after its jet arguments are mapped by ``image(arg, True)``, to an atom,
+    a LocalForm on ``chart`` multiplied in at that place, or None for zero.
+    ``image(arg, True)`` gives an atom, ('0',), or None, which drops the
+    term.  ``h`` renumbers the horizontal legs dx^mu.  Each output word is
+    normalized once on ``chart``, which gives the Koszul signs; a word whose
+    atoms all map to themselves on the form's own chart is kept as it is.
     """
     def app(a):
         args = []
         for x in a[3]:
             if x[0] == 'j':
-                x = jet(x, True)
+                x = image(x, True)
                 if x is None:
                     return None
             args.append(x)
         return ('f', a[1], a[2], tuple(args))
 
+    def atom_image(a):
+        t = a[0]
+        if t == 'h':
+            return ('h', h(a[1])) if h else a
+        if t == 'f':
+            a = app(a)
+        elif t == 'F':
+            inner = [app(x) for x in a[2]]
+            a = None if None in inner else ('F', a[1], tuple(sorted(inner)))
+        return None if a is None else image(a, False)
+
     out = LocalForm(chart)
+    same = chart is form.chart
+    images = {}
     for key, c in form.terms.items():
         word = []
         for a in key:
-            t = a[0]
-            if t == 'h':
-                b = ('h', h(a[1])) if h else a
-            elif t == 'f':
-                b = app(a)
-            elif t == 'F':
-                inner = [app(x) for x in a[2]]
-                b = None if None in inner else ('F', a[1], tuple(sorted(inner)))
-            else:
-                b = jet(a, False)
+            if a not in images:
+                images[a] = atom_image(a)
+            b = images[a]
             if b is None:
                 break
             word.append(b)
         else:
-            out._accum(tuple(word), c)
+            if same and tuple(word) == key:
+                _add(out.terms, key, c)
+                continue
+            parts = [((), c)]
+            for b in word:
+                if type(b) is tuple:
+                    parts = [(w + (b,), pc) for w, pc in parts]
+                else:
+                    parts = [(w + k, pc * kc)
+                             for w, pc in parts for k, kc in b.terms.items()]
+            for w, pc in parts:
+                out._accum(w, pc)
     return out
 
 
 def zero_star(form: LocalForm):
-    """Evaluation on the zero section of the dynamical fields."""
+    """Evaluation on the zero section of the dynamical fields: a fiber
+    integral becomes its inner applications over k + 1."""
     chart = form.chart
-    out = LocalForm(chart)
-    for key, coeff in form.terms.items():
-        word = []
-        dead = False
-        for atom in key:
-            t = atom[0]
-            if t in ('j', 'v') and chart.kind(atom[1]) == DYNAMIC:
-                dead = True
-                break
-            if t == 'f':
-                args = tuple(('0',) if (a[0] == 'j' and chart.kind(a[1]) == DYNAMIC)
-                             else a for a in atom[3])
-                word.append(('f', atom[1], atom[2], args))
-            elif t == 'F':
-                k, inner = atom[1], atom[2]
-                coeff = coeff / (k + 1)
-                for app in inner:
-                    args = tuple(('0',) if (a[0] == 'j' and chart.kind(a[1]) == DYNAMIC)
-                                 else a for a in app[3])
-                    word.append(('f', app[1], app[2], args))
-            else:
-                word.append(atom)
-        if not dead:
-            out._accum(tuple(word), coeff)
-    return out
+
+    def image(a, in_fn):
+        t = a[0]
+        if t in ('j', 'v') and chart.kind(a[1]) == DYNAMIC:
+            return ('0',) if in_fn else None
+        if t == 'F':
+            return LocalForm(chart, {a[2]: Fraction(1, a[1] + 1)})
+        return a
+
+    return transport(form, chart, image)
 
 
 def substitute(form: LocalForm, bindings):
@@ -630,6 +635,7 @@ def substitute(form: LocalForm, bindings):
     ``bindings`` maps (fid, midx) to a (0,0) LocalForm.  An atom (fid, J)
     with J >= J0 for a bound J0 is replaced by D^{J-J0} of the bound
     expression; vertical legs are replaced by the variation of the same.
+    A jet argument of a function may be bound only to a plain jet or zero.
     """
     chart = form.chart
     by_fid: dict[int, list] = {}
@@ -659,50 +665,24 @@ def substitute(form: LocalForm, bindings):
             cache[key] = d_v(ex) if vertical else ex
         return cache[key]
 
-    def app(atom):
-        args = []
-        for a in atom[3]:
-            if a[0] == 'j':
-                r = bound_expr(a[1], a[2], False)
-                if r is not None:
-                    if r.is_zero():
-                        args.append(('0',))
-                        continue
-                    if len(r.terms) == 1:
-                        (w, c), = r.terms.items()
-                        if c == 1 and len(w) == 1 and w[0][0] == 'j':
-                            args.append(w[0])
-                            continue
-                    raise VarcalcError(
-                        "substitution inside a function argument must be "
-                        "a plain jet or zero")
-            args.append(a)
-        return ('f', atom[1], atom[2], tuple(args))
+    def image(a, in_fn):
+        t = a[0]
+        r = bound_expr(a[1], a[2], t == 'v') if t in ('j', 'v') else None
+        if r is None:
+            return a
+        if not in_fn:
+            return r
+        if r.is_zero():
+            return ('0',)
+        if len(r.terms) == 1:
+            (w, c), = r.terms.items()
+            if c == 1 and len(w) == 1 and w[0][0] == 'j':
+                return w[0]
+        raise VarcalcError(
+            "substitution inside a function argument must be "
+            "a plain jet or zero")
 
-    out = LocalForm(chart)
-    for key, coeff in form.terms.items():
-        # expand word left-to-right, splicing replacements
-        parts = [LocalForm.scalar(chart, coeff)]
-        for atom in key:
-            t = atom[0]
-            rep = None
-            if t == 'j':
-                rep = bound_expr(atom[1], atom[2], False)
-            elif t == 'v':
-                rep = bound_expr(atom[1], atom[2], True)
-            elif t == 'f':
-                atom = app(atom)
-            elif t == 'F':
-                atom = ('F', atom[1], tuple(sorted(app(x) for x in atom[2])))
-            if rep is None:
-                parts.append(LocalForm.from_word(chart, (atom,)))
-            else:
-                parts.append(rep)
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc.wedge(p)
-        out = out + acc
-    return out
+    return transport(form, chart, image)
 
 
 # ---------------------------------------------------------------------------

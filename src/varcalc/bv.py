@@ -58,6 +58,8 @@ class BVTheory:
         param_to_ghost = {self.b2x[pf]: gf for pf, gf in self.ghosts.items()}
 
         def jet(a, in_fn):
+            if a[0] in ('f', 'F'):
+                return a
             fid = self.b2x[a[1]]
             if not in_fn:
                 fid = param_to_ghost.get(fid, fid)
@@ -275,6 +277,8 @@ class BFVTheory:
         self.suite = get_suite(chart)
 
         def jet(a, in_fn):
+            if a[0] in ('f', 'F'):
+                return a
             fid = self.ghosts.get(a[1], self.s2x.get(a[1]))
             if fid is None:
                 raise VarcalcError(
@@ -339,6 +343,8 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
             special[bfv.chart.component(gmfid).name] = partners[0]
 
     def jet(a, in_fn):
+        if a[0] in ('f', 'F'):
+            return a
         name = bfv.chart.component(a[1]).name
         return (a[0], _match_name(bvs.schart, special.get(name, name))) + a[2:]
 

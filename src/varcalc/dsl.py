@@ -712,9 +712,9 @@ def parse_theory(text) -> TheoryDef:
             continue
         current_sym = None
         if head == "theory":
-            td.name = parts[1]
+            td.name = _operand(parts, 1, no)
         elif head == "dimension":
-            td.dim = int(parts[1])
+            td.dim = _operand(parts, 1, no, int)
             if td.dim < 1:
                 raise SyntaxError_("dimension must be >= 1", no, 1)
         elif head == "coordinates":
@@ -725,18 +725,18 @@ def parse_theory(text) -> TheoryDef:
             rows = " ".join(parts[1:]).split("/")
             td.metric = [[Fraction(x) for x in row.split()] for row in rows]
         elif head == "orientation":
-            td.orientation = int(parts[1])
+            td.orientation = _operand(parts, 1, no, int)
         elif head == "jet_cutoff":
-            td.jet_cutoff = int(parts[1])
+            td.jet_cutoff = _operand(parts, 1, no, int)
         elif head == "constant":
             td.constants.extend(parts[1:])
         elif head == "function":
             arity = 1
             if "arity" in parts:
-                arity = int(parts[parts.index("arity") + 1])
-            td.functions.append((parts[1], arity))
+                arity = _operand(parts, parts.index("arity") + 1, no, int)
+            td.functions.append((_operand(parts, 1, no), arity))
         elif head == "structure":
-            td.structures[parts[1]] = parts[2] if len(parts) > 2 else "abelian"
+            td.structures[_operand(parts, 1, no)] = parts[2] if len(parts) > 2 else "abelian"
         elif head == "field":
             td.fields.append((parts[1:], no))
         elif head == "source":
@@ -745,20 +745,21 @@ def parse_theory(text) -> TheoryDef:
             decl, value = line.split("=", 1)
             td.sources.append((decl.split()[1:], value.strip(), no))
         elif head == "lagrangian":
-            td.lagrangian = line.split(None, 1)[1]
+            td.lagrangian = _operand(line.split(None, 1), 1, no)
             td.lagrangian_line = no
         elif head == "symmetry":
-            sym = SymmetryDecl(parts[1], [], {}, None)
+            sym = SymmetryDecl(_operand(parts, 1, no), [], {}, None)
             td.symmetries.append(sym)
             current_sym = sym
             rest = parts[2:]
             while rest:
                 if rest[0] == "param":
-                    decl = [rest[1]]
+                    decl = [_operand(rest, 1, no)]
                     rest = rest[2:]
                     while rest and rest[0] not in ("param",):
                         decl.append(rest[0])
                         rest = rest[1:]
+                    _parse_field_decl(decl, no)     # checked here for its line
                     sym.params.append(decl)
                 else:
                     raise SyntaxError_(f"unexpected token {rest[0]!r} in symmetry", no, 1)
@@ -785,9 +786,20 @@ def parse_theory(text) -> TheoryDef:
     return td
 
 
+def _operand(parts, k, no, conv=str):
+    """parts[k] through conv; a SyntaxError_ at line ``no`` when it is
+    missing or malformed."""
+    try:
+        return conv(parts[k])
+    except (IndexError, ValueError):
+        what = "an integer" if conv is int else "an argument"
+        raise SyntaxError_(f"{parts[k - 1]!r} expects {what}" if k
+                           else f"expected {what}", no, 1) from None
+
+
 def _parse_field_decl(parts, no):
     # NAME ('scalar' | 'form' K) [lie G] [ghost N] [components N] [constant]
-    name = parts[0]
+    name = _operand(parts, 0, no)
     deg = 0
     lie = None
     ghost = 0
@@ -801,16 +813,16 @@ def _parse_field_decl(parts, no):
             deg = 0
         elif tok == "form":
             j += 1
-            deg = int(rest[j])
+            deg = _operand(rest, j, no, int)
         elif tok == "lie":
             j += 1
-            lie = rest[j]
+            lie = _operand(rest, j, no)
         elif tok == "ghost":
             j += 1
-            ghost = int(rest[j])
+            ghost = _operand(rest, j, no, int)
         elif tok == "components":
             j += 1
-            mult = int(rest[j])
+            mult = _operand(rest, j, no, int)
         elif tok == "constant":
             constant = True
         else:

@@ -155,10 +155,10 @@ class SigmaTheory:
         return sorted(names)
 
     def pullback(self, form: LocalForm):
-        """iota_Sigma^*: drop dx^t terms, reindex the remaining legs.
+        """iota_Sigma^*: drop the terms that hold dx^t.
 
-        The output lives on the bulk chart's components but uses Sigma leg
-        numbering; feed it to to_sigma for a Sigma-chart form.
+        The output stays on the bulk chart, legs in bulk numbering; to_sigma
+        renumbers them and expresses the form in Sigma-chart variables.
         """
         t = self.spec.transverse
         out = LocalForm(form.chart, {})
@@ -176,6 +176,8 @@ class SigmaTheory:
         offending = set()
 
         def jet(a, in_fn):
+            if a[0] in ('f', 'F'):
+                return a
             if a[0] == 'ji':
                 return ('ji', self.b2s[a[1]])
             comp = bulk.component(a[1])
@@ -234,6 +236,8 @@ class SigmaTheory:
         work = substitute(form, mom_bind) if mom_bind else form
 
         def jet(a, in_fn):
+            if a[0] in ('f', 'F'):
+                return a
             fid = a[1]
             if a[0] == 'ji':
                 return ('ji', self.s2b[fid])

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import (
-    DYNAMIC, PARAM, GradingError, InvariantViolation, NoFixpoint, NoSolvedForm,
+    CONST, DYNAMIC, PARAM, GradingError, InvariantViolation, NoFixpoint, NoSolvedForm,
     VarcalcError,
 )
 from .algebra import (
@@ -234,7 +234,7 @@ class Theory:
 
 def _solve_linear(E: LocalForm, target):
     """Solve E = 0 for the target jet if E = c * u_target + rest with c a
-    nonzero rational times named constants."""
+    nonzero rational times named constants and their inverses."""
     if E is None:
         return None
     chart = E.chart
@@ -246,7 +246,8 @@ def _solve_linear(E: LocalForm, target):
         if atom in key:
             if key.count(atom) > 1:
                 return None
-            cof = _remove_one(key, atom)
+            i = key.index(atom)
+            cof = key[:i] + key[i + 1:]
             if any(a[0] == 'j' and chart.kind(a[1]) == DYNAMIC for a in cof):
                 return None
             lead._accum(cof, c)
@@ -255,7 +256,7 @@ def _solve_linear(E: LocalForm, target):
     if lead.is_zero() or len(lead.terms) != 1:
         return None
     (cof_word, cval), = lead.terms.items()
-    if any(a[0] not in ('j', 'ji') for a in cof_word):
+    if any(a[0] not in ('j', 'ji') or chart.kind(a[1]) != CONST for a in cof_word):
         return None
     # invert the constant monomial
     inv_word = []
@@ -266,12 +267,6 @@ def _solve_linear(E: LocalForm, target):
             inv_word.append(('j', a[1], midx_zero(chart.dim)))
     inv = LocalForm.from_word(chart, tuple(inv_word), Fraction(1) / cval)
     return (-rest).wedge(inv)
-
-
-def _remove_one(key, atom):
-    out = list(key)
-    out.remove(atom)
-    return tuple(out)
 
 
 def theory_from_text(text, jet_cutoff=None) -> Theory:

@@ -200,6 +200,17 @@ def test_reduce_on_shell(point_particle):
         T2.reduce_on_shell(elaborate_form(T2.ctx, "q_,00"))
 
 
+def test_solve_needs_a_named_constant_coefficient():
+    """x * phi_,00 is not solved for phi_,00: the coordinate x is not a named
+    constant, so inv(x) would neither cancel against x nor commute with D_mu,
+    and would not parse back."""
+    with pytest.raises(NoSolvedForm):
+        theory_from_text("theory xcoef\ndimension 2\ncoordinates t x\n"
+                         "signature - +\nfield phi scalar\n"
+                         "lagrangian -1/2 * x * d(phi) ∧ star(d(phi))\n"
+                         "solve phi_,00\n")
+
+
 def test_reduce_on_shell_raises_without_fixpoint(maxwell_sourced):
     # C + j reaches zero in the first round and is confirmed a fixpoint in
     # the second; one round is not enough to certify it

@@ -130,3 +130,33 @@ lagrangian j ∧ A
     td = parse_theory(bad)
     with pytest.raises(VarcalcError):
         build_context(td)
+
+
+_HEAD = "theory t\ndimension 2\nsignature + +\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("theory t\ndimension two\n", 2, "'dimension' expects an integer"),
+    (_HEAD + "field q form\n", 4, "'form' expects an integer"),
+    ("theory\ndimension 2\n", 1, "'theory' expects an argument"),
+    (_HEAD + "orientation\n", 4, "'orientation' expects an integer"),
+    (_HEAD + "jet_cutoff x\n", 4, "'jet_cutoff' expects an integer"),
+    (_HEAD + "function V arity\n", 4, "'arity' expects an integer"),
+    (_HEAD + "field q scalar ghost one\n", 4, "'ghost' expects an integer"),
+    (_HEAD + "field q scalar components\n", 4, "'components' expects an integer"),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e components\n", 6,
+     "'components' expects an integer"),
+    (_HEAD + "field q scalar\nlagrangian\n", 5, "'lagrangian' expects an argument"),
+], ids=["dimension", "form", "theory", "orientation", "jet_cutoff", "arity", "ghost",
+        "components", "param_components", "lagrangian"])
+def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, line,
+                                                        message):
+    from varcalc.cli import main
+    from varcalc.theory import theory_from_text
+    with pytest.raises(SyntaxError_) as e:
+        theory_from_text(text)
+    assert e.value.line == line
+    path = tmp_path / "bad.thy"
+    path.write_text(text, encoding="utf-8")
+    assert main(["el", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}:1: {message}\n"
