@@ -334,10 +334,6 @@ class LocalForm:
             return self.terms == other.terms
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- grading -----------------------------------------------------------
     @staticmethod
     def key_vdeg(key):

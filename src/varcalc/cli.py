@@ -45,21 +45,18 @@ def _load_theory(path):
 
 def _parse_slice(theory, slice_arg, corner_arg=None):
     from .slicing import SliceSpec
-    trans = 0
-    corner = None
     names = list(theory.chart.coord_names)
-    if slice_arg:
-        nm, _, val = slice_arg.partition("=")
+
+    def coordinate(arg, flag, what):
+        nm, _, val = arg.partition("=")
         if nm not in names:
-            raise VarcalcError(f"unknown coordinate {nm!r} in --slice")
+            raise VarcalcError(f"unknown coordinate {nm!r} in {flag}")
         if val not in ("", "0"):
-            raise VarcalcError("slices sit at coordinate value 0")
-        trans = names.index(nm)
-    if corner_arg:
-        nm, _, val = corner_arg.partition("=")
-        if nm not in names:
-            raise VarcalcError(f"unknown coordinate {nm!r} in --corner")
-        corner = names.index(nm)
+            raise VarcalcError(f"{what} sit at coordinate value 0")
+        return names.index(nm)
+
+    trans = coordinate(slice_arg, "--slice", "slices") if slice_arg else 0
+    corner = coordinate(corner_arg, "--corner", "corners") if corner_arg else None
     return SliceSpec(transverse=trans, corner=corner)
 
 
@@ -313,16 +310,22 @@ _SYSTEMS = {"kepler": mechmod.kepler_system, "harmonic": mechmod.harmonic_system
             "free": mechmod.free_system}
 
 
-def _mech_state(args):
-    q = [float(x) for x in args.q.split(",")]
-    p = [float(x) for x in args.p.split(",")]
-    return mechmod.PhasePoint(np.array(q), np.array(p))
+def _mech_state(args, dim):
+    def vector(text, flag):
+        try:
+            v = [float(x) for x in text.split(",")]
+        except ValueError:
+            v = []
+        if len(v) != dim:
+            raise UsageError(f"{flag} expects {dim} comma-separated numbers, got {text!r}")
+        return np.array(v)
+    return mechmod.PhasePoint(vector(args.q, "--q"), vector(args.p, "--p"))
 
 
 def cmd_mech(args):
     sys_f = _SYSTEMS[args.system]()
     if args.mech_cmd == "flow":
-        st = _mech_state(args)
+        st = _mech_state(args, sys_f.dim)
         traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)
         csv = traj.to_csv()
         if args.csv:
@@ -338,7 +341,7 @@ def cmd_mech(args):
             sys.stdout.write(csv)
         return 0
     if args.mech_cmd == "reduce":
-        st = _mech_state(args)
+        st = _mech_state(args, sys_f.dim)
         red = mechmod.reduce_so3(st)
         if red.ell == 0:
             print("singular stratum (l = 0): reduced space is T*R/Z2")
@@ -346,7 +349,7 @@ def cmd_mech(args):
         print(report_json("mech reduce", [doc]) if args.json else doc)
         return 0
     if args.mech_cmd == "conserve":
-        st = _mech_state(args)
+        st = _mech_state(args, sys_f.dim)
         traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)
         rep = mechmod.check_conservation(sys_f, traj)
         tol = args.tol if args.tol is not None else mechmod.TOL["J_drift"]

@@ -366,9 +366,6 @@ class FieldGroup:
     comps: dict                     # (form idx tuple, lie idx tuple) -> fid
     multiplicity: int = 0           # >0: plain multi-component parameter
 
-    def component_keys(self):
-        return sorted(self.comps)
-
 
 @dataclass
 class SymmetryDecl:
@@ -444,22 +441,18 @@ class ElabContext:
 
     # -- value construction --------------------------------------------------
     def group_value(self, g: FieldGroup):
+        if g.multiplicity:
+            raise GradingMismatch(
+                f"parameter family {g.name!r} has no collective value; use its "
+                f"components {g.name}0..")
         chart = self.chart
-        indices = (g.lie,) if g.lie else ()
         comps = {}
         z = midx_zero(chart.dim)
         for (fidx, lidx), fid in g.comps.items():
             word = [('j', fid, z)] + [('h', mu) for mu in fidx]
             form = LocalForm.from_word(chart, tuple(word))
-            if g.multiplicity:
-                continue
-            key = lidx if not g.multiplicity else ()
-            comps[key] = comps.get(key, None) + form if key in comps else form
-        if g.multiplicity:
-            raise GradingMismatch(
-                f"parameter family {g.name!r} has no collective value; use its "
-                f"components {g.name}0..")
-        return Val(indices, comps)
+            comps[lidx] = comps[lidx] + form if lidx in comps else form
+        return Val((g.lie,) if g.lie else (), comps)
 
     def jet_value(self, name, digits):
         chart = self.chart
@@ -720,10 +713,16 @@ def parse_theory(text) -> TheoryDef:
         elif head == "coordinates":
             td.coords = parts[1:]
         elif head == "signature":
+            bad = [p for p in parts[1:] if p not in ("+", "-")]
+            if bad:
+                raise SyntaxError_(f"signature expects '+' or '-', found {bad[0]!r}", no, 1)
             td.signature = [1 if p == "+" else -1 for p in parts[1:]]
         elif head == "metric":
             rows = " ".join(parts[1:]).split("/")
-            td.metric = [[Fraction(x) for x in row.split()] for row in rows]
+            try:
+                td.metric = [[Fraction(x) for x in row.split()] for row in rows]
+            except ValueError:
+                raise SyntaxError_("metric expects rational entries", no, 1) from None
         elif head == "orientation":
             td.orientation = _operand(parts, 1, no, int)
         elif head == "jet_cutoff":

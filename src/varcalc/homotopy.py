@@ -19,8 +19,10 @@ differential satisfying
 
 with I the interior Euler operator.  All arithmetic is exact.
 
-The vertical homotopy is the radial-scaling contraction; on coefficients
-with opaque function symbols it produces formal fiber-integral factors,
+The vertical homotopy and the base Poincare homotopy are one radial
+contraction (_radial): an odd derivation trading a leg for its jet, then a
+rescale of each output word by its weight.  On coefficients with opaque
+function symbols the vertical one produces formal fiber-integral factors,
 which are resolved whenever they assemble into a total lambda-derivative.
 """
 
@@ -34,8 +36,8 @@ from .chart import (
     pseudo_inverse_psd, rref,
 )
 from .algebra import (
-    LocalForm, apply_derivation, atom_parity, d_h, d_v, midx_shift,
-    midx_zero, norm_word, prepend_atom, total_derivative, zero_star,
+    LocalForm, _add, apply_derivation, atom_parity, d_h, d_v, midx_zero,
+    norm_word, prepend_atom, total_derivative, zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -115,7 +117,8 @@ class _Stratum:
             basis = sorted(words)
             self.bases[b] = basis
             self.index[b] = {w: i for i, w in enumerate(basis)}
-        # matrices of d1: bases[b] -> bases[b+1]
+        # matrices of d1: bases[b] -> bases[b+1]; d0 vanishes on leg
+        # words, so d1 is d_h there
         self.e = {}
         for b in range(n):
             src, tgt = self.bases[b], self.bases[b + 1]
@@ -123,7 +126,7 @@ class _Stratum:
             cols = []
             for w in src:
                 col = {}
-                image = suite.d1(LocalForm(chart, {w: Fraction(1)}))
+                image = d_h(LocalForm(chart, {w: Fraction(1)}))
                 for k, c in image.terms.items():
                     col[idx[k]] = c
                 cols.append(col)
@@ -191,18 +194,6 @@ class HomotopySuite:
         self._strata = {}
 
     # -- d = d1 + d0 split -------------------------------------------------
-    def d1(self, form):
-        chart = self.chart
-        out = LocalForm(chart)
-        for mu in range(chart.dim):
-            def image(atom, mu=mu):
-                if atom[0] == 'v':
-                    return LocalForm.from_word(chart, (('v', atom[1], midx_shift(atom[2], mu)),))
-                return None
-            shifted = apply_derivation(form, 0, image)
-            out = out + prepend_atom(shifted, ('h', mu))
-        return out
-
     def d0(self, form):
         """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1)."""
         out = LocalForm(self.chart)
@@ -223,17 +214,15 @@ class HomotopySuite:
             coeffs, legs = _leg_split(key)
             if not legs:
                 continue
-            res = norm_word(chart, legs, 1)
-            if res is None:
-                continue
-            lw, lsign = res
-            image = self._stratum(_stratum_key(chart, lw)).sigma1_image(lw)
+            # the legs of a normalized word are a normalized leg word, and
+            # coefficients followed by a leg word stay normalized
+            image = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
             if not image:
                 continue
             if sum(atom_parity(chart, a) for a in coeffs) & 1:
-                lsign = -lsign
+                coeff = -coeff
             for target, c in image:
-                out._accum(coeffs + target, coeff * lsign * c)
+                _add(out.terms, coeffs + target, coeff * c)
         return out
 
     def h_inf(self, form):
@@ -249,56 +238,24 @@ class HomotopySuite:
         return acc
 
     # -- public operators ----------------------------------------------------
-    def h_horizontal(self, form, special=False):
+    def h_horizontal(self, form):
         """Anderson-style horizontal homotopy h>= on vertical degree >= 1."""
-        chart = self.chart
-        n = chart.dim
+        n = self.chart.dim
         if any(LocalForm.key_vdeg(k) < 1 for k in form.terms):
             raise GradingError("horizontal homotopy needs vertical degree >= 1")
-        if special:
-            return self.h_horizontal(d_h(self.h_horizontal(form)))
         top = form.components(lambda p, q: q == n)
         rest = form - top
         return self.h_inf(rest) + self.h_inf(top - interior_euler(top))
 
     def h_vertical(self, form):
         """Radial-scaling vertical homotopy; lowers vertical degree by one."""
-        chart = self.chart
-        out = LocalForm(chart)
-        for key, coeff in form.terms.items():
-            atoms = list(key)
-            vpos = [i for i, a in enumerate(atoms) if a[0] == 'v']
-            if not vpos:
-                continue
-            p = len(vpos)
-            a_count = 0
-            scaled_f = []
-            for a in atoms:
-                if a[0] == 'j' and chart.kind(a[1]) == DYNAMIC:
-                    a_count += 1
-                elif a[0] == 'f' and any(
-                        x[0] == 'j' and chart.kind(x[1]) == DYNAMIC for x in a[3]):
-                    scaled_f.append(a)
-                elif a[0] == 'F':
-                    raise NonScalableTerm(
-                        "vertical homotopy applied to a form already carrying "
-                        "a fiber-integral factor")
-            k = a_count + (p - 1)
-            for i in vpos:
-                sgn = 1
-                for a in atoms[:i]:
-                    if atom_parity(chart, a):
-                        sgn = -sgn
-                leg = atoms[i]
-                word = list(atoms)
-                word[i] = ('j', leg[1], leg[2])
-                if scaled_f:
-                    word = [a for a in word if a not in scaled_f]
-                    word.append(('F', k, tuple(sorted(scaled_f))))
-                    out._accum(tuple(word), coeff * sgn)
-                else:
-                    out._accum(tuple(word), coeff * sgn * Fraction(1, k + 1))
-        return resolve_fiber_integrals(out)
+        for key in form.terms:
+            if any(a[0] == 'F' for a in key) and any(a[0] == 'v' for a in key):
+                raise NonScalableTerm(
+                    "vertical homotopy applied to a form already carrying "
+                    "a fiber-integral factor")
+        return resolve_fiber_integrals(
+            _radial(form, 'v', DYNAMIC, lambda a: ('j', a[1], a[2])))
 
     def h_zero(self, form):
         """h0 = -hv h>= dv on vertical degree 0."""
@@ -343,74 +300,78 @@ class HomotopySuite:
         field-independent forms with polynomial coordinate coefficients."""
         chart = self.chart
         self._check_constant(form)
-        out = LocalForm(chart)
-        for key, coeff in form.terms.items():
-            atoms = list(key)
-            hpos = [i for i, a in enumerate(atoms) if a[0] == 'h']
-            if not hpos:
-                continue
-            q = len(hpos)
-            degx = sum(1 for a in atoms if a[0] == 'j' and chart.kind(a[1]) == COORD)
-            for i in hpos:
-                sgn = 1
-                for a in atoms[:i]:
-                    if atom_parity(chart, a):
-                        sgn = -sgn
-                mu = atoms[i][1]
-                xfid = next(c.fid for c in chart.components
-                            if c.kind == COORD and c.coord_dir == mu)
-                word = atoms[:i] + [('j', xfid, midx_zero(chart.dim))] + atoms[i + 1:]
-                out._accum(tuple(word), coeff * sgn * Fraction(1, q + degx))
-        return out
+        xfid = {c.coord_dir: c.fid for c in chart.components if c.kind == COORD}
+        z = midx_zero(chart.dim)
+        return _radial(form, 'h', COORD, lambda a: ('j', xfid[a[1]], z))
+
+
+def _radial(form, leg, kind, jet):
+    """The radial contraction trading each `leg` atom for the jet
+    `jet(atom)`: the odd derivation with that image, whose Koszul sign is
+    apply_derivation's, then each output word divided by its weight w, the
+    number of its `kind` jets and `leg` atoms (the input's scaling degree
+    plus one).  A word holding function atoms with dynamical arguments
+    keeps its coefficient and gathers them into the fiber integral
+    ('F', w - 1, atoms) instead (notes/decisions.md §8)."""
+    chart = form.chart
+
+    def image(a):
+        return LocalForm(chart, {(jet(a),): Fraction(1)}) if a[0] == leg else None
+
+    out = LocalForm(chart)
+    for key, c in apply_derivation(form, 1, image).terms.items():
+        w = sum(1 for a in key if a[0] == leg
+                or (a[0] == 'j' and chart.kind(a[1]) == kind))
+        fs = tuple(a for a in key if a[0] == 'f' and any(
+            x[0] == 'j' and chart.kind(x[1]) == DYNAMIC for x in a[3]))
+        if fs:
+            out._accum(tuple(a for a in key if a not in fs) + (('F', w - 1, fs),), c)
+        else:
+            out.terms[key] = c / w
+    return out
 
 
 def resolve_fiber_integrals(form: LocalForm):
     """Recognize sum_i arg_i * F^{(d+e_i)}(l*args) patterns as exact
-    lambda-derivatives and resolve them to F(args) - F(0...)."""
+    lambda-derivatives and resolve them to F(args) - F(0...).  Resolved
+    words carry no fiber integral, so one pass finds every group."""
     chart = form.chart
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for key, coeff in form.terms.items():
-            fpos = [i for i, a in enumerate(key) if a[0] == 'F']
-            if len(fpos) != 1:
+    groups = {}
+    for key, coeff in form.terms.items():
+        fpos = [i for i, a in enumerate(key) if a[0] == 'F']
+        if len(fpos) != 1:
+            continue
+        node = key[fpos[0]]
+        k, inner = node[1], node[2]
+        if k != 0 or len(inner) != 1:
+            continue
+        app = inner[0]
+        sym, dords, args = app[1], app[2], app[3]
+        rest = key[:fpos[0]] + key[fpos[0] + 1:]
+        for slot, arg in enumerate(args):
+            if dords[slot] < 1 or arg[0] != 'j':
                 continue
-            node = key[fpos[0]]
-            k, inner = node[1], node[2]
-            if k != 0 or len(inner) != 1:
+            arg_atom = ('j', arg[1], arg[2])
+            if arg_atom not in rest:
                 continue
-            app = inner[0]
-            sym, dords, args = app[1], app[2], app[3]
-            rest = key[:fpos[0]] + key[fpos[0] + 1:]
-            for slot, arg in enumerate(args):
-                if dords[slot] < 1 or arg[0] != 'j':
-                    continue
-                arg_atom = ('j', arg[1], arg[2])
-                if arg_atom not in rest:
-                    continue
-                w = list(rest)
-                w.remove(arg_atom)
-                base = tuple(d - (1 if s == slot else 0) for s, d in enumerate(dords))
-                gkey = (tuple(w), sym, base, args, coeff)
-                groups.setdefault(gkey, {})[slot] = key
-        for (w, sym, base, args, coeff), slots in groups.items():
-            needed = [s for s, a in enumerate(args) if a[0] == 'j']
-            if not needed or any(s not in slots for s in needed):
-                continue
-            if any(key not in form.terms or form.terms[key] != coeff
-                   for key in slots.values()):
-                continue
-            for key in set(slots.values()):
-                form.terms.pop(key, None)
-            out = LocalForm(chart)
-            out._accum(w + (('f', sym, base, args),), coeff)
-            zargs = tuple(('0',) if a[0] == 'j' else a for a in args)
-            out._accum(w + (('f', sym, base, zargs),), -coeff)
-            form = form + out
-            changed = True
-            break
-    return form
+            w = list(rest)
+            w.remove(arg_atom)
+            base = tuple(d - (1 if s == slot else 0) for s, d in enumerate(dords))
+            gkey = (tuple(w), sym, base, args, coeff)
+            groups.setdefault(gkey, {})[slot] = key
+    out = LocalForm(chart, dict(form.terms))
+    for (w, sym, base, args, coeff), slots in groups.items():
+        needed = [s for s, a in enumerate(args) if a[0] == 'j']
+        if not needed or any(s not in slots for s in needed):
+            continue
+        if any(key not in out.terms for key in slots.values()):
+            continue
+        for key in set(slots.values()):
+            del out.terms[key]
+        out._accum(w + (('f', sym, base, args),), coeff)
+        zargs = tuple(('0',) if a[0] == 'j' else a for a in args)
+        out._accum(w + (('f', sym, base, zargs),), -coeff)
+    return out
 
 
 def get_suite(chart) -> HomotopySuite:

@@ -41,19 +41,6 @@ class PhasePoint:
             raise NonFiniteState("phase point has non-finite entries")
 
 
-def so3_generators():
-    e = np.zeros((3, 3, 3))
-    for a in range(3):
-        for i in range(3):
-            for j in range(3):
-                e[a, i, j] = _eps(a, i, j)
-    return [-e[a] for a in range(3)]    # (L_a)_{ij} = -eps_{aij}: L_a x = e_a x x
-
-
-def _eps(i, j, k):
-    return ((i - j) * (j - k) * (k - i)) / 2
-
-
 class MechSystem:
     """H(q, p) = |p|^2 / 2m + V(|q|), rotation invariant by construction
     of the potential; invariance is still spot-checked numerically."""

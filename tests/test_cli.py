@@ -184,6 +184,32 @@ def test_theory_without_symmetry_is_an_error(argv):
     assert err.getvalue() == "error: theory declares no symmetry\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--slice", "t=5"), "slices sit at coordinate value 0"),
+    (("--slice", "t=0", "--corner", "x=5"), "corners sit at coordinate value 0"),
+])
+def test_slice_and_corner_sit_at_zero(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("corner", "maxwell", *argv)
+    assert code == 1 and out == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("flow", "--q", "a,0,0"), "--q expects 3 comma-separated numbers, got 'a,0,0'"),
+    (("flow", "--q", "1,0", "--p", "0,1"),
+     "--q expects 3 comma-separated numbers, got '1,0'"),
+    (("reduce", "--p", "0,1,0,0"), "--p expects 3 comma-separated numbers, got '0,1,0,0'"),
+])
+def test_mech_state_is_a_usage_error(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mech", *argv)
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
 def test_mech_conserve_json():
     code, out = run_cli("--json", "mech", "conserve", "--system", "kepler",
                         "--t", "1.0", "--dt", "0.001")

@@ -147,8 +147,10 @@ _HEAD = "theory t\ndimension 2\nsignature + +\n"
     (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e components\n", 6,
      "'components' expects an integer"),
     (_HEAD + "field q scalar\nlagrangian\n", 5, "'lagrangian' expects an argument"),
+    ("theory t\ndimension 2\nmetric 1 x / 0 1\n", 3, "metric expects rational entries"),
+    ("theory t\ndimension 2\nsignature + x\n", 3, "signature expects '+' or '-', found 'x'"),
 ], ids=["dimension", "form", "theory", "orientation", "jet_cutoff", "arity", "ghost",
-        "components", "param_components", "lagrangian"])
+        "components", "param_components", "lagrangian", "metric", "signature"])
 def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, line,
                                                         message):
     from varcalc.cli import main
@@ -160,3 +162,13 @@ def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, 
     path.write_text(text, encoding="utf-8")
     assert main(["el", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}:{line}:1: {message}\n"
+
+
+def test_parameter_family_has_no_collective_value(tmp_path, capsys):
+    from varcalc.cli import main
+    path = tmp_path / "family.thy"
+    path.write_text(_HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\n"
+                    "symmetry s param e components 2\n  q = e\n", encoding="utf-8")
+    assert main(["noether", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: parameter family 'e' has no collective value; use its components e0..\n")
