@@ -204,7 +204,6 @@ class Chart:
             raise VarcalcError("degenerate metric")
         if abs(mdet) != 1:
             raise VarcalcError("metric determinant must be +-1 for exact Hodge duals")
-        self.metric_det = mdet
         self.metric_inv = tuple(map(tuple, inverse(self.metric)))
         self.jet_cutoff = jet_cutoff
         self.orientation = orientation

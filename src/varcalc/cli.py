@@ -162,6 +162,8 @@ def cmd_verify(args):
     from .chart import NotLocal
     rows = []
     ok = True
+    if args.cases < 1:
+        raise UsageError(f"--cases must be at least 1, got {args.cases}")
     if args.suites or not args.theory:
         sok, rows2 = run_suites(args.seed, args.cases)
         ok = ok and sok
@@ -324,6 +326,12 @@ def _mech_state(args, dim):
 
 def cmd_mech(args):
     sys_f = _SYSTEMS[args.system]()
+    if args.mech_cmd in ("flow", "conserve"):
+        if not args.dt > 0:
+            raise UsageError(f"--dt must be positive, got {args.dt}")
+        if not args.t / args.dt > 0.5:     # flow takes round(t / dt) steps
+            raise UsageError(f"--t {args.t} with --dt {args.dt} gives fewer "
+                             "than two samples")
     if args.mech_cmd == "flow":
         st = _mech_state(args, sys_f.dim)
         traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)

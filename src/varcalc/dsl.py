@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .chart import (
     Chart, CONST, CPARAM, DYNAMIC, PARAM, DimensionMismatch, VarcalcError, det,
@@ -308,24 +308,29 @@ class Structure:
         return [(a, b, coeff) for (a, b), lst in self.f.items()
                 for cc, coeff in lst if cc == c]
 
+    def pair(self, a, b):
+        """The invariant form kappa(e_a, e_b), read in either order."""
+        return self.kappa.get((a, b)) or self.kappa.get((b, a))
+
+    def cyclic(self, T):
+        """{(a, b, c): {key: sum}} for each basis triple whose cyclic sum
+        sum_{(x,y,z) in (a,b,c),(b,c,a),(c,a,b)} sum_d f^{xy}_d T(d, z)
+        is nonzero; T(d, z) gives (key, rational coefficient) pairs, a
+        repeated key summed."""
+        out = {}
+        for a, b, c in product(range(self.dim), repeat=3):
+            total = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for d, coeff in self.bracket_coeffs(x, y):
+                    for key, v in T(d, z):
+                        total[key] = total.get(key, 0) + coeff * v
+            total = {key: v for key, v in total.items() if v}
+            if total:
+                out[(a, b, c)] = total
+        return out
+
     def check_jacobi(self):
-        n = self.dim
-        ftab = {}
-        for (a, b), lst in self.f.items():
-            for c, coeff in lst:
-                ftab[(a, b, c)] = ftab.get((a, b, c), Fraction(0)) + coeff
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for e in range(n):
-                        total = Fraction(0)
-                        for d in range(n):
-                            total += ftab.get((a, b, d), Fraction(0)) * ftab.get((d, c, e), Fraction(0))
-                            total += ftab.get((b, c, d), Fraction(0)) * ftab.get((d, a, e), Fraction(0))
-                            total += ftab.get((c, a, d), Fraction(0)) * ftab.get((d, b, e), Fraction(0))
-                        if total:
-                            return False
-        return True
+        return not self.cyclic(self.bracket_coeffs)
 
 
 def su2_structure(name="su2"):
@@ -582,7 +587,7 @@ class ElabContext:
         out = LocalForm.zero(self.chart)
         if len(v.indices) == 2:
             for (a, b), f in v.comps.items():
-                k = st.kappa.get((a, b)) or st.kappa.get((b, a))
+                k = st.pair(a, b)
                 if k:
                     out = out + f * k
             return Val.scalar(out)
@@ -590,7 +595,7 @@ class ElabContext:
             for (a, b, c), f in v.comps.items():
                 total = Fraction(0)
                 for d, coeff in st.bracket_coeffs(b, c):
-                    k = st.kappa.get((a, d)) or st.kappa.get((d, a))
+                    k = st.pair(a, d)
                     if k:
                         total += Fraction(1, 2) * k * coeff
                 if total:
@@ -621,7 +626,7 @@ class ElabContext:
         out = LocalForm.zero(self.chart)
         for (a,), fa in x.comps.items():
             for (b,), fb in y.comps.items():
-                k = st.kappa.get((a, b)) or st.kappa.get((b, a))
+                k = st.pair(a, b)
                 if k:
                     out = out + fa.wedge(fb) * k
         return Val.scalar(out)

@@ -112,9 +112,7 @@ def form_json(form):
     }
 
 
-def report_json(command, results, extra=None):
+def report_json(command, results):
     doc = {"schema": SCHEMA, "generator": "varcalc 0.1.0",
            "command": command, "results": results}
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -19,6 +19,7 @@ from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
 from .noether import decompose_dual_current, noether_cone
 from .render import render_text
+from .dsl import Structure
 from .theory import Theory, SymmetryAction, _solve_linear
 
 
@@ -404,30 +405,17 @@ def _check_cocycle(sigma: SigmaTheory, sym: SymmetryAction, table):
     st = sym.structure
     if st is None:
         return
-    labels = sorted({k[0] for k in table} | {k[1] for k in table})
-    lie_of = {lab: lab[1][0] for lab in labels if lab[1]}
-    if len(lie_of) != len(labels):
+    # a label without a Lie index leaves nothing to check
+    if not all(ka[1] and kb[1] for ka, kb in table):
         return
-    def kappa(a, b):
-        for (ka, kb), v in table.items():
-            if lie_of.get(ka) == a and lie_of.get(kb) == b:
-                return v
-        return None
-    dims = sorted(set(lie_of.values()))
-    for a in dims:
-        for b in dims:
-            for c in dims:
-                total = None
-                for (x, y, z_) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for d, coeff in st.bracket_coeffs(x, y):
-                        v = kappa(d, z_)
-                        if v is None:
-                            continue
-                        piece = v * coeff
-                        total = piece if total is None else total + piece
-                if total is not None and not total.is_zero():
-                    raise NotExact(
-                        f"CE 2-cocycle identity fails on basis triple {(a, b, c)}")
+    # the first table entry on a pair of Lie indices stands for the pair
+    kappa = {}
+    for (ka, kb), v in table.items():
+        kappa.setdefault((ka[1][0], kb[1][0]), v.terms)
+    fails = st.cyclic(lambda d, z: kappa.get((d, z), {}).items())
+    if fails:
+        raise NotExact(
+            f"CE 2-cocycle identity fails on basis triple {next(iter(fails))}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,35 +513,20 @@ def corner_bracket_SS(dim, f, k):
 
 
 def schouten_PiPi(dim, f, k):
-    """[Pi, Pi]_SN components for Pi^{ab}(h) = f^{ab}_c h_c + k^{ab}."""
-    def Pi(a, b):
-        lin = {}
-        for cc, coeff in f.get((a, b), []):
-            lin[cc] = lin.get(cc, Fraction(0)) + Fraction(coeff)
-        for cc, coeff in f.get((b, a), []):
-            lin[cc] = lin.get(cc, Fraction(0)) - Fraction(coeff)
-        lin = {d: v / 2 for d, v in lin.items() if v}
-        return lin, _kval(k, a, b)
+    """[Pi, Pi]_SN components for Pi^{ab}(h) = f^{ab}_c h_c + k^{ab}: the
+    cyclic sum of Pi's antisymmetrized linear part P against Pi."""
+    P = Structure("Pi", dim, {}, {})
+    for (a, b), lst in f.items():
+        for c, v in lst:
+            P.f.setdefault((a, b), []).append((c, Fraction(v) / 2))
+            P.f.setdefault((b, a), []).append((c, -Fraction(v) / 2))
 
-    out = {}
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                total_lin = {}
-                total_const = Fraction(0)
-                for (x, y, z_) in ((a, b, c), (b, c, a), (c, a, b)):
-                    lin_yz, _cyz = Pi(y, z_)
-                    for d, dcoeff in lin_yz.items():
-                        lin_dx, const_dx = Pi(d, x)
-                        for e, v in lin_dx.items():
-                            total_lin[e] = total_lin.get(e, Fraction(0)) + v * dcoeff
-                        total_const += const_dx * dcoeff
-                for e, v in total_lin.items():
-                    if v:
-                        out[(a, b, c, 'h', e)] = out.get((a, b, c, 'h', e), Fraction(0)) + v
-                if total_const:
-                    out[(a, b, c, '1')] = out.get((a, b, c, '1'), Fraction(0)) + total_const
-    return {kk: v for kk, v in out.items() if v}
+    def Pi(d, z):
+        return ([(('h', e), v) for e, v in P.bracket_coeffs(d, z)]
+                + [(('1',), _kval(k, d, z))])
+
+    return {abc + key: v for abc, sums in P.cyclic(Pi).items()
+            for key, v in sums.items()}
 
 
 def verify_corner_master(data: CornerData):

@@ -210,6 +210,36 @@ def test_mech_state_is_a_usage_error(argv, message):
     assert err.getvalue() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("flow", "--dt", "0"), "--dt must be positive, got 0.0"),
+    (("conserve", "--dt", "-0.01"), "--dt must be positive, got -0.01"),
+    (("flow", "--t", "-1"), "--t -1.0 with --dt 0.001 gives fewer than two samples"),
+    (("conserve", "--t", "0"), "--t 0.0 with --dt 0.001 gives fewer than two samples"),
+    (("flow", "--t", "0.0005"),
+     "--t 0.0005 with --dt 0.001 gives fewer than two samples"),
+])
+def test_mech_steps_are_a_usage_error(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mech", *argv)
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
+def test_mech_flow_takes_one_step_above_half_a_step():
+    code, out = run_cli("mech", "flow", "--t", "0.0006")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_verify_cases_below_one_is_a_usage_error(cases):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("verify", "--suites", "--cases", cases)
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"error: --cases must be at least 1, got {cases}\n"
+
+
 def test_mech_conserve_json():
     code, out = run_cli("--json", "mech", "conserve", "--system", "kepler",
                         "--t", "1.0", "--dt", "0.001")

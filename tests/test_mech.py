@@ -58,6 +58,31 @@ def test_kepler_conservation_tolerances():
     rep = check_conservation(sys_k, traj)
     assert rep["J_drift"] <= TOL["J_drift"]
     assert rep["casimir_drift"] <= TOL["casimir_drift"]
+    assert all(type(v) is float for v in rep.values())
+
+
+def _per_point_drifts(system, traj):
+    """check_conservation as one PhasePoint at a time, through system.H."""
+    J0 = momentum(PhasePoint(traj.q[0], traj.p[0]))
+    H0 = system.H(PhasePoint(traj.q[0], traj.p[0]))
+    l0 = float(J0 @ J0)
+    jd = hd = cd = 0.0
+    for st in traj.states():
+        J = momentum(st)
+        jd = max(jd, float(np.max(np.abs(J - J0))))
+        hd = max(hd, abs(system.H(st) - H0))
+        cd = max(cd, abs(float(J @ J) - l0))
+    return {"J_drift": jd, "H_drift": hd, "casimir_drift": cd}
+
+
+@pytest.mark.parametrize("system, integrator", [
+    (kepler_system(), "rk4"), (kepler_system(2.0), "leapfrog"),
+    (harmonic_system(), "leapfrog"), (free_system(), "rk4"),
+])
+def test_conservation_equals_the_per_point_drifts(system, integrator):
+    traj = flow(system, PhasePoint([1.0, 0.3, -0.1], [0.1, 0.9, 0.2]), 2.0, 1e-3,
+                integrator=integrator)
+    assert check_conservation(system, traj) == _per_point_drifts(system, traj)
 
 
 def test_symmetry_breaking_detected():
