@@ -11,9 +11,11 @@ A term is a word of atoms in a fixed canonical order:
 
 Atoms carry a parity (total form degree + ghost degree mod 2); words are
 sorted into canonical order with Koszul signs, powers of odd atoms vanish,
-and a LocalForm is a dict {word: Fraction}.  Every operator below is a
-graded derivation or contraction driven by a per-atom image map, so sign
-handling lives in exactly one place.
+and a LocalForm is a dict {word: int | Fraction}.  A coefficient is an int
+when it is integral and a Fraction only when it is not (_q), so integral
+data multiplies as plain ints; a division goes through Fraction.  Every
+operator below is a graded derivation or contraction driven by a per-atom
+image map, so sign handling lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -152,8 +154,7 @@ def norm_word(chart, atoms, coeff):
     for i in range(1, len(out)):
         if out[i][1] and out[i][0] == out[i - 1][0]:
             return None     # odd square
-    if type(coeff) is not Fraction:
-        coeff = Fraction(coeff)
+    coeff = _q(coeff)
     return tuple(item[3] for item in out), (coeff if sign > 0 else -coeff)
 
 
@@ -186,17 +187,25 @@ def _cancel_constants(chart, out):
     return merged
 
 
+def _q(c):
+    """The canonical exact coefficient: an int when c is integral, else a
+    Fraction (never a float, never a Fraction with denominator 1)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _add(terms, key, c):
     """terms[key] += c for a normalized key, dropping a zero sum."""
     old = terms.get(key)
-    if old is None:
-        terms[key] = c
-    else:
-        new = old + c
-        if new:
-            terms[key] = new
-        else:
+    if old is not None:
+        c = old + c
+        if not c:
             del terms[key]
+            return
+    terms[key] = c if type(c) is int else _q(c)
 
 
 def _data(chart, atom):
@@ -275,7 +284,7 @@ class LocalForm:
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
-        self.terms: dict[tuple, Fraction] = terms if terms is not None else {}
+        self.terms: dict[tuple, int | Fraction] = terms if terms is not None else {}
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -284,7 +293,7 @@ class LocalForm:
 
     @classmethod
     def scalar(cls, chart, value):
-        value = Fraction(value)
+        value = _q(value)
         return cls(chart, {(): value} if value else {})
 
     @classmethod
@@ -309,10 +318,10 @@ class LocalForm:
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _q(scalar)
         if not scalar:
             return LocalForm(self.chart)
-        return LocalForm(self.chart, {k: c * scalar for k, c in self.terms.items()})
+        return LocalForm(self.chart, {k: _q(c * scalar) for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -619,7 +628,7 @@ def zero_star(form: LocalForm):
         if t in ('j', 'v') and chart.kind(a[1]) == DYNAMIC:
             return ('0',) if in_fn else None
         if t == 'F':
-            return LocalForm(chart, {a[2]: Fraction(1, a[1] + 1)})
+            return LocalForm(chart, {a[2]: _q(Fraction(1, a[1] + 1))})
         return a
 
     return transport(form, chart, image)

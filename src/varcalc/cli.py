@@ -8,6 +8,7 @@ written to stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -327,6 +328,9 @@ def _mech_state(args, dim):
 def cmd_mech(args):
     sys_f = _SYSTEMS[args.system]()
     if args.mech_cmd in ("flow", "conserve"):
+        for flag, value in (("--t", args.t), ("--dt", args.dt)):
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite, got {value}")
         if not args.dt > 0:
             raise UsageError(f"--dt must be positive, got {args.dt}")
         if not args.t / args.dt > 0.5:     # flow takes round(t / dt) steps

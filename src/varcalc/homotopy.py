@@ -36,7 +36,7 @@ from .chart import (
     pseudo_inverse_psd, rref,
 )
 from .algebra import (
-    LocalForm, _add, apply_derivation, atom_parity, d_h, d_v, midx_zero,
+    LocalForm, _add, _q, apply_derivation, atom_parity, d_h, d_v, midx_zero,
     norm_word, prepend_atom, total_derivative, zero_star,
 )
 from .euler import interior_euler, exterior_euler
@@ -126,7 +126,7 @@ class _Stratum:
             cols = []
             for w in src:
                 col = {}
-                image = d_h(LocalForm(chart, {w: Fraction(1)}))
+                image = d_h(LocalForm(chart, {w: 1}))
                 for k, c in image.terms.items():
                     col[idx[k]] = c
                 cols.append(col)
@@ -316,7 +316,7 @@ def _radial(form, leg, kind, jet):
     chart = form.chart
 
     def image(a):
-        return LocalForm(chart, {(jet(a),): Fraction(1)}) if a[0] == leg else None
+        return LocalForm(chart, {(jet(a),): 1}) if a[0] == leg else None
 
     out = LocalForm(chart)
     for key, c in apply_derivation(form, 1, image).terms.items():
@@ -327,7 +327,7 @@ def _radial(form, leg, kind, jet):
         if fs:
             out._accum(tuple(a for a in key if a not in fs) + (('F', w - 1, fs),), c)
         else:
-            out.terms[key] = c / w
+            out.terms[key] = _q(Fraction(c, w))
     return out
 
 
@@ -423,7 +423,7 @@ def bruteforce_dexactness(target, extra_rounds=1):
     cols = []
     index = {}
     for w in sorted(pool):
-        img = d_h(LocalForm(chart, {w: Fraction(1)}))
+        img = d_h(LocalForm(chart, {w: 1}))
         col = {}
         for k, c in img.terms.items():
             idx = index.setdefault(k, len(index))

@@ -1,5 +1,6 @@
 import os
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -9,6 +10,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from varcalc.theory import theory_from_text  # noqa: E402
 
 _cache = {}
+
+
+def assert_exact(form):
+    """Every coefficient of a LocalForm (or a terms dict) is canonical: an
+    int, or a Fraction that is not integral.  Floats fail, and so does an
+    integral Fraction."""
+    for key, c in getattr(form, "terms", form).items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            (key, c)
 
 
 def load_theory(name):

@@ -18,7 +18,7 @@ from varcalc.bv import (
 )
 from varcalc.slicing import SliceSpec, restrict_to_slice
 from varcalc.theory import theory_from_text
-from conftest import load_theory
+from conftest import assert_exact, load_theory
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +311,7 @@ def _assert_same_field(F, omega):
     assert list(X.components) == list(oracle.components)
     for fid, comp in X.components.items():
         assert list(comp.terms.items()) == list(oracle.components[fid].terms.items())
-        assert all(type(c) is Fraction for c in comp.terms.values())
+        assert_exact(comp)
     return X
 
 

@@ -217,6 +217,10 @@ def test_mech_state_is_a_usage_error(argv, message):
     (("conserve", "--t", "0"), "--t 0.0 with --dt 0.001 gives fewer than two samples"),
     (("flow", "--t", "0.0005"),
      "--t 0.0005 with --dt 0.001 gives fewer than two samples"),
+    (("flow", "--t", "inf"), "--t must be finite, got inf"),
+    (("conserve", "--t=-inf"), "--t must be finite, got -inf"),
+    (("flow", "--dt", "nan"), "--dt must be finite, got nan"),
+    (("conserve", "--dt", "inf"), "--dt must be finite, got inf"),
 ])
 def test_mech_steps_are_a_usage_error(argv, message):
     err = io.StringIO()

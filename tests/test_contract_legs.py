@@ -19,6 +19,7 @@ from varcalc.algebra import (
 from varcalc.chart import CONST, GradingError
 from varcalc.euler import interior_euler, minus_D
 from varcalc.randforms import suite_chart
+from conftest import assert_exact
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -161,7 +162,7 @@ def forms(draw, dim, homogeneous):
 
 def _same(got: LocalForm, want: LocalForm):
     assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert_exact(got)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

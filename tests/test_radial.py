@@ -5,7 +5,7 @@ code they replaced.
 The oracle below is that code verbatim: h_vertical and poincare_x with
 their own Koszul sign loops and a weight counted on the input word,
 resolve_fiber_integrals restarting its scan after every resolution, and
-the suite's d1.  The new code must give the same term dicts with Fraction
+the suite's d1.  The new code must give the same term dicts with exact
 coefficients, and raise where the oracle raises, on seeded forms of the
 2-d and 3-d suite charts of test_splice: function atoms with dynamical
 arguments (one and two per word), odd ghost jets, repeated even ghost
@@ -25,6 +25,7 @@ from varcalc.chart import COORD, DYNAMIC, Chart, NonScalableTerm
 from varcalc.euler import exterior_euler
 from varcalc.homotopy import get_suite, resolve_fiber_integrals
 from varcalc.randforms import FormGenerator
+from conftest import assert_exact
 from test_splice import C, CHARTS, G_CONST, G_FN, SEEDED, U0, U1, V_FN, forms
 
 
@@ -156,7 +157,7 @@ def oracle_d1(form):
 
 def same(got, want):
     assert got.terms == want.terms
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert_exact(got)
 
 
 def same_or_raise(op, oracle, form):

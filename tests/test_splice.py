@@ -5,14 +5,13 @@ The oracle below is that kernel verbatim: each image word is spliced into
 the word and the result is re-sorted by norm_word.  The operators built on
 the kernel (d_h, d_v, total_derivative, insert) run once as they are and
 once with the oracle patched in, and must give the same terms in the same
-order with Fraction coefficients.  The seeded words hold odd legs after
+order with exact coefficients.  The seeded words hold odd legs after
 odd atoms, repeated ghost-1 legs, coordinate jets whose derivative is 1,
 a named constant next to its inverse, and function atoms and fiber
 integrals.
 """
 
 from contextlib import contextmanager, nullcontext
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +24,7 @@ from varcalc.algebra import (
 from varcalc.chart import CONST, JetCutoffExceeded
 from varcalc.euler import EvolutionaryField, insert
 from varcalc.randforms import suite_chart
+from conftest import assert_exact
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -89,12 +89,12 @@ def oracle_kernel():
 
 def same(op, *args):
     """op(*args) with the merge kernel and with the oracle: identical ordered
-    items, every coefficient a Fraction."""
+    items, every coefficient exact (assert_exact)."""
     got = op(*args)
     with oracle_kernel():
         want = op(*args)
     assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert_exact(got)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ The oracle below is the code before the merge, verbatim: the relabelling
 transport (images of jets only, one normalization per word), zero_star
 with its own word loop, and substitute, which rebuilt every word with one
 from_word and one wedge per atom.  The new code must give the same term
-dicts with Fraction coefficients, raise where the oracle raises, on seeded
+dicts with exact coefficients, raise where the oracle raises, on seeded
 forms of the 2-d and 3-d suite charts of test_splice: even and ghost jets,
 a named constant next to its inverse, 'f' and 'F' atoms, odd and ghost-1
 legs and horizontal legs.
@@ -23,6 +23,7 @@ from varcalc.algebra import (
 from varcalc.chart import (
     CONST, DYNAMIC, Chart, GhostDegreeMismatch, GradingError, VarcalcError,
 )
+from conftest import assert_exact
 from test_splice import C, CHARTS, SEEDED, U0, U1, forms
 
 
@@ -172,7 +173,7 @@ def outcome(fn, *args):
         res = fn(*args)
     except VarcalcError as e:
         return type(e), str(e)
-    assert all(type(c) is Fraction for c in res.terms.values())
+    assert_exact(res)
     return res.chart, res.terms
 
 
