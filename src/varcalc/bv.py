@@ -19,7 +19,7 @@ from .homotopy import get_suite
 from .noether import Report
 from .render import render_text
 from .slicing import SigmaTheory, SliceSpec, sigma_noether, split_constraint_flux
-from .theory import SymmetryAction, Theory
+from .theory import SymmetryAction, Theory, per_symmetry
 
 
 def _vol(chart):
@@ -189,6 +189,7 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
     return X
 
 
+@per_symmetry
 def bv_extend(theory: Theory, sym: SymmetryAction) -> BVTheory:
     return BVTheory(theory, sym)
 

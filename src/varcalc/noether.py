@@ -14,11 +14,11 @@ from .algebra import (
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
-from .theory import SymmetryAction, Theory
+from .theory import SymmetryAction, Theory, per_symmetry
 from .render import render_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoetherData:
     S: LocalForm            # external 0-current (parameter-linear)
     J: LocalForm            # Noether current (0, n-1)
@@ -39,6 +39,7 @@ class Report:
             (f"  ({self.detail})" if self.detail and not self.passed else "")
 
 
+@per_symmetry
 def noether_cone(theory: Theory, sym: SymmetryAction):
     """The cone Noether current (S, J) of a symmetry."""
     if not theory.is_symmetry(sym):
@@ -128,6 +129,7 @@ def decompose_dual_current(F: LocalForm, param_fids):
     return f, k
 
 
+@per_symmetry
 def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
     """J = C + dK and S = s + dj, with the constraint current equal to the
     external current on shell.
@@ -155,6 +157,7 @@ def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
 # twin parameters and bracket substitution
 # ---------------------------------------------------------------------------
 
+@per_symmetry
 def twin_symmetry(theory: Theory, sym: SymmetryAction) -> SymmetryAction:
     """The same action read through the auxiliary twin parameter copy."""
     chart = theory.chart
@@ -231,11 +234,11 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
         if not sym.is_local:
             raise NotLocal("cor:equi-dJ requires a local symmetry")
         twin = twin_symmetry(theory, sym)
-        _S_e, J_e = noether_cone(theory, twin)
+        S_e, J_e = noether_cone(theory, twin)
         dJ_e = d_h(J_e)
         lhs = lie_derivative(sym.rho, dJ_e)
         bb = bracket_bindings(theory, sym, twin)
-        S_b = substitute(zero_star(lie_derivative(twin.rho, theory.L)), bb)
+        S_b = substitute(S_e, bb)
         J_b = substitute(J_e, bb)
         residual = lhs - d_h(J_b) - S_b
         return _residual_report(ident, residual)

@@ -3,6 +3,7 @@ solved-form on-shell reduction."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .chart import (
@@ -127,6 +128,7 @@ class Theory:
             raise InvariantViolation("d omega != d_v E L")
         self.el_generators = self._extract_generators()
         self.solved = self._build_solved_forms()
+        self.derived = {}          # (builder, SymmetryAction) -> result, see per_symmetry()
         self.symmetries = {}
         for decl in td.symmetries:
             groups = [self.ctx.groups[d[0]] for d in decl.params]
@@ -230,6 +232,23 @@ class Theory:
         if not resid.is_zero():
             raise InvariantViolation("equivalence witness failed to close")
         return True, (const, primitive)
+
+
+def per_symmetry(build):
+    """Run ``build(theory, sym)`` once per theory and symmetry action.
+
+    The result is kept in ``theory.derived`` under ``(build, sym)``: the key
+    holds the action itself, which hashes by identity, so a copy of an
+    action is a new key.  A build that raises stores nothing, so every
+    check a builder runs runs on its first successful build.  The result
+    is shared by every later caller and must not be mutated."""
+    @functools.wraps(build)
+    def memo(theory, sym):
+        key = (build, sym)
+        if key not in theory.derived:
+            theory.derived[key] = build(theory, sym)
+        return theory.derived[key]
+    return memo
 
 
 def _solve_linear(E: LocalForm, target):
