@@ -453,21 +453,43 @@ def chain_rule(chart, atom, leg):
     return out
 
 
+def _d_mu(chart, atom, mu, legs):
+    """D_mu of one atom, or None for zero: a jet's multi-index shifts by mu,
+    and so does a vertical leg's when ``legs`` is true; a function atom or
+    fiber integral goes through the chain rule."""
+    t = atom[0]
+    if t == 'j' or (t == 'v' and legs):
+        return LocalForm.from_word(chart, ((t, atom[1], midx_shift(atom[2], mu)),))
+    if t in ('f', 'F'):
+        return chain_rule(chart, atom, lambda a: ('j', a[1], midx_shift(a[2], mu)))
+    return None
+
+
 def total_derivative(form: LocalForm, mu, legs=True):
     """The total derivative D_mu (even derivation); with ``legs`` false it
     differentiates the coefficient atoms only and leaves vertical legs
     alone."""
     chart = form.chart
+    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, legs))
+
+
+def horizontal(form: LocalForm, legs=True):
+    """dx^mu ^ D_mu as one odd derivation: an atom's image is the sum over
+    mu of dx^mu ^ D_mu(atom).  Moving dx^mu across the atoms before the one
+    D_mu acts on is the Koszul sign apply_derivation gives parity 1, so this
+    is the sum over mu of dx^mu ^ D_mu(form) in one pass over the words.
+    With ``legs`` false the vertical legs are left alone (the suite's d0)."""
+    chart = form.chart
 
     def image(atom):
-        t = atom[0]
-        if t == 'j' or (t == 'v' and legs):
-            return LocalForm.from_word(chart, ((t, atom[1], midx_shift(atom[2], mu)),))
-        if t in ('f', 'F'):
-            return chain_rule(chart, atom, lambda a: ('j', a[1], midx_shift(a[2], mu)))
-        return None
+        out = LocalForm(chart)
+        for mu in range(chart.dim):
+            im = _d_mu(chart, atom, mu, legs)
+            if im is not None:
+                out = out + prepend_atom(im, ('h', mu))
+        return out
 
-    return apply_derivation(form, 0, image)
+    return apply_derivation(form, 1, image)
 
 
 def apply_midx_derivative(form, midx):
@@ -497,11 +519,8 @@ def prepend_atom(form: LocalForm, atom):
 
 
 def d_h(form: LocalForm):
-    """Horizontal differential d = dx^mu ^ D_mu."""
-    out = LocalForm(form.chart)
-    for mu in range(form.chart.dim):
-        out = out + prepend_atom(total_derivative(form, mu), ('h', mu))
-    return out
+    """Horizontal differential d = dx^mu ^ D_mu (one odd derivation)."""
+    return horizontal(form)
 
 
 def d_v(form: LocalForm):

@@ -1,8 +1,10 @@
 """Contracting homotopies for the bicomplex of local forms.
 
-The horizontal differential splits as d = d1 + d0, where d1 shifts the
+The horizontal differential d = dx^mu ^ D_mu is one odd derivation
+(algebra.horizontal).  It splits as d = d1 + d0, where d1 shifts the
 multi-indices of the vertical legs (and is linear over the coefficient
-ring) and d0 = dx^mu ^ D_mu differentiates only the coefficient atoms.
+ring) and d0, the same derivation with the legs left alone,
+differentiates only the coefficient atoms.
 On each finite stratum of leg data, d1 is contracted exactly by sigma1,
 the Moore-Penrose inverse of the matrix e of d1 from degree b-1 to b:
 sigma1 = e^T (e e^T)^+ = e^+ at every horizontal degree b >= 1.  Below
@@ -32,12 +34,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chart import (
-    COORD, DYNAMIC, GradingError, NonScalableTerm, NotConstant,
-    pseudo_inverse_psd, rref,
+    COORD, DYNAMIC, GradingError, InvariantViolation, NonScalableTerm,
+    NotConstant, pseudo_inverse_psd, rref,
 )
 from .algebra import (
-    LocalForm, _add, _q, apply_derivation, atom_parity, d_h, d_v, midx_zero,
-    norm_word, prepend_atom, total_derivative, zero_star,
+    LocalForm, _add, _q, apply_derivation, atom_parity, d_h, d_v, horizontal,
+    midx_zero, norm_word, zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -150,7 +152,7 @@ class _Stratum:
         if b not in self.pinv:
             if (self.fids and b < self.suite.chart.dim
                     and self.rank(b - 1) + self.rank(b) != len(self.bases[b])):
-                raise AssertionError(
+                raise InvariantViolation(
                     "unexpected d1-cohomology below top horizontal degree")
             dim = len(self.bases[b])
             D = [[Fraction(0)] * dim for _ in range(dim)]
@@ -169,7 +171,7 @@ class _Stratum:
             b = sum(1 for a in word if a[0] == 'h')
             i = self.index[b].get(word)
             if i is None:
-                raise AssertionError("leg word missing from its stratum basis")
+                raise InvariantViolation("leg word missing from its stratum basis")
             image = []
             if b:
                 z = [row[i] for row in self.delta_pinv(b)]
@@ -195,11 +197,9 @@ class HomotopySuite:
 
     # -- d = d1 + d0 split -------------------------------------------------
     def d0(self, form):
-        """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1)."""
-        out = LocalForm(self.chart)
-        for mu in range(self.chart.dim):
-            out = out + prepend_atom(total_derivative(form, mu, legs=False), ('h', mu))
-        return out
+        """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1): the odd
+        derivation of d_h with the vertical legs left alone."""
+        return horizontal(form, legs=False)
 
     # -- sigma1 and the perturbed homotopy ----------------------------------
     def _stratum(self, skey):
@@ -234,7 +234,7 @@ class HomotopySuite:
             cur = -self.sigma1(self.d0(cur))
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):
-                raise AssertionError("perturbation series failed to terminate")
+                raise InvariantViolation("perturbation series failed to terminate")
         return acc
 
     # -- public operators ----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from varcalc.algebra import (
     LocalForm, apply_derivation, d_h, midx_shift, midx_zero, prepend_atom,
 )
+from varcalc.chart import InvariantViolation
 from varcalc.homotopy import HomotopySuite, _Stratum, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
 
@@ -109,7 +110,7 @@ def test_d1_cohomology_below_top_degree_is_rejected(dim):
     broken = _Stratum(suite, *key)
     cols, ntgt = broken.e[0]
     broken.e[0] = ([{}] * len(cols), ntgt)
-    with pytest.raises(AssertionError, match="unexpected d1-cohomology"):
+    with pytest.raises(InvariantViolation, match="unexpected d1-cohomology"):
         broken.delta_pinv(1)
 
 
@@ -125,3 +126,16 @@ def test_sigma1_cold_equals_warm(dim):
         cold = HomotopySuite(ch)
         assert cold.sigma1(w) == warm.sigma1(w)
         assert cold.h_horizontal(w) == warm.h_horizontal(w)
+
+
+def test_h_inf_guard_is_an_invariant_violation(monkeypatch):
+    """A perturbation series that never reaches zero (here d0 and sigma1
+    replaced by the identity) stops at the guard with a typed error."""
+    ch = _chart(2)
+    suite = HomotopySuite(ch)
+    monkeypatch.setattr(suite, "d0", lambda form: form)
+    monkeypatch.setattr(suite, "sigma1", lambda form: form)
+    w = FormGenerator(ch, seed=3).form(1, 1, nterms=2)
+    assert not w.is_zero()
+    with pytest.raises(InvariantViolation, match="failed to terminate"):
+        suite.h_inf(w)
