@@ -219,19 +219,18 @@ def bv_bracket(XF: EvolutionaryField, XG: EvolutionaryField,
 
 
 def verify_cme(bv: BVTheory) -> tuple[Report, LocalForm]:
-    """Densitised classical master equation: P({L,L}) = 0 and 0*({L,L}) = 0
-    certify {L_BV, L_BV} in Im(d); returns the h-primitive."""
+    """Densitised classical master equation: {L_BV, L_BV} is d-exact, decided
+    by its primitive.  On a top form B the homotopy identity reads
+    B = d h0 B + P0 B, so the residual B - d h0 B is P0({L,L}) and is zero
+    exactly when B is in Im(d); returns the h0-primitive."""
     B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
-    suite = bv.suite
     if B.is_zero():
         return Report("densitised CME", True, "{L,L} = 0"), B
-    PB = suite.euler_projector0(B)
-    if not PB.is_zero():
+    prim = bv.suite.h_zero(B)
+    resid = B - d_h(prim)
+    if not resid.is_zero():
         raise CMEFails("classical master equation fails: P0({L,L}) = "
-                       + render_text(PB), PB)
-    prim = suite.h_zero(B)
-    if not (d_h(prim) - B).is_zero():
-        raise CMEFails("CME primitive failed to close", B)
+                       + render_text(resid), resid)
     return Report("densitised CME", True,
                   "{L,L} = d(" + render_text(prim)[:80] + ")"), prim
 
@@ -319,9 +318,9 @@ def verify_bfv_cme(bfv: BFVTheory) -> Report:
     B = bv_bracket(bfv.Q, bfv.Q, bfv.omega_BFV)
     if B.is_zero():
         return Report("BFV master equation", True, "{L,L} = 0")
-    PB = bfv.suite.euler_projector0(B)
-    if not PB.is_zero():
-        raise CMEFails("BFV master equation fails", PB)
+    resid = B - d_h(bfv.suite.h_zero(B))      # P0({L,L}), as in verify_cme
+    if not resid.is_zero():
+        raise CMEFails("BFV master equation fails", resid)
     return Report("BFV master equation", True, "{L,L} d-exact")
 
 
@@ -363,7 +362,8 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
     # 2. {L_BV, L_BV} = d L_BFV, compared through the slice homotopy suite:
     # the bulk bracket is d-exact (the densitised CME) and the boundary
     # content of its canonical primitive is L_BFV, i.e.
-    # iota*(i_Q theta_BV) - L_BFV is d_Sigma-exact.
+    # iota*(i_Q theta_BV) - L_BFV is d_Sigma-exact.  The bulk verdict needs
+    # no primitive, so it reads P0 directly; X is decided by its primitive.
     B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
     ok2 = True
     det2 = ""
@@ -373,13 +373,10 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
     if ok2:
         W = bvs.express(insert(bv.Q, bv.theta))
         X = W - bridge(bfv.L)
-        if not X.is_zero():
-            suite = bvs.ssuite
-            if not suite.euler_projector0(X).is_zero() or \
-                    not (d_h(suite.h_zero(X)) - X).is_zero():
-                ok2 = False
-                det2 = "boundary content of the CME primitive is not L_BFV: " \
-                    + render_text(X)[:160]
+        if not (X - d_h(bvs.ssuite.h_zero(X))).is_zero():
+            ok2 = False
+            det2 = "boundary content of the CME primitive is not L_BFV: " \
+                + render_text(X)[:160]
     reports.append(Report("{L_BV, L_BV} = d L_BFV (slice-normalized)", ok2, det2))
 
     # 3. Q_BV pi* = pi* Q_BFV on slice generators

@@ -325,6 +325,9 @@ def _mech_state(args, dim):
     return mechmod.PhasePoint(vector(args.q, "--q"), vector(args.p, "--p"))
 
 
+MAX_STEPS = 10 ** 6      # the longest flow the CLI integrates and stores
+
+
 def cmd_mech(args):
     sys_f = _SYSTEMS[args.system]()
     if args.mech_cmd in ("flow", "conserve"):
@@ -333,9 +336,13 @@ def cmd_mech(args):
                 raise UsageError(f"{flag} must be finite, got {value}")
         if not args.dt > 0:
             raise UsageError(f"--dt must be positive, got {args.dt}")
-        if not args.t / args.dt > 0.5:     # flow takes round(t / dt) steps
+        steps = args.t / args.dt           # flow takes round(t / dt) steps
+        if not steps > 0.5:
             raise UsageError(f"--t {args.t} with --dt {args.dt} gives fewer "
                              "than two samples")
+        if steps > MAX_STEPS + 0.5:
+            raise UsageError(f"--t {args.t} with --dt {args.dt} gives more "
+                             f"than {MAX_STEPS} steps")
     if args.mech_cmd == "flow":
         st = _mech_state(args, sys_f.dim)
         traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)

@@ -4,6 +4,7 @@ system.  Double precision with explicit tolerances."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,13 +120,13 @@ def flow(system: MechSystem, state: PhasePoint, t_final, dt, integrator="rk4"):
     qs = [q.copy()]
     ps = [p.copy()]
     if integrator == "rk4":
-        step = _rk4_step
+        step = functools.partial(_rk4_step, system.rhs)
     elif integrator == "leapfrog":
-        step = _leapfrog_step
+        step = functools.partial(_leapfrog_step, system)
     else:
         raise VarcalcError(f"unknown integrator {integrator!r}")
     for k in range(steps):
-        q, p = step(system, q, p, dt)
+        q, p = step(q, p, dt)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NonFiniteState(f"blow-up at step {k}")
         ts.append((k + 1) * dt)
@@ -134,8 +135,8 @@ def flow(system: MechSystem, state: PhasePoint, t_final, dt, integrator="rk4"):
     return Trajectory(np.array(ts), np.array(qs), np.array(ps))
 
 
-def _rk4_step(system, q, p, dt):
-    f = system.rhs
+def _rk4_step(f, q, p, dt):
+    """One classical Runge-Kutta step of (q, p)' = f(q, p)."""
     k1q, k1p = f(q, p)
     k2q, k2p = f(q + dt / 2 * k1q, p + dt / 2 * k1p)
     k3q, k3p = f(q + dt / 2 * k2q, p + dt / 2 * k2p)
@@ -221,17 +222,13 @@ def reduced_flow(system: MechSystem, red: ReducedState, t_final, dt):
     ts = [0.0]
     rs = [r]
     prs = [pr]
+
+    def f(rr, pp):
+        if rr <= 0:
+            raise OriginSingularity("radial coordinate reached zero")
+        return pp / m, -system.dV(rr) + red.ell ** 2 / (m * rr ** 3)
     for k in range(steps):
-        def f(rr, pp):
-            if rr <= 0:
-                raise OriginSingularity("radial coordinate reached zero")
-            return pp / m, -system.dV(rr) + red.ell ** 2 / (m * rr ** 3)
-        k1r, k1p = f(r, pr)
-        k2r, k2p = f(r + dt / 2 * k1r, pr + dt / 2 * k1p)
-        k3r, k3p = f(r + dt / 2 * k2r, pr + dt / 2 * k2p)
-        k4r, k4p = f(r + dt * k3r, pr + dt * k3p)
-        r = r + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
-        pr = pr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        r, pr = _rk4_step(f, r, pr, dt)
         ts.append((k + 1) * dt)
         rs.append(r)
         prs.append(pr)

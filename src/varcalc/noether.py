@@ -112,9 +112,6 @@ def decompose_dual_current(F: LocalForm, param_fids):
     """
     chart = F.chart
     n = chart.dim
-    if F.is_zero():
-        z = LocalForm.zero(chart)
-        return z, z
     Fc = promote_param_linear(F, param_fids)
     suite = get_suite(Fc.chart)
     _p, q = F.grading()

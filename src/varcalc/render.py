@@ -103,10 +103,10 @@ def form_json(form):
             "vertical": [atom_text(chart, a) for a in key if a[0] == 'v'],
             "horizontal": [atom_text(chart, a) for a in key if a[0] == 'h'],
         })
-    p, q = (form.grading() if form.terms else (0, 0))
+    p, q = form.grading()
     return {
         "grading": {"vertical": p, "horizontal": q,
-                    "ghost": form.ghost_degree() if form.terms else 0},
+                    "ghost": form.ghost_degree()},
         "text": render_text(form),
         "terms": terms,
     }

@@ -66,14 +66,6 @@ class SigmaTheory:
 
         # --- restrict theta and introduce momenta ----------------------------
         theta_pulled = self.pullback(theory.theta)
-        if theta_pulled.is_zero():
-            self.momenta = {}
-            self.theta_sigma = LocalForm.zero(schart)
-            self.omega_sigma = LocalForm.zero(schart)
-            self.dt_fields = {}
-            self.dt_solves = {}
-            self.pairing = {}
-            return
         for key in theta_pulled.terms:
             for a in key:
                 if a[0] == 'v' and midx_order(a[2]):
@@ -259,8 +251,6 @@ class SigmaTheory:
 
     def _pairing_table(self):
         schart = self.schart
-        if self.omega_sigma.is_zero():
-            return {}
         src = interior_euler(self.omega_sigma)
         fields = sorted({a[1] for k in self.omega_sigma.terms for a in k
                          if a[0] == 'v'} |
@@ -381,16 +371,8 @@ def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, H_shift=None):
     suite = sigma.ssuite
     for (ka, sub_a) in basis:
         for (kb, sub_b) in basis_twin:
+            # constant sections add no dynamical jet to the residual
             r_ab = substitute(substitute(residual, sub_a), sub_b)
-            if r_ab.is_zero():
-                table[(ka, kb)] = LocalForm.zero(sigma.schart)
-                continue
-            for key in r_ab.terms:
-                for a in key:
-                    if a[0] in ('j', 'v') and sigma.schart.kind(a[1]) == DYNAMIC:
-                        raise NotExact(
-                            "equivariance residual is field-dependent: "
-                            + render_text(r_ab), r_ab)
             kappa = suite.poincare_x(r_ab)
             if not (d_h(kappa) - r_ab).is_zero():
                 raise NotExact("equivariance residual is not d-exact", r_ab)

@@ -119,7 +119,7 @@ class Theory:
         dvL = d_v(self.L)
         self.theta = self.suite.h_horizontal(dvL)
         self.omega = d_v(self.theta)
-        self.Lh = self.suite.euler_projector(self.L)
+        self.Lh = self.suite.h_vertical(self.EL)      # P(L) = hv E L
         resid = dvL - self.EL - d_h(self.theta)
         if not resid.is_zero():
             raise InvariantViolation("d_v L != E L + d theta")
@@ -220,8 +220,10 @@ class Theory:
         part, d-primitive) of the difference when equivalent."""
         diff = other.L - self.L
         same = (other.EL - self.EL).is_zero()
-        same_p = (self.suite.euler_projector(other.L)
-                  - self.suite.euler_projector(self.L)).is_zero()
+        # P of this chart acts on (0, top) forms only
+        if other.L.terms and other.L.grading() != (0, self.chart.dim):
+            raise GradingError("Euler projector acts on (0, top) forms")
+        same_p = (other.Lh - self.Lh).is_zero()
         if same != same_p:
             raise InvariantViolation("E and P disagree on Lagrangian equivalence")
         if not same:

@@ -9,6 +9,58 @@ from .homotopy import get_suite
 from .randforms import FormGenerator, suite_chart
 
 
+def _retract(ch, st, w):
+    i_w = interior_euler(w)
+    return (interior_euler(i_w) - i_w).is_zero()
+
+
+def _vert_sq(ch, st, w):
+    hv = st.h_vertical(w)
+    return st.h_vertical(hv).is_zero() and zero_star(hv).is_zero()
+
+
+def _h0(ch, st, w):
+    h0w = st.h_zero(w)
+    h0dw = st.h_zero(d_h(w))
+    q = w.grading()[1]
+    P = st.euler_projector(w) if q == ch.dim else LocalForm.zero(ch)
+    okk = (w - d_h(h0w) - h0dw - P - zero_star(w)).is_zero()
+    if okk and not P.is_zero():
+        okk = (st.euler_projector(P) - P).is_zero()
+    return okk
+
+
+# (name, p rule, q rule, check), the rows of bench/workloads.SUITE_IDENTITIES;
+# each rule maps (rng, dim) to a degree, the p rule drawn first.
+IDENTITIES = (
+    ("I o i = id on source forms (I idempotent)",
+     lambda r, n: r.randint(1, 2), lambda r, n: n, _retract),
+    ("id = h> d + d h> + i I (q = top)",
+     lambda r, n: r.randint(1, 2), lambda r, n: n,
+     lambda ch, st, w: (w - d_h(st.h_horizontal(w))
+                        - interior_euler(w)).is_zero()),
+    ("id = h> d + d h> (q < top)",
+     lambda r, n: r.randint(1, 2), lambda r, n: r.randint(0, n - 1),
+     lambda ch, st, w: (w - st.h_horizontal(d_h(w))
+                        - d_h(st.h_horizontal(w))).is_zero()),
+    ("I o h> = 0 (I annihilates Im d)",
+     lambda r, n: r.randint(1, 2), lambda r, n: n - 1,
+     lambda ch, st, w: interior_euler(d_h(w)).is_zero()),
+    ("id = hv dv + dv hv + p*0*",
+     lambda r, n: r.randint(0, 2), lambda r, n: r.randint(0, n),
+     lambda ch, st, w: (w - st.h_vertical(d_v(w)) - d_v(st.h_vertical(w))
+                        - zero_star(w)).is_zero()),
+    ("hv d + d hv = 0",
+     lambda r, n: r.randint(0, 2), lambda r, n: r.randint(0, n),
+     lambda ch, st, w: (st.h_vertical(d_h(w))
+                        + d_h(st.h_vertical(w))).is_zero()),
+    ("hv hv = 0 and 0* hv = 0",
+     lambda r, n: r.randint(0, 2), lambda r, n: r.randint(0, n), _vert_sq),
+    ("id = d h0 + h0 d + P + p*0*; P P = P",
+     lambda r, n: 0, lambda r, n: r.randint(0, n), _h0),
+)
+
+
 def run_suites(seed, cases):
     """Randomized identity suites: every HomotopySuite identity on >= the
     requested number of nonzero random forms (mixed chart dimensions 2-3,
@@ -22,9 +74,7 @@ def run_suites(seed, cases):
 
     rows = [{"seed": seed, "cases": cases}]
     ok = True
-
-    def loop(name, run):
-        nonlocal ok
+    for name, prule, qrule, check in IDENTITIES:
         done = 0
         failed = 0
         idx = 0
@@ -33,90 +83,14 @@ def run_suites(seed, cases):
             guard += 1
             which = 0 if mix[idx % len(mix)] == 2 else 1
             idx += 1
-            res = run(charts[which], suites[which], gens[which])
-            if res is None:
+            ch, gen = charts[which], gens[which]
+            p = prule(gen.rng, ch.dim)
+            w = gen.form(p, qrule(gen.rng, ch.dim), nterms=2)
+            if w.is_zero():
                 continue
             done += 1
-            if not res:
+            if not check(ch, suites[which], w):
                 failed += 1
         rows.append({"identity": name, "checked": done, "failed": failed})
         ok = ok and failed == 0 and done >= cases
-
-    def _nz(gen, p, q):
-        w = gen.form(p, q, nterms=2)
-        return None if w.is_zero() else w
-
-    def run_retract(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim)
-        if w is None:
-            return None
-        I = interior_euler(w)
-        if I.is_zero():
-            return True
-        return (interior_euler(I) - I).is_zero()
-    loop("I o i = id on source forms (I idempotent)", run_retract)
-
-    def run_hor_top(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim)
-        if w is None:
-            return None
-        return (w - d_h(st.h_horizontal(w)) - interior_euler(w)).is_zero()
-    loop("id = h> d + d h> + i I (q = top)", run_hor_top)
-
-    def run_hor_mid(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), gen.rng.randint(0, ch.dim - 1))
-        if w is None:
-            return None
-        h = st.h_horizontal(w)
-        return (w - st.h_horizontal(d_h(w)) - d_h(h)).is_zero()
-    loop("id = h> d + d h> (q < top)", run_hor_mid)
-
-    def run_side(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(1, 2), ch.dim - 1)
-        if w is None:
-            return None
-        dw = d_h(w)
-        if dw.is_zero():
-            return True
-        return interior_euler(dw).is_zero()
-    loop("I o h> = 0 (I annihilates Im d)", run_side)
-
-    def run_vert(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return (w - st.h_vertical(d_v(w)) - d_v(hv) - zero_star(w)).is_zero()
-    loop("id = hv dv + dv hv + p*0*", run_vert)
-
-    def run_vert_anti(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return (st.h_vertical(d_h(w)) + d_h(hv)).is_zero()
-    loop("hv d + d hv = 0", run_vert_anti)
-
-    def run_vert_sq(ch, st, gen):
-        w = _nz(gen, gen.rng.randint(0, 2), gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        hv = st.h_vertical(w)
-        return st.h_vertical(hv).is_zero() and zero_star(hv).is_zero()
-    loop("hv hv = 0 and 0* hv = 0", run_vert_sq)
-
-    def run_h0(ch, st, gen):
-        w = _nz(gen, 0, gen.rng.randint(0, ch.dim))
-        if w is None:
-            return None
-        h0w = st.h_zero(w)
-        h0dw = st.h_zero(d_h(w))
-        q = w.grading()[1]
-        P = st.euler_projector(w) if q == ch.dim else LocalForm.zero(ch)
-        okk = (w - d_h(h0w) - h0dw - P - zero_star(w)).is_zero()
-        if okk and not P.is_zero():
-            okk = (st.euler_projector(P) - P).is_zero()
-        return okk
-    loop("id = d h0 + h0 d + P + p*0*; P P = P", run_h0)
-
     return ok, rows

@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from varcalc import cli
+from varcalc.chart import VarcalcError
 from varcalc.cli import build_parser, main
 
 
@@ -210,6 +212,14 @@ def test_mech_state_is_a_usage_error(argv, message):
     assert err.getvalue() == f"error: {message}\n"
 
 
+class _Integrated(VarcalcError):
+    pass
+
+
+def _no_integration(*args, **kwargs):
+    raise _Integrated("integration started")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("flow", "--dt", "0"), "--dt must be positive, got 0.0"),
     (("conserve", "--dt", "-0.01"), "--dt must be positive, got -0.01"),
@@ -221,13 +231,31 @@ def test_mech_state_is_a_usage_error(argv, message):
     (("conserve", "--t=-inf"), "--t must be finite, got -inf"),
     (("flow", "--dt", "nan"), "--dt must be finite, got nan"),
     (("conserve", "--dt", "inf"), "--dt must be finite, got inf"),
+    (("flow", "--t", "1e9"), "--t 1000000000.0 with --dt 0.001 gives more than "
+     "1000000 steps"),
+    (("conserve", "--t", "1000.001"), "--t 1000.001 with --dt 0.001 gives more "
+     "than 1000000 steps"),
+    (("flow", "--t", "1e308", "--dt", "1e-10"), "--t 1e+308 with --dt 1e-10 "
+     "gives more than 1000000 steps"),
 ])
-def test_mech_steps_are_a_usage_error(argv, message):
+def test_mech_steps_are_a_usage_error(monkeypatch, argv, message):
+    # refused before the integrator is called
+    monkeypatch.setattr(cli.mechmod, "flow", _no_integration)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = run_cli("mech", *argv)
     assert code == 2 and out == ""
     assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("t", ["1000", "1000.0005"])
+def test_mech_million_steps_reach_the_integrator(monkeypatch, t):
+    # round(t / dt) is 10^6 for both, the bound itself
+    monkeypatch.setattr(cli.mechmod, "flow", _no_integration)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mech", "flow", "--t", t)
+    assert code == 1 and err.getvalue() == "error: integration started\n"
 
 
 def test_mech_flow_takes_one_step_above_half_a_step():

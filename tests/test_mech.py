@@ -199,3 +199,116 @@ def test_casimir():
     c0 = casimir(PhasePoint(q, p))
     O = _random_rotation(rng)
     assert abs(casimir(PhasePoint(O @ q, O @ p)) - c0) <= 1e-12 * max(1, abs(c0))
+
+
+# The integrators as written before the RK4 step was shared, kept verbatim
+# as the oracle: flow, reduced_flow and reduction_commutes must agree bit
+# for bit.
+
+def _old_flow(system, state, t_final, dt, integrator="rk4"):
+    steps = int(round(t_final / dt))
+    q = state.q.copy()
+    p = state.p.copy()
+    ts = [0.0]
+    qs = [q.copy()]
+    ps = [p.copy()]
+    step = _old_rk4_step if integrator == "rk4" else _old_leapfrog_step
+    for k in range(steps):
+        q, p = step(system, q, p, dt)
+        ts.append((k + 1) * dt)
+        qs.append(q.copy())
+        ps.append(p.copy())
+    return np.array(ts), np.array(qs), np.array(ps)
+
+
+def _old_rk4_step(system, q, p, dt):
+    f = system.rhs
+    k1q, k1p = f(q, p)
+    k2q, k2p = f(q + dt / 2 * k1q, p + dt / 2 * k1p)
+    k3q, k3p = f(q + dt / 2 * k2q, p + dt / 2 * k2p)
+    k4q, k4p = f(q + dt * k3q, p + dt * k3p)
+    return (q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
+            p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
+def _old_leapfrog_step(system, q, p, dt):
+    p = p - 0.5 * dt * system.grad_q(q)
+    q = q + dt * p / system.mass
+    return q, p - 0.5 * dt * system.grad_q(q)
+
+
+def _old_reduced_flow(system, red, t_final, dt):
+    if red.ell <= 0:
+        raise OriginSingularity("reduced flow needs l > 0")
+    steps = int(round(t_final / dt))
+    m = system.mass
+    r, pr = red.r, red.p_r
+    ts = [0.0]
+    rs = [r]
+    prs = [pr]
+    for k in range(steps):
+        def f(rr, pp):
+            if rr <= 0:
+                raise OriginSingularity("radial coordinate reached zero")
+            return pp / m, -system.dV(rr) + red.ell ** 2 / (m * rr ** 3)
+        k1r, k1p = f(r, pr)
+        k2r, k2p = f(r + dt / 2 * k1r, pr + dt / 2 * k1p)
+        k3r, k3p = f(r + dt / 2 * k2r, pr + dt / 2 * k2p)
+        k4r, k4p = f(r + dt * k3r, pr + dt * k3p)
+        r = r + dt / 6 * (k1r + 2 * k2r + 2 * k3r + k4r)
+        pr = pr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        ts.append((k + 1) * dt)
+        rs.append(r)
+        prs.append(pr)
+    return np.array(ts), np.array(rs), np.array(prs)
+
+
+def _old_reduction_commutes(system, state, t_final, dt):
+    _t, qs, ps = _old_flow(system, state, t_final, dt)
+    ts, rs, prs = _old_reduced_flow(system, reduce_so3(state), t_final, dt)
+    worst = 0.0
+    for k in range(len(ts)):
+        red = reduce_so3(PhasePoint(qs[k], ps[k]))
+        worst = max(worst, abs(red.r - rs[k]), abs(red.p_r - prs[k]))
+    return worst
+
+
+_ORACLE_CASES = [
+    (kepler_system, [1.0, 0.2, -0.1], [0.1, 1.0, 0.3], 3.0, 1e-2),
+    (harmonic_system, [1.0, 0.0, 0.3], [0.2, 1.1, 0.0], 2.0, 3e-2),
+    (free_system, [0.0, 0.5, -1.0], [0.3, -0.2, 0.1], 1.0, 1e-1),
+]
+
+
+@pytest.mark.parametrize("make, q, p, t, dt", _ORACLE_CASES)
+@pytest.mark.parametrize("integrator", ["rk4", "leapfrog"])
+def test_flow_matches_the_old_loop_bitwise(make, q, p, t, dt, integrator):
+    sys_m, st = make(), PhasePoint(q, p)
+    traj = flow(sys_m, st, t, dt, integrator=integrator)
+    ts, qs, ps = _old_flow(sys_m, st, t, dt, integrator=integrator)
+    assert np.array_equal(traj.t, ts)
+    assert np.array_equal(traj.q, qs) and np.array_equal(traj.p, ps)
+
+
+@pytest.mark.parametrize("make, q, p, t, dt", _ORACLE_CASES)
+def test_reduced_flow_matches_the_old_loop_bitwise(make, q, p, t, dt):
+    sys_m, st = make(), PhasePoint(q, p)
+    red = reduce_so3(st)
+    for got, want in zip(reduced_flow(sys_m, red, t, dt),
+                         _old_reduced_flow(sys_m, red, t, dt)):
+        assert np.array_equal(got, want)
+    assert reduction_commutes(sys_m, st, t, dt) == \
+        _old_reduction_commutes(sys_m, st, t, dt)
+
+
+@pytest.mark.parametrize("q, p", [
+    ([1, 0, 0], [2, 0, 0]),          # l = 0: refused before any step
+    ([1, 0, 0], [-30, 1e-3, 0]),     # an RK4 stage lands behind the origin
+])
+def test_reduced_flow_origin_singularity_matches_the_old_loop(q, p):
+    sys_f, red = free_system(), reduce_so3(PhasePoint(q, p))
+    with pytest.raises(OriginSingularity) as want:
+        _old_reduced_flow(sys_f, red, 1.0, 1e-1)
+    with pytest.raises(OriginSingularity) as got:
+        reduced_flow(sys_f, red, 1.0, 1e-1)
+    assert str(got.value) == str(want.value)
