@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm, prod
 
 
 class VarcalcError(Exception):
@@ -322,14 +323,29 @@ def rref(m):
     Returns (R, pivots, factor): the reduced row echelon form, its pivot
     columns in order, and the product of the pivots divided out, signed by
     the row swaps (the determinant when ``m`` is square of full rank).
-    Row updates touch the pivot row's nonzero entries only; the entries a
-    pivot row has before its pivot column are zero.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row is scaled to integers, and each pivot step replaces every other
+    row i by (p row_i - row_i[c] row_r) / prev, p the pivot and prev the
+    one before, a division that is exact because every entry is a minor
+    of the scaled matrix.  A row with a zero in the pivot column would
+    only be multiplied by p / prev, so it is left as it is and carries
+    the level ``lev`` of its last update: it holds its Bareiss row times
+    lev / prev.  The pivot rule is the first nonzero at or below row r,
+    so the pivots and swaps are those of plain Gauss-Jordan elimination.
+    Only R divides, by each pivot row's level.
     """
-    R = [list(row) for row in m]
+    R, scale = [], []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        R.append([x.numerator * (den // x.denominator) for x in row])
+        scale.append(den)
     nrows = len(R)
     ncols = len(R[0]) if R else 0
+    lev = [1] * nrows
     pivots = []
-    factor = Fraction(1)
+    sign = 1
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -339,21 +355,28 @@ def rref(m):
             continue
         if piv != r:
             R[r], R[piv] = R[piv], R[r]
-            factor = -factor
+            lev[r], lev[piv] = lev[piv], lev[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
+            sign = -sign
         row = R[r]
-        factor *= row[c]
-        inv = Fraction(1) / row[c]
-        nz = [j for j in range(c, ncols) if row[j]]
-        for j in nz:
-            row[j] *= inv
+        if lev[r] != prev:
+            row = R[r] = [x * prev // lev[r] for x in row]
+        p = row[c]
         for i in range(nrows):
             other = R[i]
             if i != r and other[c]:
+                if lev[i] != prev:
+                    other = [x * prev // lev[i] for x in other]
                 f = other[c]
-                for j in nz:
-                    other[j] -= f * row[j]
+                R[i] = [(p * x - f * y) // prev for x, y in zip(other, row)]
+                lev[i] = p
+        lev[r] = prev = p
         pivots.append(c)
         r += 1
+    zero = Fraction(0)
+    R = [[Fraction(x, lev[i]) if x else zero for x in R[i]] if i < r
+         else [zero] * ncols for i in range(nrows)]
+    factor = Fraction(sign * prev, prod(scale[:r]))
     return R, pivots, factor
 
 
@@ -401,6 +424,8 @@ def pseudo_inverse_psd(D):
     rows and C the pivot columns of D (so C^T is the pivot rows, D being
     symmetric).  Then D^+ = F^T (C^T D F^T)^{-1} C^T, where
     C^T D F^T = (C^T C)(F F^T) is r x r and invertible for r = rank D.
+    The engine's sigma1 reads the stratum Laplacian blocks instead
+    (notes/decisions.md §14).
     """
     R, pivots, _ = rref(D)
     if not pivots:

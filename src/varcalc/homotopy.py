@@ -6,10 +6,13 @@ multi-indices of the vertical legs (and is linear over the coefficient
 ring) and d0, the same derivation with the legs left alone,
 differentiates only the coefficient atoms.
 On each finite stratum of leg data, d1 is contracted exactly by sigma1,
-the Moore-Penrose inverse of the matrix e of d1 from degree b-1 to b:
-sigma1 = e^T (e e^T)^+ = e^+ at every horizontal degree b >= 1.  Below
-top horizontal degree on strata with legs d1 has no cohomology, which is
-checked as rank e_{b-1} + rank e_b = dim C_b.  The image of each
+the Moore-Penrose inverse e^+ of the matrix e = e_{b-1} of d1 from degree
+b-1 to b, at every horizontal degree b >= 1.  Below top horizontal degree
+on strata with legs d1 has no cohomology, which is checked as
+rank e_{b-1} + rank e_b = dim C_b.  So the Hodge Laplacian of the source
+degree, Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with
+e^T e on im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
+connected block at a time (notes/decisions.md §14).  The image of each
 canonical leg word is computed once per stratum.  The homological
 perturbation series in d0 (which terminates, since sigma1 lowers total
 leg order) then produces a homotopy h for the full horizontal
@@ -35,8 +38,10 @@ from itertools import combinations
 
 from .chart import (
     COORD, DYNAMIC, GradingError, InvariantViolation, NonScalableTerm,
-    NotConstant, pseudo_inverse_psd, rref,
+    NotConstant, VarcalcError, inverse, rref,
 )
+# imported for bench/tracer.py, which traces it under this module
+from .chart import pseudo_inverse_psd  # noqa: F401
 from .algebra import (
     LocalForm, _add, _q, apply_derivation, atom_parity, d_h, d_v, horizontal,
     midx_zero, norm_word, zero_star,
@@ -134,7 +139,7 @@ class _Stratum:
                 cols.append(col)
             self.e[b] = (cols, len(tgt))
         self.ranks = {}
-        self.pinv = {}
+        self.blocks = {}
         self.images = {}
 
     def rank(self, b):
@@ -146,26 +151,65 @@ class _Stratum:
         return self.ranks[b]
 
     def delta_pinv(self, b):
-        """(e e^T)^+ for the d1 matrix e from degree b-1 to b, so that
-        sigma1 = e^T (e e^T)^+ = e^+.  Below top degree on strata with
-        legs d1 is acyclic, which is checked on the ranks of e."""
-        if b not in self.pinv:
+        """The block inverses of the Hodge Laplacian on the source degree
+        of sigma1 from degree b, Delta = e_{b-2} e_{b-2}^T + e_{b-1}^T e_{b-1}
+        on C_{b-1}.  On im e_{b-1}^T Delta is e_{b-1}^T e_{b-1}, so when
+        Delta is invertible sigma1 = Delta^{-1} e_{b-1}^T = e_{b-1}^+.
+        Delta is invertible exactly when d1 is acyclic at degree b-1, as it
+        is below top degree on strata with legs.  Acyclicity at degree
+        b < n is checked on the ranks of e, and a singular block fails
+        the same way.
+
+        Returns (rows, block_of): the rows of e_{b-1} as {column: entry},
+        and for each word of C_{b-1} its connected block of Delta as
+        (word indices, {word index: its row of the block's inverse})."""
+        if b not in self.blocks:
             if (self.fids and b < self.suite.chart.dim
                     and self.rank(b - 1) + self.rank(b) != len(self.bases[b])):
                 raise InvariantViolation(
                     "unexpected d1-cohomology below top horizontal degree")
-            dim = len(self.bases[b])
-            D = [[Fraction(0)] * dim for _ in range(dim)]
-            for col in self.e[b - 1][0]:
+            dim = len(self.bases[b - 1])
+            cols, ntgt = self.e[b - 1]
+            rows = [{} for _ in range(ntgt)]
+            for j, col in enumerate(cols):
                 for i, c in col.items():
-                    for i2, c2 in col.items():
-                        D[i][i2] += c * c2
-            self.pinv[b] = pseudo_inverse_psd(D)
-        return self.pinv[b]
+                    rows[i][j] = c
+            # Delta is the sum of the outer products of the columns of
+            # e_{b-2} and of the rows of e_{b-1}
+            D = [{} for _ in range(dim)]
+            for vec in (self.e[b - 2][0] if b >= 2 else []) + rows:
+                for j, c in vec.items():
+                    Dj = D[j]
+                    for j2, c2 in vec.items():
+                        Dj[j2] = Dj.get(j2, 0) + c * c2
+            block_of = [None] * dim
+            for j in range(dim):
+                if block_of[j] is not None:
+                    continue
+                members, stack = {j}, [j]
+                while stack:
+                    for j2, c in D[stack.pop()].items():
+                        if c and j2 not in members:
+                            members.add(j2)
+                            stack.append(j2)
+                members = sorted(members)
+                try:
+                    inv = inverse([[D[j1].get(j2, 0) for j2 in members]
+                                   for j1 in members])
+                except VarcalcError:
+                    raise InvariantViolation(
+                        "unexpected d1-cohomology below top horizontal degree"
+                    ) from None
+                block = (members, dict(zip(members, inv)))
+                for j1 in members:
+                    block_of[j1] = block
+            self.blocks[b] = (rows, block_of)
+        return self.blocks[b]
 
     def sigma1_image(self, word):
         """sigma1 of a canonical leg word of this stratum, memoized as a
-        list of (target word, coefficient)."""
+        list of (target word, coefficient): Delta^{-1} applied to the
+        word's row of e, which reads only the blocks that row touches."""
         image = self.images.get(word)
         if image is None:
             b = sum(1 for a in word if a[0] == 'h')
@@ -173,13 +217,16 @@ class _Stratum:
             if i is None:
                 raise InvariantViolation("leg word missing from its stratum basis")
             image = []
-            if b:
-                z = [row[i] for row in self.delta_pinv(b)]
-                cols, _ = self.e[b - 1]
-                for j, col in enumerate(cols):
-                    s = sum(c * z[k] for k, c in col.items() if z[k])
-                    if s:
-                        image.append((self.bases[b - 1][j], s))
+            if b and self.fids:
+                rows, block_of = self.delta_pinv(b)
+                z = {}
+                for j, c in rows[i].items():
+                    members, inv = block_of[j]
+                    for j2, x in zip(members, inv[j]):
+                        if x:
+                            z[j2] = z.get(j2, 0) + c * x
+                image = [(self.bases[b - 1][j], _q(s))
+                         for j, s in sorted(z.items()) if s]
             self.images[word] = image
         return image
 

@@ -42,9 +42,9 @@ class Report:
 @per_symmetry
 def noether_cone(theory: Theory, sym: SymmetryAction):
     """The cone Noether current (S, J) of a symmetry."""
-    if not theory.is_symmetry(sym):
-        raise NotASymmetry(f"{sym.name} is not a symmetry of {theory.td.name}")
     lrl = lie_derivative(sym.rho, theory.L)
+    if not theory.is_symmetry(sym, lrl):
+        raise NotASymmetry(f"{sym.name} is not a symmetry of {theory.td.name}")
     suite = theory.suite
     S = zero_star(lrl)
     J = suite.h_zero(lrl) + insert(sym.rho, theory.theta)

@@ -202,8 +202,11 @@ class Theory:
         except KeyError:
             raise VarcalcError(f"theory has no symmetry {name!r}") from None
 
-    def is_symmetry(self, sym: SymmetryAction):
-        lrl = lie_derivative(sym.rho, self.L)
+    def is_symmetry(self, sym: SymmetryAction, lrl=None):
+        """Whether P(L_rho L) = 0; ``lrl`` is L_rho L when the caller has
+        it already."""
+        if lrl is None:
+            lrl = lie_derivative(sym.rho, self.L)
         if lrl.is_zero():
             return True
         if not self.suite.euler_projector(lrl).is_zero():

@@ -67,6 +67,79 @@ def test_rref_of_mostly_zero_rows_matches_sympy(m):
         assert (factor if len(pivots) == len(m) else 0) == Fraction(int(d.p), int(d.q))
 
 
+def gauss_jordan_rref(m):
+    """The Gauss-Jordan rref over Fractions that the fraction-free one
+    replaced, kept verbatim as an oracle."""
+    R = [list(row) for row in m]
+    nrows = len(R)
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    factor = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            R[r], R[piv] = R[piv], R[r]
+            factor = -factor
+        row = R[r]
+        factor *= row[c]
+        inv = Fraction(1) / row[c]
+        nz = [j for j in range(c, ncols) if row[j]]
+        for j in nz:
+            row[j] *= inv
+        for i in range(nrows):
+            other = R[i]
+            if i != r and other[c]:
+                f = other[c]
+                for j in nz:
+                    other[j] -= f * row[j]
+        pivots.append(c)
+        r += 1
+    return R, pivots, factor
+
+
+big_ints = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+mixed = st.one_of(st.just(0), st.integers(-5, 5),
+                  st.fractions(min_value=-50, max_value=50, max_denominator=60))
+
+
+def dependent_rows(entry):
+    """Rectangular matrices whose extra rows are combinations of the
+    first ones, so that the rank is below both sides."""
+    def build(args):
+        base, coeffs = args
+        extra = [[sum(c * row[j] for c, row in zip(cs, base))
+                  for j in range(len(base[0]))] for cs in coeffs]
+        return base + extra
+    return st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 3)).flatmap(
+        lambda rce: st.tuples(
+            st.lists(st.lists(entry, min_size=rce[1], max_size=rce[1]),
+                     min_size=rce[0], max_size=rce[0]),
+            st.lists(st.lists(st.integers(-3, 3), min_size=rce[0], max_size=rce[0]),
+                     min_size=rce[2], max_size=rce[2]))).map(build)
+
+
+def shaped(entry):
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda rc: st.lists(st.lists(entry, min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0]))
+
+
+@SEEDED
+@given(st.one_of(shaped(big_ints), shaped(mixed), dependent_rows(big_ints),
+                 dependent_rows(mixed), sparse))
+def test_fraction_free_rref_matches_gauss_jordan(m):
+    R, pivots, factor = rref(m)
+    S, spivots, sfactor = gauss_jordan_rref(m)
+    assert R == S
+    assert pivots == spivots
+    assert factor == sfactor and type(factor) is Fraction
+
+
 @SEEDED
 @given(square)
 def test_det_and_inverse_match_sympy(m):
