@@ -372,13 +372,9 @@ class LocalForm:
             raise GradingError(f"inhomogeneous ghost degree: {sorted(gs)}")
         return gs.pop()
 
-    def components(self, select):
-        """Subform of terms with select(p, q) true."""
-        out = LocalForm(self.chart)
-        for k, c in self.terms.items():
-            if select(self.key_vdeg(k), self.key_hdeg(k)):
-                out.terms[k] = c
-        return out
+    def components(self, keep):
+        """Subform of the terms whose word ``keep`` accepts."""
+        return LocalForm(self.chart, {k: c for k, c in self.terms.items() if keep(k)})
 
     def __repr__(self):
         from .render import render_text

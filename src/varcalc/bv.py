@@ -127,11 +127,8 @@ class BVTheory:
 def zero_ghost_body(bv: BVTheory, form):
     """Set every nonzero-ghost generator to zero."""
     chart = bv.chart
-    out = LocalForm(chart)
-    for key, c in form.terms.items():
-        if all(not (a[0] in ('j', 'v') and chart.ghost(a[1]) != 0) for a in key):
-            out.terms[key] = c
-    return out
+    return form.components(lambda w: not any(
+        a[0] in ('j', 'v') and chart.ghost(a[1]) for a in w))
 
 
 def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryField:

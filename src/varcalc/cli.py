@@ -38,6 +38,8 @@ def _load_theory(path):
         except FileNotFoundError:
             raise UsageError(f"theory file not found: {path}")
     env = os.environ.get("VARCALC_JET_CUTOFF")
+    if env and not (env.isascii() and env.isdigit()):
+        raise UsageError(f"VARCALC_JET_CUTOFF must be a non-negative integer, got {env!r}")
     try:
         return theory_from_text(text, jet_cutoff=int(env) if env else None)
     except SyntaxError_ as e:
@@ -208,8 +210,7 @@ def cmd_canonical(args):
     from .slicing import (restrict_to_slice, sigma_noether,
                           split_constraint_flux, compute_ce_cocycle)
     T = _load_theory(args.theory)
-    spec = _parse_slice(T, args.slice, args.corner)
-    sig = restrict_to_slice(T, spec)
+    sig = restrict_to_slice(T, _parse_slice(T, args.slice))
     from .chart import DoesNotDescend
     rows = [{"pairing": sig.pairing},
             {"omega_sigma": form_json(sig.omega_sigma)}]
@@ -293,7 +294,7 @@ def cmd_bvbfv(args):
     from .bv import bv_extend, bfv_extend, verify_bvbfv
     T = _load_theory(args.theory)
     sym = _pick_symmetry(T, args.symmetry)
-    spec = _parse_slice(T, args.slice, args.corner)
+    spec = _parse_slice(T, args.slice)
     sig = restrict_to_slice(T, spec)
     bfv = bfv_extend(sig, sym)
     bv = bv_extend(T, sym)
@@ -414,11 +415,11 @@ def build_parser():
     pv.add_argument("--all", action="store_true")
     pv.add_argument("--suites", action="store_true",
                     help="run the randomized homotopy identity suites")
-    add("canonical", cmd_canonical, "--symmetry", "--slice", "--corner")
+    add("canonical", cmd_canonical, "--symmetry", "--slice")
     add("corner", cmd_corner, "--symmetry", "--slice", "--corner")
     add("bv", cmd_bv, "--symmetry")
     add("cme", cmd_cme, "--symmetry")
-    add("bvbfv", cmd_bvbfv, "--symmetry", "--slice", "--corner")
+    add("bvbfv", cmd_bvbfv, "--symmetry", "--slice")
 
     pm = sub.add_parser("mech")
     pm.set_defaults(fn=cmd_mech)

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from .chart import (
-    Chart, CONST, CPARAM, DYNAMIC, PARAM, DimensionMismatch, VarcalcError, det,
+    Chart, CONST, CPARAM, DEFAULT_JET_CUTOFF, DYNAMIC, PARAM, DimensionMismatch,
+    VarcalcError, det,
 )
 from .algebra import LocalForm, d_h, midx_zero, midx_order
 
@@ -213,7 +215,9 @@ class _Parser:
                     return (name, node)
                 args = self.parse_args()
                 return ("call", name, (primes,), args)
-            return ("id", name, primes)
+            if primes:
+                raise SyntaxError_(f"stray prime on {name!r}", t[2], t[3])
+            return ("id", name)
         raise SyntaxError_(f"unexpected token {t[1]!r}", t[2], t[3])
 
     def parse_args(self):
@@ -372,32 +376,51 @@ class FieldGroup:
     multiplicity: int = 0           # >0: plain multi-component parameter
 
 
+class FieldDecl(NamedTuple):
+    """A declared field, parameter or source (see _parse_field_decl)."""
+    name: str
+    degree: int
+    lie: str | None
+    ghost: int
+    multiplicity: int
+    constant: bool
+
+
 @dataclass
 class SymmetryDecl:
     name: str
-    params: list                    # FieldGroup list (usually one)
-    assignments: dict               # field group name -> AST
-    structure: str | None           # structure name for the bracket
+    line: int
+    params: list                    # FieldDecl
+    assignments: dict               # field group name -> (AST, line)
 
 
 @dataclass
 class TheoryDef:
     name: str = "theory"
     dim: int = 0
-    signature: list = field(default_factory=list)
-    metric: list | None = None
+    metric: list | None = None                       # rows; a signature is its diagonal
     coords: list = field(default_factory=list)
     constants: list = field(default_factory=list)
     functions: list = field(default_factory=list)    # (name, arity)
-    structures: dict = field(default_factory=dict)
-    fields: list = field(default_factory=list)       # raw field decls
-    sources: list = field(default_factory=list)      # (name, degree, lie, expr text, line)
-    lagrangian: str = ""
-    lagrangian_line: int = 0
-    symmetries: list = field(default_factory=list)   # SymmetryDecl (asts)
-    solve: list = field(default_factory=list)        # (component name, midx digits)
+    structures: dict = field(default_factory=dict)   # name -> Structure
+    fields: list = field(default_factory=list)       # (FieldDecl, line)
+    sources: list = field(default_factory=list)      # (FieldDecl, AST, line)
+    lagrangian: tuple | None = None                  # (AST, line)
+    symmetries: list = field(default_factory=list)   # SymmetryDecl
+    solve: list = field(default_factory=list)        # (component name, midx, line)
     orientation: int = 1
-    jet_cutoff: int | None = None
+    jet_cutoff: int = DEFAULT_JET_CUTOFF
+
+
+def _jet_midx(name, digits, dim):
+    """The multi-index of the jet name_,digits on a dim-dimensional chart."""
+    m = [0] * dim
+    for dch in digits:
+        mu = int(dch)
+        if mu >= dim:
+            raise DimensionMismatch(f"direction {mu} out of range in {name}_,{digits}")
+        m[mu] += 1
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +486,8 @@ class ElabContext:
         chart = self.chart
         if not chart.has_name(name):
             raise UndeclaredIdentifier(f"unknown component {name!r}")
-        comp = chart.by_name(name)
-        m = [0] * chart.dim
-        for dch in digits:
-            mu = int(dch)
-            if mu >= chart.dim:
-                raise DimensionMismatch(f"direction {mu} out of range in {name}_,{digits}")
-            m[mu] += 1
-        return Val.scalar(LocalForm.from_word(chart, (('j', comp.fid, tuple(m)),)))
+        m = _jet_midx(name, digits, chart.dim)
+        return Val.scalar(LocalForm.from_word(chart, (('j', chart.by_name(name).fid, m),)))
 
     # -- hodge dual ----------------------------------------------------------
     def hodge_legs(self, hset):
@@ -504,6 +521,11 @@ class ElabContext:
         return out
 
     # -- elaboration -----------------------------------------------------------
+    def form(self, node) -> LocalForm:
+        """The scalar form an expression AST denotes."""
+        form = self.elaborate(node).require_scalar("expression")
+        return form if form is not None else LocalForm.zero(self.chart)
+
     def elaborate(self, node):
         from .algebra import d_h, d_v
         kind = node[0]
@@ -516,9 +538,7 @@ class ElabContext:
         if kind == "mul":
             return self.elaborate(node[1]).wedge(self.elaborate(node[2]))
         if kind == "id":
-            name, primes = node[1], node[2]
-            if primes:
-                raise SyntaxError_(f"stray prime on {name!r}")
+            name = node[1]
             if name == "vol":
                 word = tuple(('h', mu) for mu in range(self.chart.dim))
                 return Val.scalar(LocalForm.from_word(self.chart, word,
@@ -675,10 +695,7 @@ class ElabContext:
 
 
 def elaborate_form(ctx: ElabContext, text, line_no=1) -> LocalForm:
-    ast = parse_expression(text, line_no)
-    v = ctx.elaborate(ast)
-    form = v.require_scalar("expression")
-    return form if form is not None else LocalForm.zero(ctx.chart)
+    return ctx.form(parse_expression(text, line_no))
 
 
 # ---------------------------------------------------------------------------
@@ -690,25 +707,24 @@ def parse_theory(text) -> TheoryDef:
     lines = text.splitlines()
     if not any(ln.strip() and not ln.strip().startswith("#") for ln in lines):
         raise SyntaxError_("empty theory file", 1, 1)
-    i = 0
+    at = {}                 # section head -> line of its last occurrence
+    metric_head = None      # 'signature' or 'metric', whichever came last
+    jets = []               # solve jets (name, digits, line, col)
     current_sym = None
-    while i < len(lines):
-        raw = lines[i]
-        no = i + 1
-        i += 1
+    for no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        indented = line[0] in " \t"
         parts = line.split()
         head = parts[0]
-        if indented and current_sym is not None:
+        if line[0] in " \t" and current_sym is not None:
             if "=" not in line:
                 raise SyntaxError_("expected 'field = expression'", no, 1)
             lhs, rhs = line.split("=", 1)
-            current_sym.assignments[lhs.strip()] = (rhs.strip(), no)
+            current_sym.assignments[lhs.strip()] = (parse_expression(rhs.strip(), no), no)
             continue
         current_sym = None
+        at[head] = no
         if head == "theory":
             td.name = _operand(parts, 1, no)
         elif head == "dimension":
@@ -721,17 +737,25 @@ def parse_theory(text) -> TheoryDef:
             bad = [p for p in parts[1:] if p not in ("+", "-")]
             if bad:
                 raise SyntaxError_(f"signature expects '+' or '-', found {bad[0]!r}", no, 1)
-            td.signature = [1 if p == "+" else -1 for p in parts[1:]]
+            signs = [1 if p == "+" else -1 for p in parts[1:]]
+            td.metric = [[s if i == j else 0 for j in range(len(signs))]
+                         for i, s in enumerate(signs)]
+            metric_head = head
         elif head == "metric":
             rows = " ".join(parts[1:]).split("/")
             try:
                 td.metric = [[Fraction(x) for x in row.split()] for row in rows]
             except ValueError:
                 raise SyntaxError_("metric expects rational entries", no, 1) from None
+            metric_head = head
         elif head == "orientation":
             td.orientation = _operand(parts, 1, no, int)
+            if td.orientation not in (1, -1):
+                raise SyntaxError_("orientation must be 1 or -1", no, 1)
         elif head == "jet_cutoff":
             td.jet_cutoff = _operand(parts, 1, no, int)
+            if td.jet_cutoff < 0:
+                raise SyntaxError_("jet_cutoff must be >= 0", no, 1)
         elif head == "constant":
             td.constants.extend(parts[1:])
         elif head == "function":
@@ -740,53 +764,56 @@ def parse_theory(text) -> TheoryDef:
                 arity = _operand(parts, parts.index("arity") + 1, no, int)
             td.functions.append((_operand(parts, 1, no), arity))
         elif head == "structure":
-            td.structures[_operand(parts, 1, no)] = parts[2] if len(parts) > 2 else "abelian"
+            name = _operand(parts, 1, no)
+            td.structures[name] = _structure(name, parts[2] if len(parts) > 2 else "abelian", no)
         elif head == "field":
-            td.fields.append((parts[1:], no))
+            td.fields.append((_parse_field_decl(parts[1:], no), no))
         elif head == "source":
             if "=" not in line:
                 raise SyntaxError_("source needs '= expression'", no, 1)
             decl, value = line.split("=", 1)
-            td.sources.append((decl.split()[1:], value.strip(), no))
+            td.sources.append((_parse_field_decl(decl.split()[1:], no),
+                               parse_expression(value.strip(), no), no))
         elif head == "lagrangian":
-            td.lagrangian = _operand(line.split(None, 1), 1, no)
-            td.lagrangian_line = no
+            td.lagrangian = (parse_expression(_operand(line.split(None, 1), 1, no), no), no)
         elif head == "symmetry":
-            sym = SymmetryDecl(_operand(parts, 1, no), [], {}, None)
-            td.symmetries.append(sym)
-            current_sym = sym
+            name = _operand(parts, 1, no)
+            if any(s.name == name for s in td.symmetries):
+                raise SyntaxError_(f"duplicate symmetry {name!r}", no, 1)
+            current_sym = SymmetryDecl(name, no, [], {})
+            td.symmetries.append(current_sym)
             rest = parts[2:]
             while rest:
-                if rest[0] == "param":
-                    decl = [_operand(rest, 1, no)]
-                    rest = rest[2:]
-                    while rest and rest[0] not in ("param",):
-                        decl.append(rest[0])
-                        rest = rest[1:]
-                    _parse_field_decl(decl, no)     # checked here for its line
-                    sym.params.append(decl)
-                else:
+                if rest[0] != "param":
                     raise SyntaxError_(f"unexpected token {rest[0]!r} in symmetry", no, 1)
+                decl = [_operand(rest, 1, no)]
+                rest = rest[2:]
+                while rest and rest[0] != "param":
+                    decl.append(rest.pop(0))
+                current_sym.params.append(_parse_field_decl(decl, no))
         elif head == "solve":
-            for tok in parts[1:]:
-                if "_," not in tok:
-                    raise SyntaxError_("solve expects jets like q_,00", no, 1)
-                nm, digits = tok.split("_,")
-                td.solve.append((nm, digits))
+            for kind, jet, _no, col in tokenize(line, no)[1:-1]:
+                # one jet per whitespace-separated word
+                if kind != "jet" or not line[col - 2].isspace():
+                    raise SyntaxError_("solve expects jets like q_,00", no, col)
+                jets.append((*jet, no, col))
         else:
             raise SyntaxError_(f"unknown section {head!r}", no, 1)
-    if td.dim < 1:
+    n = td.dim
+    if n < 1:
         raise SyntaxError_("missing dimension", 1, 1)
-    if td.metric is None and len(td.signature) != td.dim:
-        raise SyntaxError_("signature length must equal dimension", 1, 1)
-    # eager syntax validation of every expression, for positioned diagnostics
-    if td.lagrangian:
-        parse_expression(td.lagrangian, td.lagrangian_line)
-    for _decl, value, no in td.sources:
-        parse_expression(value, no)
-    for sym in td.symmetries:
-        for rhs, no in sym.assignments.values():
-            parse_expression(rhs, no)
+    if td.metric is None:
+        raise SyntaxError_("missing signature or metric", 1, 1)
+    if len(td.metric) != n or any(len(row) != n for row in td.metric):
+        raise SyntaxError_(f"metric must be {n} x {n}" if metric_head == "metric"
+                           else "signature length must equal dimension", at[metric_head], 1)
+    if "coordinates" in at and len(td.coords) != n:
+        raise SyntaxError_(f"coordinates must name {n} coordinates", at["coordinates"], 1)
+    for name, digits, no, col in jets:
+        try:
+            td.solve.append((name, _jet_midx(name, digits, n), no))
+        except DimensionMismatch as e:
+            raise SyntaxError_(str(e), no, col) from None
     return td
 
 
@@ -832,61 +859,50 @@ def _parse_field_decl(parts, no):
         else:
             raise SyntaxError_(f"unknown field attribute {tok!r}", no, 1)
         j += 1
-    return name, deg, lie, ghost, mult, constant
+    return FieldDecl(name, deg, lie, ghost, mult, constant)
 
 
-def build_context(td: TheoryDef, jet_cutoff=None):
-    """Build (chart, context) from a theory definition."""
-    cutoff = jet_cutoff or td.jet_cutoff
-    kwargs = {"jet_cutoff": cutoff} if cutoff else {}
-    coords = td.coords if td.coords else None
-    if td.metric is not None:
-        chart = Chart(td.dim, metric=td.metric, coord_names=coords,
-                      orientation=td.orientation, **kwargs)
+def _structure(name, spec, no):
+    """The structure constants a 'structure' section names."""
+    size = spec[len("abelian"):]
+    if spec in ("su2", "eps"):
+        st = su2_structure(name)
+    elif spec.startswith("abelian") and (not size or size.isdecimal()):
+        st = abelian_structure(name, int(size or 1))
     else:
-        chart = Chart(td.dim, signature=td.signature, coord_names=coords,
-                      orientation=td.orientation, **kwargs)
+        raise SyntaxError_(f"unknown structure spec {spec!r}", no, 1)
+    if not st.check_jacobi():
+        raise VarcalcError(f"structure {name!r} violates the Jacobi identity")
+    return st
+
+
+def build_context(td: TheoryDef):
+    """Build (chart, context) from a theory definition."""
+    chart = Chart(td.dim, metric=td.metric, coord_names=td.coords,
+                  orientation=td.orientation, jet_cutoff=td.jet_cutoff)
     chart.add_coordinates()
     ctx = ElabContext(chart, orientation=td.orientation)
-    for name, spec in td.structures.items():
-        if spec == "su2" or spec == "eps":
-            st = su2_structure(name)
-        elif spec == "abelian":
-            st = abelian_structure(name, 1)
-        elif spec.startswith("abelian"):
-            st = abelian_structure(name, int(spec[len("abelian"):] or 1))
-        else:
-            raise MissingStructureConstants(f"unknown structure spec {spec!r}")
-        if not st.check_jacobi():
-            raise VarcalcError(f"structure {name!r} violates the Jacobi identity")
+    for st in td.structures.values():
         ctx.add_structure(st)
     for nm in td.constants:
         chart.add_component(nm, kind=CONST)
     for nm, arity in td.functions:
         chart.add_function(nm, arity=arity)
-    for parts, no in td.fields:
-        name, deg, lie, ghost, mult, _c = _parse_field_decl(parts, no)
+    for (name, deg, lie, ghost, mult, _c), _no in td.fields:
         ctx.add_field_group(name, deg, lie, ghost, DYNAMIC, mult)
     for sym in td.symmetries:
-        for decl in sym.params:
-            name, deg, lie, ghost, mult, constant = _parse_field_decl(decl, 0)
-            kind = CPARAM if constant else PARAM
+        for name, deg, lie, ghost, mult, constant in sym.params:
             if name not in ctx.groups:
+                kind = CPARAM if constant else PARAM
                 ctx.add_field_group(name, deg, lie, ghost, kind, mult)
                 # auxiliary twin copy used by the pairwise identity checks
                 ctx.add_field_group(name + "__b", deg, lie, ghost, kind, mult)
-                if mult and not lie:
-                    stn = f"_abelian_{name}"
-                    ctx.add_structure(abelian_structure(stn, mult))
-            if sym.structure is None:
-                sym.structure = lie
-    for decl, value, no in td.sources:
-        name, deg, lie, ghost, mult, _c = _parse_field_decl(decl, no)
-        form = elaborate_form(ctx, value, no)
+    for decl, ast, _no in td.sources:
+        form = ctx.form(ast)
         if not d_h(form).is_zero():
             raise VarcalcError(
-                f"external source {name!r} is not closed (d j != 0)")
-        ctx.sources[name] = Val.scalar(form)
+                f"external source {decl.name!r} is not closed (d j != 0)")
+        ctx.sources[decl.name] = Val.scalar(form)
     return chart, ctx
 
 

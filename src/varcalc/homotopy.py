@@ -290,9 +290,8 @@ class HomotopySuite:
         n = self.chart.dim
         if any(LocalForm.key_vdeg(k) < 1 for k in form.terms):
             raise GradingError("horizontal homotopy needs vertical degree >= 1")
-        top = form.components(lambda p, q: q == n)
-        rest = form - top
-        return self.h_inf(rest) + self.h_inf(top - interior_euler(top))
+        top = form.components(lambda w: LocalForm.key_hdeg(w) == n)
+        return self.h_inf(form - interior_euler(top))
 
     def h_vertical(self, form):
         """Radial-scaling vertical homotopy; lowers vertical degree by one."""

@@ -158,24 +158,15 @@ def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
 def twin_symmetry(theory: Theory, sym: SymmetryAction) -> SymmetryAction:
     """The same action read through the auxiliary twin parameter copy."""
     chart = theory.chart
-    bindings = {}
-    twin_fids = {}
-    for g in sym.param_groups:
-        tg = theory.ctx.groups[g.name + "__b"]
-        for key, fid in g.comps.items():
-            tfid = tg.comps[key]
-            bindings[(fid, midx_zero(chart.dim))] = LocalForm.from_word(
-                chart, (('j', tfid, midx_zero(chart.dim)),))
-            twin_fids[fid] = tfid
+    z = midx_zero(chart.dim)
+    twins = [theory.ctx.groups[g.name + "__b"] for g in sym.param_groups]
+    bindings = {(fid, z): LocalForm.from_word(chart, (('j', tg.comps[key], z),))
+                for g, tg in zip(sym.param_groups, twins)
+                for key, fid in g.comps.items()}
     comps = {fid: substitute(f, bindings) for fid, f in sym.rho.components.items()}
-    twin = SymmetryAction.__new__(SymmetryAction)
-    twin.theory = theory
-    twin.name = sym.name + "__b"
-    twin.param_groups = [theory.ctx.groups[g.name + "__b"] for g in sym.param_groups]
-    twin.rho = EvolutionaryField(chart, comps, name=twin.name)
-    twin.structure = sym.structure
-    twin.is_local = sym.is_local
-    return twin
+    name = sym.name + "__b"
+    return SymmetryAction(theory, name, twins,
+                          EvolutionaryField(chart, comps, name=name), sym.structure)
 
 
 def bracket_bindings(theory: Theory, sym: SymmetryAction, twin: SymmetryAction):

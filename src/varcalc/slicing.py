@@ -153,13 +153,7 @@ class SigmaTheory:
         The output stays on the bulk chart, legs in bulk numbering; to_sigma
         renumbers them and expresses the form in Sigma-chart variables.
         """
-        t = self.spec.transverse
-        out = LocalForm(form.chart, {})
-        for key, c in form.terms.items():
-            if any(a[0] == 'h' and a[1] == t for a in key):
-                continue
-            out.terms[key] = c
-        return out
+        return form.components(lambda w: ('h', self.spec.transverse) not in w)
 
     def to_sigma(self, form: LocalForm):
         """Express a pulled-back bulk form in Sigma-chart variables."""
@@ -428,12 +422,7 @@ def corner_data(sigma: SigmaTheory, sym: SymmetryAction) -> CornerData:
     densities = {}
     for key, subs in sigma_param_basis(sigma, sym):
         val = substitute(hflux, subs)
-        rest = LocalForm(sigma.schart)
-        for kk, c in val.terms.items():
-            if any(a[0] == 'h' and a[1] == corner_dir for a in kk):
-                continue
-            rest.terms[kk] = c
-        densities[key] = render_text(rest)
+        densities[key] = render_text(val.components(lambda w: ('h', corner_dir) not in w))
     st = sym.structure
     f = dict(st.f) if st is not None else {}
     dims = [len(g.comps) for g in sym.param_groups]

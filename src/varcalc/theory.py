@@ -17,42 +17,23 @@ from .algebra import (
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
 from .dsl import (
-    ElabContext, FieldGroup, Structure, TheoryDef, build_context,
-    elaborate_form, parse_expression,
+    ElabContext, FieldGroup, Structure, SymmetryDecl, SyntaxError_, TheoryDef,
+    build_context, parse_theory,
 )
+from .render import atom_text
 
 
 class SymmetryAction:
-    """A (local) Lie algebra action by evolutionary vector fields.
+    """A (local) Lie algebra action by evolutionary vector fields: the
+    action ``rho`` of the parameters ``param_groups`` with the bracket of
+    ``structure`` (None for an abelian action)."""
 
-    The engine realizes a declared action through the parameter reflection
-    (rho, [.,.]) -> (-rho, -[.,.]), an isomorphic presentation of the same
-    Lie algebra action chosen so that the homotopy Noether currents come
-    out on the conventions used for the shipped corpus.
-    """
-
-    def __init__(self, theory, name, param_groups, assignments, structure=None):
+    def __init__(self, theory, name, param_groups, rho, structure=None):
         self.theory = theory
         self.name = name
         self.param_groups = param_groups
-        chart = theory.chart
-        ctx = theory.ctx
-        comps = {}
-        for gname, (rhs_text, line) in assignments.items():
-            if gname not in ctx.groups:
-                raise VarcalcError(f"symmetry assigns unknown field {gname!r}")
-            g = ctx.groups[gname]
-            val = ctx.elaborate(parse_expression(rhs_text, line))
-            comps.update(_match_components(ctx, g, val))
-        self.rho = EvolutionaryField(
-            chart, {fid: -f for fid, f in comps.items()}, name=name)
-        if structure is None:
-            self.structure = None
-        else:
-            st = ctx.structures[structure]
-            flipped = {ab: [(c, -coeff) for c, coeff in lst]
-                       for ab, lst in st.f.items()}
-            self.structure = Structure(st.name, st.dim, flipped, st.kappa)
+        self.rho = rho
+        self.structure = structure
         self.is_local = all(
             theory.chart.kind(fid) == PARAM
             for g in param_groups for fid in g.comps.values())
@@ -103,13 +84,13 @@ def _match_components(ctx: ElabContext, g: FieldGroup, val):
 class Theory:
     """A Lagrangian field theory with its derived homotopy caches."""
 
-    def __init__(self, td: TheoryDef, jet_cutoff=None):
+    def __init__(self, td: TheoryDef):
         self.td = td
-        self.chart, self.ctx = build_context(td, jet_cutoff=jet_cutoff)
+        self.chart, self.ctx = build_context(td)
         self.suite: HomotopySuite = get_suite(self.chart)
-        if not td.lagrangian:
+        if td.lagrangian is None:
             raise VarcalcError("theory has no lagrangian")
-        self.L = elaborate_form(self.ctx, td.lagrangian, td.lagrangian_line)
+        self.L = self.ctx.form(td.lagrangian[0])
         if not self.L.is_zero():
             p, q = self.L.grading()
             if (p, q) != (0, self.chart.dim):
@@ -129,13 +110,33 @@ class Theory:
         self.el_generators = self._extract_generators()
         self.solved = self._build_solved_forms()
         self.derived = {}          # (builder, SymmetryAction) -> result, see per_symmetry()
-        self.symmetries = {}
-        for decl in td.symmetries:
-            groups = [self.ctx.groups[d[0]] for d in decl.params]
-            self.symmetries[decl.name] = SymmetryAction(
-                self, decl.name, groups,
-                {k: v for k, v in decl.assignments.items()},
-                structure=decl.structure)
+        self.symmetries = {decl.name: self._declared_action(decl)
+                           for decl in td.symmetries}
+
+    def _declared_action(self, decl: SymmetryDecl) -> SymmetryAction:
+        """The action a symmetry section declares, realized through the
+        parameter reflection (rho, [.,.]) -> (-rho, -[.,.]): an isomorphic
+        presentation of the same Lie algebra action, chosen so that the
+        homotopy Noether currents come out on the conventions used for the
+        shipped corpus (notes/decisions.md §2).  The bracket is that of the
+        first parameter with a Lie type."""
+        ctx = self.ctx
+        comps = {}
+        for gname, (ast, _line) in decl.assignments.items():
+            if gname not in ctx.groups:
+                raise VarcalcError(f"symmetry assigns unknown field {gname!r}")
+            comps.update(_match_components(ctx, ctx.groups[gname], ctx.elaborate(ast)))
+        rho = EvolutionaryField(
+            self.chart, {fid: -f for fid, f in comps.items()}, name=decl.name)
+        structure = None
+        lie = next((p.lie for p in decl.params if p.lie), None)
+        if lie is not None:
+            st = ctx.structures[lie]
+            flipped = {ab: [(c, -coeff) for c, coeff in lst]
+                       for ab, lst in st.f.items()}
+            structure = Structure(st.name, st.dim, flipped, st.kappa)
+        groups = [ctx.groups[p.name] for p in decl.params]
+        return SymmetryAction(self, decl.name, groups, rho, structure)
 
     # -- Euler-Lagrange generators and solved forms -------------------------
     def _extract_generators(self):
@@ -154,12 +155,10 @@ class Theory:
         chart = self.chart
         bindings = {}
         used = set()
-        for name, digits in self.td.solve:
-            comp = chart.by_name(name)
-            m = [0] * chart.dim
-            for dch in digits:
-                m[int(dch)] += 1
-            target = (comp.fid, tuple(m))
+        for name, midx, line in self.td.solve:
+            if not chart.has_name(name):
+                raise SyntaxError_(f"solve names unknown component {name!r}", line, 1)
+            target = (chart.by_name(name).fid, midx)
             found = False
             for gfid, _c in self.el_generators:
                 if gfid in used:
@@ -173,7 +172,7 @@ class Theory:
                     break
             if not found:
                 raise NoSolvedForm(
-                    f"no unused EL component is linear in {name}_,{digits} "
+                    f"no unused EL component is linear in {atom_text(chart, ('j', *target))} "
                     f"with invertible coefficient")
         return bindings
 
@@ -294,5 +293,9 @@ def _solve_linear(E: LocalForm, target):
 
 
 def theory_from_text(text, jet_cutoff=None) -> Theory:
-    from .dsl import parse_theory
-    return Theory(parse_theory(text), jet_cutoff=jet_cutoff)
+    """The theory a .thy text declares; ``jet_cutoff``, when given,
+    replaces the file's."""
+    td = parse_theory(text)
+    if jet_cutoff is not None:
+        td.jet_cutoff = jet_cutoff
+    return Theory(td)

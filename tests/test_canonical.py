@@ -68,15 +68,11 @@ def test_maxwell_gauss_and_flux(maxwell, maxwell_slice):
 
 
 def test_sigma_noether_trivial_action(maxwell, maxwell_slice):
-    from varcalc.theory import SymmetryAction
-    zero = SymmetryAction.__new__(SymmetryAction)
-    zero.theory = maxwell
-    zero.name = "zero"
-    zero.param_groups = maxwell.symmetry("gauge").param_groups
     from varcalc.euler import EvolutionaryField
-    zero.rho = EvolutionaryField(maxwell.chart, {})
-    zero.structure = None
-    zero.is_local = True
+    from varcalc.theory import SymmetryAction
+    zero = SymmetryAction(maxwell, "zero", maxwell.symmetry("gauge").param_groups,
+                          EvolutionaryField(maxwell.chart, {}))
+    assert zero.is_local
     H = sigma_noether(maxwell_slice, zero)
     assert H.is_zero()
 

@@ -45,6 +45,8 @@ def test_unknown_flag_rejected():
     ("bv", "maxwell", "--cases", "5"),
     ("canonical", "maxwell", "--seed", "1"),
     ("verify", "maxwell", "--slice", "t=0"),
+    ("canonical", "maxwell", "--slice", "t=0", "--corner", "x=0"),
+    ("bvbfv", "maxwell", "--slice", "t=0", "--symmetry", "gauge", "--corner", "x=0"),
 ])
 def test_flag_the_command_ignores_is_rejected(argv):
     code, _ = run_cli(*argv)
@@ -290,3 +292,17 @@ def test_jet_cutoff_env(monkeypatch):
     from varcalc.cli import _load_theory
     T = _load_theory("scalar_field")
     assert T.chart.jet_cutoff == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_jet_cutoff_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("VARCALC_JET_CUTOFF", value)
+    assert main(["el", "maxwell"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: VARCALC_JET_CUTOFF must be a non-negative integer, got {value!r}\n")
+
+
+def test_jet_cutoff_env_zero_is_honoured(monkeypatch, capsys):
+    monkeypatch.setenv("VARCALC_JET_CUTOFF", "0")
+    assert main(["el", "maxwell"]) == 1
+    assert capsys.readouterr().err == "error: jet order 1 exceeds cutoff 0\n"

@@ -30,7 +30,7 @@ def test_undeclared_identifier():
     td = parse_theory("theory t\ndimension 2\nsignature + +\nlagrangian nosuch * vol\n")
     chart, ctx = build_context(td)
     with pytest.raises(UndeclaredIdentifier):
-        elaborate_form(ctx, td.lagrangian, td.lagrangian_line)
+        ctx.form(td.lagrangian[0])
 
 
 def test_odd_ghost_function_argument_is_rejected():
@@ -153,15 +153,76 @@ _HEAD = "theory t\ndimension 2\nsignature + +\n"
         "components", "param_components", "lagrangian", "metric", "signature"])
 def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, line,
                                                         message):
+    _check_positioned(tmp_path, capsys, text, line, 1, message)
+
+
+def _check_positioned(tmp_path, capsys, text, line, col, message):
+    """theory_from_text raises a SyntaxError_ at (line, col), and `varcalc el`
+    on the file exits 2 with the positioned message."""
     from varcalc.cli import main
     from varcalc.theory import theory_from_text
     with pytest.raises(SyntaxError_) as e:
         theory_from_text(text)
-    assert e.value.line == line
+    assert (e.value.line, e.value.col) == (line, col)
     path = tmp_path / "bad.thy"
     path.write_text(text, encoding="utf-8")
     assert main(["el", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}:{line}:1: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}:{line}:{col}: {message}\n"
+
+
+_SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    (_SOLVE + "q_,55\n", 6, 7, "direction 5 out of range in q_,55"),
+    (_SOLVE + "q_,ab\n", 6, 7, "expected direction digits after '_,'"),
+    (_SOLVE + "q_,0_,1\n", 6, 11, "solve expects jets like q_,00"),
+    (_SOLVE + "p_,0\n", 6, 1, "solve names unknown component 'p'"),
+    ("theory t\ndimension 2\nmetric 1 0 / 0\n", 3, 1, "metric must be 2 x 2"),
+    ("theory t\ndimension 2\nmetric 1 0 0 / 0 1 0 / 0 0 1\n", 3, 1, "metric must be 2 x 2"),
+    (_HEAD + "coordinates t x y\n", 4, 1, "coordinates must name 2 coordinates"),
+    (_HEAD + "orientation 3\n", 4, 1, "orientation must be 1 or -1"),
+    (_HEAD + "orientation 0\n", 4, 1, "orientation must be 1 or -1"),
+    (_HEAD + "jet_cutoff -1\n", 4, 1, "jet_cutoff must be >= 0"),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = e\n"
+     "symmetry s param f scalar\n", 8, 1, "duplicate symmetry 's'"),
+    (_HEAD + "structure g su3\n", 4, 1, "unknown structure spec 'su3'"),
+    (_HEAD + "field q scalar\nlagrangian vol * q'\n", 5, 7, "stray prime on 'q'"),
+], ids=["solve_direction", "solve_digits", "solve_adjacent", "solve_component",
+        "metric_ragged", "metric_size", "coordinates", "orientation_3", "orientation_0",
+        "jet_cutoff", "symmetry_twice", "structure", "stray_prime"])
+def test_malformed_value_is_a_positioned_syntax_error(tmp_path, capsys, text, line, col,
+                                                      message):
+    _check_positioned(tmp_path, capsys, text, line, col, message)
+
+
+def test_jet_cutoff_zero_is_honoured():
+    from varcalc.theory import theory_from_text
+    T = theory_from_text(_HEAD + "jet_cutoff 0\nfield q scalar\nlagrangian q * q * vol\n")
+    assert T.chart.jet_cutoff == 0
+
+
+@pytest.mark.parametrize("name", [
+    "point_particle", "scalar_field", "scalar_field_null", "maxwell", "maxwell_sourced",
+    "maxwell_first_order", "yang_mills_su2", "chern_simons_su2", "bf_abelian_4d"])
+def test_each_expression_is_parsed_once(monkeypatch, name):
+    from importlib import resources
+    from varcalc import dsl, theory
+    from varcalc.theory import theory_from_text
+    text = resources.files("varcalc.theories").joinpath(name + ".thy").read_text(
+        encoding="utf-8")
+    parsed = []
+
+    def counting(source, line_no=1):
+        parsed.append(line_no)
+        return parse_expression(source, line_no)
+
+    for module in (dsl, theory):
+        monkeypatch.setattr(module, "parse_expression", counting, raising=False)
+    theory_from_text(text)
+    expressions = [no for no, ln in enumerate(text.splitlines(), 1)
+                   if ln.startswith(("lagrangian", "source", " "))]
+    assert sorted(parsed) == expressions
 
 
 def test_parameter_family_has_no_collective_value(tmp_path, capsys):
