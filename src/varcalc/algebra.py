@@ -263,9 +263,9 @@ def _splice(key, keys, odd, i, drop, ins):
 
 
 def _image_data(chart, im):
-    """(word, coeff, -coeff, atom data) per term of an image form; the atom
-    data is None when the word holds a named constant or its inverse, which
-    must go through norm_word to cancel."""
+    """(word, coeff, -coeff, atom data) per term of an image form, as a
+    tuple; the atom data is None when the word holds a named constant or
+    its inverse, which must go through norm_word to cancel."""
     if im is None or not im.terms:
         return None
     out = []
@@ -274,7 +274,7 @@ def _image_data(chart, im):
         if any(d[2] == _CONST for d in ins):
             ins = None
         out.append((ikey, ic, -ic, ins))
-    return out
+    return tuple(out)
 
 
 class LocalForm:
@@ -326,7 +326,8 @@ class LocalForm:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * -1
+        # a negated canonical coefficient is canonical
+        return LocalForm(self.chart, {k: -c for k, c in self.terms.items()})
 
     def wedge(self, other):
         out = LocalForm(self.chart)
@@ -385,18 +386,22 @@ class LocalForm:
 # generic graded operators
 # ---------------------------------------------------------------------------
 
-def apply_derivation(form: LocalForm, parity, image):
+def apply_derivation(form: LocalForm, parity, image, images=None):
     """Graded derivation: image(atom) -> LocalForm | None (None = zero).
 
     The image of an atom is spliced in place with the Koszul sign of moving
     an operator of the given parity across the atoms before it (operators
-    act from the left).  Each distinct atom's image is computed once per
-    call, and its words are merged into the normalized word (_splice).
+    act from the left).  Each distinct atom's image is computed once, and
+    its words are merged into the normalized word (_splice).  ``images``
+    is the table of image data (_image_data) read and filled on the way:
+    a chart's table (Chart.images) when the image depends only on the atom
+    and the chart, else a new dict for this call.
     """
     chart = form.chart
     out = LocalForm(chart)
     terms = out.terms
-    images = {}
+    if images is None:
+        images = {}
     for key, coeff in form.terms.items():
         keys = odd = None
         n = len(key)
@@ -466,7 +471,8 @@ def total_derivative(form: LocalForm, mu, legs=True):
     differentiates the coefficient atoms only and leaves vertical legs
     alone."""
     chart = form.chart
-    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, legs))
+    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, legs),
+                            chart.images.setdefault(('D', mu, legs), {}))
 
 
 def horizontal(form: LocalForm, legs=True):
@@ -485,7 +491,7 @@ def horizontal(form: LocalForm, legs=True):
                 out = out + prepend_atom(im, ('h', mu))
         return out
 
-    return apply_derivation(form, 1, image)
+    return apply_derivation(form, 1, image, chart.images.setdefault(('d', legs), {}))
 
 
 def apply_midx_derivative(form, midx):
@@ -535,7 +541,7 @@ def d_v(form: LocalForm):
             return chain_rule(chart, atom, leg)
         return None
 
-    return apply_derivation(form, 1, image)
+    return apply_derivation(form, 1, image, chart.images.setdefault('dv', {}))
 
 
 def h_coefficient(form: LocalForm, dirs):

@@ -216,6 +216,10 @@ class Chart:
         self._fn_by_name: dict[str, FunctionSymbol] = {}
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
+        # derivation images per operator key ('d', legs), ('D', mu, legs)
+        # or 'dv': atom -> _image_data tuple or None, filled by
+        # algebra.apply_derivation
+        self.images: dict = {}
         # frozenset of promoted fids -> chart, filled by promoted()
         self.promotions: dict[frozenset, Chart] = {}
 
@@ -308,6 +312,7 @@ class Chart:
                           for c in self.components]
         new._by_name = {c.name: c for c in new.components}
         new.atom_data = {}      # the kinds differ, so the actions do too
+        new.images = {}         # and so do the D_mu and d_v images
         new.promotions = {}
         self.promotions[fids] = new
         return new

@@ -46,9 +46,11 @@ class MissingStructureConstants(VarcalcError):
 _SYMBOLS = ("∧", "+", "-", "*", "^", "(", ")", ",", ";", "<", ">", "[", "]", "{", "}", "=")
 
 
-def tokenize(text, line_no=1):
+def tokenize(text, line_no=1, col=1):
+    """Tokens of ``text`` as (kind, value, line, column); ``col`` is the
+    column of the text's first character on its line."""
     toks = []
-    i, col = 0, 1
+    i = 0
     n = len(text)
     while i < n:
         ch = text[i]
@@ -243,8 +245,8 @@ class _Parser:
         return ("scaled", node) if scaled else node
 
 
-def parse_expression(text, line_no=1):
-    p = _Parser(tokenize(text, line_no))
+def parse_expression(text, line_no=1, col=1):
+    p = _Parser(tokenize(text, line_no, col))
     node = p.parse_expr()
     tail = p.peek()
     if tail[0] != "end":
@@ -721,7 +723,7 @@ def parse_theory(text) -> TheoryDef:
             if "=" not in line:
                 raise SyntaxError_("expected 'field = expression'", no, 1)
             lhs, rhs = line.split("=", 1)
-            current_sym.assignments[lhs.strip()] = (parse_expression(rhs.strip(), no), no)
+            current_sym.assignments[lhs.strip()] = (_parse_tail(rhs.strip(), line, no), no)
             continue
         current_sym = None
         at[head] = no
@@ -773,9 +775,9 @@ def parse_theory(text) -> TheoryDef:
                 raise SyntaxError_("source needs '= expression'", no, 1)
             decl, value = line.split("=", 1)
             td.sources.append((_parse_field_decl(decl.split()[1:], no),
-                               parse_expression(value.strip(), no), no))
+                               _parse_tail(value.strip(), line, no), no))
         elif head == "lagrangian":
-            td.lagrangian = (parse_expression(_operand(line.split(None, 1), 1, no), no), no)
+            td.lagrangian = (_parse_tail(_operand(line.split(None, 1), 1, no), line, no), no)
         elif head == "symmetry":
             name = _operand(parts, 1, no)
             if any(s.name == name for s in td.symmetries):
@@ -807,6 +809,11 @@ def parse_theory(text) -> TheoryDef:
     if len(td.metric) != n or any(len(row) != n for row in td.metric):
         raise SyntaxError_(f"metric must be {n} x {n}" if metric_head == "metric"
                            else "signature length must equal dimension", at[metric_head], 1)
+    if metric_head == "metric":
+        mdet = det(td.metric)
+        if abs(mdet) != 1:
+            raise SyntaxError_("metric determinant must be +-1 for exact Hodge duals"
+                               if mdet else "degenerate metric", at["metric"], 1)
     if "coordinates" in at and len(td.coords) != n:
         raise SyntaxError_(f"coordinates must name {n} coordinates", at["coordinates"], 1)
     for name, digits, no, col in jets:
@@ -815,6 +822,12 @@ def parse_theory(text) -> TheoryDef:
         except DimensionMismatch as e:
             raise SyntaxError_(str(e), no, col) from None
     return td
+
+
+def _parse_tail(expr, line, no):
+    """parse_expression of ``expr``, a suffix of ``line``, with columns
+    counted from the start of the line."""
+    return parse_expression(expr, no, len(line) - len(expr) + 1)
 
 
 def _operand(parts, k, no, conv=str):

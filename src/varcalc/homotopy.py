@@ -277,7 +277,8 @@ class HomotopySuite:
         cur = self.sigma1(form)
         guard = 0
         while not cur.is_zero():
-            acc = acc + cur
+            for k, c in cur.terms.items():
+                _add(acc.terms, k, c)
             cur = -self.sigma1(self.d0(cur))
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):

@@ -180,6 +180,9 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
     (_SOLVE + "p_,0\n", 6, 1, "solve names unknown component 'p'"),
     ("theory t\ndimension 2\nmetric 1 0 / 0\n", 3, 1, "metric must be 2 x 2"),
     ("theory t\ndimension 2\nmetric 1 0 0 / 0 1 0 / 0 0 1\n", 3, 1, "metric must be 2 x 2"),
+    ("theory t\ndimension 2\nmetric 2 0 / 0 1\n", 3, 1,
+     "metric determinant must be +-1 for exact Hodge duals"),
+    ("theory t\ndimension 2\nmetric 1 1 / 1 1\n", 3, 1, "degenerate metric"),
     (_HEAD + "coordinates t x y\n", 4, 1, "coordinates must name 2 coordinates"),
     (_HEAD + "orientation 3\n", 4, 1, "orientation must be 1 or -1"),
     (_HEAD + "orientation 0\n", 4, 1, "orientation must be 1 or -1"),
@@ -187,10 +190,14 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
     (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = e\n"
      "symmetry s param f scalar\n", 8, 1, "duplicate symmetry 's'"),
     (_HEAD + "structure g su3\n", 4, 1, "unknown structure spec 'su3'"),
-    (_HEAD + "field q scalar\nlagrangian vol * q'\n", 5, 7, "stray prime on 'q'"),
+    (_HEAD + "field q scalar\nlagrangian vol * q'\n", 5, 18, "stray prime on 'q'"),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = e'\n", 7, 7,
+     "stray prime on 'e'"),
+    (_HEAD + "field q scalar\nsource j scalar = q'\n", 5, 19, "stray prime on 'q'"),
 ], ids=["solve_direction", "solve_digits", "solve_adjacent", "solve_component",
-        "metric_ragged", "metric_size", "coordinates", "orientation_3", "orientation_0",
-        "jet_cutoff", "symmetry_twice", "structure", "stray_prime"])
+        "metric_ragged", "metric_size", "metric_det", "metric_degenerate", "coordinates",
+        "orientation_3", "orientation_0", "jet_cutoff", "symmetry_twice", "structure",
+        "stray_prime", "stray_prime_symmetry", "stray_prime_source"])
 def test_malformed_value_is_a_positioned_syntax_error(tmp_path, capsys, text, line, col,
                                                       message):
     _check_positioned(tmp_path, capsys, text, line, col, message)
@@ -213,9 +220,9 @@ def test_each_expression_is_parsed_once(monkeypatch, name):
         encoding="utf-8")
     parsed = []
 
-    def counting(source, line_no=1):
+    def counting(source, line_no=1, col=1):
         parsed.append(line_no)
-        return parse_expression(source, line_no)
+        return parse_expression(source, line_no, col)
 
     for module in (dsl, theory):
         monkeypatch.setattr(module, "parse_expression", counting, raising=False)

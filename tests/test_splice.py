@@ -45,7 +45,8 @@ def _accum(self, atoms, coeff):
         self.terms.pop(key, None)
 
 
-def oracle_apply_derivation(form: LocalForm, parity, image):
+def oracle_apply_derivation(form: LocalForm, parity, image, images=None):
+    """Per call, whatever table it is given: ``images`` is ignored."""
     chart = form.chart
     out = LocalForm(chart)
     for key, coeff in form.terms.items():
