@@ -41,6 +41,19 @@ def midx_shift(a, mu):
     return tuple(x + (1 if i == mu else 0) for i, x in enumerate(a))
 
 
+def midx_lower(a, mu):
+    """a - e_mu."""
+    return a[:mu] + (a[mu] - 1,) + a[mu + 1:]
+
+
+def midx_last(a):
+    """The last direction mu with a[mu] > 0; None for the zero multi-index."""
+    for mu in range(len(a) - 1, -1, -1):
+        if a[mu]:
+            return mu
+    return None
+
+
 def midx_order(a):
     return sum(a)
 
@@ -494,13 +507,6 @@ def horizontal(form: LocalForm, legs=True):
     return apply_derivation(form, 1, image, chart.images.setdefault(('d', legs), {}))
 
 
-def apply_midx_derivative(form, midx):
-    for mu, k in enumerate(midx):
-        for _ in range(k):
-            form = total_derivative(form, mu)
-    return form
-
-
 def prepend_atom(form: LocalForm, atom):
     """atom ∧ form, merged into each normalized word (_splice)."""
     chart = form.chart
@@ -675,7 +681,22 @@ def substitute(form: LocalForm, bindings):
             raise GradingError("bindings must be scalar (0,0) forms")
         by_fid.setdefault(fid, []).append((j0, expr))
 
-    cache = {}
+    jets = {}
+    legs = {}
+
+    def prolonged(fid, j0, e, J):
+        """D^{J-j0} e: D_nu of the entry at J - e_nu within the binding
+        j0, nu the last direction in which J exceeds j0."""
+        key = (fid, j0, J)
+        ex = jets.get(key)
+        if ex is None:
+            nu = midx_last(midx_sub(J, j0))
+            if nu is None:
+                ex = e
+            else:
+                ex = total_derivative(prolonged(fid, j0, e, midx_lower(J, nu)), nu)
+            jets[key] = ex
+        return ex
 
     def bound_expr(fid, J, vertical):
         cands = [(j0, e) for j0, e in by_fid.get(fid, ()) if midx_geq(J, j0)]
@@ -685,11 +706,12 @@ def substitute(form: LocalForm, bindings):
         # base multi-index (consistent on the solution ideal)
         cands.sort(key=lambda t: t[0], reverse=True)
         j0, e = cands[0]
-        key = (fid, J, vertical)
-        if key not in cache:
-            ex = apply_midx_derivative(e, midx_sub(J, j0))
-            cache[key] = d_v(ex) if vertical else ex
-        return cache[key]
+        if not vertical:
+            return prolonged(fid, j0, e, J)
+        key = (fid, J)
+        if key not in legs:
+            legs[key] = d_v(prolonged(fid, j0, e, J))
+        return legs[key]
 
     def image(a, in_fn):
         t = a[0]

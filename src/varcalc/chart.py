@@ -14,7 +14,8 @@ from math import lcm, prod
 
 
 class VarcalcError(Exception):
-    pass
+    # the position in a theory file of the input at fault, when known
+    line = col = None
 
 
 class JetCutoffExceeded(VarcalcError):
@@ -39,6 +40,11 @@ class NonScalableTerm(VarcalcError):
 
 class DimensionMismatch(VarcalcError):
     pass
+
+
+class ChartMismatch(VarcalcError):
+    """Two theories compared on charts that differ in what a Lagrangian
+    can hold."""
 
 
 class NotConstant(VarcalcError):

@@ -27,7 +27,6 @@ class UsageError(VarcalcError):
 
 def _load_theory(path):
     from .theory import theory_from_text
-    from .dsl import SyntaxError_
     if os.path.exists(path):
         text = open(path, encoding="utf-8").read()
     else:
@@ -42,7 +41,9 @@ def _load_theory(path):
         raise UsageError(f"VARCALC_JET_CUTOFF must be a non-negative integer, got {env!r}")
     try:
         return theory_from_text(text, jet_cutoff=int(env) if env else None)
-    except SyntaxError_ as e:
+    except VarcalcError as e:
+        if e.line is None:
+            raise
         raise UsageError(f"{path}:{e}") from e
 
 

@@ -9,6 +9,7 @@ by tr(.), [.,.] or <.,.>.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -37,6 +38,24 @@ class GradingMismatch(VarcalcError):
 
 class MissingStructureConstants(VarcalcError):
     pass
+
+
+# names in a declaration that elaboration cannot resolve
+_UNRESOLVED = (UndeclaredIdentifier, MissingStructureConstants, DimensionMismatch)
+
+
+@contextmanager
+def located(line, col):
+    """Position an unresolved name raised inside at (line, col) of the
+    theory file, as SyntaxError_ positions its own: the message gets the
+    prefix 'line:col: ' and the error its line and col.  Its type stays."""
+    try:
+        yield
+    except _UNRESOLVED as e:
+        if e.line is None:
+            e.line, e.col = line, col
+            e.args = (f"{line}:{col}: {e}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +412,7 @@ class SymmetryDecl:
     name: str
     line: int
     params: list                    # FieldDecl
-    assignments: dict               # field group name -> (AST, line)
+    assignments: dict               # field group name -> (AST, line, col)
 
 
 @dataclass
@@ -406,8 +425,8 @@ class TheoryDef:
     functions: list = field(default_factory=list)    # (name, arity)
     structures: dict = field(default_factory=dict)   # name -> Structure
     fields: list = field(default_factory=list)       # (FieldDecl, line)
-    sources: list = field(default_factory=list)      # (FieldDecl, AST, line)
-    lagrangian: tuple | None = None                  # (AST, line)
+    sources: list = field(default_factory=list)      # (FieldDecl, (AST, line, col))
+    lagrangian: tuple | None = None                  # (AST, line, col)
     symmetries: list = field(default_factory=list)   # SymmetryDecl
     solve: list = field(default_factory=list)        # (component name, midx, line)
     orientation: int = 1
@@ -723,7 +742,7 @@ def parse_theory(text) -> TheoryDef:
             if "=" not in line:
                 raise SyntaxError_("expected 'field = expression'", no, 1)
             lhs, rhs = line.split("=", 1)
-            current_sym.assignments[lhs.strip()] = (_parse_tail(rhs.strip(), line, no), no)
+            current_sym.assignments[lhs.strip()] = _parse_tail(rhs.strip(), line, no)
             continue
         current_sym = None
         at[head] = no
@@ -775,9 +794,9 @@ def parse_theory(text) -> TheoryDef:
                 raise SyntaxError_("source needs '= expression'", no, 1)
             decl, value = line.split("=", 1)
             td.sources.append((_parse_field_decl(decl.split()[1:], no),
-                               _parse_tail(value.strip(), line, no), no))
+                               _parse_tail(value.strip(), line, no)))
         elif head == "lagrangian":
-            td.lagrangian = (_parse_tail(_operand(line.split(None, 1), 1, no), line, no), no)
+            td.lagrangian = _parse_tail(_operand(line.split(None, 1), 1, no), line, no)
         elif head == "symmetry":
             name = _operand(parts, 1, no)
             if any(s.name == name for s in td.symmetries):
@@ -825,9 +844,10 @@ def parse_theory(text) -> TheoryDef:
 
 
 def _parse_tail(expr, line, no):
-    """parse_expression of ``expr``, a suffix of ``line``, with columns
-    counted from the start of the line."""
-    return parse_expression(expr, no, len(line) - len(expr) + 1)
+    """(AST, line, col) of ``expr``, a suffix of line ``no``, with col and
+    the columns of its tokens counted from the start of the line."""
+    col = len(line) - len(expr) + 1
+    return parse_expression(expr, no, col), no, col
 
 
 def _operand(parts, k, no, conv=str):
@@ -901,17 +921,20 @@ def build_context(td: TheoryDef):
         chart.add_component(nm, kind=CONST)
     for nm, arity in td.functions:
         chart.add_function(nm, arity=arity)
-    for (name, deg, lie, ghost, mult, _c), _no in td.fields:
-        ctx.add_field_group(name, deg, lie, ghost, DYNAMIC, mult)
+    for (name, deg, lie, ghost, mult, _c), no in td.fields:
+        with located(no, 1):
+            ctx.add_field_group(name, deg, lie, ghost, DYNAMIC, mult)
     for sym in td.symmetries:
         for name, deg, lie, ghost, mult, constant in sym.params:
             if name not in ctx.groups:
                 kind = CPARAM if constant else PARAM
-                ctx.add_field_group(name, deg, lie, ghost, kind, mult)
+                with located(sym.line, 1):
+                    ctx.add_field_group(name, deg, lie, ghost, kind, mult)
                 # auxiliary twin copy used by the pairwise identity checks
                 ctx.add_field_group(name + "__b", deg, lie, ghost, kind, mult)
-    for decl, ast, _no in td.sources:
-        form = ctx.form(ast)
+    for decl, (ast, no, col) in td.sources:
+        with located(no, col):
+            form = ctx.form(ast)
         if not d_h(form).is_zero():
             raise VarcalcError(
                 f"external source {decl.name!r} is not closed (d j != 0)")

@@ -6,23 +6,19 @@ from fractions import Fraction
 
 from .chart import GradingError, GhostDegreeMismatch
 from .algebra import (
-    LocalForm, apply_derivation, apply_midx_derivative, contract_legs, d_v,
-    midx_zero, prepend_atom,
+    LocalForm, _add, apply_derivation, contract_legs, d_v, midx_last,
+    midx_lower, midx_zero, prepend_atom, total_derivative,
 )
-
-
-def minus_D(form, midx):
-    """(-D)_K = (-1)^{|K|} D_K."""
-    out = apply_midx_derivative(form, midx)
-    if sum(midx) % 2:
-        out = -out
-    return out
 
 
 def interior_euler(form: LocalForm):
     """Takens' interior Euler operator on (p>=1, top) forms.
 
     I(w) = (1/p) sum_a  du^a ^ sum_K (-D)_K (i^a_K w)
+
+    The sum over K is taken in Horner form: from the highest order down,
+    each K is peeled at its last direction nu into the partial sum at
+    K - e_nu, so each merged partial sum gets one D_nu pass.
     """
     if form.is_zero():
         return form
@@ -32,11 +28,24 @@ def interior_euler(form: LocalForm):
     if q != n or p < 1:
         raise GradingError(f"interior Euler operator needs (p>=1, q={n}), got ({p},{q})")
     out = LocalForm(chart)
-    legs = contract_legs(form)
-    for fid, K in sorted(legs):
-        ibp = minus_D(legs[fid, K], K)
-        out = out + prepend_atom(ibp, ('v', fid, midx_zero(chart.dim)))
-    return out * Fraction(1, p)
+    by_fid = {}
+    for (fid, K), g in contract_legs(form).items():
+        by_fid.setdefault(fid, {})[K] = g
+    zero = midx_zero(n)
+    for fid in sorted(by_fid):
+        partial = by_fid[fid]
+        while partial:
+            K = max(partial, key=lambda K: (sum(K), K))
+            g = partial.pop(K)
+            nu = midx_last(K)
+            if nu is None:      # K = 0 comes last
+                for k, c in prepend_atom(g, ('v', fid, zero)).terms.items():
+                    _add(out.terms, k, c)
+            elif g.terms:
+                below = partial.setdefault(midx_lower(K, nu), LocalForm(chart))
+                for k, c in total_derivative(g, nu).terms.items():
+                    _add(below.terms, k, -c)
+    return out if p == 1 else out * Fraction(1, p)
 
 
 def exterior_euler(form: LocalForm):
@@ -74,17 +83,25 @@ class EvolutionaryField:
         self._prolonged = {}
 
     def component(self, fid, midx=None):
+        """D_K of the component of ``fid``: D_nu of the memoized component
+        at K - e_nu, nu the last direction of K, so the passes are those of
+        D_K applied direction by direction."""
         chart = self.chart
         if midx is None:
             midx = midx_zero(chart.dim)
         key = (fid, midx)
-        if key not in self._prolonged:
+        got = self._prolonged.get(key)
+        if got is None:
+            nu = midx_last(midx)
             base = self.components.get(fid)
             if base is None:
-                self._prolonged[key] = LocalForm.zero(chart)
+                got = LocalForm.zero(chart)
+            elif nu is None:
+                got = base
             else:
-                self._prolonged[key] = apply_midx_derivative(base, midx)
-        return self._prolonged[key]
+                got = total_derivative(self.component(fid, midx_lower(midx, nu)), nu)
+            self._prolonged[key] = got
+        return got
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components.values())

@@ -13,10 +13,11 @@ rank e_{b-1} + rank e_b = dim C_b.  So the Hodge Laplacian of the source
 degree, Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with
 e^T e on im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
 connected block at a time (notes/decisions.md §14).  The image of each
-canonical leg word is computed once per stratum.  The homological
-perturbation series in d0 (which terminates, since sigma1 lowers total
-leg order) then produces a homotopy h for the full horizontal
-differential satisfying
+canonical leg word is computed once per stratum, and kept as integer
+numerators over one denominator.  The homological perturbation series in
+d0 (which terminates, since sigma1 lowers total leg order), run in
+integers over one running denominator (§16), then produces a homotopy h
+for the full horizontal differential satisfying
 
     alpha = h d alpha                     on (>=1, 0) forms,
     alpha = h d alpha + d h alpha         on (>=1, 0<q<n) forms,
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .chart import (
     COORD, DYNAMIC, GradingError, InvariantViolation, NonScalableTerm,
@@ -207,16 +209,17 @@ class _Stratum:
         return self.blocks[b]
 
     def sigma1_image(self, word):
-        """sigma1 of a canonical leg word of this stratum, memoized as a
-        list of (target word, coefficient): Delta^{-1} applied to the
-        word's row of e, which reads only the blocks that row touches."""
+        """sigma1 of a canonical leg word of this stratum, memoized as
+        (den, [(target word, int numerator)]), den the lcm of the image's
+        denominators: Delta^{-1} applied to the word's row of e, which reads
+        only the blocks that row touches."""
         image = self.images.get(word)
         if image is None:
             b = sum(1 for a in word if a[0] == 'h')
             i = self.index[b].get(word)
             if i is None:
                 raise InvariantViolation("leg word missing from its stratum basis")
-            image = []
+            image = (1, [])
             if b and self.fids:
                 rows, block_of = self.delta_pinv(b)
                 z = {}
@@ -225,8 +228,10 @@ class _Stratum:
                     for j2, x in zip(members, inv[j]):
                         if x:
                             z[j2] = z.get(j2, 0) + c * x
-                image = [(self.bases[b - 1][j], _q(s))
-                         for j, s in sorted(z.items()) if s]
+                terms = [(j, s) for j, s in sorted(z.items()) if s]
+                den = lcm(*(s.denominator for _j, s in terms))
+                image = (den, [(self.bases[b - 1][j], s.numerator * (den // s.denominator))
+                               for j, s in terms])
             self.images[word] = image
         return image
 
@@ -255,35 +260,65 @@ class HomotopySuite:
         return self._strata[skey]
 
     def sigma1(self, form):
+        """(L, L sigma1(form)), L the lcm of the denominators of the images
+        read, so that integer coefficients stay integers."""
         chart = self.chart
-        out = LocalForm(chart)
+        reads = []
         for key, coeff in form.terms.items():
             coeffs, legs = _leg_split(key)
             if not legs:
                 continue
             # the legs of a normalized word are a normalized leg word, and
             # coefficients followed by a leg word stay normalized
-            image = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+            den, image = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
             if not image:
                 continue
             if sum(atom_parity(chart, a) for a in coeffs) & 1:
                 coeff = -coeff
-            for target, c in image:
-                _add(out.terms, coeffs + target, coeff * c)
-        return out
+            reads.append((coeffs, coeff, den, image))
+        L = lcm(*(r[2] for r in reads))
+        out = LocalForm(chart)
+        terms = out.terms
+        for coeffs, coeff, den, image in reads:
+            if den != L:
+                coeff *= L // den
+            for target, n in image:
+                _add(terms, coeffs + target, coeff * n)
+        return L, out
 
     def h_inf(self, form):
-        acc = LocalForm(self.chart)
-        cur = self.sigma1(form)
+        """The perturbation series sum_r (-sigma1 d0)^r sigma1 of a form, run
+        with integer coefficients over one running denominator: the input
+        is scaled by the lcm of its denominators, each sigma1 round
+        multiplies the denominator by the lcm it reports, and d0 keeps
+        integers integral.  The rounds are added in order, and each output
+        coefficient is divided once at the end (notes/decisions.md §16)."""
+        den = lcm(*(c.denominator for c in form.terms.values()))
+        if den != 1:
+            form = LocalForm(self.chart, {k: c.numerator * (den // c.denominator)
+                                          for k, c in form.terms.items()})
+        rounds = []
+        L, cur = self.sigma1(form)
+        den *= L
         guard = 0
         while not cur.is_zero():
-            for k, c in cur.terms.items():
-                _add(acc.terms, k, c)
-            cur = -self.sigma1(self.d0(cur))
+            rounds.append((den, cur.terms))
+            L, cur = self.sigma1(self.d0(cur))
+            cur = -cur
+            den *= L
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):
                 raise InvariantViolation("perturbation series failed to terminate")
-        return acc
+        acc = {}
+        if rounds:
+            den = rounds[-1][0]
+            for d, terms in rounds:
+                scale = den // d
+                for k, n in terms.items():
+                    _add(acc, k, n * scale)
+            if den != 1:
+                acc = {k: _q(Fraction(n, den)) for k, n in acc.items()}
+        return LocalForm(self.chart, acc)
 
     # -- public operators ----------------------------------------------------
     def h_horizontal(self, form):

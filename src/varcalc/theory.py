@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import zip_longest
 
 from .chart import (
-    CONST, DYNAMIC, PARAM, GradingError, InvariantViolation, NoFixpoint, NoSolvedForm,
-    VarcalcError,
+    CONST, COORD, DYNAMIC, PARAM, ChartMismatch, GradingError, InvariantViolation,
+    NoFixpoint, NoSolvedForm, VarcalcError,
 )
 from .algebra import (
     LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_zero, substitute,
@@ -18,7 +19,7 @@ from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
 from .dsl import (
     ElabContext, FieldGroup, Structure, SymmetryDecl, SyntaxError_, TheoryDef,
-    build_context, parse_theory,
+    UndeclaredIdentifier, build_context, located, parse_theory,
 )
 from .render import atom_text
 
@@ -90,7 +91,9 @@ class Theory:
         self.suite: HomotopySuite = get_suite(self.chart)
         if td.lagrangian is None:
             raise VarcalcError("theory has no lagrangian")
-        self.L = self.ctx.form(td.lagrangian[0])
+        ast, line, col = td.lagrangian
+        with located(line, col):
+            self.L = self.ctx.form(ast)
         if not self.L.is_zero():
             p, q = self.L.grading()
             if (p, q) != (0, self.chart.dim):
@@ -122,10 +125,12 @@ class Theory:
         first parameter with a Lie type."""
         ctx = self.ctx
         comps = {}
-        for gname, (ast, _line) in decl.assignments.items():
-            if gname not in ctx.groups:
-                raise VarcalcError(f"symmetry assigns unknown field {gname!r}")
-            comps.update(_match_components(ctx, ctx.groups[gname], ctx.elaborate(ast)))
+        for gname, (ast, line, col) in decl.assignments.items():
+            with located(line, 1):
+                if gname not in ctx.groups:
+                    raise UndeclaredIdentifier(f"symmetry assigns unknown field {gname!r}")
+            with located(line, col):
+                comps.update(_match_components(ctx, ctx.groups[gname], ctx.elaborate(ast)))
         rho = EvolutionaryField(
             self.chart, {fid: -f for fid, f in comps.items()}, name=decl.name)
         structure = None
@@ -219,12 +224,14 @@ class Theory:
 
     def lagrangians_equivalent(self, other: "Theory"):
         """Same EL set; returns (bool, witness) with witness = (constant
-        part, d-primitive) of the difference when equivalent."""
+        part, d-primitive) of the difference when equivalent.  Raises
+        ChartMismatch, naming the first difference, when the two charts
+        differ in what a Lagrangian can hold."""
+        mismatch = _chart_difference(self.chart, other.chart)
+        if mismatch:
+            raise ChartMismatch(f"theories live on different charts: {mismatch}")
         diff = other.L - self.L
         same = (other.EL - self.EL).is_zero()
-        # P of this chart acts on (0, top) forms only
-        if other.L.terms and other.L.grading() != (0, self.chart.dim):
-            raise GradingError("Euler projector acts on (0, top) forms")
         same_p = (other.Lh - self.Lh).is_zero()
         if same != same_p:
             raise InvariantViolation("E and P disagree on Lagrangian equivalence")
@@ -236,6 +243,39 @@ class Theory:
         if not resid.is_zero():
             raise InvariantViolation("equivalence witness failed to close")
         return True, (const, primitive)
+
+
+def _chart_difference(a, b):
+    """The first difference between two charts in what a Lagrangian can
+    hold, or None: the dimension, the coordinate names, the metric, the
+    name, kind and ghost degree at each fid of a coordinate, constant or
+    dynamical component, and the function symbols."""
+    def metric(ch):
+        return " / ".join(" ".join(map(str, row)) for row in ch.metric)
+
+    def held(ch):
+        return [(c.fid, c.name, c.kind, c.ghost) for c in ch.components
+                if c.kind in (COORD, CONST, DYNAMIC)]
+
+    def component(c):
+        return "nothing" if c is None else f"{c[1]} ({c[2]}, ghost {c[3]})"
+
+    def function(f):
+        return "nothing" if f is None else f"{f.name} (arity {f.arity})"
+
+    if a.dim != b.dim:
+        return f"dimension {a.dim} vs {b.dim}"
+    if a.coord_names != b.coord_names:
+        return f"coordinates {' '.join(a.coord_names)} vs {' '.join(b.coord_names)}"
+    if a.metric != b.metric:
+        return f"metric {metric(a)} vs {metric(b)}"
+    for x, y in zip_longest(held(a), held(b)):
+        if x != y:
+            return f"fid {(x or y)[0]} holds {component(x)} vs {component(y)}"
+    for x, y in zip_longest(a.functions, b.functions):
+        if function(x) != function(y):
+            return f"function {(x or y).sym_id} is {function(x)} vs {function(y)}"
+    return None
 
 
 def per_symmetry(build):

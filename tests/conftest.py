@@ -2,11 +2,13 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from varcalc.algebra import _q  # noqa: E402
 from varcalc.theory import theory_from_text  # noqa: E402
 
 _cache = {}
@@ -19,6 +21,18 @@ def assert_exact(form):
     for key, c in getattr(form, "terms", form).items():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
             (key, c)
+
+
+def sigma1_terms(image):
+    """A stored sigma1 image (den, [(word, int numerator)]) as its list of
+    (word, canonical coefficient); checks that den is the lcm of the
+    denominators, so the numerators share no common factor with it."""
+    den, terms = image
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n for _w, n in terms)
+    out = [(w, _q(Fraction(n, den))) for w, n in terms]
+    assert den == lcm(1, *(c.denominator for _w, c in out))
+    return out
 
 
 def load_theory(name):

@@ -13,7 +13,9 @@ from varcalc.bv import (
     bfv_extend, bv_bracket, bv_extend, hamiltonian_vector_field,
     verify_bfv_cme, verify_cme,
 )
-from varcalc.chart import CMEFails, GradingError, InvariantViolation, VarcalcError
+from varcalc.chart import (
+    ChartMismatch, CMEFails, GradingError, InvariantViolation, VarcalcError,
+)
 from varcalc.noether import Report, decompose_dual_current
 from varcalc.render import form_json, render_text
 from varcalc.slicing import SliceSpec, restrict_to_slice
@@ -200,9 +202,12 @@ def test_zero_form_json():
         "text": "0", "terms": []}
 
 
-def test_equivalence_across_dimensions_is_a_grading_error():
+def test_equivalence_across_dimensions_is_a_chart_mismatch():
+    """The parent code failed here only through the grading of the other
+    Lagrangian; the chart comparison now names the difference first."""
     T, other = load_theory("maxwell"), load_theory("chern_simons_su2")
     _res, want = _outcome(_parent_lagrangians_equivalent, T, other)
     _res, got = _outcome(T.lagrangians_equivalent, other)
-    assert got == want == (GradingError, "Euler projector acts on (0, top) forms",
-                           None)
+    assert want == (GradingError, "Euler projector acts on (0, top) forms", None)
+    assert got == (ChartMismatch, "theories live on different charts: dimension 4 vs 3",
+                   None)

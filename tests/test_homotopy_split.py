@@ -12,6 +12,7 @@ from varcalc.algebra import (
 from varcalc.chart import InvariantViolation
 from varcalc.homotopy import HomotopySuite, _Stratum, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
+from conftest import sigma1_terms
 
 sympy = pytest.importorskip("sympy")
 
@@ -93,7 +94,7 @@ def test_sigma1_is_pseudo_inverse_of_d1_on_every_stratum(dim):
                 continue
             pinv = _dense(st, b - 1).pinv()
             for i, word in enumerate(st.bases[b]):
-                image = dict(st.sigma1_image(word))
+                image = dict(sigma1_terms(st.sigma1_image(word)))
                 assert [image.get(w, 0) for w in st.bases[b - 1]] == list(pinv.col(i))
             degrees += 1
     assert degrees > 2 * dim
@@ -134,7 +135,7 @@ def test_h_inf_guard_is_an_invariant_violation(monkeypatch):
     ch = _chart(2)
     suite = HomotopySuite(ch)
     monkeypatch.setattr(suite, "d0", lambda form: form)
-    monkeypatch.setattr(suite, "sigma1", lambda form: form)
+    monkeypatch.setattr(suite, "sigma1", lambda form: (1, form))
     w = FormGenerator(ch, seed=3).form(1, 1, nterms=2)
     assert not w.is_zero()
     with pytest.raises(InvariantViolation, match="failed to terminate"):

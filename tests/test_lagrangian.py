@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from varcalc.chart import (
-    InvariantViolation, NoFixpoint, NoSolvedForm, NotASymmetry, NotLocal,
+    ChartMismatch, InvariantViolation, NoFixpoint, NoSolvedForm, NotASymmetry, NotLocal,
     ResidualNonzero, OnShellResidual,
 )
 from varcalc.algebra import LocalForm, d_h, d_v, midx_zero
@@ -58,6 +58,41 @@ def test_lagrangians_equivalent():
     T3 = theory_from_text(base + "lagrangian 1/2*m*q_,0*q_,0*dx0 + q*q*dx0\n")
     same3, w3 = T1.lagrangians_equivalent(T3)
     assert not same3 and w3 is None
+
+
+@pytest.mark.parametrize("a, b, difference", [
+    ("maxwell", "bf_abelian_4d", "fid 4 holds A0 (dynamic, ghost 0) vs B01 (dynamic, ghost 0)"),
+    ("maxwell", "chern_simons_su2", "dimension 4 vs 3"),
+    ("maxwell_first_order", "maxwell",
+     "fid 4 holds B01 (dynamic, ghost 0) vs A0 (dynamic, ghost 0)"),
+    ("maxwell", "point_particle", "dimension 4 vs 1"),
+    ("scalar_field", "scalar_field_null", "dimension 2 vs 3"),
+])
+def test_equivalence_on_different_charts_is_a_typed_error(a, b, difference):
+    with pytest.raises(ChartMismatch) as e:
+        load_theory(a).lagrangians_equivalent(load_theory(b))
+    assert str(e.value) == f"theories live on different charts: {difference}"
+
+
+@pytest.mark.parametrize("text, difference", [
+    ("signature - +\nfield q scalar\n", "metric -1 0 / 0 1 vs 1 0 / 0 1"),
+    ("coordinates t x\nsignature + +\nfield q scalar\n", "coordinates t x vs x0 x1"),
+    ("signature + +\nfield q scalar ghost 1\n", "fid 2 holds q (dynamic, ghost 1) vs "
+     "q (dynamic, ghost 0)"),
+    ("signature + +\nconstant q\n", "fid 2 holds q (const, ghost 0) vs "
+     "q (dynamic, ghost 0)"),
+    ("signature + +\nfield q scalar\nfield p scalar\n",
+     "fid 3 holds p (dynamic, ghost 0) vs nothing"),
+    ("signature + +\nfunction V\nfield q scalar\n",
+     "function 0 is V (arity 1) vs nothing"),
+])
+def test_chart_mismatch_names_the_first_difference(text, difference):
+    head = "theory t\ndimension 2\n"
+    base = theory_from_text(head + "signature + +\nfield q scalar\nlagrangian 0\n")
+    other = theory_from_text(head + text + "lagrangian 0\n")
+    with pytest.raises(ChartMismatch) as e:
+        other.lagrangians_equivalent(base)
+    assert str(e.value) == f"theories live on different charts: {difference}"
 
 
 def test_first_order_maxwell_equivalence_witness(first_order_maxwell):

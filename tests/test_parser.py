@@ -5,10 +5,10 @@ import json
 import pytest
 
 from varcalc.dsl import (
-    ElabContext, GradingMismatch, SyntaxError_, UndeclaredIdentifier, build_context,
-    elaborate_form, parse_expression, parse_theory,
+    ElabContext, GradingMismatch, MissingStructureConstants, SyntaxError_,
+    UndeclaredIdentifier, build_context, elaborate_form, parse_expression, parse_theory,
 )
-from varcalc.chart import VarcalcError
+from varcalc.chart import DimensionMismatch, VarcalcError
 from varcalc.render import form_json, render_text
 from varcalc.randforms import suite_chart, FormGenerator
 from conftest import load_theory
@@ -156,12 +156,12 @@ def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, 
     _check_positioned(tmp_path, capsys, text, line, 1, message)
 
 
-def _check_positioned(tmp_path, capsys, text, line, col, message):
-    """theory_from_text raises a SyntaxError_ at (line, col), and `varcalc el`
+def _check_positioned(tmp_path, capsys, text, line, col, message, error=SyntaxError_):
+    """theory_from_text raises ``error`` at (line, col), and `varcalc el`
     on the file exits 2 with the positioned message."""
     from varcalc.cli import main
     from varcalc.theory import theory_from_text
-    with pytest.raises(SyntaxError_) as e:
+    with pytest.raises(error) as e:
         theory_from_text(text)
     assert (e.value.line, e.value.col) == (line, col)
     path = tmp_path / "bad.thy"
@@ -201,6 +201,33 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
 def test_malformed_value_is_a_positioned_syntax_error(tmp_path, capsys, text, line, col,
                                                       message):
     _check_positioned(tmp_path, capsys, text, line, col, message)
+
+
+@pytest.mark.parametrize("text, line, col, message, error", [
+    (_HEAD + "field q scalar\nlagrangian nosuch * star(1)\n", 5, 12,
+     "unknown identifier 'nosuch'", UndeclaredIdentifier),
+    (_HEAD + "field A form 1 lie g\nlagrangian 0\n", 4, 1,
+     "structure 'g' not declared", MissingStructureConstants),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  p = e\n", 7, 1,
+     "symmetry assigns unknown field 'p'", UndeclaredIdentifier),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = nosuch\n",
+     7, 7, "unknown identifier 'nosuch'", UndeclaredIdentifier),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar lie g\n  q = e\n",
+     6, 1, "structure 'g' not declared", MissingStructureConstants),
+    (_HEAD + "field q scalar\nsource j scalar = nosuch\nlagrangian 0\n", 5, 19,
+     "unknown identifier 'nosuch'", UndeclaredIdentifier),
+    (_HEAD + "field q scalar\nlagrangian q * dx5\n", 5, 12, "dx5 out of range",
+     DimensionMismatch),
+    (_HEAD + "field q scalar\nlagrangian q_,2 * star(1)\n", 5, 12,
+     "direction 2 out of range in q_,2", DimensionMismatch),
+], ids=["lagrangian_identifier", "field_structure", "assigned_field",
+        "assignment_identifier", "param_structure", "source_identifier",
+        "lagrangian_direction", "lagrangian_jet_direction"])
+def test_unresolved_name_is_positioned(tmp_path, capsys, text, line, col, message, error):
+    """A name that elaborating a declaration cannot resolve keeps its
+    error type and carries the position of the declaration: its
+    expression, or column 1 of a field, symmetry or assignment line."""
+    _check_positioned(tmp_path, capsys, text, line, col, message, error)
 
 
 def test_jet_cutoff_zero_is_honoured():

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from varcalc.algebra import (
-    LocalForm, apply_midx_derivative, d_v, iter_midx, midx_geq, midx_order,
-    midx_sub, midx_zero, substitute, transport, zero_star,
+    LocalForm, d_v, iter_midx, midx_geq, midx_order, midx_sub, midx_zero,
+    substitute, total_derivative, transport, zero_star,
 )
 from varcalc.chart import (
     CONST, DYNAMIC, Chart, GhostDegreeMismatch, GradingError, VarcalcError,
@@ -30,6 +30,13 @@ from test_splice import C, CHARTS, SEEDED, U0, U1, forms
 # ---------------------------------------------------------------------------
 # the oracle: the three loops before the merge, verbatim
 # ---------------------------------------------------------------------------
+
+def apply_midx_derivative(form, midx):
+    for mu, k in enumerate(midx):
+        for _ in range(k):
+            form = total_derivative(form, mu)
+    return form
+
 
 def oracle_transport(form: LocalForm, chart, jet, h=None):
     def app(a):
