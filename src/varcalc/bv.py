@@ -34,7 +34,6 @@ class BVTheory:
         if not sym.is_local:
             raise NotLocal("BV extension needs a local symmetry")
         base = theory.chart
-        self.base_theory = theory
         self.sym = sym
 
         chart, self.b2x = base.derive(base.coord_names, base.metric,
@@ -101,12 +100,8 @@ class BVTheory:
 
         # canonical (-1)-symplectic density: omega = sum d(phi+) ^ d(phi) vol
         omega = LocalForm(chart)
-        theta_can = LocalForm(chart)
         for fid, af in sorted(self.antifields.items()):
             omega._accum((('v', af, z), ('v', fid, z)) + vol, 1)
-            theta_can._accum((('j', af, z), ('v', fid, z)) + vol, 1)
-        if not (d_v(theta_can) - omega).is_zero():
-            raise VarcalcError("canonical BV potential failed")
         self.omega_BV = omega
         self.Q = hamiltonian_vector_field(self.L, omega)
         # flow-equation sanity: Q reproduces Q_CE on fields and ghosts

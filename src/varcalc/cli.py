@@ -79,34 +79,18 @@ def _pick_symmetry(theory, name):
         f"({', '.join(theory.symmetries)})")
 
 
-def _emit_form(args, label, form):
+# the single-form commands: name -> (label, Theory attribute)
+FORMS = {"el": ("E(L)", "EL"), "theta": ("theta", "theta"),
+         "omega": ("omega", "omega"), "project": ("P(L)", "Lh")}
+
+
+def cmd_form(args):
+    label, attr = FORMS[args.cmd]
+    form = getattr(_load_theory(args.theory), attr)
     if args.json:
         print(report_json(label, [form_json(form)]))
     else:
         print(f"{label}: {render_text(form)}")
-
-
-def cmd_el(args):
-    T = _load_theory(args.theory)
-    _emit_form(args, "E(L)", T.EL)
-    return 0
-
-
-def cmd_theta(args):
-    T = _load_theory(args.theory)
-    _emit_form(args, "theta", T.theta)
-    return 0
-
-
-def cmd_omega(args):
-    T = _load_theory(args.theory)
-    _emit_form(args, "omega", T.omega)
-    return 0
-
-
-def cmd_project(args):
-    T = _load_theory(args.theory)
-    _emit_form(args, "P(L)", T.Lh)
     return 0
 
 
@@ -400,10 +384,8 @@ def build_parser():
             p.add_argument(flag, default=None, metavar=metavars.get(flag))
         return p
 
-    add("el", cmd_el)
-    add("theta", cmd_theta)
-    add("omega", cmd_omega)
-    add("project", cmd_project)
+    for name in FORMS:
+        add(name, cmd_form)
     pe = add("equiv", cmd_equiv)
     pe.add_argument("other", help="second theory file")
     add("noether", cmd_noether, "--symmetry")

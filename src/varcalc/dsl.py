@@ -40,18 +40,15 @@ class MissingStructureConstants(VarcalcError):
     pass
 
 
-# names in a declaration that elaboration cannot resolve
-_UNRESOLVED = (UndeclaredIdentifier, MissingStructureConstants, DimensionMismatch)
-
-
 @contextmanager
 def located(line, col):
-    """Position an unresolved name raised inside at (line, col) of the
-    theory file, as SyntaxError_ positions its own: the message gets the
-    prefix 'line:col: ' and the error its line and col.  Its type stays."""
+    """Position an error raised inside at (line, col) of the theory file,
+    as SyntaxError_ positions its own: the message gets the prefix
+    'line:col: ' and the error its line and col.  Its type stays, and an
+    error that has a position already keeps it."""
     try:
         yield
-    except _UNRESOLVED as e:
+    except VarcalcError as e:
         if e.line is None:
             e.line, e.col = line, col
             e.args = (f"{line}:{col}: {e}",)
@@ -935,9 +932,9 @@ def build_context(td: TheoryDef):
     for decl, (ast, no, col) in td.sources:
         with located(no, col):
             form = ctx.form(ast)
-        if not d_h(form).is_zero():
-            raise VarcalcError(
-                f"external source {decl.name!r} is not closed (d j != 0)")
+            if not d_h(form).is_zero():
+                raise VarcalcError(
+                    f"external source {decl.name!r} is not closed (d j != 0)")
         ctx.sources[decl.name] = Val.scalar(form)
     return chart, ctx
 

@@ -44,17 +44,17 @@ class PhasePoint:
 
 class MechSystem:
     """H(q, p) = |p|^2 / 2m + V(|q|), rotation invariant by construction
-    of the potential; invariance is still spot-checked numerically."""
+    of the potential; invariance is still spot-checked numerically, at 50
+    seeded random points and rotations."""
 
-    def __init__(self, V, dV, mass=1.0, dim=3, rng=None, checks=50):
+    dim = 3
+
+    def __init__(self, V, dV, mass=1.0):
         self.V = V
         self.dV = dV
         self.mass = float(mass)
-        self.dim = dim
-        if dim != 3:
-            raise DimensionMismatch("SO(3) reduction needs dimension 3")
-        rng = rng or np.random.default_rng(0)
-        for _ in range(checks):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
             q = rng.normal(size=3)
             p = rng.normal(size=3)
             O = _random_rotation(rng)

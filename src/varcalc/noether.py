@@ -10,7 +10,7 @@ from .chart import (
     ResidualNonzero, VarcalcError,
 )
 from .algebra import (
-    LocalForm, d_h, d_v, midx_zero, substitute, zero_star,
+    LocalForm, d_h, d_v, midx_zero, substitute, transport, zero_star,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -71,18 +71,15 @@ def promote_param_linear(form: LocalForm, param_fids):
     the parameter is promoted to a field."""
     chart = form.chart
     pset = set(param_fids)
-    pro = chart.promoted(param_fids)
-    out = LocalForm(pro)
     for key, c in form.terms.items():
-        hits = [i for i, a in enumerate(key)
-                if a[0] == 'j' and a[1] in pset]
-        if len(hits) != 1:
+        if sum(a[0] == 'j' and a[1] in pset for a in key) != 1:
             raise NonlinearParameter(
                 f"term is not parameter-linear: {render_text(LocalForm(chart, {key: c}))}")
-        i = hits[0]
-        word = key[:i] + (('v', key[i][1], key[i][2]),) + key[i + 1:]
-        out._accum(word, c)
-    return out
+
+    def leg(a, in_fn):
+        return ('v',) + a[1:] if a[0] == 'j' and a[1] in pset and not in_fn else a
+
+    return transport(form, chart.promoted(pset), leg)
 
 
 def contract_param(form: LocalForm, param_fids, base_chart):
@@ -90,18 +87,17 @@ def contract_param(form: LocalForm, param_fids, base_chart):
     term by the parameter jet, in place.  Terms without a parameter leg
     are annihilated (the tautological fiber contraction)."""
     pset = set(param_fids)
-    out = LocalForm(base_chart)
-    for key, c in form.terms.items():
-        hits = [i for i, a in enumerate(key)
-                if a[0] == 'v' and a[1] in pset]
-        if not hits:
-            continue
-        if len(hits) > 1:
-            raise NonlinearParameter("form is not parameter-linear")
-        i = hits[0]
-        word = key[:i] + (('j', key[i][1], key[i][2]),) + key[i + 1:]
-        out._accum(word, c)
-    return out
+
+    def legs(key):
+        return sum(a[0] == 'v' and a[1] in pset for a in key)
+
+    if any(legs(key) > 1 for key in form.terms):
+        raise NonlinearParameter("form is not parameter-linear")
+
+    def jet(a, _in_fn):
+        return ('j',) + a[1:] if a[0] == 'v' and a[1] in pset else a
+
+    return transport(form.components(legs), base_chart, jet)
 
 
 def decompose_dual_current(F: LocalForm, param_fids):

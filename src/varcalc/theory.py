@@ -110,7 +110,6 @@ class Theory:
         resid2 = d_h(self.omega) - d_v(self.EL)
         if not resid2.is_zero():
             raise InvariantViolation("d omega != d_v E L")
-        self.el_generators = self._extract_generators()
         self.solved = self._build_solved_forms()
         self.derived = {}          # (builder, SymmetryAction) -> result, see per_symmetry()
         self.symmetries = {decl.name: self._declared_action(decl)
@@ -143,39 +142,27 @@ class Theory:
         groups = [ctx.groups[p.name] for p in decl.params]
         return SymmetryAction(self, decl.name, groups, rho, structure)
 
-    # -- Euler-Lagrange generators and solved forms -------------------------
-    def _extract_generators(self):
-        z = midx_zero(self.chart.dim)
-        legs = contract_legs(self.EL)
-        return [(fid, legs[fid, K]) for fid, K in sorted(legs) if K == z]
-
-    def _scalar_generator(self, fid):
-        """The EL source component for a field, with legs stripped."""
-        for gfid, coeff in self.el_generators:
-            if gfid == fid:
-                return h_coefficient(coeff, range(self.chart.dim))
-        return None
-
+    # -- solved forms --------------------------------------------------------
     def _build_solved_forms(self):
+        """Each 'solve' jet from the first unused EL generator, in fid
+        order, that is linear in it; one solved jet per generator."""
         chart = self.chart
+        z = midx_zero(chart.dim)
+        legs = contract_legs(self.EL)
+        generators = {fid: h_coefficient(legs[fid, K], range(chart.dim))
+                      for fid, K in sorted(legs) if K == z}
         bindings = {}
-        used = set()
         for name, midx, line in self.td.solve:
             if not chart.has_name(name):
                 raise SyntaxError_(f"solve names unknown component {name!r}", line, 1)
             target = (chart.by_name(name).fid, midx)
-            found = False
-            for gfid, _c in self.el_generators:
-                if gfid in used:
-                    continue
-                E = self._scalar_generator(gfid)
+            for gfid, E in generators.items():
                 sol = _solve_linear(E, target)
                 if sol is not None:
                     bindings[target] = sol
-                    used.add(gfid)     # one solved jet per EL generator
-                    found = True
+                    del generators[gfid]
                     break
-            if not found:
+            else:
                 raise NoSolvedForm(
                     f"no unused EL component is linear in {atom_text(chart, ('j', *target))} "
                     f"with invertible coefficient")
@@ -298,8 +285,6 @@ def per_symmetry(build):
 def _solve_linear(E: LocalForm, target):
     """Solve E = 0 for the target jet if E = c * u_target + rest with c a
     nonzero rational times named constants and their inverses."""
-    if E is None:
-        return None
     chart = E.chart
     fid, midx = target
     atom = ('j', fid, midx)

@@ -19,6 +19,7 @@ from varcalc.bv import (
 from varcalc.slicing import SliceSpec, restrict_to_slice
 from varcalc.theory import theory_from_text
 from conftest import assert_exact, load_theory
+from test_param_promotion import LOCAL_SYMMETRIES
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,22 @@ def test_hamiltonian_vector_field_matches_trial_insertion_odd_insertion(
                                             ('j', chart.by_name(b).fid, z)) + vol)
             assert (F.ghost_degree() - omega.ghost_degree()) % 2 == 0
             assert _assert_same_field(F, omega).components
+
+
+@pytest.mark.parametrize("name, sym_name", LOCAL_SYMMETRIES)
+def test_omega_bv_is_d_v_of_the_canonical_potential(name, sym_name):
+    """omega_BV = d_v of Σ j(φ†) ∧ δφ ∧ vol over the fields and ghosts."""
+    T = load_theory(name)
+    bv = bv_extend(T, T.symmetry(sym_name))
+    chart = bv.chart
+    z = midx_zero(chart.dim)
+    vol = tuple(('h', mu) for mu in range(chart.dim))
+    theta_can = LocalForm(chart)
+    for fid, af in sorted(bv.antifields.items()):
+        theta_can = theta_can + LocalForm.from_word(
+            chart, (('j', af, z), ('v', fid, z)) + vol)
+    assert d_v(theta_can) == bv.omega_BV
+    assert len(bv.omega_BV.terms) == len(bv.antifields)
 
 
 # The two BV-BFV verdicts the engine does not reach yet (ROADMAP item 2).

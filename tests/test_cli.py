@@ -304,5 +304,5 @@ def test_malformed_jet_cutoff_env_is_a_usage_error(monkeypatch, capsys, value):
 
 def test_jet_cutoff_env_zero_is_honoured(monkeypatch, capsys):
     monkeypatch.setenv("VARCALC_JET_CUTOFF", "0")
-    assert main(["el", "maxwell"]) == 1
-    assert capsys.readouterr().err == "error: jet order 1 exceeds cutoff 0\n"
+    assert main(["el", "maxwell"]) == 2
+    assert capsys.readouterr().err == "error: maxwell:7:12: jet order 1 exceeds cutoff 0\n"

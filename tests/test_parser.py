@@ -8,7 +8,9 @@ from varcalc.dsl import (
     ElabContext, GradingMismatch, MissingStructureConstants, SyntaxError_,
     UndeclaredIdentifier, build_context, elaborate_form, parse_expression, parse_theory,
 )
-from varcalc.chart import DimensionMismatch, VarcalcError
+from varcalc.chart import (
+    DimensionMismatch, GradingError, JetCutoffExceeded, VarcalcError,
+)
 from varcalc.render import form_json, render_text
 from varcalc.randforms import suite_chart, FormGenerator
 from conftest import load_theory
@@ -230,6 +232,31 @@ def test_unresolved_name_is_positioned(tmp_path, capsys, text, line, col, messag
     _check_positioned(tmp_path, capsys, text, line, col, message, error)
 
 
+@pytest.mark.parametrize("text, line, col, message, error", [
+    (_HEAD + "coordinates x y\nfield q scalar\nsource j scalar = y * dx0\n"
+     "lagrangian q * q * vol\n", 6, 19, "external source 'j' is not closed (d j != 0)",
+     VarcalcError),
+    (_HEAD + "field q scalar\nfield q scalar\nlagrangian q * q * vol\n", 5, 1,
+     "duplicate component 'q'", VarcalcError),
+    (_HEAD + "field q scalar\nlagrangian tr(q) * vol\n", 5, 12, "tr of a scalar",
+     GradingMismatch),
+    (_HEAD + "structure g su2\nfield q scalar\nlagrangian 0\n"
+     "symmetry s param e scalar lie g\n  q = e\n", 8, 7,
+     "assignment to 'q' has Lie indices ('g',), expected ()", GradingError),
+    (_HEAD + "jet_cutoff 0\nfield q scalar\nlagrangian d(q) ∧ star(d(q))\n", 6, 12,
+     "jet order 1 exceeds cutoff 0", JetCutoffExceeded),
+], ids=["open_source", "duplicate_field", "tr_scalar", "lie_indices", "jet_cutoff"])
+def test_elaboration_error_is_positioned(tmp_path, capsys, text, line, col, message,
+                                         error):
+    """Any error raised while a declaration is read or elaborated carries
+    that declaration's position, and keeps its type."""
+    from varcalc.theory import theory_from_text
+    with pytest.raises(VarcalcError) as e:
+        theory_from_text(text)
+    assert type(e.value) is error
+    _check_positioned(tmp_path, capsys, text, line, col, message, error)
+
+
 def test_jet_cutoff_zero_is_honoured():
     from varcalc.theory import theory_from_text
     T = theory_from_text(_HEAD + "jet_cutoff 0\nfield q scalar\nlagrangian q * q * vol\n")
@@ -264,6 +291,7 @@ def test_parameter_family_has_no_collective_value(tmp_path, capsys):
     path = tmp_path / "family.thy"
     path.write_text(_HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\n"
                     "symmetry s param e components 2\n  q = e\n", encoding="utf-8")
-    assert main(["noether", str(path)]) == 1
+    assert main(["noether", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: parameter family 'e' has no collective value; use its components e0..\n")
+        f"error: {path}:7:7: parameter family 'e' has no collective value; use its "
+        "components e0..\n")
