@@ -36,8 +36,7 @@ class BVTheory:
         base = theory.chart
         self.sym = sym
 
-        chart, self.b2x = base.derive(base.coord_names, base.metric,
-                                      orientation=base.orientation)
+        chart, self.b2x = base.derive(base.coord_names, orientation=base.orientation)
 
         # ghosts replace the symmetry parameters; antifields double the fields
         self.ghosts = {}             # base param fid -> ghost fid

@@ -279,14 +279,14 @@ class Chart:
             raise VarcalcError(f"unknown function symbol {name!r}") from None
 
     # -- derived charts ----------------------------------------------------
-    def derive(self, coord_names, metric=None, orientation=1, keep=None):
-        """A new chart on the named coordinates (a Euclidean metric when
-        ``metric`` is None) with copies of this chart's non-coordinate
-        components that ``keep`` accepts (all by default), in this chart's
-        order after the coordinates, and of its function symbols.  Returns
-        the chart and the fid map from this chart to it, which covers the
-        copies and the coordinates both charts name."""
-        new = Chart(len(coord_names), metric=metric, coord_names=coord_names,
+    def derive(self, coord_names, orientation=1, keep=None):
+        """A new chart on the named coordinates with copies of this chart's
+        non-coordinate components that ``keep`` accepts (all by default), in
+        this chart's order after the coordinates, and of its function
+        symbols.  Its metric is Euclidean: nothing reads the metric of a
+        derived chart.  Returns the chart and the fid map from this chart to
+        it, which covers the copies and the coordinates both charts name."""
+        new = Chart(len(coord_names), coord_names=coord_names,
                     jet_cutoff=self.jet_cutoff, orientation=orientation)
         new.add_coordinates()
         fids = {}

@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Exit codes: 0 = all requested assertions pass, 1 = assertion failure,
-2 = usage or parse error.  With --json a varcalc.report.v1 document is
-written to stdout.
+2 = usage or parse error.  Each ``cmd_*`` returns ``(label, rows, text,
+ok)`` and writes nothing; ``main`` alone writes the report, the
+varcalc.report.v1 document of ``rows`` under --json and ``text``
+otherwise, and maps ``ok`` to the exit code.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def _pick_symmetry(theory, name):
         f"({', '.join(theory.symmetries)})")
 
 
+def _text(*lines):
+    """A text report: one line per argument."""
+    return "".join(f"{line}\n" for line in lines)
+
+
 # the single-form commands: name -> (label, Theory attribute)
 FORMS = {"el": ("E(L)", "EL"), "theta": ("theta", "theta"),
          "omega": ("omega", "omega"), "project": ("P(L)", "Lh")}
@@ -86,47 +93,31 @@ FORMS = {"el": ("E(L)", "EL"), "theta": ("theta", "theta"),
 
 def cmd_form(args):
     label, attr = FORMS[args.cmd]
-    form = getattr(_load_theory(args.theory), attr)
-    if args.json:
-        print(report_json(label, [form_json(form)]))
-    else:
-        print(f"{label}: {render_text(form)}")
-    return 0
+    form = form_json(getattr(_load_theory(args.theory), attr))
+    return label, [form], _text(f"{label}: {form['text']}"), True
 
 
 def cmd_equiv(args):
     T = _load_theory(args.theory)
     T2 = _load_theory(args.other)
     same, witness = T.lagrangians_equivalent(T2)
-    results = [{"equivalent": same}]
+    rows = [{"equivalent": same}]
+    lines = [f"equivalent: {same}"]
     if same:
-        const, prim = witness
-        results.append({"constant_part": render_text(const),
-                        "d_primitive": render_text(prim)})
-    if args.json:
-        print(report_json("equiv", results))
-    else:
-        print(f"equivalent: {same}")
-        if same:
-            print(f"difference = {render_text(witness[0])} + d({render_text(witness[1])})")
-    return 0
+        const, prim = map(render_text, witness)
+        rows.append({"constant_part": const, "d_primitive": prim})
+        lines.append(f"difference = {const} + d({prim})")
+    return "equiv", rows, _text(*lines), True
 
 
 def cmd_noether(args):
     from .noether import noether_cone, verify_noether1
     T = _load_theory(args.theory)
     sym = _pick_symmetry(T, args.symmetry)
-    S, J = noether_cone(T, sym)
+    S, J = map(form_json, noether_cone(T, sym))
     rep = verify_noether1(T, sym)
-    if args.json:
-        print(report_json("noether", [
-            {"S": form_json(S), "J": form_json(J),
-             "noether1": rep.passed}]))
-    else:
-        print(f"S = {render_text(S)}")
-        print(f"J = {render_text(J)}")
-        print(rep.line())
-    return 0 if rep.passed else 1
+    text = _text(f"S = {S['text']}", f"J = {J['text']}", rep.line())
+    return "noether", [{"S": S, "J": J, "noether1": rep.passed}], text, rep.passed
 
 
 def cmd_noether2(args):
@@ -134,28 +125,26 @@ def cmd_noether2(args):
     T = _load_theory(args.theory)
     sym = _pick_symmetry(T, args.symmetry)
     data = noether2(T, sym)
-    if args.json:
-        print(report_json("noether2", [{
-            "C": form_json(data.C), "K": form_json(data.K),
-            "j": form_json(data.j), "S": form_json(data.S)}]))
-    else:
-        for nm in ("J", "C", "K", "j"):
-            print(f"{nm} = {render_text(getattr(data, nm))}")
-        print("PASS  J = C + dK and C + j vanishes on shell")
-    return 0
+    row = {nm: form_json(getattr(data, nm)) for nm in ("C", "K", "j", "S")}
+    text = _text(f"J = {render_text(data.J)}",
+                 *(f"{nm} = {row[nm]['text']}" for nm in ("C", "K", "j")),
+                 "PASS  J = C + dK and C + j vanishes on shell")
+    return "noether2", [row], text, True
 
 
 def cmd_verify(args):
     from .noether import IDENTITY_NAMES, verify_identity
     from .chart import NotLocal
-    rows = []
-    ok = True
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
+    rows, lines = [], []
+    ok = True
     if args.suites or not args.theory:
-        sok, rows2 = run_suites(args.seed, args.cases)
-        ok = ok and sok
-        rows.extend(rows2)
+        ok, rows = run_suites(args.seed, args.cases)
+        lines.append(f"seed={args.seed} cases={args.cases}")
+        for r in rows[1:]:
+            lines.append(f"{'FAIL' if r['failed'] else 'PASS'}  {r['identity']}  "
+                         f"({r['checked']} cases, {r['failed']} failed)")
     if args.theory:
         T = _load_theory(args.theory)
         idents = IDENTITY_NAMES if (args.all or not args.identity) \
@@ -165,30 +154,17 @@ def cmd_verify(args):
             for ident in idents:
                 try:
                     rep = verify_identity(T, sname, ident)
-                    rows.append({"identity": ident, "symmetry": sname,
-                                 "passed": rep.passed, "detail": rep.detail})
-                    ok = ok and rep.passed
+                    passed, detail = rep.passed, rep.detail
                 except NotLocal:
-                    rows.append({"identity": ident, "symmetry": sname,
-                                 "passed": True, "detail": "skipped: needs a local symmetry"})
+                    passed, detail = True, "skipped: needs a local symmetry"
                 except VarcalcError as e:
-                    rows.append({"identity": ident, "symmetry": sname,
-                                 "passed": False, "detail": str(e)})
-                    ok = False
-    if args.json:
-        print(report_json("verify", rows))
-    else:
-        for r in rows:
-            if "identity" in r and "passed" in r:
-                print(f"{'PASS' if r['passed'] else 'FAIL'}  "
-                      f"{r.get('symmetry','')}  {r['identity']}  {r.get('detail','')}")
-            elif "identity" in r:
-                status = "PASS" if not r["failed"] else "FAIL"
-                print(f"{status}  {r['identity']}  ({r['checked']} cases, "
-                      f"{r['failed']} failed)")
-            else:
-                print(f"seed={r.get('seed')} cases={r.get('cases')}")
-    return 0 if ok else 1
+                    passed, detail = False, str(e)
+                ok = ok and passed
+                rows.append({"identity": ident, "symmetry": sname,
+                             "passed": passed, "detail": detail})
+                lines.append(
+                    f"{'PASS' if passed else 'FAIL'}  {sname}  {ident}  {detail}")
+    return "verify", rows, _text(*lines), ok
 
 
 def cmd_canonical(args):
@@ -197,28 +173,27 @@ def cmd_canonical(args):
     T = _load_theory(args.theory)
     sig = restrict_to_slice(T, _parse_slice(T, args.slice))
     from .chart import DoesNotDescend
-    rows = [{"pairing": sig.pairing},
-            {"omega_sigma": form_json(sig.omega_sigma)}]
+    omega = form_json(sig.omega_sigma)
+    rows = [{"pairing": sig.pairing}, {"omega_sigma": omega}]
+    lines = [f"field pairing: {sig.pairing}", f"omega_Sigma = {omega['text']}"]
     if args.symmetry or any(s.is_local for s in T.symmetries.values()):
         sym = _pick_symmetry(T, args.symmetry)
         try:
             H = sigma_noether(sig, sym)
             H0, hf = split_constraint_flux(sig, sym, H)
-            kap = compute_ce_cocycle(sig, sym)
-            rows += [{"H": form_json(H)}, {"constraint_form": form_json(H0)},
-                     {"flux_form": form_json(hf)},
-                     {"kappa": {str(k): render_text(v) for k, v in kap.items()}}]
+            kap = {str(k): render_text(v)
+                   for k, v in compute_ce_cocycle(sig, sym).items()}
         except DoesNotDescend as e:
             rows.append({"symmetry": sym.name, "does_not_descend": str(e)})
-    if args.json:
-        print(report_json("canonical", rows))
-    else:
-        print("field pairing:", rows[0]["pairing"])
-        print("omega_Sigma =", rows[1]["omega_sigma"]["text"])
-        for r in rows[2:]:
-            for k, v in r.items():
-                print(f"{k} = {v['text'] if isinstance(v, dict) and 'text' in v else v}")
-    return 0
+            lines += [f"symmetry = {sym.name}", f"does_not_descend = {e}"]
+        else:
+            for name, form in (("H", H), ("constraint_form", H0), ("flux_form", hf)):
+                rendered = form_json(form)
+                rows.append({name: rendered})
+                lines.append(f"{name} = {rendered['text']}")
+            rows.append({"kappa": kap})
+            lines.append(f"kappa = {kap}")
+    return "canonical", rows, _text(*lines), True
 
 
 def cmd_corner(args):
@@ -236,12 +211,8 @@ def cmd_corner(args):
     rows = [{"corner_densities": densities, "alpha": cd.alpha_text,
              "S": cd.s_text, "master_equation": rep.passed,
              "detail": rep.detail}]
-    if args.json:
-        print(report_json("corner", rows))
-    else:
-        print("h_d densities:", cd.h_densities)
-        print(rep.line())
-    return 0 if rep.passed else 1
+    text = _text(f"h_d densities: {cd.h_densities}", rep.line())
+    return "corner", rows, text, rep.passed
 
 
 def cmd_bv(args):
@@ -250,13 +221,9 @@ def cmd_bv(args):
     sym = _pick_symmetry(T, args.symmetry)
     bv = bv_extend(T, sym)
     rep = check_q_nilpotent(bv)
-    rows = [{"L_BV": form_json(bv.L), "Q2": rep.passed}]
-    if args.json:
-        print(report_json("bv", rows))
-    else:
-        print("L_BV =", render_text(bv.L))
-        print(rep.line())
-    return 0 if rep.passed else 1
+    L = form_json(bv.L)
+    text = _text(f"L_BV = {L['text']}", rep.line())
+    return "bv", [{"L_BV": L, "Q2": rep.passed}], text, rep.passed
 
 
 def cmd_cme(args):
@@ -265,13 +232,9 @@ def cmd_cme(args):
     sym = _pick_symmetry(T, args.symmetry)
     bv = bv_extend(T, sym)
     rep, prim = verify_cme(bv)
-    if args.json:
-        print(report_json("cme", [{"passed": rep.passed,
-                                   "primitive": form_json(prim)}]))
-    else:
-        print(rep.line())
-        print("primitive =", render_text(prim))
-    return 0 if rep.passed else 1
+    prim = form_json(prim)
+    text = _text(rep.line(), f"primitive = {prim['text']}")
+    return "cme", [{"passed": rep.passed, "primitive": prim}], text, rep.passed
 
 
 def cmd_bvbfv(args):
@@ -284,15 +247,10 @@ def cmd_bvbfv(args):
     bfv = bfv_extend(sig, sym)
     bv = bv_extend(T, sym)
     reps = verify_bvbfv(bv, bfv, spec)
-    ok = all(r.passed for r in reps)
-    if args.json:
-        print(report_json("bvbfv", [
-            {"condition": r.name, "passed": r.passed, "detail": r.detail}
-            for r in reps]))
-    else:
-        for r in reps:
-            print(r.line())
-    return 0 if ok else 1
+    rows = [{"condition": r.name, "passed": r.passed, "detail": r.detail}
+            for r in reps]
+    return ("bvbfv", rows, _text(*(r.line() for r in reps)),
+            all(r.passed for r in reps))
 
 
 _SYSTEMS = {"kepler": mechmod.kepler_system, "harmonic": mechmod.harmonic_system,
@@ -329,42 +287,31 @@ def cmd_mech(args):
         if steps > MAX_STEPS + 0.5:
             raise UsageError(f"--t {args.t} with --dt {args.dt} gives more "
                              f"than {MAX_STEPS} steps")
-    if args.mech_cmd == "flow":
-        st = _mech_state(args, sys_f.dim)
-        traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)
-        csv = traj.to_csv()
-        if args.csv:
-            open(args.csv, "w").write(csv)
-        if args.json:
-            header, *lines = csv.splitlines()
-            cols = header.split(",")
-            print(report_json("mech flow", [
-                dict(zip(cols, map(float, line.split(",")))) for line in lines]))
-        elif args.csv:
-            print(f"wrote {args.csv} ({len(traj.t)} samples)")
-        else:
-            sys.stdout.write(csv)
-        return 0
+    st = _mech_state(args, sys_f.dim)
     if args.mech_cmd == "reduce":
-        st = _mech_state(args, sys_f.dim)
         red = mechmod.reduce_so3(st)
-        if red.ell == 0:
-            print("singular stratum (l = 0): reduced space is T*R/Z2")
         doc = {"r": red.r, "p_r": red.p_r, "l": red.ell}
-        print(report_json("mech reduce", [doc]) if args.json else doc)
-        return 0
+        note = ["singular stratum (l = 0): reduced space is T*R/Z2"] \
+            if red.ell == 0 else []
+        return "mech reduce", [doc], _text(*note, doc), True
+    traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)
     if args.mech_cmd == "conserve":
-        st = _mech_state(args, sys_f.dim)
-        traj = mechmod.flow(sys_f, st, args.t, args.dt, integrator=args.integrator)
         rep = mechmod.check_conservation(sys_f, traj)
         tol = args.tol if args.tol is not None else mechmod.TOL["J_drift"]
         ok = rep["J_drift"] <= tol
-        if args.json:
-            print(report_json("mech conserve", [dict(rep, passed=ok, tol=tol)]))
-        else:
-            print(rep, "PASS" if ok else "FAIL")
-        return 0 if ok else 1
-    return 2
+        return ("mech conserve", [dict(rep, passed=ok, tol=tol)],
+                _text(f"{rep} {'PASS' if ok else 'FAIL'}"), ok)
+    csv = traj.to_csv()
+    rows = []
+    if args.json:     # a text run need not hold one dict per sample
+        header, *lines = csv.splitlines()
+        cols = header.split(",")
+        rows = [dict(zip(cols, map(float, line.split(",")))) for line in lines]
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(csv)
+        return "mech flow", rows, _text(f"wrote {args.csv} ({len(traj.t)} samples)"), True
+    return "mech flow", rows, csv, True
 
 
 def build_parser():
@@ -425,7 +372,12 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        label, rows, text, ok = args.fn(args)
+        if args.json:
+            print(report_json(label, rows))
+        else:
+            sys.stdout.write(text)
+        return 0 if ok else 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

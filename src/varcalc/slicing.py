@@ -52,14 +52,7 @@ class SigmaTheory:
 
         # --- Sigma chart -----------------------------------------------------
         names = [bulk.coord_names[mu] for mu in self.tangential]
-        sig_metric = [[bulk.metric[a][b] for b in self.tangential]
-                      for a in self.tangential]
-        try:
-            schart, self.b2s = bulk.derive(names, sig_metric)
-        except VarcalcError:
-            # tangential metric block may be degenerate (null slices); the
-            # Sigma homotopy suite never uses it
-            schart, self.b2s = bulk.derive(names)
+        schart, self.b2s = bulk.derive(names)
         self.s2b = {s: b for b, s in self.b2s.items()}
         self.schart = schart
         self.ssuite = get_suite(schart)
@@ -75,11 +68,9 @@ class SigmaTheory:
 
         # transverse-derivative helper fields (one per bulk component used)
         self.dt_fields = {}      # bulk fid -> sigma fid of its d/dt restriction
-        needed = set()
-        for key in theta_pulled.terms:
-            for a in key:
-                if a[0] == 'j' and a[1] in self._transbulk:
-                    needed.add(a[1])
+        fields = {c.fid for c in bulk.components if c.kind != COORD}
+        needed = {a[1] for key in theta_pulled.terms for a in key
+                  if a[0] == 'j' and a[1] in fields}
         for bfid in sorted(needed):
             comp = bulk.component(bfid)
             sc = schart.add_component("Dt_" + comp.name, ghost=comp.ghost,
@@ -134,10 +125,6 @@ class SigmaTheory:
                           and self.schart.kind(a[1]) == DYNAMIC}
 
     # --- plumbing -------------------------------------------------------------
-    @property
-    def _transbulk(self):
-        return {c.fid for c in self.theory.chart.components if c.kind != COORD}
-
     def _leftover_dt(self, form):
         dtset = set(self.dt_fields.values())
         names = set()

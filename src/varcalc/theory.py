@@ -94,11 +94,11 @@ class Theory:
         ast, line, col = td.lagrangian
         with located(line, col):
             self.L = self.ctx.form(ast)
-        if not self.L.is_zero():
-            p, q = self.L.grading()
-            if (p, q) != (0, self.chart.dim):
-                raise GradingError(
-                    f"lagrangian must be a (0, {self.chart.dim}) form, got ({p},{q})")
+            if not self.L.is_zero():
+                p, q = self.L.grading()
+                if (p, q) != (0, self.chart.dim):
+                    raise GradingError(
+                        f"lagrangian must be a (0, {self.chart.dim}) form, got ({p},{q})")
         self.EL = exterior_euler(self.L)
         dvL = d_v(self.L)
         self.theta = self.suite.h_horizontal(dvL)

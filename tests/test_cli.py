@@ -306,3 +306,45 @@ def test_jet_cutoff_env_zero_is_honoured(monkeypatch, capsys):
     monkeypatch.setenv("VARCALC_JET_CUTOFF", "0")
     assert main(["el", "maxwell"]) == 2
     assert capsys.readouterr().err == "error: maxwell:7:12: jet order 1 exceeds cutoff 0\n"
+
+
+# one run of every subcommand: (argv, the report's "command" field)
+ONE_RUN_EACH = [
+    (("el", "maxwell"), "E(L)"),
+    (("theta", "point_particle"), "theta"),
+    (("omega", "scalar_field"), "omega"),
+    (("project", "point_particle"), "P(L)"),
+    (("equiv", "maxwell", "maxwell"), "equiv"),
+    (("noether", "maxwell", "--symmetry", "gauge"), "noether"),
+    (("noether2", "maxwell", "--symmetry", "gauge"), "noether2"),
+    (("verify", "--suites", "--cases", "2", "maxwell", "--symmetry", "gauge"), "verify"),
+    (("canonical", "scalar_field", "--slice", "t=0"), "canonical"),
+    (("corner", "maxwell", "--slice", "t=0", "--corner", "x=0"), "corner"),
+    (("bv", "maxwell"), "bv"),
+    (("cme", "maxwell"), "cme"),
+    (("bvbfv", "maxwell", "--slice", "t=0", "--symmetry", "gauge"), "bvbfv"),
+    (("mech", "flow", "--t", "0.05", "--dt", "0.01", "--csv", "{csv}"), "mech flow"),
+    (("mech", "flow", "--t", "0.05", "--dt", "0.01"), "mech flow"),
+    (("mech", "reduce", "--q", "1,0,0", "--p", "2,0,0"), "mech reduce"),
+    (("mech", "conserve", "--t", "1"), "mech conserve"),
+    (("mech", "conserve", "--t", "1", "--tol", "1e-30"), "mech conserve"),
+]
+
+
+@pytest.mark.parametrize("argv, command", ONE_RUN_EACH,
+                         ids=[" ".join(a) for a, _ in ONE_RUN_EACH])
+def test_json_run_is_one_report_with_the_text_run_exit_code(tmp_path, argv, command):
+    argv = [a.replace("{csv}", str(tmp_path / "orbit.csv")) for a in argv]
+    code, text = run_cli(*argv)
+    json_code, out = run_cli("--json", *argv)
+    assert text and json_code == code
+    doc = json.loads(out)          # the whole of stdout, nothing before or after
+    assert doc["schema"] == "varcalc.report.v1" and doc["command"] == command
+    assert isinstance(doc["results"], list) and doc["results"]
+
+
+def test_singular_stratum_note_is_text_only():
+    code, out = run_cli("mech", "reduce", "--q", "1,0,0", "--p", "2,0,0")
+    assert code == 0
+    assert out.splitlines() == ["singular stratum (l = 0): reduced space is T*R/Z2",
+                                "{'r': 1.0, 'p_r': 2.0, 'l': 0.0}"]

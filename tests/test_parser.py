@@ -245,7 +245,10 @@ def test_unresolved_name_is_positioned(tmp_path, capsys, text, line, col, messag
      "assignment to 'q' has Lie indices ('g',), expected ()", GradingError),
     (_HEAD + "jet_cutoff 0\nfield q scalar\nlagrangian d(q) ∧ star(d(q))\n", 6, 12,
      "jet order 1 exceeds cutoff 0", JetCutoffExceeded),
-], ids=["open_source", "duplicate_field", "tr_scalar", "lie_indices", "jet_cutoff"])
+    (_HEAD + "field q scalar\nlagrangian q * dx0\n", 5, 12,
+     "lagrangian must be a (0, 2) form, got (0,1)", GradingError),
+], ids=["open_source", "duplicate_field", "tr_scalar", "lie_indices", "jet_cutoff",
+        "lagrangian_bidegree"])
 def test_elaboration_error_is_positioned(tmp_path, capsys, text, line, col, message,
                                          error):
     """Any error raised while a declaration is read or elaborated carries
