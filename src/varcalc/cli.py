@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .chart import VarcalcError
+from .chart import DoesNotDescend, NotLocal, VarcalcError
 from .render import form_json, render_text, report_json
 from .verify import run_suites
 from . import mech as mechmod
@@ -134,7 +134,6 @@ def cmd_noether2(args):
 
 def cmd_verify(args):
     from .noether import IDENTITY_NAMES, verify_identity
-    from .chart import NotLocal
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
     rows, lines = [], []
@@ -172,7 +171,6 @@ def cmd_canonical(args):
                           split_constraint_flux, compute_ce_cocycle)
     T = _load_theory(args.theory)
     sig = restrict_to_slice(T, _parse_slice(T, args.slice))
-    from .chart import DoesNotDescend
     omega = form_json(sig.omega_sigma)
     rows = [{"pairing": sig.pairing}, {"omega_sigma": omega}]
     lines = [f"field pairing: {sig.pairing}", f"omega_Sigma = {omega['text']}"]

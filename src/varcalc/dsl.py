@@ -19,7 +19,7 @@ from .chart import (
     Chart, CONST, CPARAM, DEFAULT_JET_CUTOFF, DYNAMIC, PARAM, DimensionMismatch,
     VarcalcError, det,
 )
-from .algebra import LocalForm, d_h, midx_zero, midx_order
+from .algebra import LocalForm, d_h, d_v, midx_zero, midx_order
 
 
 class SyntaxError_(VarcalcError):
@@ -418,8 +418,8 @@ class TheoryDef:
     dim: int = 0
     metric: list | None = None                       # rows; a signature is its diagonal
     coords: list = field(default_factory=list)
-    constants: list = field(default_factory=list)
-    functions: list = field(default_factory=list)    # (name, arity)
+    constants: list = field(default_factory=list)    # (name, line)
+    functions: list = field(default_factory=list)    # (name, arity, line)
     structures: dict = field(default_factory=dict)   # name -> Structure
     fields: list = field(default_factory=list)       # (FieldDecl, line)
     sources: list = field(default_factory=list)      # (FieldDecl, (AST, line, col))
@@ -545,7 +545,6 @@ class ElabContext:
         return form if form is not None else LocalForm.zero(self.chart)
 
     def elaborate(self, node):
-        from .algebra import d_h, d_v
         kind = node[0]
         if kind == "num":
             return Val.scalar(LocalForm.scalar(self.chart, node[1]))
@@ -775,12 +774,12 @@ def parse_theory(text) -> TheoryDef:
             if td.jet_cutoff < 0:
                 raise SyntaxError_("jet_cutoff must be >= 0", no, 1)
         elif head == "constant":
-            td.constants.extend(parts[1:])
+            td.constants.extend((nm, no) for nm in parts[1:])
         elif head == "function":
             arity = 1
             if "arity" in parts:
                 arity = _operand(parts, parts.index("arity") + 1, no, int)
-            td.functions.append((_operand(parts, 1, no), arity))
+            td.functions.append((_operand(parts, 1, no), arity, no))
         elif head == "structure":
             name = _operand(parts, 1, no)
             td.structures[name] = _structure(name, parts[2] if len(parts) > 2 else "abelian", no)
@@ -914,10 +913,12 @@ def build_context(td: TheoryDef):
     ctx = ElabContext(chart, orientation=td.orientation)
     for st in td.structures.values():
         ctx.add_structure(st)
-    for nm in td.constants:
-        chart.add_component(nm, kind=CONST)
-    for nm, arity in td.functions:
-        chart.add_function(nm, arity=arity)
+    for nm, no in td.constants:
+        with located(no, 1):
+            chart.add_component(nm, kind=CONST)
+    for nm, arity, no in td.functions:
+        with located(no, 1):
+            chart.add_function(nm, arity=arity)
     for (name, deg, lie, ghost, mult, _c), no in td.fields:
         with located(no, 1):
             ctx.add_field_group(name, deg, lie, ghost, DYNAMIC, mult)

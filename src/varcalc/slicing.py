@@ -17,7 +17,9 @@ from .algebra import (
 )
 from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
-from .noether import decompose_dual_current, noether_cone
+from .noether import (
+    Report, bracket_bindings, decompose_dual_current, noether_cone, twin_symmetry,
+)
 from .render import render_text
 from .dsl import Structure
 from .theory import Theory, SymmetryAction, _solve_linear
@@ -322,7 +324,6 @@ def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, H_shift=None):
     adds a deliberate perturbation to the Sigma-Noether form (negative
     controls); a field-dependent or non-exact residual raises NotExact.
     """
-    from .noether import twin_symmetry, bracket_bindings
     theory = sigma.theory
     twin = twin_symmetry(theory, sym)
     H_eta = sigma_noether(sigma, twin)
@@ -434,40 +435,30 @@ def _corner_ring_chart(dim):
     return ch, hfids, cfids
 
 
-def _graded_partial(form, fid, parity):
-    from .algebra import apply_derivation
-    chart = form.chart
-    z = midx_zero(chart.dim)
-
-    def image(atom):
-        if atom == ('j', fid, z):
-            return LocalForm.scalar(chart, 1)
-        return None
-
-    return apply_derivation(form, parity, image)
-
-
 def corner_bracket_SS(dim, f, k):
-    """{S_d, S_d} computed in the graded corner ring (odd variables c^a,
-    even variables h_a, odd Poisson bracket from omega = <dh, dc>)."""
+    """{S_d, S_d} in the graded corner ring (odd variables c^a, even
+    variables h_a), as the BV bracket of S_d ∧ dx0 under the odd symplectic
+    density omega = sum_a dh_a ∧ dc^a ∧ dx0 on the 1-d ring chart."""
+    # bv imports this module at load time, so the bracket is imported here
+    from .bv import bv_bracket, hamiltonian_vector_field
     ch, hfids, cfids = _corner_ring_chart(dim)
     z = midx_zero(1)
+    dx0 = (('h', 0),)
     S = LocalForm(ch)
     for (a, b), lst in f.items():
         for c, coeff in lst:
-            S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)),
+            S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
                      Fraction(coeff) / 2)
     for a in range(dim):
         for b in range(dim):
             kv = _kval(k, a, b)
             if kv:
-                S._accum((('j', cfids[a], z), ('j', cfids[b], z)), kv / 2)
-    out = LocalForm(ch)
+                S._accum((('j', cfids[a], z), ('j', cfids[b], z)) + dx0, kv / 2)
+    omega = LocalForm(ch)
     for a in range(dim):
-        dSc = _graded_partial(S, cfids[a], 1)
-        dSh = _graded_partial(S, hfids[a], 0)
-        out = out + dSc.wedge(dSh) + dSh.wedge(dSc)
-    return out
+        omega._accum((('v', hfids[a], z), ('v', cfids[a], z)) + dx0, 1)
+    Q = hamiltonian_vector_field(S, omega)
+    return h_coefficient(bv_bracket(Q, Q, omega), (0,))
 
 
 def schouten_PiPi(dim, f, k):
@@ -488,7 +479,6 @@ def schouten_PiPi(dim, f, k):
 
 
 def verify_corner_master(data: CornerData):
-    from .noether import Report
     bra = corner_bracket_SS(data.dim, data.f, data.k)
     sch = schouten_PiPi(data.dim, data.f, data.k)
     v1 = bra.is_zero()

@@ -107,9 +107,6 @@ class Theory:
         resid = dvL - self.EL - d_h(self.theta)
         if not resid.is_zero():
             raise InvariantViolation("d_v L != E L + d theta")
-        resid2 = d_h(self.omega) - d_v(self.EL)
-        if not resid2.is_zero():
-            raise InvariantViolation("d omega != d_v E L")
         self.solved = self._build_solved_forms()
         self.derived = {}          # (builder, SymmetryAction) -> result, see per_symmetry()
         self.symmetries = {decl.name: self._declared_action(decl)

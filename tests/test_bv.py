@@ -16,7 +16,7 @@ from varcalc.bv import (
     hamiltonian_vector_field, verify_bfv_cme, verify_bvbfv, verify_cme,
     zero_ghost_body,
 )
-from varcalc.slicing import SliceSpec, restrict_to_slice
+from varcalc.slicing import SigmaTheory, SliceSpec, restrict_to_slice
 from varcalc.theory import theory_from_text
 from conftest import assert_exact, load_theory
 from test_param_promotion import LOCAL_SYMMETRIES
@@ -371,6 +371,38 @@ def test_omega_bv_is_d_v_of_the_canonical_potential(name, sym_name):
             chart, (('j', af, z), ('v', fid, z)) + vol)
     assert d_v(theta_can) == bv.omega_BV
     assert len(bv.omega_BV.terms) == len(bv.antifields)
+
+
+@pytest.mark.parametrize("name, sym_name", LOCAL_SYMMETRIES)
+def test_hamiltonian_flow_reproduces_q_ce(name, sym_name):
+    """Q = Q_CE on every field and ghost, zero where Q_CE has no
+    component; BVTheory relies on it unchecked (notes/decisions.md §19)."""
+    T = load_theory(name)
+    bv = bv_extend(T, T.symmetry(sym_name))
+    zero = LocalForm.zero(bv.chart)
+    for fid in bv.antifields:
+        assert bv.Q.components.get(fid, zero) == bv.qce.get(fid, zero), \
+            bv.chart.component(fid).name
+
+
+@pytest.mark.parametrize("name, sym_name", BFV_PAIRS)
+def test_every_bfv_component_has_a_bv_slice_namesake(name, sym_name):
+    """The bridge of verify_bvbfv maps each BFV component to the BV-slice
+    component of its name, a ghost momentum to the slice partner of its
+    ghost (notes/decisions.md §19), on every coordinate slice."""
+    T = load_theory(name)
+    sym = T.symmetry(sym_name)
+    bv = bv_extend(T, sym)
+    for t in range(T.chart.dim):
+        spec = SliceSpec(transverse=t)
+        bfv = bfv_extend(restrict_to_slice(T, spec), sym)
+        bvs = SigmaTheory(bv, spec)
+        for gfid in bfv.ghost_momenta:
+            assert len(bvs.pairing[bfv.chart.component(gfid).name]) == 1
+        ghost_momenta = {bfv.chart.component(g).name for g in bfv.ghost_momenta.values()}
+        for comp in bfv.chart.components:
+            if comp.name not in ghost_momenta:
+                assert bvs.schart.has_name(comp.name), (t, comp.name)
 
 
 # The two BV-BFV verdicts the engine does not reach yet (ROADMAP item 2).

@@ -1,19 +1,20 @@
 """Slice restriction, Sigma-Noether data, cocycles, corner algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from varcalc.chart import DoesNotDescend, NoFlux, NotExact, VerdictMismatch
-from varcalc.algebra import LocalForm, d_h, midx_zero
+from varcalc.algebra import LocalForm, apply_derivation, d_h, midx_zero
 from varcalc.dsl import ElabContext, elaborate_form, su2_structure
 from varcalc.slicing import (
-    CornerData, SliceSpec, compute_ce_cocycle, corner_data, corner_bracket_SS,
-    descended_action, restrict_to_slice, schouten_PiPi, sigma_noether,
+    CornerData, SliceSpec, _corner_ring_chart, _kval, compute_ce_cocycle, corner_data,
+    corner_bracket_SS, descended_action, restrict_to_slice, schouten_PiPi, sigma_noether,
     split_constraint_flux, verify_corner_master,
 )
 from varcalc.theory import theory_from_text
-from conftest import load_theory
+from conftest import assert_exact, load_theory
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,67 @@ def test_corner_requires_flux():
     assert not T.is_symmetry(T.symmetry("shift"))
 
 
+def _graded_partial(form, fid, parity):
+    chart = form.chart
+    z = midx_zero(chart.dim)
+
+    def image(atom):
+        if atom == ('j', fid, z):
+            return LocalForm.scalar(chart, 1)
+        return None
+
+    return apply_derivation(form, parity, image)
+
+
+def _hand_written_corner_bracket_SS(dim, f, k):
+    """The corner bracket before it was the BV bracket, kept verbatim as
+    the oracle: sum_a dS/dc^a ∧ dS/dh_a + dS/dh_a ∧ dS/dc^a."""
+    ch, hfids, cfids = _corner_ring_chart(dim)
+    z = midx_zero(1)
+    S = LocalForm(ch)
+    for (a, b), lst in f.items():
+        for c, coeff in lst:
+            S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)),
+                     Fraction(coeff) / 2)
+    for a in range(dim):
+        for b in range(dim):
+            kv = _kval(k, a, b)
+            if kv:
+                S._accum((('j', cfids[a], z), ('j', cfids[b], z)), kv / 2)
+    out = LocalForm(ch)
+    for a in range(dim):
+        dSc = _graded_partial(S, cfids[a], 1)
+        dSh = _graded_partial(S, hfids[a], 0)
+        out = out + dSc.wedge(dSh) + dSh.wedge(dSc)
+    return out
+
+
+def _random_corner_data(rng, dim):
+    """Arbitrary rational f^{ab}_c (antisymmetric or not) and k^{ab}."""
+    f = {}
+    for a in range(dim):
+        for b in range(dim):
+            lst = [(c, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                   for c in range(dim) if rng.random() < 0.3]
+            if any(v for _c, v in lst):
+                f[(a, b)] = [(c, v) for c, v in lst if v]
+    k = {(a, b): Fraction(rng.randint(-3, 3)) for a in range(dim) for b in range(dim)
+         if rng.random() < 0.3}
+    return f, k
+
+
+def test_corner_bracket_matches_the_hand_written_bracket():
+    rng = random.Random(0)
+    cases = [(3, su2_structure().f, {}), (3, su2_structure().f, {(0, 1): Fraction(1)})]
+    cases += [(dim, *_random_corner_data(rng, dim))
+              for dim in (1, 2, 3, 4) for _ in range(25)]
+    for dim, f, k in cases:
+        got = corner_bracket_SS(dim, f, k)
+        want = _hand_written_corner_bracket_SS(dim, f, k)
+        assert got == want, (dim, f, k)
+        assert_exact(got)
+
+
 def test_corner_master_negative_and_verdicts_agree():
     # genuinely non-Jacobi constants fail both computations coherently
     bad = {(0, 1): [(1, Fraction(1))], (1, 0): [(1, Fraction(-1))],
@@ -130,6 +192,7 @@ def test_corner_master_negative_and_verdicts_agree():
     d = CornerData(basis=[0, 1, 2], dim=3, f=bad, k={}, h_densities={})
     rep = verify_corner_master(d)
     assert not rep.passed
+    assert rep.detail == "{S,S} = 2 * hc2 * cg0 * cg1 * cg2"
     assert not corner_bracket_SS(3, bad, {}).is_zero()
     assert schouten_PiPi(3, bad, {})
     # an injected constant 2-cocycle keeps the master equation

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from varcalc.algebra import LocalForm, d_h, zero_star
+from varcalc.algebra import LocalForm, d_h, d_v, zero_star
 from varcalc.bv import (
     bfv_extend, bv_bracket, bv_extend, hamiltonian_vector_field,
     verify_bfv_cme, verify_cme,
@@ -174,6 +174,14 @@ def test_lagrangians_equivalent_matches_parent(name):
 def test_projection_is_vertical_homotopy_of_el(name):
     T = load_theory(name)
     assert (T.Lh - T.suite.euler_projector(T.L)).is_zero()
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_d_omega_is_dv_el(name):
+    """d omega = dv E L.  Theory checks only dv L = E L + d theta, which
+    implies it by d dv + dv d = 0 and dv dv = 0 (notes/decisions.md §19)."""
+    T = load_theory(name)
+    assert d_h(T.omega) == d_v(T.EL)
 
 
 ZERO_THEORY = "theory z\ndimension 2\nsignature + -\nfield phi scalar\nlagrangian 0\n"

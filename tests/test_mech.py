@@ -31,6 +31,21 @@ def test_momentum_equivariance():
         assert np.max(np.abs(J1 - J2)) <= TOL["equivariance"]
 
 
+@pytest.mark.parametrize("system", [kepler_system(), harmonic_system(), free_system()],
+                         ids=["kepler", "harmonic", "free"])
+def test_hamiltonian_is_rotation_invariant(system):
+    """H(Oq, Op) = H(q, p) at 50 seeded points and rotations: H reads q
+    through |q| and p through p·p (notes/decisions.md §19)."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        q = rng.normal(size=3)
+        p = rng.normal(size=3)
+        O = _random_rotation(rng)
+        h1 = system.H(PhasePoint(q, p))
+        h2 = system.H(PhasePoint(O @ q, O @ p))
+        assert abs(h1 - h2) <= 1e-12 * max(1.0, abs(h1))
+
+
 def test_free_particle_exact():
     sys_f = free_system()
     st = PhasePoint([0.0, 0.5, -1.0], [0.3, -0.2, 0.1])

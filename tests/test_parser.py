@@ -247,8 +247,16 @@ def test_unresolved_name_is_positioned(tmp_path, capsys, text, line, col, messag
      "jet order 1 exceeds cutoff 0", JetCutoffExceeded),
     (_HEAD + "field q scalar\nlagrangian q * dx0\n", 5, 12,
      "lagrangian must be a (0, 2) form, got (0,1)", GradingError),
+    (_HEAD + "constant m\nconstant m\nfield q scalar\nlagrangian m * q * vol\n", 5, 1,
+     "duplicate component 'm'", VarcalcError),
+    (_HEAD + "constant m m\n", 4, 1, "duplicate component 'm'", VarcalcError),
+    (_HEAD + "coordinates t x\nconstant x\n", 5, 1, "duplicate component 'x'",
+     VarcalcError),
+    (_HEAD + "function V\nfunction V arity 2\nfield q scalar\n"
+     "lagrangian V(q) * vol\n", 5, 1, "duplicate function symbol 'V'", VarcalcError),
 ], ids=["open_source", "duplicate_field", "tr_scalar", "lie_indices", "jet_cutoff",
-        "lagrangian_bidegree"])
+        "lagrangian_bidegree", "duplicate_constant", "duplicate_constant_one_line",
+        "constant_named_as_coordinate", "duplicate_function"])
 def test_elaboration_error_is_positioned(tmp_path, capsys, text, line, col, message,
                                          error):
     """Any error raised while a declaration is read or elaborated carries
