@@ -15,8 +15,6 @@ import os
 import sys
 from importlib import resources
 
-import numpy as np
-
 from .chart import DoesNotDescend, NotLocal, VarcalcError
 from .render import form_json, render_text, report_json
 from .verify import run_suites
@@ -30,7 +28,8 @@ class UsageError(VarcalcError):
 def _load_theory(path):
     from .theory import theory_from_text
     if os.path.exists(path):
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     else:
         name = path[:-4] if path.endswith(".thy") else path
         try:
@@ -263,7 +262,7 @@ def _mech_state(args, dim):
             v = []
         if len(v) != dim:
             raise UsageError(f"{flag} expects {dim} comma-separated numbers, got {text!r}")
-        return np.array(v)
+        return v
     return mechmod.PhasePoint(vector(args.q, "--q"), vector(args.p, "--p"))
 
 

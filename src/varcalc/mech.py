@@ -1,13 +1,13 @@
 """Finite-dimensional Hamiltonian mechanics: flows, the SO(3) momentum map,
 Noether-Souriau-Smale conservation, and symplectic reduction to the radial
-system.  Double precision with explicit tolerances."""
+system.  Double precision with explicit tolerances.  Each function that
+computes with numpy imports it in its body, so importing varcalc never
+loads numpy (notes/decisions.md §21)."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .chart import DimensionMismatch, VarcalcError
 
@@ -35,6 +35,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         self.q = np.asarray(self.q, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
@@ -54,10 +55,12 @@ class MechSystem:
         self.mass = float(mass)
 
     def H(self, state: PhasePoint):
+        import numpy as np
         r = np.linalg.norm(state.q)
         return float(state.p @ state.p) / (2 * self.mass) + self.V(r)
 
     def grad_q(self, q):
+        import numpy as np
         r = np.linalg.norm(q)
         if r == 0:
             raise OriginSingularity("potential gradient at the origin")
@@ -68,6 +71,7 @@ class MechSystem:
 
 
 def _random_rotation(rng):
+    import numpy as np
     A = rng.normal(size=(3, 3))
     Q, R = np.linalg.qr(A)
     Q = Q @ np.diag(np.sign(np.diag(R)))
@@ -78,6 +82,7 @@ def _random_rotation(rng):
 
 def momentum(state: PhasePoint):
     """Angular momentum J = p x q (the momentum map of the cotangent lift)."""
+    import numpy as np
     if state.q.shape != (3,):
         raise DimensionMismatch("momentum map needs dimension 3")
     return np.cross(state.p, state.q)
@@ -93,6 +98,7 @@ def casimir(state: PhasePoint):
 
 def kks_pairing(mu, xi, eta):
     """<mu, [xi, eta]> under so(3) ~ R^3 (matrix commutator = cross product)."""
+    import numpy as np
     mu = np.asarray(mu, dtype=float)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -101,6 +107,7 @@ def kks_pairing(mu, xi, eta):
 
 def flow(system: MechSystem, state: PhasePoint, t_final, dt, integrator="rk4"):
     """Integrate Hamilton's equations; samples at step boundaries."""
+    import numpy as np
     if dt <= 0:
         raise VarcalcError("dt must be positive")
     steps = int(round(t_final / dt))
@@ -166,6 +173,7 @@ class Trajectory:
 
 def check_conservation(system: MechSystem, traj: Trajectory):
     """Max drifts of the momentum map components, H, and the Casimir."""
+    import numpy as np
     q, p = traj.q, traj.p
     J = np.cross(p, q)
     H = _rowdot(p, p) / (2 * system.mass) + system.V(np.sqrt(_rowdot(q, q)))
@@ -193,6 +201,7 @@ def reduce_so3(state: PhasePoint):
 
     l = 0 states sit in the singular stratum T*R/Z_2; they are reported,
     not charted."""
+    import numpy as np
     r = float(np.linalg.norm(state.q))
     if r == 0:
         raise OriginSingularity("configuration at the origin")
@@ -204,6 +213,7 @@ def reduce_so3(state: PhasePoint):
 def reduced_flow(system: MechSystem, red: ReducedState, t_final, dt):
     """Radial dynamics at fixed Casimir:
     r' = p_r / m,  p_r' = -V'(r) + l^2 / (m r^3)."""
+    import numpy as np
     if red.ell <= 0:
         raise OriginSingularity("reduced flow needs l > 0")
     steps = int(round(t_final / dt))
