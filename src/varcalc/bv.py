@@ -36,9 +36,7 @@ class BVTheory:
         if not sym.is_local:
             raise NotLocal("BV extension needs a local symmetry")
         base = theory.chart
-        self.sym = sym
-
-        chart, self.b2x = base.derive(base.coord_names, orientation=base.orientation)
+        chart, self.b2x = base.derive(base.coord_names)
 
         # ghosts replace the symmetry parameters; antifields double the fields
         self.ghosts = {}             # base param fid -> ghost fid
@@ -245,11 +243,10 @@ class BFVTheory:
             raise NoBracket("BFV extension needs bracket data")
 
         # the slice x^t = const carries the induced orientation (-1)^t
-        orientation = -1 if sigma.spec.transverse & 1 else 1
+        self.orientation = orientation = -1 if sigma.spec.transverse & 1 else 1
         chart, self.s2x = schart.derive(
-            schart.coord_names, orientation=orientation,
-            keep=lambda c: c.kind != DYNAMIC or c.fid in sigma.surviving
-            or c.name.startswith("Pi_"))
+            schart.coord_names, keep=lambda c: c.kind != DYNAMIC
+            or c.fid in sigma.surviving or c.name.startswith("Pi_"))
         z = midx_zero(chart.dim)
         self.ghosts = {}             # sigma param fid -> ghost fid
         self.ghost_momenta = {}      # ghost fid -> ghost momentum fid
@@ -261,8 +258,6 @@ class BFVTheory:
             self.ghost_momenta[c_of[pf]] = chart.add_component(
                 name + "_dag", ghost=-1).fid
         self.chart = chart
-        self.sigma = sigma
-        self.sym = sym
         self.suite = get_suite(chart)
 
         def jet(a, in_fn):
@@ -277,7 +272,6 @@ class BFVTheory:
         def move(form):
             return transport(form, chart, jet)
 
-        self.move = move
         H0, hflux = split_constraint_flux(sigma, sym, H)
         # L_BFV = <H0, c> + 1/2 <c+, [c,c]>
         self.L = move(H0)    # parameters become ghosts via self.ghosts

@@ -1,6 +1,6 @@
 """Charts: the flat-coordinate contexts on which all local forms live.
 
-A chart fixes the base dimension, a constant metric, and the flat list of
+A chart fixes the base dimension, the jet cutoff, and the flat list of
 scalar field components (dynamical fields, symmetry parameters, chart
 coordinates, and named constants).  Every LocalForm carries a reference to
 its chart; operators read grading and parity data from here.
@@ -193,27 +193,9 @@ class FunctionSymbol:
 class Chart:
     """A coordinate chart with a flat list of scalar field components."""
 
-    def __init__(self, dim, signature=None, metric=None, jet_cutoff=DEFAULT_JET_CUTOFF,
-                 coord_names=None, orientation=1):
+    def __init__(self, dim, jet_cutoff=DEFAULT_JET_CUTOFF, coord_names=None):
         self.dim = dim
-        if metric is not None:
-            self.metric = tuple(tuple(Fraction(x) for x in row) for row in metric)
-        else:
-            sig = signature if signature is not None else [1] * dim
-            if len(sig) != dim:
-                raise VarcalcError("signature length must equal dimension")
-            self.metric = tuple(
-                tuple(Fraction(sig[i]) if i == j else Fraction(0) for j in range(dim))
-                for i in range(dim)
-            )
-        mdet = det(self.metric)
-        if mdet == 0:
-            raise VarcalcError("degenerate metric")
-        if abs(mdet) != 1:
-            raise VarcalcError("metric determinant must be +-1 for exact Hodge duals")
-        self.metric_inv = tuple(map(tuple, inverse(self.metric)))
         self.jet_cutoff = jet_cutoff
-        self.orientation = orientation
         self.coord_names = tuple(coord_names) if coord_names else tuple(
             f"x{i}" for i in range(dim))
         self.components: list[FieldComponent] = []
@@ -279,15 +261,14 @@ class Chart:
             raise VarcalcError(f"unknown function symbol {name!r}") from None
 
     # -- derived charts ----------------------------------------------------
-    def derive(self, coord_names, orientation=1, keep=None):
+    def derive(self, coord_names, keep=None):
         """A new chart on the named coordinates with copies of this chart's
         non-coordinate components that ``keep`` accepts (all by default), in
         this chart's order after the coordinates, and of its function
-        symbols.  Its metric is Euclidean: nothing reads the metric of a
-        derived chart.  Returns the chart and the fid map from this chart to
+        symbols.  Returns the chart and the fid map from this chart to
         it, which covers the copies and the coordinates both charts name."""
         new = Chart(len(coord_names), coord_names=coord_names,
-                    jet_cutoff=self.jet_cutoff, orientation=orientation)
+                    jet_cutoff=self.jet_cutoff)
         new.add_coordinates()
         fids = {}
         for c in self.components:

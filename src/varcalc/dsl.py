@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .chart import (
     Chart, CONST, CPARAM, DEFAULT_JET_CUTOFF, DYNAMIC, PARAM, DimensionMismatch,
-    VarcalcError, det,
+    VarcalcError, det, inverse,
 )
 from .algebra import LocalForm, d_h, d_v, midx_zero, midx_order
 
@@ -446,11 +446,17 @@ def _jet_midx(name, digits, dim):
 # ---------------------------------------------------------------------------
 
 class ElabContext:
-    def __init__(self, chart: Chart, orientation=1):
+    def __init__(self, chart: Chart, metric=None, orientation=1):
+        """``metric`` is the constant metric of the Hodge star, as rows;
+        None is the Euclidean one.  ``parse_theory`` validates a theory
+        file's metric, |det g| = 1."""
         self.chart = chart
         self.groups: dict[str, FieldGroup] = {}
         self.structures: dict[str, Structure] = {}
         self.sources: dict[str, Val] = {}
+        if metric is None:
+            metric = [[int(i == j) for j in range(chart.dim)] for i in range(chart.dim)]
+        self.metric_inv = inverse(metric)
         self.orientation = orientation
 
     # -- registration ------------------------------------------------------
@@ -512,16 +518,15 @@ class ElabContext:
         """star(dx^H) as a list of (coeff, ordered complementary tuple).
 
         The coefficient of dx^K is det(g^{M_i H_j}) * sign(M ++ K) with M
-        the ascending complement of K; |det g| = 1 is enforced at chart
-        construction, so no square roots appear.
+        the ascending complement of K; |det g| = 1 is enforced by
+        ``parse_theory``, so no square roots appear.
         """
-        chart = self.chart
-        n = chart.dim
+        n = self.chart.dim
         k = len(hset)
         out = []
         for K in combinations(range(n), n - k):
             M = tuple(i for i in range(n) if i not in K)
-            minor = det([[chart.metric_inv[m][h] for h in hset] for m in M])
+            minor = det([[self.metric_inv[m][h] for h in hset] for m in M])
             if not minor:
                 continue
             out.append((minor * _perm_sign(M + K) * self.orientation, K))
@@ -907,10 +912,9 @@ def _structure(name, spec, no):
 
 def build_context(td: TheoryDef):
     """Build (chart, context) from a theory definition."""
-    chart = Chart(td.dim, metric=td.metric, coord_names=td.coords,
-                  orientation=td.orientation, jet_cutoff=td.jet_cutoff)
+    chart = Chart(td.dim, coord_names=td.coords, jet_cutoff=td.jet_cutoff)
     chart.add_coordinates()
-    ctx = ElabContext(chart, orientation=td.orientation)
+    ctx = ElabContext(chart, td.metric, td.orientation)
     for st in td.structures.values():
         ctx.add_structure(st)
     for nm, no in td.constants:

@@ -8,16 +8,16 @@ differentiates only the coefficient atoms.
 On each finite stratum of leg data, d1 is contracted exactly by sigma1,
 the Moore-Penrose inverse e^+ of the matrix e = e_{b-1} of d1 from degree
 b-1 to b, at every horizontal degree b >= 1.  Below top horizontal degree
-on strata with legs d1 has no cohomology, which is checked as
-rank e_{b-1} + rank e_b = dim C_b.  So the Hodge Laplacian of the source
-degree, Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with
-e^T e on im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
-connected block at a time (notes/decisions.md §14).  The image of each
-canonical leg word is computed once per stratum, and kept as integer
-numerators over one denominator.  The homological perturbation series in
-d0 (which terminates, since sigma1 lowers total leg order), run in
-integers over one running denominator (§16), then produces a homotopy h
-for the full horizontal differential satisfying
+on strata with legs d1 has no cohomology (a Koszul complex,
+notes/decisions.md §22).  So the Hodge Laplacian of the source degree,
+Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with e^T e on
+im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
+connected block at a time (§14), and a singular block is reported.  The
+image of each canonical leg word is computed once per stratum, and kept
+as integer numerators over one denominator.  The homological perturbation
+series in d0 (which terminates, since sigma1 lowers total leg order), run
+in integers over one running denominator (§16), then produces a homotopy
+h for the full horizontal differential satisfying
 
     alpha = h d alpha                     on (>=1, 0) forms,
     alpha = h d alpha + d h alpha         on (>=1, 0<q<n) forms,
@@ -140,17 +140,8 @@ class _Stratum:
                     col[idx[k]] = c
                 cols.append(col)
             self.e[b] = (cols, len(tgt))
-        self.ranks = {}
         self.blocks = {}
         self.images = {}
-
-    def rank(self, b):
-        """Rank of the d1 matrix e from degree b to b+1."""
-        if b not in self.ranks:
-            cols, ntgt = self.e[b]
-            self.ranks[b] = len(rref([[col.get(i, 0) for i in range(ntgt)]
-                                      for col in cols])[1])
-        return self.ranks[b]
 
     def delta_pinv(self, b):
         """The block inverses of the Hodge Laplacian on the source degree
@@ -158,18 +149,13 @@ class _Stratum:
         on C_{b-1}.  On im e_{b-1}^T Delta is e_{b-1}^T e_{b-1}, so when
         Delta is invertible sigma1 = Delta^{-1} e_{b-1}^T = e_{b-1}^+.
         Delta is invertible exactly when d1 is acyclic at degree b-1, as it
-        is below top degree on strata with legs.  Acyclicity at degree
-        b < n is checked on the ranks of e, and a singular block fails
-        the same way.
+        is below top degree on strata with legs (notes/decisions.md §22);
+        a singular block raises InvariantViolation.
 
         Returns (rows, block_of): the rows of e_{b-1} as {column: entry},
         and for each word of C_{b-1} its connected block of Delta as
         (word indices, {word index: its row of the block's inverse})."""
         if b not in self.blocks:
-            if (self.fids and b < self.suite.chart.dim
-                    and self.rank(b - 1) + self.rank(b) != len(self.bases[b])):
-                raise InvariantViolation(
-                    "unexpected d1-cohomology below top horizontal degree")
             dim = len(self.bases[b - 1])
             cols, ntgt = self.e[b - 1]
             rows = [{} for _ in range(ntgt)]

@@ -10,7 +10,7 @@ from .algebra import LocalForm, iter_midx
 
 
 def suite_chart(dim=2, nfields=2, ghost_field=False):
-    ch = Chart(dim, signature=[1] * dim, jet_cutoff=12)
+    ch = Chart(dim, jet_cutoff=12)
     ch.add_coordinates()
     for i in range(nfields):
         ch.add_component(f"u{i}")
@@ -25,7 +25,6 @@ class FormGenerator:
     def __init__(self, chart, seed=0, max_order=2, max_degree=3):
         self.chart = chart
         self.rng = random.Random(seed)
-        self.max_order = max_order
         self.jets = []
         for comp in chart.components:
             if comp.kind != DYNAMIC:

@@ -38,12 +38,9 @@ class SliceSpec:
 class SigmaTheory:
     """Slice data: Sigma chart, momenta, omega_Sigma, translation maps."""
 
-    surviving: set
-
     def __init__(self, theory: Theory, spec: SliceSpec):
         self.theory = theory
         self.spec = spec
-        self.surviving = set()
         bulk = theory.chart
         n = bulk.dim
         t = spec.transverse
@@ -121,10 +118,7 @@ class SigmaTheory:
         self.theta_sigma = theta_final
         self.omega_sigma = d_v(theta_final)
         self._verify_pullback()
-        self.pairing = self._pairing_table()
-        self.surviving = {a[1] for k in self.omega_sigma.terms for a in k
-                          if a[0] in ('j', 'v')
-                          and self.schart.kind(a[1]) == DYNAMIC}
+        self.pairing, self.surviving = self._pairing_table()
 
     # --- plumbing -------------------------------------------------------------
     def _leftover_dt(self, form):
@@ -233,17 +227,20 @@ class SigmaTheory:
             raise InvariantViolation("pi^* omega_Sigma != iota^* omega")
 
     def _pairing_table(self):
+        """(the symplectic partners of each slice field, the set of slice
+        fields): the dynamical fids of omega_Sigma, whose legs are all
+        dynamical."""
         schart = self.schart
         src = interior_euler(self.omega_sigma)
-        fields = sorted({a[1] for k in self.omega_sigma.terms for a in k
-                         if a[0] == 'v'} |
-                        {a[1] for k in self.omega_sigma.terms for a in k
-                         if a[0] == 'j' and schart.kind(a[1]) == DYNAMIC})
+        fields = ({a[1] for k in self.omega_sigma.terms for a in k
+                   if a[0] == 'v'} |
+                  {a[1] for k in self.omega_sigma.terms for a in k
+                   if a[0] == 'j' and schart.kind(a[1]) == DYNAMIC})
         table = {}
         kernel = []
         z = midx_zero(schart.dim)
         legs = contract_legs(src)
-        for f in fields:
+        for f in sorted(fields):
             co = legs.get((f, z), LocalForm(schart))
             partners = sorted({schart.component(a[1]).name
                                for k in co.terms for a in k if a[0] == 'v'})
@@ -256,7 +253,7 @@ class SigmaTheory:
             raise DegenerateSlice(
                 "slice fields without symplectic partner: " + ", ".join(kernel),
                 kernel)
-        return table
+        return table, fields
 
 
 def restrict_to_slice(theory: Theory, spec: SliceSpec) -> SigmaTheory:
@@ -428,7 +425,7 @@ def _kval(k, a, b):
 
 
 def _corner_ring_chart(dim):
-    ch = Chart(1, signature=[1])
+    ch = Chart(1)
     ch.add_coordinates()
     hfids = [ch.add_component(f"hc{a}").fid for a in range(dim)]
     cfids = [ch.add_component(f"cg{a}", ghost=1).fid for a in range(dim)]

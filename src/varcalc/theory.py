@@ -211,7 +211,7 @@ class Theory:
         part, d-primitive) of the difference when equivalent.  Raises
         ChartMismatch, naming the first difference, when the two charts
         differ in what a Lagrangian can hold."""
-        mismatch = _chart_difference(self.chart, other.chart)
+        mismatch = _chart_difference(self, other)
         if mismatch:
             raise ChartMismatch(f"theories live on different charts: {mismatch}")
         diff = other.L - self.L
@@ -229,13 +229,13 @@ class Theory:
         return True, (const, primitive)
 
 
-def _chart_difference(a, b):
-    """The first difference between two charts in what a Lagrangian can
-    hold, or None: the dimension, the coordinate names, the metric, the
-    name, kind and ghost degree at each fid of a coordinate, constant or
-    dynamical component, and the function symbols."""
-    def metric(ch):
-        return " / ".join(" ".join(map(str, row)) for row in ch.metric)
+def _chart_difference(ta, tb):
+    """The first difference between the charts of two theories in what a
+    Lagrangian can hold, or None: the dimension, the coordinate names, the
+    metric, the name, kind and ghost degree at each fid of a coordinate,
+    constant or dynamical component, and the function symbols."""
+    def metric(t):
+        return " / ".join(" ".join(map(str, row)) for row in t.td.metric)
 
     def held(ch):
         return [(c.fid, c.name, c.kind, c.ghost) for c in ch.components
@@ -247,12 +247,13 @@ def _chart_difference(a, b):
     def function(f):
         return "nothing" if f is None else f"{f.name} (arity {f.arity})"
 
+    a, b = ta.chart, tb.chart
     if a.dim != b.dim:
         return f"dimension {a.dim} vs {b.dim}"
     if a.coord_names != b.coord_names:
         return f"coordinates {' '.join(a.coord_names)} vs {' '.join(b.coord_names)}"
-    if a.metric != b.metric:
-        return f"metric {metric(a)} vs {metric(b)}"
+    if ta.td.metric != tb.td.metric:
+        return f"metric {metric(ta)} vs {metric(tb)}"
     for x, y in zip_longest(held(a), held(b)):
         if x != y:
             return f"fid {(x or y)[0]} holds {component(x)} vs {component(y)}"

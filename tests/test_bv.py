@@ -175,7 +175,7 @@ def test_bvbfv_maxwell_every_slice(maxwell, bv_maxwell, t):
     data carries the induced orientation (-1)^t of the slice."""
     spec = SliceSpec(transverse=t)
     bfv = bfv_extend(restrict_to_slice(maxwell, spec), maxwell.symmetry("gauge"))
-    assert bfv.chart.orientation == (-1) ** t
+    assert bfv.orientation == (-1) ** t
     reps = verify_bvbfv(bv_maxwell, bfv, spec)
     assert len(reps) == 3 and all(r.passed for r in reps), [r.line() for r in reps]
 

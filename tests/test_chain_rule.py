@@ -20,7 +20,7 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=1
 
 
 def _chart():
-    ch = Chart(2, signature=[1, 1], jet_cutoff=4)
+    ch = Chart(2, jet_cutoff=4)
     ch.add_coordinates()                          # x0, x1
     ch.add_component("u")                         # dynamic, even
     ch.add_component("w")                         # dynamic, even

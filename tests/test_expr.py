@@ -13,7 +13,7 @@ from varcalc.randforms import suite_chart, FormGenerator
 
 
 def chart1():
-    ch = Chart(2, signature=[-1, 1])
+    ch = Chart(2)
     ch.add_coordinates()
     ch.add_component("q")
     ch.add_component("c", ghost=1)
@@ -80,7 +80,7 @@ def test_wedge_graded_commutative_and_associative():
 
 
 def test_jet_cutoff_is_an_error():
-    ch = Chart(1, signature=[1], jet_cutoff=2)
+    ch = Chart(1, jet_cutoff=2)
     ch.add_coordinates()
     q = ch.add_component("q").fid
     f = LocalForm.from_word(ch, (('j', q, (2,)),))
@@ -179,7 +179,7 @@ def test_vertical_homotopy_formal_integrand_and_nonscalable():
     from varcalc.chart import Chart, NonScalableTerm
     from varcalc.homotopy import get_suite
     import pytest as _pytest
-    ch = Chart(1, signature=[1])
+    ch = Chart(1)
     ch.add_coordinates()
     q = ch.add_component("q").fid
     W = ch.add_function("W", arity=1)
@@ -200,7 +200,7 @@ def test_gradient_pattern_resolves_to_potential_difference():
     from varcalc.chart import Chart
     from varcalc.homotopy import get_suite
     from varcalc.euler import exterior_euler
-    ch = Chart(1, signature=[1])
+    ch = Chart(1)
     ch.add_coordinates()
     q = [ch.add_component(f"q{i}").fid for i in range(2)]
     V = ch.add_function("V", arity=2)

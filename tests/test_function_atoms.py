@@ -6,13 +6,19 @@ The generator below writes such forms as theory-file expressions and
 elaborates them on one chart.  The identities d dv + dv d = 0 and dv dv = 0
 are what make Theory's check `d omega = dv E L` redundant
 (notes/decisions.md §19); d d = 0 and P d = 0 are the exactness side.
+
+Where an identity fails literally (ROADMAP item 6(b)), its residual is
+evaluated instead: V and W get polynomial models, and ``evaluate``
+integrates each fiber integral fint(k; ...) exactly in lambda.
 """
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
-from varcalc.algebra import d_h, d_v, zero_star
+from varcalc.algebra import PointAssignment, d_h, d_v, evaluate, iter_midx, zero_star
 from varcalc.chart import ResidualNonzero
 from varcalc.dsl import build_context, elaborate_form, parse_theory
 from varcalc.homotopy import get_suite
@@ -105,3 +111,53 @@ def test_noether1_translation_with_function_lagrangian():
         "lagrangian V(phi_,0) * star(1)\n"
         "symmetry transl param e scalar constant\n  phi = e * phi_,1\n")
     assert verify_noether1(T, T.symmetry("transl")).passed
+
+
+# polynomial models: V(a) = 2 - a + 3/2 a^2 + 1/3 a^3, W(a, b) = 1 - 2 ab
+# + 1/2 a^2 b + 5 b^3
+_MODELS = {1: (((0,), 2), ((1,), -1), ((2,), Fraction(3, 2)), ((3,), Fraction(1, 3))),
+           2: (((0, 0), 1), ((1, 1), -2), ((2, 1), Fraction(1, 2)), ((0, 3), 5))}
+
+
+def _model_functions(monkeypatch, chart):
+    monkeypatch.setattr(chart, "functions", [
+        dataclasses.replace(fn, model=_MODELS[fn.arity]) for fn in chart.functions])
+
+
+def _random_point(chart, rng):
+    """Nonzero rationals for every jet within the chart's cutoff, and
+    dx^mu = 1."""
+    jets = {(c.fid, m): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+            for c in chart.components for k in range(chart.jet_cutoff + 1)
+            for m in iter_midx(chart.dim, k)}
+    return PointAssignment(chart, jets, hlegs=dict.fromkeys(range(chart.dim), 1))
+
+
+def test_top_form_homotopy_residual_evaluates_to_zero(monkeypatch):
+    """The residual of the identity above, on the forms where it is not
+    literally zero, vanishes at random points once V and W are
+    polynomials: it is zero as a function."""
+    _model_functions(monkeypatch, CHART)
+    rng = random.Random(0)
+    residuals = [r for r in (w - d_h(SUITE.h_zero(w)) - SUITE.euler_projector(w)
+                             - zero_star(w) for w in random_forms(2, 0, 2))
+                 if not r.is_zero()]
+    assert len(residuals) > 100
+    assert any(a[0] == 'F' for r in residuals for key in r.terms for a in key)
+    for r in residuals:
+        for _ in range(2):
+            assert evaluate(r, _random_point(CHART, rng)) == 0
+
+
+def test_noether1_residual_with_function_lagrangian_evaluates_to_zero(monkeypatch):
+    T = theory_from_text(
+        "theory fa\ndimension 2\nsignature - +\nfunction V\nfield phi scalar\n"
+        "lagrangian V(phi_,0) * star(1)\n"
+        "symmetry transl param e scalar constant\n  phi = e * phi_,1\n")
+    with pytest.raises(ResidualNonzero) as err:
+        verify_noether1(T, T.symmetry("transl"))
+    residual = err.value.residual
+    _model_functions(monkeypatch, residual.chart)
+    rng = random.Random(0)
+    for _ in range(5):
+        assert evaluate(residual, _random_point(residual.chart, rng)) == 0

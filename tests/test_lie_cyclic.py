@@ -232,7 +232,7 @@ def test_pair_reads_either_order():
 # the CE 2-cocycle identity on kappa tables
 # ---------------------------------------------------------------------------
 
-CHART = Chart(1, signature=[1])
+CHART = Chart(1)
 CHART.add_coordinates()
 U = CHART.add_component("u").fid
 W = CHART.add_component("w").fid

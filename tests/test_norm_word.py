@@ -99,7 +99,7 @@ def reference_norm_word(chart, atoms, coeff):
 # -- a chart with every component kind ---------------------------------------
 
 def _chart():
-    ch = Chart(2, signature=[1, 1], jet_cutoff=2)
+    ch = Chart(2, jet_cutoff=2)
     ch.add_coordinates()                          # x0, x1
     ch.add_component("u")                         # dynamic, even
     ch.add_component("c", ghost=1)                # dynamic ghost, odd

@@ -69,6 +69,38 @@ def test_star_squares_correctly():
         assert (v + elaborate_form(ctx, base)).is_zero()
 
 
+_LIGHTCONE = "theory lc\ndimension 2\nmetric 0 1 / 1 0\nfield q scalar\n"
+_FLIPPED = "theory fl\ndimension 2\nsignature - +\norientation -1\nfield q scalar\n"
+
+
+@pytest.mark.parametrize("head, expr, want", [
+    (_LIGHTCONE, "star(dx0)", "-dx0"),
+    (_LIGHTCONE, "star(d(q))", "q_,1 ∧ dx1 - q_,0 ∧ dx0"),
+    (_FLIPPED, "vol", "-dx0 ∧ dx1"),
+    (_FLIPPED, "star(dx1)", "dx0"),
+    (_FLIPPED, "star(d(q))", "q_,1 ∧ dx0 + q_,0 ∧ dx1"),
+    ("theory t\ndimension 2\nmetric 0.5 0 / 0 2\nfield q scalar\n", "star(dx0)",
+     "2 ∧ dx1"),
+])
+def test_star_reads_the_metric_and_orientation_of_the_file(head, expr, want):
+    _chart, ctx = build_context(parse_theory(head))
+    assert render_text(elaborate_form(ctx, expr)) == want
+
+
+def test_equiv_across_metrics_is_a_chart_mismatch(tmp_path, capsys):
+    from varcalc.cli import main
+    paths = []
+    for name, head in (("lc", _LIGHTCONE), ("fl", _FLIPPED)):
+        paths.append(tmp_path / f"{name}.thy")
+        paths[-1].write_text(head + "lagrangian 1/2 * d(q) ∧ star(d(q))\n",
+                             encoding="utf-8")
+    assert main(["el", str(paths[0])]) == 0
+    capsys.readouterr()
+    assert main(["equiv", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == (
+        "error: theories live on different charts: metric 0 1 / 1 0 vs -1 0 / 0 1\n")
+
+
 def test_first_order_maxwell_elaborates(first_order_maxwell):
     T = first_order_maxwell
     expect = elaborate_form(T.ctx, "B ∧ d(A) - 1/2 * B ∧ star(B)")

@@ -332,7 +332,7 @@ def test_resolve_groups_sharing_a_word(dim):
 def test_gradient_pattern():
     """sum_i q_i dV/dq_i(l q) dq ^ dx, as in test_expr, and the same
     pattern with a function atom and a second potential in the word."""
-    ch = Chart(1, signature=[1])
+    ch = Chart(1)
     ch.add_coordinates()
     q = [ch.add_component(f"q{i}").fid for i in range(2)]
     V = ch.add_function("V", arity=2).sym_id

@@ -12,11 +12,17 @@ import pytest
 
 from varcalc import verify
 from varcalc.algebra import LocalForm
-from varcalc.chart import InvariantViolation, pseudo_inverse_psd
+from varcalc.chart import InvariantViolation, pseudo_inverse_psd, rref
 from varcalc.homotopy import HomotopySuite, _leg_split, _Stratum, _stratum_key
 from varcalc.randforms import suite_chart
 
 from conftest import assert_exact, sigma1_terms
+
+
+def _d1_rank(st, b):
+    """Rank of the d1 matrix e from degree b to b+1, by rref."""
+    cols, ntgt = st.e[b]
+    return len(rref([[col.get(i, 0) for i in range(ntgt)] for col in cols])[1])
 
 
 class PinvStratum(_Stratum):
@@ -32,7 +38,7 @@ class PinvStratum(_Stratum):
         legs d1 is acyclic, which is checked on the ranks of e."""
         if b not in self.pinv:
             if (self.fids and b < self.suite.chart.dim
-                    and self.rank(b - 1) + self.rank(b) != len(self.bases[b])):
+                    and _d1_rank(self, b - 1) + _d1_rank(self, b) != len(self.bases[b])):
                 raise InvariantViolation(
                     "unexpected d1-cohomology below top horizontal degree")
             dim = len(self.bases[b])
@@ -166,3 +172,19 @@ def test_singular_laplacian_block_is_rejected():
     st.e[n - 1] = ([{}] * len(cols), ntgt)
     with pytest.raises(InvariantViolation, match="unexpected d1-cohomology"):
         st.delta_pinv(n)
+
+
+def test_d1_is_acyclic_below_top_degree(monkeypatch):
+    """rank e_{b-1} + rank e_b = dim C_b for 1 <= b < n on every stratum
+    with legs that criterion 5 builds on the 2-d and 3-d suite charts, and
+    on the four-leg stratum: the Koszul exactness that sigma1 rests on and
+    that the engine no longer checks (notes/decisions.md §22)."""
+    strata = [(ch.dim, st) for ch, sts in _seeded_strata(monkeypatch, seed=0, cases=200)
+              for st in sts.values() if st.fids]
+    strata.append((2, _stratum(4)))
+    checked = {2: 0, 3: 0}
+    for n, st in strata:
+        for b in range(1, n):
+            assert _d1_rank(st, b - 1) + _d1_rank(st, b) == len(st.bases[b]), (st.fids, b)
+            checked[n] += 1
+    assert checked[2] > 100 and checked[3] > 100, checked

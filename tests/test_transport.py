@@ -197,7 +197,7 @@ def same(new, old, *args):
 def _target(dim, names=("u0", "u1"), odd=()):
     """A chart with the suite chart's symbols, the two fields in the given
     order, those named in ``odd`` made ghost 1."""
-    ch = Chart(dim, signature=[1] * dim, jet_cutoff=12)
+    ch = Chart(dim, jet_cutoff=12)
     ch.add_coordinates()
     for nm in names:
         ch.add_component(nm, ghost=1 if nm in odd else 0)
