@@ -731,6 +731,7 @@ def parse_theory(text) -> TheoryDef:
         raise SyntaxError_("empty theory file", 1, 1)
     at = {}                 # section head -> line of its last occurrence
     metric_head = None      # 'signature' or 'metric', whichever came last
+    slashed = None          # a metric token with '/' inside it, such as 1/2
     jets = []               # solve jets (name, digits, line, col)
     current_sym = None
     for no, raw in enumerate(lines, 1):
@@ -765,6 +766,7 @@ def parse_theory(text) -> TheoryDef:
             metric_head = head
         elif head == "metric":
             rows = " ".join(parts[1:]).split("/")
+            slashed = next((p for p in parts[1:] if "/" in p.strip("/")), None)
             try:
                 td.metric = [[Fraction(x) for x in row.split()] for row in rows]
             except ValueError:
@@ -827,8 +829,13 @@ def parse_theory(text) -> TheoryDef:
     if td.metric is None:
         raise SyntaxError_("missing signature or metric", 1, 1)
     if len(td.metric) != n or any(len(row) != n for row in td.metric):
-        raise SyntaxError_(f"metric must be {n} x {n}" if metric_head == "metric"
-                           else "signature length must equal dimension", at[metric_head], 1)
+        message = "signature length must equal dimension"
+        if metric_head == "metric":
+            message = f"metric must be {n} x {n}"
+            if slashed:
+                message += (f" ('/' separates rows, so an entry such as {slashed} "
+                            "must be written as a decimal)")
+        raise SyntaxError_(message, at[metric_head], 1)
     if metric_head == "metric":
         mdet = det(td.metric)
         if abs(mdet) != 1:

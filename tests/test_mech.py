@@ -1,5 +1,7 @@
 """Numeric Hamiltonian mechanics and SO(3) reduction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,22 @@ from varcalc.mech import (
     DimensionMismatch, MechSystem, OriginSingularity, PhasePoint, TOL,
     casimir, check_conservation, flow, free_system, harmonic_system,
     kepler_system, kks_pairing, momentum, reduce_so3, reduced_flow,
-    reduction_commutes, _random_rotation,
+    reduction_commutes,
 )
+
+
+def _random_rotation(rng):
+    A = rng.normal(size=(3, 3))
+    Q, R = np.linalg.qr(A)
+    Q = Q @ np.diag(np.sign(np.diag(R)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _rows(buf):
+    """A flat trajectory buffer as an (n, 3) array, one sample per row."""
+    return np.asarray(buf).reshape(-1, 3)
 
 
 def test_momentum_pins():
@@ -50,13 +66,13 @@ def test_free_particle_exact():
     sys_f = free_system()
     st = PhasePoint([0.0, 0.5, -1.0], [0.3, -0.2, 0.1])
     traj = flow(sys_f, st, 1.0, 1e-3)
-    assert np.max(np.abs(traj.q[-1] - (st.q + st.p))) <= 1e-10
+    assert np.max(np.abs(_rows(traj.q)[-1] - np.add(st.q, st.p))) <= 1e-10
 
 
 def test_kepler_circular_orbit():
     sys_k = kepler_system()
     traj = flow(sys_k, PhasePoint([1, 0, 0], [0, 1, 0]), 10.0, 1e-3)
-    r = np.linalg.norm(traj.q, axis=1)
+    r = np.linalg.norm(_rows(traj.q), axis=1)
     assert np.max(np.abs(r - 1.0)) <= 1e-6
 
 
@@ -64,7 +80,7 @@ def test_harmonic_period():
     sys_h = harmonic_system()
     T = 2 * np.pi
     traj = flow(sys_h, PhasePoint([1, 0, 0], [0, 0, 0]), T, 1e-4)
-    assert np.max(np.abs(traj.q[-1] - [1, 0, 0])) <= 1e-5
+    assert np.max(np.abs(_rows(traj.q)[-1] - [1, 0, 0])) <= 1e-5
 
 
 def test_kepler_conservation_tolerances():
@@ -78,15 +94,16 @@ def test_kepler_conservation_tolerances():
 
 def _per_point_drifts(system, traj):
     """check_conservation as one PhasePoint at a time, through system.H."""
-    J0 = momentum(PhasePoint(traj.q[0], traj.p[0]))
-    H0 = system.H(PhasePoint(traj.q[0], traj.p[0]))
-    l0 = float(J0 @ J0)
+    first = next(traj.states())
+    J0 = momentum(first)
+    H0 = system.H(first)
+    l0 = casimir(first)
     jd = hd = cd = 0.0
     for st in traj.states():
         J = momentum(st)
-        jd = max(jd, float(np.max(np.abs(J - J0))))
+        jd = max(jd, float(np.max(np.abs(np.subtract(J, J0)))))
         hd = max(hd, abs(system.H(st) - H0))
-        cd = max(cd, abs(float(J @ J) - l0))
+        cd = max(cd, abs(casimir(st) - l0))
     return {"J_drift": jd, "H_drift": hd, "casimir_drift": cd}
 
 
@@ -111,12 +128,12 @@ def test_symmetry_breaking_detected():
             self.eps = 1e-2
 
         def grad_q(self, q):
-            g = super().grad_q(q)
+            g = list(super().grad_q(q))
             g[0] += self.eps
-            return g
+            return tuple(g)
 
         def H(self, state):
-            return float(state.p @ state.p) / 2 + self.V(np.linalg.norm(state.q)) \
+            return float(np.dot(state.p, state.p)) / 2 + self.V(np.linalg.norm(state.q)) \
                 + self.eps * state.q[0]
 
     b = Broken()
@@ -168,7 +185,7 @@ def test_reduced_flow_and_commutation():
     # circular data: r stays put in the reduced system
     red = reduce_so3(PhasePoint([1, 0, 0], [0, 1, 0]))
     ts, rs, prs = reduced_flow(sys_k, red, 10.0, 1e-3)
-    assert np.max(np.abs(rs - 1.0)) <= 1e-6
+    assert np.max(np.abs(np.asarray(rs) - 1.0)) <= 1e-6
     # V = 0: radial momentum increases
     sys_f = free_system()
     ts, rs, prs = reduced_flow(sys_f, red, 1.0, 1e-3)
@@ -186,10 +203,9 @@ def test_reduced_flow_and_commutation():
 def test_superselection_sector_fixed():
     sys_k = kepler_system()
     for q, p in ([[1, 0, 0], [0, 1, 0]], [[1.5, 0.2, 0], [0, 0.8, 0.1]]):
-        traj = flow(sys_k, PhasePoint(q, p), 10.0, 1e-3)
-        l0 = casimir(PhasePoint(traj.q[0], traj.p[0]))
-        ls = [casimir(PhasePoint(traj.q[k], traj.p[k]))
-              for k in range(0, len(traj.t), 200)]
+        states = list(flow(sys_k, PhasePoint(q, p), 10.0, 1e-3).states())
+        l0 = casimir(states[0])
+        ls = [casimir(st) for st in states[::200]]
         assert max(abs(l - l0) for l in ls) <= TOL["casimir_drift"]
 
 
@@ -217,8 +233,29 @@ def test_casimir():
 
 
 # The integrators as written before the RK4 step was shared, kept verbatim
-# as the oracle: flow, reduced_flow and reduction_commutes must agree bit
-# for bit.
+# on numpy arrays as the oracle: flow, reduced_flow and reduction_commutes
+# must agree bit for bit.  They run on _NumpySystem, the numpy MechSystem
+# as it was with |q| summed left to right: for three entries np.sum adds
+# in order, as mech's float arithmetic does.
+
+
+class _NumpySystem:
+    def __init__(self, system):
+        self.V, self.dV, self.mass = system.V, system.dV, system.mass
+
+    def grad_q(self, q):
+        r = np.sqrt(np.sum(q * q))
+        if r == 0:
+            raise OriginSingularity("potential gradient at the origin")
+        return self.dV(r) * q / r
+
+    def rhs(self, q, p):
+        return p / self.mass, -self.grad_q(q)
+
+
+def _numpy_state(st):
+    return SimpleNamespace(q=np.array(st.q), p=np.array(st.p))
+
 
 def _old_flow(system, state, t_final, dt, integrator="rk4"):
     steps = int(round(t_final / dt))
@@ -300,9 +337,11 @@ _ORACLE_CASES = [
 def test_flow_matches_the_old_loop_bitwise(make, q, p, t, dt, integrator):
     sys_m, st = make(), PhasePoint(q, p)
     traj = flow(sys_m, st, t, dt, integrator=integrator)
-    ts, qs, ps = _old_flow(sys_m, st, t, dt, integrator=integrator)
+    ts, qs, ps = _old_flow(_NumpySystem(sys_m), _numpy_state(st), t, dt,
+                           integrator=integrator)
     assert np.array_equal(traj.t, ts)
-    assert np.array_equal(traj.q, qs) and np.array_equal(traj.p, ps)
+    assert np.array_equal(_rows(traj.q), qs)
+    assert np.array_equal(_rows(traj.p), ps)
 
 
 @pytest.mark.parametrize("make, q, p, t, dt", _ORACLE_CASES)
@@ -313,7 +352,7 @@ def test_reduced_flow_matches_the_old_loop_bitwise(make, q, p, t, dt):
                          _old_reduced_flow(sys_m, red, t, dt)):
         assert np.array_equal(got, want)
     assert reduction_commutes(sys_m, st, t, dt) == \
-        _old_reduction_commutes(sys_m, st, t, dt)
+        _old_reduction_commutes(_NumpySystem(sys_m), _numpy_state(st), t, dt)
 
 
 @pytest.mark.parametrize("q, p", [

@@ -1,9 +1,10 @@
-"""The exact commands run without numpy, and the CLI releases what it opens.
+"""Every command, mech included, runs without numpy, and the CLI releases
+what it opens.
 
 Each check runs a fresh interpreter, because numpy, once imported by any
 test in this process, stays in ``sys.modules``.  A ``None`` entry in
 ``sys.modules`` makes every ``import numpy`` raise ImportError, so a module
-that imports numpy where it should not fails loudly (notes/decisions.md §21).
+that imports numpy fails loudly (notes/decisions.md §21).
 """
 
 import os
@@ -46,8 +47,14 @@ def _cli(mode, argv):
     return _python("-c", RUNNER, mode, *argv)
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
-def test_exact_command_runs_without_numpy(argv):
+MECH_COMMANDS = [
+    ["mech", "flow"],
+    ["mech", "reduce", "--q", "1,0,0", "--p", "0,1,0"],
+    ["mech", "conserve"],
+]
+
+
+def _assert_numpy_free(argv):
     blocked = _cli("block", argv)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr.endswith("numpy loaded: False\n")
@@ -56,12 +63,35 @@ def test_exact_command_runs_without_numpy(argv):
     assert normal.stderr.endswith("numpy loaded: False\n")
     assert blocked.stdout == normal.stdout
     assert blocked.stdout
+    return blocked.stdout
 
 
-def test_mech_imports_numpy_when_it_computes():
-    res = _cli("allow", ["mech", "reduce", "--q", "1,0,0", "--p", "0,1,0"])
-    assert res.returncode == 0, res.stderr
-    assert res.stderr.endswith("numpy loaded: True\n")
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_command_runs_without_numpy(argv):
+    _assert_numpy_free(argv)
+
+
+@pytest.mark.parametrize("argv", MECH_COMMANDS, ids=" ".join)
+def test_mech_runs_without_numpy(argv):
+    _assert_numpy_free(argv)
+
+
+# The Kepler circle's first five RK4 steps.  Dot products sum left to
+# right in plain floats, so no BLAS kernel can move these digits.
+KEPLER_CSV = """\
+t,q0,q1,q2,p0,p1,p2
+0,1,0,0,0,1,0
+0.01,0.999950000416659,0.00999983333333322,0,-0.00999983333489581,0.999950000416659,0
+0.02,0.999800006666566,0.0199986666916661,0,-0.0199986666947919,0.999800006666566,0
+0.03,0.999550033748971,0.0299955001999953,0,-0.0299955002046849,0.999550033748971,0
+0.04,0.999200106660958,0.0399893341833005,0,-0.0399893341895552,0.999200106660958,0
+0.05,0.998750260394944,0.0499791692665116,0,-0.0499791692743329,0.998750260394944,0
+"""
+
+
+def test_mech_flow_output_is_pinned():
+    assert _assert_numpy_free(["mech", "flow", "--t", "0.05", "--dt", "0.01"]) \
+        == KEPLER_CSV
 
 
 def test_theory_file_is_closed(tmp_path):

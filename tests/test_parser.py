@@ -286,9 +286,12 @@ def test_unresolved_name_is_positioned(tmp_path, capsys, text, line, col, messag
      VarcalcError),
     (_HEAD + "function V\nfunction V arity 2\nfield q scalar\n"
      "lagrangian V(q) * vol\n", 5, 1, "duplicate function symbol 'V'", VarcalcError),
+    ("theory t\ndimension 2\nmetric 1/2 0 / 0 2\n", 3, 1,
+     "metric must be 2 x 2 ('/' separates rows, so an entry such as 1/2 must be "
+     "written as a decimal)", SyntaxError_),
 ], ids=["open_source", "duplicate_field", "tr_scalar", "lie_indices", "jet_cutoff",
         "lagrangian_bidegree", "duplicate_constant", "duplicate_constant_one_line",
-        "constant_named_as_coordinate", "duplicate_function"])
+        "constant_named_as_coordinate", "duplicate_function", "metric_fraction"])
 def test_elaboration_error_is_positioned(tmp_path, capsys, text, line, col, message,
                                          error):
     """Any error raised while a declaration is read or elaborated carries
