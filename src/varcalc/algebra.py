@@ -488,6 +488,21 @@ def total_derivative(form: LocalForm, mu, legs=True):
                             chart.images.setdefault(('D', mu, legs), {}))
 
 
+def prolong(memo, tag, base, J, j0):
+    """D^{J-j0} of a scalar form ``base``, memoized in ``memo`` under
+    (tag, J): D_nu of the entry at J - e_nu, nu the last direction in which
+    J exceeds j0, so the passes are those of D^{J-j0} applied direction by
+    direction (notes/decisions.md §16).  A memo hit is one dict lookup."""
+    key = (tag, J)
+    got = memo.get(key)
+    if got is None:
+        nu = midx_last(midx_sub(J, j0))
+        got = base if nu is None else total_derivative(
+            prolong(memo, tag, base, midx_lower(J, nu), j0), nu)
+        memo[key] = got
+    return got
+
+
 def horizontal(form: LocalForm, legs=True):
     """dx^mu ^ D_mu as one odd derivation: an atom's image is the sum over
     mu of dx^mu ^ D_mu(atom).  Moving dx^mu across the atoms before the one
@@ -684,20 +699,6 @@ def substitute(form: LocalForm, bindings):
     jets = {}
     legs = {}
 
-    def prolonged(fid, j0, e, J):
-        """D^{J-j0} e: D_nu of the entry at J - e_nu within the binding
-        j0, nu the last direction in which J exceeds j0."""
-        key = (fid, j0, J)
-        ex = jets.get(key)
-        if ex is None:
-            nu = midx_last(midx_sub(J, j0))
-            if nu is None:
-                ex = e
-            else:
-                ex = total_derivative(prolonged(fid, j0, e, midx_lower(J, nu)), nu)
-            jets[key] = ex
-        return ex
-
     def bound_expr(fid, J, vertical):
         cands = [(j0, e) for j0, e in by_fid.get(fid, ()) if midx_geq(J, j0)]
         if not cands:
@@ -707,10 +708,10 @@ def substitute(form: LocalForm, bindings):
         cands.sort(key=lambda t: t[0], reverse=True)
         j0, e = cands[0]
         if not vertical:
-            return prolonged(fid, j0, e, J)
+            return prolong(jets, (fid, j0), e, J, j0)
         key = (fid, J)
         if key not in legs:
-            legs[key] = d_v(prolonged(fid, j0, e, J))
+            legs[key] = d_v(prolong(jets, (fid, j0), e, J, j0))
         return legs[key]
 
     def image(a, in_fn):

@@ -8,7 +8,7 @@ its chart; operators read grading and parity data from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -100,6 +100,10 @@ class DoesNotDescend(VarcalcError):
     def __init__(self, message, offending=()):
         super().__init__(message)
         self.offending = tuple(offending)
+
+
+class SingularMatrix(VarcalcError):
+    pass
 
 
 class NotExact(VarcalcError):
@@ -282,26 +286,21 @@ class Chart:
         return new, fids
 
     def promoted(self, fids):
-        """A copy of this chart where the given parameter components are
-        dynamical (the action Lie algebroid chart).  Component ids are
-        preserved, so forms can be moved across verbatim.  Promoting the
-        same fids again returns the same chart, so its homotopy strata are
-        built once."""
+        """A chart like this one where the given parameter components are
+        dynamical (the action Lie algebroid chart), built as derive builds
+        its charts.  Component ids are preserved, so forms can be moved
+        across verbatim.  Promoting the same fids again returns the same
+        chart, so its homotopy strata are built once."""
         fids = frozenset(fids)
         new = self.promotions.get(fids)
-        if new is not None:
-            return new
-        new = Chart.__new__(Chart)
-        new.__dict__.update(self.__dict__)
-        # the copy gets its own homotopy suite (homotopy.get_suite)
-        new.__dict__.pop("_homotopy_suite", None)
-        new.components = [replace(c, kind=DYNAMIC) if c.fid in fids else c
-                          for c in self.components]
-        new._by_name = {c.name: c for c in new.components}
-        new.atom_data = {}      # the kinds differ, so the actions do too
-        new.images = {}         # and so do the D_mu and d_v images
-        new.promotions = {}
-        self.promotions[fids] = new
+        if new is None:
+            new = self.promotions[fids] = Chart(self.dim, self.jet_cutoff,
+                                                self.coord_names)
+            for c in self.components:
+                new.add_component(c.name, c.ghost,
+                                  DYNAMIC if c.fid in fids else c.kind, c.coord_dir)
+            for fn in self.functions:
+                new.add_function(fn.name, fn.arity, fn.model)
         return new
 
 
@@ -383,7 +382,7 @@ def inverse(m):
     R, pivots, _ = rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
                          for i, row in enumerate(m)])
     if pivots != list(range(n)):
-        raise VarcalcError("singular matrix")
+        raise SingularMatrix("singular matrix")
     return [row[n:] for row in R]
 
 

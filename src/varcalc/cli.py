@@ -135,6 +135,9 @@ def cmd_verify(args):
     from .noether import IDENTITY_NAMES, verify_identity
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
+    if args.identity is not None and args.identity not in IDENTITY_NAMES:
+        raise UsageError(f"unknown identity {args.identity!r}; "
+                         f"known: {', '.join(IDENTITY_NAMES)}")
     rows, lines = [], []
     ok = True
     if args.suites or not args.theory:
@@ -298,15 +301,15 @@ def cmd_mech(args):
         ok = rep["J_drift"] <= tol
         return ("mech conserve", [dict(rep, passed=ok, tol=tol)],
                 _text(f"{rep} {'PASS' if ok else 'FAIL'}"), ok)
-    csv = traj.to_csv()
+    csv = traj.to_csv() if args.json or not args.csv else None
     rows = []
     if args.json:     # a text run need not hold one dict per sample
         header, *lines = csv.splitlines()
         cols = header.split(",")
         rows = [dict(zip(cols, map(float, line.split(",")))) for line in lines]
-    if args.csv:
+    if args.csv:      # the file gets its rows as they are formatted
         with open(args.csv, "w") as fh:
-            fh.write(csv)
+            traj.write_csv(fh)
         return "mech flow", rows, _text(f"wrote {args.csv} ({len(traj.t)} samples)"), True
     return "mech flow", rows, csv, True
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .chart import GradingError, GhostDegreeMismatch
 from .algebra import (
     LocalForm, _add, apply_derivation, contract_legs, d_v, midx_last,
-    midx_lower, midx_zero, prepend_atom, total_derivative,
+    midx_lower, midx_zero, prepend_atom, prolong, total_derivative,
 )
 
 
@@ -82,25 +82,15 @@ class EvolutionaryField:
         self.ghost_shift = shifts.pop() if shifts else 0
         self._prolonged = {}
 
-    def component(self, fid, midx=None):
-        """D_K of the component of ``fid``: D_nu of the memoized component
-        at K - e_nu, nu the last direction of K, so the passes are those of
-        D_K applied direction by direction."""
-        chart = self.chart
-        if midx is None:
-            midx = midx_zero(chart.dim)
-        key = (fid, midx)
-        got = self._prolonged.get(key)
+    def component(self, fid, midx):
+        """D_K of the component of ``fid`` (algebra.prolong), zero for a
+        component the field leaves alone."""
+        got = self._prolonged.get((fid, midx))
         if got is None:
-            nu = midx_last(midx)
             base = self.components.get(fid)
-            if base is None:
-                got = LocalForm.zero(chart)
-            elif nu is None:
-                got = base
-            else:
-                got = total_derivative(self.component(fid, midx_lower(midx, nu)), nu)
-            self._prolonged[key] = got
+            got = self._prolonged[fid, midx] = (
+                LocalForm.zero(self.chart) if base is None else
+                prolong(self._prolonged, fid, base, midx, midx_zero(len(midx))))
         return got
 
     def is_zero(self):

@@ -40,7 +40,7 @@ from math import lcm
 
 from .chart import (
     COORD, DYNAMIC, GradingError, InvariantViolation, NonScalableTerm,
-    NotConstant, VarcalcError, inverse, rref,
+    NotConstant, SingularMatrix, inverse, rref,
 )
 # imported for bench/tracer.py, which traces it under this module
 from .chart import pseudo_inverse_psd  # noqa: F401
@@ -95,6 +95,19 @@ def _distributions(total, slots, dim):
             yield (first,) + rest
 
 
+def d_h_columns(chart, words, index):
+    """The matrix of d_h on a list of words: one {row: entry} column per
+    word, the row of an image word being its position in ``index``; an
+    image word that ``index`` lacks is appended to it."""
+    cols = []
+    for w in words:
+        col = {}
+        for k, c in d_h(LocalForm(chart, {w: 1})).terms.items():
+            col[index.setdefault(k, len(index))] = c
+        cols.append(col)
+    return cols
+
+
 class _Stratum:
     def __init__(self, suite, fids, V):
         self.suite = suite
@@ -128,18 +141,8 @@ class _Stratum:
             self.index[b] = {w: i for i, w in enumerate(basis)}
         # matrices of d1: bases[b] -> bases[b+1]; d0 vanishes on leg
         # words, so d1 is d_h there
-        self.e = {}
-        for b in range(n):
-            src, tgt = self.bases[b], self.bases[b + 1]
-            idx = self.index[b + 1]
-            cols = []
-            for w in src:
-                col = {}
-                image = d_h(LocalForm(chart, {w: 1}))
-                for k, c in image.terms.items():
-                    col[idx[k]] = c
-                cols.append(col)
-            self.e[b] = (cols, len(tgt))
+        self.e = {b: (d_h_columns(chart, self.bases[b], self.index[b + 1]),
+                      len(self.bases[b + 1])) for b in range(n)}
         self.blocks = {}
         self.images = {}
 
@@ -184,7 +187,7 @@ class _Stratum:
                 try:
                     inv = inverse([[D[j1].get(j2, 0) for j2 in members]
                                    for j1 in members])
-                except VarcalcError:
+                except SingularMatrix:
                     raise InvariantViolation(
                         "unexpected d1-cohomology below top horizontal degree"
                     ) from None
@@ -202,9 +205,7 @@ class _Stratum:
         image = self.images.get(word)
         if image is None:
             b = sum(1 for a in word if a[0] == 'h')
-            i = self.index[b].get(word)
-            if i is None:
-                raise InvariantViolation("leg word missing from its stratum basis")
+            i = self.index[b][word]     # every leg word is in its basis (§24)
             image = (1, [])
             if b and self.fids:
                 rows, block_of = self.delta_pinv(b)
@@ -488,15 +489,8 @@ def bruteforce_dexactness(target, extra_rounds=1):
         frontier = new
     if not pool:
         return False
-    cols = []
     index = {}
-    for w in sorted(pool):
-        img = d_h(LocalForm(chart, {w: 1}))
-        col = {}
-        for k, c in img.terms.items():
-            idx = index.setdefault(k, len(index))
-            col[idx] = c
-        cols.append(col)
+    cols = d_h_columns(chart, sorted(pool), index)
     tvec = {}
     for k, c in target.terms.items():
         if k not in index:

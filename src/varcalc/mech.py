@@ -8,6 +8,7 @@ right, and trajectories are flat ``array('d')`` buffers
 from __future__ import annotations
 
 import functools
+import io
 import math
 from array import array
 from dataclasses import dataclass
@@ -184,13 +185,20 @@ class Trajectory:
         for q, p in zip(_triples(self.q), _triples(self.p)):
             yield PhasePoint(q, p)
 
-    def to_csv(self):
-        lines = ["t,q0,q1,q2,p0,p1,p2"]
+    def write_csv(self, fh):
+        """Write the samples to a text file object as CSV, one row at a
+        time, so no copy of the whole table is held."""
+        fh.write("t,q0,q1,q2,p0,p1,p2\n")
         for t, (q0, q1, q2), (p0, p1, p2) in zip(self.t, _triples(self.q),
                                                  _triples(self.p)):
-            lines.append(f"{t:.12g},{q0:.15g},{q1:.15g},{q2:.15g},"
-                         f"{p0:.15g},{p1:.15g},{p2:.15g}")
-        return "\n".join(lines) + "\n"
+            fh.write(f"{t:.12g},{q0:.15g},{q1:.15g},{q2:.15g},"
+                     f"{p0:.15g},{p1:.15g},{p2:.15g}\n")
+
+    def to_csv(self):
+        """The CSV of write_csv as one string."""
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
 
 def check_conservation(system: MechSystem, traj: Trajectory):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 SCHEMA = "varcalc.report.v1"
 
@@ -56,59 +55,56 @@ def atom_text(chart, atom):
     raise ValueError(f"unknown atom {atom!r}")
 
 
-def term_text(chart, key, coeff):
-    scal = [atom_text(chart, a) for a in key if a[0] not in ('v', 'h')]
-    legs = [atom_text(chart, a) for a in key if a[0] in ('v', 'h')]
-    c = Fraction(coeff)
-    mag = -c if c < 0 else c
-    parts = []
-    if mag != 1 or (not scal and not legs):
-        parts.append(str(mag))
-    parts.extend(scal)
-    body = " * ".join(parts) if parts else ""
-    if legs:
-        wedge = " ∧ ".join(legs)
-        body = (body + " ∧ " + wedge) if body else wedge
-    return ("-" if c < 0 else "") + body
-
-
 def _term_sort_key(key):
     return (len(key), key)
 
 
-def render_text(form):
-    if form.is_zero():
-        return "0"
+_SLOT = {'v': 1, 'h': 2}        # factors, vertical legs, horizontal legs
+
+
+def _rendered(form):
+    """Each term of a form in print order, every atom rendered once:
+    (coefficient, [factors, vertical legs, horizontal legs], unsigned
+    text)."""
     chart = form.chart
-    pieces = []
+    out = []
     for key in sorted(form.terms, key=_term_sort_key):
-        txt = term_text(chart, key, form.terms[key])
-        if pieces and not txt.startswith("-"):
-            pieces.append("+ " + txt)
-        elif pieces:
-            pieces.append("- " + txt[1:])
-        else:
-            pieces.append(txt)
+        c = form.terms[key]
+        lists = ([], [], [])
+        for a in key:
+            lists[_SLOT.get(a[0], 0)].append(atom_text(chart, a))
+        mag = -c if c < 0 else c
+        body = " * ".join(([str(mag)] if mag != 1 or not key else []) + lists[0])
+        legs = lists[1] + lists[2]
+        if legs:
+            body = " ∧ ".join(([body] if body else []) + legs)
+        out.append((c, lists, body))
+    return out
+
+
+def _text(terms):
+    """Rendered terms joined by their signs; "0" for none."""
+    if not terms:
+        return "0"
+    pieces = [("-" if c < 0 else "") + body for c, _lists, body in terms[:1]]
+    pieces += [("- " if c < 0 else "+ ") + body for c, _lists, body in terms[1:]]
     return " ".join(pieces)
 
 
+def render_text(form):
+    return _text(_rendered(form))
+
+
 def form_json(form):
-    chart = form.chart
-    terms = []
-    for key in sorted(form.terms, key=_term_sort_key):
-        c = form.terms[key]
-        terms.append({
-            "coeff": f"{c.numerator}/{c.denominator}",
-            "factors": [atom_text(chart, a) for a in key if a[0] not in ('v', 'h')],
-            "vertical": [atom_text(chart, a) for a in key if a[0] == 'v'],
-            "horizontal": [atom_text(chart, a) for a in key if a[0] == 'h'],
-        })
+    terms = _rendered(form)
     p, q = form.grading()
     return {
         "grading": {"vertical": p, "horizontal": q,
                     "ghost": form.ghost_degree()},
-        "text": render_text(form),
-        "terms": terms,
+        "text": _text(terms),
+        "terms": [{"coeff": f"{c.numerator}/{c.denominator}", "factors": factors,
+                   "vertical": vertical, "horizontal": horizontal}
+                  for c, (factors, vertical, horizontal), _body in terms],
     }
 
 

@@ -270,12 +270,9 @@ def sigma_noether(sigma: SigmaTheory, sym: SymmetryAction):
     return sigma.express(J)
 
 
-def split_constraint_flux(sigma: SigmaTheory, sym: SymmetryAction, H=None):
-    if H is None:
-        H = sigma_noether(sigma, sym)
-    pfids = [sigma.b2s[fid] for fid in sym.param_fids()]
-    H0, hflux = decompose_dual_current(H, pfids)
-    return H0, hflux
+def split_constraint_flux(sigma: SigmaTheory, sym: SymmetryAction, H):
+    """(constraint form, flux form) of the Sigma-Noether form H."""
+    return decompose_dual_current(H, [sigma.b2s[fid] for fid in sym.param_fids()])
 
 
 def descended_action(sigma: SigmaTheory, sym: SymmetryAction) -> EvolutionaryField:
@@ -298,19 +295,18 @@ def descended_action(sigma: SigmaTheory, sym: SymmetryAction) -> EvolutionaryFie
 
 
 def sigma_param_basis(sigma: SigmaTheory, sym: SymmetryAction):
-    """Basis substitutions xi -> e_a (constant sections) on the Sigma chart."""
-    out = []
+    """Basis substitutions xi -> e_a (constant sections) on the Sigma chart:
+    one per parameter component, which goes to 1 while every other
+    parameter component of the symmetry goes to 0.  An element is labelled
+    (fidx, lidx) within its parameter group, with the group's position
+    appended when the symmetry has several groups."""
     z = midx_zero(sigma.schart.dim)
-    for g in sym.param_groups:
-        keys = sorted(g.comps)
-        for key in keys:
-            subs = {}
-            for k2 in keys:
-                fid = sigma.b2s[g.comps[k2]]
-                subs[(fid, z)] = (LocalForm.scalar(sigma.schart, 1) if k2 == key
-                                  else LocalForm.zero(sigma.schart))
-            out.append((key, subs))
-    return out
+    several = len(sym.param_groups) > 1
+    comps = [(key + (gi,) if several else key, sigma.b2s[g.comps[key]])
+             for gi, g in enumerate(sym.param_groups) for key in sorted(g.comps)]
+    one, zero = LocalForm.scalar(sigma.schart, 1), LocalForm.zero(sigma.schart)
+    return [(label, {(fid, z): one if fid == chosen else zero for _l, fid in comps})
+            for label, chosen in comps]
 
 
 def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, H_shift=None):

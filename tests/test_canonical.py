@@ -205,6 +205,35 @@ def test_corner_master_negative_and_verdicts_agree():
     assert verify_corner_master(d3).passed
 
 
+TWO_MAXWELL = """theory two_maxwell
+dimension 4
+coordinates t x y z
+signature - + + +
+field A form 1
+field B form 1
+lagrangian -1/2 * d(A) ∧ star(d(A)) - 1/2 * d(B) ∧ star(d(B))
+symmetry gauge param xi scalar param eta scalar
+  A = d(xi)
+  B = d(eta)
+"""
+
+
+def test_two_parameter_groups_get_one_basis_element_each():
+    """Each parameter component of a symmetry is its own basis element, and
+    every other parameter component is zero there: the corner densities of
+    two Maxwell copies hold no parameter, and kappa has all four pairs."""
+    T = theory_from_text(TWO_MAXWELL)
+    sym = T.symmetry("gauge")
+    cd = corner_data(restrict_to_slice(T, SliceSpec(transverse=0, corner=1)), sym)
+    assert cd.h_densities == {((), (), 0): "-Pi_A1 ∧ dx1 ∧ dx2",
+                              ((), (), 1): "-Pi_B1 ∧ dx1 ∧ dx2"}
+    assert cd.dim == 2 and verify_corner_master(cd).passed
+    kappa = compute_ce_cocycle(restrict_to_slice(T, SliceSpec(transverse=0)), sym)
+    labels = [((), (), 0), ((), (), 1)]
+    assert sorted(kappa) == [(a, b) for a in labels for b in labels]
+    assert all(k.is_zero() for k in kappa.values())
+
+
 def test_bf_slice_constraint(bf4):
     sig = restrict_to_slice(bf4, SliceSpec(transverse=0, corner=1))
     sym = bf4.symmetry("gaugeB")

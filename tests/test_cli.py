@@ -141,6 +141,17 @@ def test_mech_flow_csv(tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0].startswith("t,q0")
     assert len(lines) == 12
+    # the rows streamed to the file are the bytes of to_csv
+    traj = cli.mechmod.flow(cli.mechmod.kepler_system(),
+                            cli.mechmod.PhasePoint((1, 0, 0), (0, 1, 0)), 0.1, 0.01)
+    assert dest.read_bytes() == traj.to_csv().encode()
+
+
+def test_unknown_identity_is_a_usage_error(capsys):
+    assert main(["verify", "maxwell", "--identity", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown identity 'nosuch'; known: thm:dbom, ")
 
 
 def test_mech_flow_json():

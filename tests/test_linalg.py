@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from varcalc.algebra import LocalForm, midx_zero
 from varcalc.chart import (
-    VarcalcError, det, inverse, mat_mul, mat_T, pseudo_inverse_psd, rref,
+    SingularMatrix, det, inverse, mat_mul, mat_T, pseudo_inverse_psd, rref,
 )
 from varcalc.homotopy import bruteforce_dexactness
 from varcalc.randforms import suite_chart
@@ -147,7 +147,7 @@ def test_det_and_inverse_match_sympy(m):
     d = M.det()
     assert det(m) == Fraction(int(d.p), int(d.q))
     if d == 0:
-        with pytest.raises(VarcalcError):
+        with pytest.raises(SingularMatrix):
             inverse(m)
     else:
         assert inverse(m) == from_sympy(M.inv())
