@@ -328,7 +328,7 @@ class LocalForm:
         return out
 
     def __sub__(self, other):
-        return self + (other * -1)
+        return self + (-other)
 
     def __mul__(self, scalar):
         scalar = _q(scalar)
@@ -441,7 +441,11 @@ def apply_derivation(form: LocalForm, parity, image, images=None):
                         continue
                     res = _splice(key, keys, odd, i, True, ins)
                     if res is not None:
-                        _add(terms, res[0], c0 * (nic if res[1] ^ flip else ic))
+                        neg = res[1] ^ flip
+                        # an image coefficient of 1, as in the images of
+                        # D_mu, d_v and the radial homotopy, needs no product
+                        _add(terms, res[0], (-c0 if neg else c0) if ic == 1
+                             else c0 * (nic if neg else ic))
             i = j
     return out
 

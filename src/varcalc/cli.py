@@ -49,25 +49,34 @@ def _load_theory(path):
 
 
 def _parse_slice(theory, slice_arg, corner_arg=None):
+    """The SliceSpec of --slice and --corner.  A coordinate the theory does
+    not name, or a corner in the slice direction, is a usage error; a
+    nonzero coordinate value is a typed refusal."""
     from .slicing import SliceSpec
     names = list(theory.chart.coord_names)
 
     def coordinate(arg, flag, what):
         nm, _, val = arg.partition("=")
         if nm not in names:
-            raise VarcalcError(f"unknown coordinate {nm!r} in {flag}")
+            raise UsageError(f"unknown coordinate {nm!r} in {flag}; "
+                             f"coordinates: {', '.join(names)}")
         if val not in ("", "0"):
             raise VarcalcError(f"{what} sit at coordinate value 0")
         return names.index(nm)
 
     trans = coordinate(slice_arg, "--slice", "slices") if slice_arg else 0
     corner = coordinate(corner_arg, "--corner", "corners") if corner_arg else None
+    if corner == trans:
+        raise UsageError("--corner must name a direction other than the --slice one")
     return SliceSpec(transverse=trans, corner=corner)
 
 
 def _pick_symmetry(theory, name):
     if name:
-        return theory.symmetry(name)
+        if name not in theory.symmetries:
+            raise UsageError(f"unknown symmetry {name!r}; declared: "
+                             f"{', '.join(theory.symmetries) or 'none'}")
+        return theory.symmetries[name]
     if not theory.symmetries:
         raise VarcalcError("theory declares no symmetry")
     if len(theory.symmetries) == 1:
@@ -138,6 +147,10 @@ def cmd_verify(args):
     if args.identity is not None and args.identity not in IDENTITY_NAMES:
         raise UsageError(f"unknown identity {args.identity!r}; "
                          f"known: {', '.join(IDENTITY_NAMES)}")
+    if args.theory:
+        T = _load_theory(args.theory)
+        if args.symmetry:
+            _pick_symmetry(T, args.symmetry)
     rows, lines = [], []
     ok = True
     if args.suites or not args.theory:
@@ -147,7 +160,6 @@ def cmd_verify(args):
             lines.append(f"{'FAIL' if r['failed'] else 'PASS'}  {r['identity']}  "
                          f"({r['checked']} cases, {r['failed']} failed)")
     if args.theory:
-        T = _load_theory(args.theory)
         idents = IDENTITY_NAMES if (args.all or not args.identity) \
             else [args.identity]
         syms = ([args.symmetry] if args.symmetry else list(T.symmetries))

@@ -45,8 +45,8 @@ from .chart import (
 # imported for bench/tracer.py, which traces it under this module
 from .chart import pseudo_inverse_psd  # noqa: F401
 from .algebra import (
-    LocalForm, _add, _q, apply_derivation, atom_parity, d_h, d_v, horizontal,
-    midx_zero, norm_word, zero_star,
+    LocalForm, _add, _data, _q, _splice, _word_data, apply_derivation,
+    atom_parity, d_h, d_v, horizontal, midx_zero, norm_word, zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -235,10 +235,36 @@ class HomotopySuite:
         self._strata = {}
 
     # -- d = d1 + d0 split -------------------------------------------------
-    def d0(self, form):
-        """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1): the odd
-        derivation of d_h with the vertical legs left alone."""
-        return horizontal(form, legs=False)
+    def d0(self, groups):
+        """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1), on
+        leg-grouped data {leg word: {coefficient word: int}}: the odd
+        derivation of d_h with the vertical legs left alone.  It maps c ^ l
+        to d0(c) ^ l, and each word of d0(c) is t ^ dx^mu, so d0 of each
+        distinct coefficient word is taken once per call and dx^mu ^ l is
+        normalized once per (leg word, mu) (notes/decisions.md §25)."""
+        chart = self.chart
+        hdata = [_data(chart, ('h', mu)) for mu in range(chart.dim)]
+        out = {}
+        uses = {}
+        for legs, coeffs in groups.items():
+            # per mu, the group of dx^mu ^ legs in out and the parity of its
+            # Koszul sign, or None when dx^mu is in legs
+            keys, odd = _word_data(chart, legs)
+            row = []
+            for d in hdata:
+                s = _splice(legs, keys, odd, 0, False, (d,))
+                row.append(None if s is None else (out.setdefault(s[0], {}), s[1]))
+            for cw, c in coeffs.items():
+                uses.setdefault(cw, []).append((row, c))
+        for cw, where in uses.items():
+            for w, n in horizontal(LocalForm(chart, {cw: 1}), legs=False).terms.items():
+                # w is t ^ dx^mu: dx^mu sorts after every coefficient atom
+                mu, t = w[-1][1], w[:-1]
+                for row, c in where:
+                    dest = row[mu]
+                    if dest is not None:
+                        _add(dest[0], t, -c * n if dest[1] else c * n)
+        return {legs: terms for legs, terms in out.items() if terms}
 
     # -- sigma1 and the perturbed homotopy ----------------------------------
     def _stratum(self, skey):
@@ -246,52 +272,63 @@ class HomotopySuite:
             self._strata[skey] = _Stratum(self, *skey)
         return self._strata[skey]
 
-    def sigma1(self, form):
-        """(L, L sigma1(form)), L the lcm of the denominators of the images
-        read, so that integer coefficients stay integers."""
+    def sigma1(self, groups):
+        """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
+        denominators of the images read, so that integer coefficients stay
+        integers.  Each leg word's image is read once; a coefficient word c
+        in front of it takes the sign (-1)^|c| (notes/decisions.md §25)."""
         chart = self.chart
         reads = []
-        for key, coeff in form.terms.items():
-            coeffs, legs = _leg_split(key)
-            if not legs:
-                continue
-            # the legs of a normalized word are a normalized leg word, and
-            # coefficients followed by a leg word stay normalized
+        for legs, coeffs in groups.items():
             den, image = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
-            if not image:
-                continue
-            if sum(atom_parity(chart, a) for a in coeffs) & 1:
-                coeff = -coeff
-            reads.append((coeffs, coeff, den, image))
-        L = lcm(*(r[2] for r in reads))
-        out = LocalForm(chart)
-        terms = out.terms
-        for coeffs, coeff, den, image in reads:
-            if den != L:
-                coeff *= L // den
+            if image:
+                reads.append((den, image, coeffs))
+        L = lcm(*(r[0] for r in reads))
+        parity = {}
+        out = {}
+        for den, image, coeffs in reads:
+            scale = L // den
+            signed = []
+            for cw, c in coeffs.items():
+                odd = parity.get(cw)
+                if odd is None:
+                    odd = parity[cw] = sum(atom_parity(chart, a) for a in cw) & 1
+                signed.append((cw, -c * scale if odd else c * scale))
+            # the targets are leg words of the stratum, so every
+            # coefficient word followed by one stays normalized
             for target, n in image:
-                _add(terms, coeffs + target, coeff * n)
-        return L, out
+                tgt = out.get(target)
+                if tgt is None:
+                    tgt = out[target] = {}
+                for cw, c in signed:
+                    _add(tgt, cw, c * n)
+        return L, {legs: terms for legs, terms in out.items() if terms}
 
     def h_inf(self, form):
         """The perturbation series sum_r (-sigma1 d0)^r sigma1 of a form, run
-        with integer coefficients over one running denominator: the input
-        is scaled by the lcm of its denominators, each sigma1 round
+        on leg-grouped data {leg word: {coefficient word: int}} with integer
+        coefficients over one running denominator: the input is grouped
+        once and scaled by the lcm of its denominators (its words without
+        legs are dropped, as sigma1 kills them), each sigma1 round
         multiplies the denominator by the lcm it reports, and d0 keeps
-        integers integral.  The rounds are added in order, and each output
-        coefficient is divided once at the end (notes/decisions.md §16)."""
+        integers integral.  The rounds are added in order with the sign
+        (-1)^r, each word is rebuilt once, and each output coefficient is
+        divided once at the end (notes/decisions.md §16, §25)."""
         den = lcm(*(c.denominator for c in form.terms.values()))
-        if den != 1:
-            form = LocalForm(self.chart, {k: c.numerator * (den // c.denominator)
-                                          for k, c in form.terms.items()})
+        groups = {}
+        for key, c in form.terms.items():
+            # the legs of a normalized word are a normalized leg word
+            coeffs, legs = _leg_split(key)
+            if legs:
+                groups.setdefault(legs, {})[coeffs] = \
+                    c if den == 1 else c.numerator * (den // c.denominator)
         rounds = []
-        L, cur = self.sigma1(form)
+        L, cur = self.sigma1(groups)
         den *= L
         guard = 0
-        while not cur.is_zero():
-            rounds.append((den, cur.terms))
+        while cur:
+            rounds.append((den, cur))
             L, cur = self.sigma1(self.d0(cur))
-            cur = -cur
             den *= L
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):
@@ -299,10 +336,11 @@ class HomotopySuite:
         acc = {}
         if rounds:
             den = rounds[-1][0]
-            for d, terms in rounds:
-                scale = den // d
-                for k, n in terms.items():
-                    _add(acc, k, n * scale)
+            for r, (d, cur) in enumerate(rounds):
+                scale = den // d if r % 2 == 0 else -(den // d)
+                for legs, coeffs in cur.items():
+                    for cw, n in coeffs.items():
+                        _add(acc, cw + legs, n * scale)
             if den != 1:
                 acc = {k: _q(Fraction(n, den)) for k, n in acc.items()}
         return LocalForm(self.chart, acc)

@@ -30,10 +30,6 @@ class SliceSpec:
     transverse: int = 0          # bulk direction transverse to the slice
     corner: int | None = None    # bulk direction whose slice bounds Sigma
 
-    def __post_init__(self):
-        if self.corner is not None and self.corner == self.transverse:
-            raise VarcalcError("corner direction must differ from transverse")
-
 
 class SigmaTheory:
     """Slice data: Sigma chart, momenta, omega_Sigma, translation maps."""

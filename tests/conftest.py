@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from varcalc.algebra import _q  # noqa: E402
+from varcalc.algebra import LocalForm, _q  # noqa: E402
+from varcalc.homotopy import _leg_split  # noqa: E402
 from varcalc.theory import theory_from_text  # noqa: E402
 
 _cache = {}
@@ -33,6 +34,22 @@ def sigma1_terms(image):
     out = [(w, _q(Fraction(n, den))) for w, n in terms]
     assert den == lcm(1, *(c.denominator for _w, c in out))
     return out
+
+
+def on_form(step, form):
+    """A leg-grouped step of a HomotopySuite (its sigma1 or d0) applied to a
+    LocalForm: the form is grouped as {leg word: {coefficient word: c}},
+    and the grouped result is rebuilt as a LocalForm, as (L, form) for
+    sigma1."""
+    groups = {}
+    for key, c in form.terms.items():
+        coeffs, legs = _leg_split(key)
+        groups.setdefault(legs, {})[coeffs] = c
+    got = step(groups)
+    L, got = got if type(got) is tuple else (None, got)
+    out = LocalForm(form.chart, {cw + legs: c for legs, terms in got.items()
+                                 for cw, c in terms.items()})
+    return out if L is None else (L, out)
 
 
 def load_theory(name):

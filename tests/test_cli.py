@@ -154,6 +154,26 @@ def test_unknown_identity_is_a_usage_error(capsys):
     assert captured.err.startswith("error: unknown identity 'nosuch'; known: thm:dbom, ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "maxwell", "--symmetry", "nosuch"),
+     "unknown symmetry 'nosuch'; declared: gauge"),
+    (("noether", "maxwell", "--symmetry", "nosuch"),
+     "unknown symmetry 'nosuch'; declared: gauge"),
+    (("noether", "point_particle", "--symmetry", "gauge"),
+     "unknown symmetry 'gauge'; declared: none"),
+    (("canonical", "maxwell", "--slice", "q=0"),
+     "unknown coordinate 'q' in --slice; coordinates: t, x, y, z"),
+    (("corner", "maxwell", "--slice", "t=0", "--corner", "t=0"),
+     "--corner must name a direction other than the --slice one"),
+])
+def test_unknown_name_in_a_flag_is_a_usage_error(argv, message, capsys):
+    """Exit 2 before any identity runs: no FAIL row is printed."""
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_mech_flow_json():
     code, out = run_cli("--json", "mech", "flow", "--system", "kepler",
                         "--t", "0.1", "--dt", "0.01")

@@ -17,7 +17,7 @@ from hypothesis import given
 
 from varcalc.algebra import LocalForm, d_h, prepend_atom, total_derivative
 from varcalc.homotopy import get_suite
-from conftest import assert_exact, load_theory
+from conftest import assert_exact, load_theory, on_form
 from test_el_oracle import THEORIES
 from test_splice import SEEDED, forms
 
@@ -33,7 +33,7 @@ def check(form):
     got = d_h(form)
     assert got.terms == oracle(form).terms
     assert_exact(got)
-    got = get_suite(form.chart).d0(form)
+    got = on_form(get_suite(form.chart).d0, form)
     assert got.terms == oracle(form, legs=False).terms
     assert_exact(got)
 

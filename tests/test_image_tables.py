@@ -21,13 +21,13 @@ from varcalc.algebra import LocalForm, d_h, d_v, midx_zero, total_derivative
 from varcalc.chart import CPARAM, JetCutoffExceeded
 from varcalc.homotopy import get_suite
 from varcalc.randforms import suite_chart
-from conftest import assert_exact, load_theory
+from conftest import assert_exact, load_theory, on_form
 from test_el_oracle import THEORIES
 from test_splice import SEEDED, forms
 
 
 def operators(chart):
-    ops = [d_h, get_suite(chart).d0, d_v]
+    ops = [d_h, lambda f: on_form(get_suite(chart).d0, f), d_v]
     for mu in range(chart.dim):
         for legs in (True, False):
             ops.append(lambda f, mu=mu, legs=legs: total_derivative(f, mu, legs))

@@ -1,28 +1,34 @@
-"""The integer perturbation series of h_inf and the prolongations of an
-evolutionary field against the code they replaced, kept verbatim here.
+"""The integer perturbation series of h_inf, its two leg-grouped steps and
+the prolongations of an evolutionary field against the code they replaced,
+kept verbatim here.
 
 The series oracle is the former sigma1 and h_inf: each stratum image with
 `Fraction` coefficients, acc += cur and cur = -sigma1(d0(cur)).  The engine
-runs the same rounds over one integer denominator, so it must give the same
-terms in the same order with exact coefficients.  The prolongation oracle
-is the former `apply_midx_derivative`, which `EvolutionaryField.component`
-now reaches one direction at a time through its memo.
+runs the same rounds on leg-grouped data over one integer denominator, so
+it must give the same terms with exact coefficients; their order is no part
+of the contract.  The step oracles are the former per-word sigma1, which
+splits every word into its coefficient and leg atoms, and the former d0,
+horizontal(form, legs=False).  The prolongation oracle is the former
+`apply_midx_derivative`, which `EvolutionaryField.component` now reaches
+one direction at a time through its memo.
 """
 
 from fractions import Fraction
+from math import lcm
 import random
 
 import pytest
 from hypothesis import given
 
 from varcalc.algebra import (
-    LocalForm, _add, _q, atom_parity, d_v, iter_midx, total_derivative,
+    LocalForm, _add, _q, atom_parity, d_v, horizontal, iter_midx,
+    total_derivative,
 )
 from varcalc.chart import InvariantViolation
 from varcalc.euler import EvolutionaryField, interior_euler
 from varcalc.homotopy import HomotopySuite, _leg_split, _stratum_key, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
-from conftest import assert_exact, load_theory
+from conftest import assert_exact, load_theory, on_form
 from test_el_oracle import THEORIES
 from test_splice import SEEDED, forms
 
@@ -84,7 +90,7 @@ class FractionSeries:
         while not cur.is_zero():
             for k, c in cur.terms.items():
                 _add(acc.terms, k, c)
-            cur = -self.sigma1(self.suite.d0(cur))
+            cur = -self.sigma1(horizontal(cur, legs=False))
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):
                 raise InvariantViolation("perturbation series failed to terminate")
@@ -94,9 +100,80 @@ class FractionSeries:
 def _same_series(suite, form):
     got = suite.h_inf(form)
     want = FractionSeries(suite).h_inf(form)
-    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.terms == want.terms
     assert_exact(got)
     return got
+
+
+# -- the per-word steps, verbatim ----------------------------------------------
+
+def per_word_sigma1(suite, form):
+    """The former HomotopySuite.sigma1: (L, L sigma1(form)), word by word."""
+    chart = suite.chart
+    reads = []
+    for key, coeff in form.terms.items():
+        coeffs, legs = _leg_split(key)
+        if not legs:
+            continue
+        den, image = suite._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+        if not image:
+            continue
+        if sum(atom_parity(chart, a) for a in coeffs) & 1:
+            coeff = -coeff
+        reads.append((coeffs, coeff, den, image))
+    L = lcm(*(r[2] for r in reads))
+    out = LocalForm(chart)
+    terms = out.terms
+    for coeffs, coeff, den, image in reads:
+        if den != L:
+            coeff *= L // den
+        for target, n in image:
+            _add(terms, coeffs + target, coeff * n)
+    return L, out
+
+
+def _same_steps(suite, form):
+    """The grouped sigma1 and d0 against the per-word route on ``form`` and
+    on every round of its series; returns the number of rounds."""
+    cur = form
+    rounds = 0
+    while not cur.is_zero():
+        L, got = on_form(suite.sigma1, cur)
+        want_L, want = per_word_sigma1(suite, cur)
+        assert L == want_L and got.terms == want.terms
+        assert_exact(got)
+        cur = on_form(suite.d0, got)
+        assert cur.terms == horizontal(got, legs=False).terms
+        assert_exact(cur)
+        rounds += 1
+        assert rounds <= 10 * (suite.chart.jet_cutoff + suite.chart.dim + 2)
+    return rounds
+
+
+def _suite_forms(dim):
+    """A suite on the dim-d suite chart with a ghost, and 48 seeded forms
+    on it with Fraction coefficients (the generator's rationals, some
+    scaled by 1/7 or 5/6); on top degree each is the input h_horizontal
+    gives h_inf."""
+    ch = suite_chart(dim=dim, nfields=2, ghost_field=True)
+    gen = FormGenerator(ch, seed=40 + dim)
+    scale = random.Random(dim)
+    forms = []
+    for i in range(48):
+        w = gen.form(1 + i % 3, i % (dim + 1), nterms=3)
+        w = w * scale.choice([1, Fraction(1, 7), Fraction(5, 6)])
+        if i % (dim + 1) == dim and not w.is_zero():
+            w = w - interior_euler(w)
+        forms.append(w)
+    return HomotopySuite(ch), forms
+
+
+def _four_leg_word(coeff):
+    """du0_,11 du1_,00 dc_,0 dc_,0 dx0 on the 2-d suite chart with a ghost."""
+    ch = suite_chart(dim=2, nfields=2, ghost_field=True)
+    u0, u1, c = (ch.by_name(n).fid for n in ("u0", "u1", "c"))
+    return LocalForm.from_word(ch, (('v', u0, (0, 2)), ('v', u1, (2, 0)), ('v', c, (1, 0)),
+                                    ('v', c, (1, 0)), ('h', 0)), coeff)
 
 
 # -- the series ----------------------------------------------------------------
@@ -111,30 +188,14 @@ def test_h_inf_matches_fraction_series_on_splice_forms(form):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_h_inf_matches_fraction_series_on_suite_forms(dim):
-    """Suite forms with Fraction coefficients (the generator's rationals,
-    some scaled by 1/7 or 5/6), and the input h_horizontal gives h_inf."""
-    ch = suite_chart(dim=dim, nfields=2, ghost_field=True)
-    suite = HomotopySuite(ch)
-    gen = FormGenerator(ch, seed=40 + dim)
-    scale = random.Random(dim)
-    nonzero = 0
-    for i in range(48):
-        w = gen.form(1 + i % 3, i % (dim + 1), nterms=3)
-        w = w * scale.choice([1, Fraction(1, 7), Fraction(5, 6)])
-        if i % (dim + 1) == dim and not w.is_zero():
-            w = w - interior_euler(w)
-        nonzero += not _same_series(suite, w).is_zero()
-    assert nonzero > 30
+    suite, forms = _suite_forms(dim)
+    assert sum(not _same_series(suite, w).is_zero() for w in forms) > 30
 
 
 @pytest.mark.parametrize("coeff", [1, Fraction(2, 3)])
 def test_h_inf_matches_fraction_series_on_the_four_leg_word(coeff):
-    """du0_,11 du1_,00 dc_,0 dc_,0 dx0 on the 2-d suite chart with a ghost."""
-    ch = suite_chart(dim=2, nfields=2, ghost_field=True)
-    u0, u1, c = (ch.by_name(n).fid for n in ("u0", "u1", "c"))
-    w = LocalForm.from_word(ch, (('v', u0, (0, 2)), ('v', u1, (2, 0)), ('v', c, (1, 0)),
-                                 ('v', c, (1, 0)), ('h', 0)), coeff)
-    assert len(_same_series(HomotopySuite(ch), w).terms) > 100
+    w = _four_leg_word(coeff)
+    assert len(_same_series(HomotopySuite(w.chart), w).terms) > 100
 
 
 @pytest.mark.parametrize("name", THEORIES)
@@ -143,6 +204,27 @@ def test_h_inf_matches_fraction_series_on_d_v_L(name):
     dvL = d_v(T.L)
     _same_series(T.suite, dvL)
     _same_series(T.suite, dvL - interior_euler(dvL))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grouped_steps_match_per_word_steps_on_suite_forms(dim):
+    suite, forms = _suite_forms(dim)
+    assert sum(_same_steps(suite, w) for w in forms) > 60
+
+
+def test_grouped_steps_match_per_word_steps_on_the_four_leg_word():
+    """Its coefficient word is empty, so d0 kills sigma1 of it: one round,
+    whose sigma1 reads one leg word and writes over a hundred."""
+    w = _four_leg_word(Fraction(2, 3))
+    assert _same_steps(HomotopySuite(w.chart), w) == 1
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_grouped_steps_match_per_word_steps_on_d_v_L(name):
+    T = load_theory(name)
+    dvL = d_v(T.L)
+    _same_steps(T.suite, dvL)
+    _same_steps(T.suite, dvL - interior_euler(dvL))
 
 
 def test_integer_rounds_keep_integer_coefficients():
@@ -156,7 +238,7 @@ def test_integer_rounds_keep_integer_coefficients():
         w = gen.form(1 + i % 2, 1, nterms=3)
         cur = LocalForm(ch, {k: c.numerator * 12 // c.denominator for k, c in w.terms.items()})
         while not cur.is_zero():
-            L, cur = suite.sigma1(suite.d0(cur))
+            L, cur = on_form(suite.sigma1, on_form(suite.d0, cur))
             assert type(L) is int and L >= 1
             assert all(type(c) is int for c in cur.terms.values())
             rounds += 1
