@@ -48,10 +48,11 @@ def _load_theory(path):
         raise UsageError(f"{path}:{e}") from e
 
 
-def _parse_slice(theory, slice_arg, corner_arg=None):
-    """The SliceSpec of --slice and --corner.  A coordinate the theory does
-    not name, or a corner in the slice direction, is a usage error; a
-    nonzero coordinate value is a typed refusal."""
+def _parse_slice(theory, slice_arg, corner_arg=None, with_corner=False):
+    """The SliceSpec of --slice and --corner (``with_corner``: by default the
+    first coordinate other than the slice direction).  A coordinate the
+    theory does not name, or a corner in the slice direction, is a usage
+    error; a nonzero coordinate value is a typed refusal."""
     from .slicing import SliceSpec
     names = list(theory.chart.coord_names)
 
@@ -68,6 +69,10 @@ def _parse_slice(theory, slice_arg, corner_arg=None):
     corner = coordinate(corner_arg, "--corner", "corners") if corner_arg else None
     if corner == trans:
         raise UsageError("--corner must name a direction other than the --slice one")
+    if with_corner and corner is None:
+        corner = next((mu for mu in range(len(names)) if mu != trans), None)
+        if corner is None:
+            raise VarcalcError("corner needs a chart of dimension >= 2")
     return SliceSpec(transverse=trans, corner=corner)
 
 
@@ -211,17 +216,14 @@ def cmd_canonical(args):
 def cmd_corner(args):
     from .slicing import restrict_to_slice, corner_data, verify_corner_master
     T = _load_theory(args.theory)
-    if not args.corner and T.chart.dim < 2:
-        raise VarcalcError("corner needs a chart of dimension >= 2")
-    spec = _parse_slice(T, args.slice, args.corner or
-                        f"{T.chart.coord_names[1]}=0")
+    spec = _parse_slice(T, args.slice, args.corner, with_corner=True)
     sig = restrict_to_slice(T, spec)
     sym = _pick_symmetry(T, args.symmetry)
     cd = corner_data(sig, sym)
     rep = verify_corner_master(cd)
     densities = {str(k): v for k, v in cd.h_densities.items()}
-    rows = [{"corner_densities": densities, "alpha": cd.alpha_text,
-             "S": cd.s_text, "master_equation": rep.passed,
+    rows = [{"corner_densities": densities, "alpha": "<h_d, c>",
+             "S": "1/2 <h_d, [c,c]> + 1/2 k(c,c)", "master_equation": rep.passed,
              "detail": rep.detail}]
     text = _text(f"h_d densities: {cd.h_densities}", rep.line())
     return "corner", rows, text, rep.passed
@@ -286,6 +288,8 @@ MAX_STEPS = 10 ** 6      # the longest flow the CLI integrates and stores
 
 def cmd_mech(args):
     sys_f = _SYSTEMS[args.system]()
+    if args.mech_cmd == "conserve" and not 0 <= (args.tol or 0) < math.inf:
+        raise UsageError(f"--tol must be finite and non-negative, got {args.tol}")
     if args.mech_cmd in ("flow", "conserve"):
         for flag, value in (("--t", args.t), ("--dt", args.dt)):
             if not math.isfinite(value):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from .chart import (
@@ -20,6 +20,7 @@ from .chart import (
     VarcalcError, det, inverse,
 )
 from .algebra import LocalForm, d_h, d_v, midx_zero, midx_order
+from .lie import Structure, _perm_sign, structure_from_spec
 
 
 class SyntaxError_(VarcalcError):
@@ -314,71 +315,6 @@ class Val:
         return self.comps.get((), None)
 
 
-@dataclass
-class Structure:
-    name: str
-    dim: int
-    f: dict          # (a,b) -> list of (c, coeff)
-    kappa: dict      # (a,b) -> Fraction
-
-    def bracket_coeffs(self, a, b):
-        return self.f.get((a, b), [])
-
-    def brackets_onto(self, c):
-        """(a, b, f^{ab}_c) for every bracket [e_a, e_b] with an e_c term,
-        in table order."""
-        return [(a, b, coeff) for (a, b), lst in self.f.items()
-                for cc, coeff in lst if cc == c]
-
-    def pair(self, a, b):
-        """The invariant form kappa(e_a, e_b), read in either order."""
-        return self.kappa.get((a, b)) or self.kappa.get((b, a))
-
-    def cyclic(self, T):
-        """{(a, b, c): {key: sum}} for each basis triple whose cyclic sum
-        sum_{(x,y,z) in (a,b,c),(b,c,a),(c,a,b)} sum_d f^{xy}_d T(d, z)
-        is nonzero; T(d, z) gives (key, rational coefficient) pairs, a
-        repeated key summed."""
-        out = {}
-        for a, b, c in product(range(self.dim), repeat=3):
-            total = {}
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for d, coeff in self.bracket_coeffs(x, y):
-                    for key, v in T(d, z):
-                        total[key] = total.get(key, 0) + coeff * v
-            total = {key: v for key, v in total.items() if v}
-            if total:
-                out[(a, b, c)] = total
-        return out
-
-    def check_jacobi(self):
-        return not self.cyclic(self.bracket_coeffs)
-
-
-def su2_structure(name="su2"):
-    eps = {}
-    for (a, b, c) in permutations(range(3)):
-        sign = _perm_sign((a, b, c))
-        eps.setdefault((a, b), []).append((c, Fraction(sign)))
-    kappa = {(a, a): Fraction(1) for a in range(3)}
-    return Structure(name, 3, eps, kappa)
-
-
-def abelian_structure(name, dim):
-    kappa = {(a, a): Fraction(1) for a in range(dim)}
-    return Structure(name, dim, {}, kappa)
-
-
-def _perm_sign(p):
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # field groups and the theory definition
 # ---------------------------------------------------------------------------
@@ -460,9 +396,6 @@ class ElabContext:
         self.orientation = orientation
 
     # -- registration ------------------------------------------------------
-    def add_structure(self, st: Structure):
-        self.structures[st.name] = st
-
     def add_field_group(self, name, form_degree=0, lie=None, ghost=0,
                         kind=DYNAMIC, multiplicity=0):
         chart = self.chart
@@ -626,24 +559,14 @@ class ElabContext:
         if len(v.indices) == 1:
             return Val.scalar(LocalForm.zero(self.chart))
         st = self._structure_of(v.indices, "tr")
+        if len(v.indices) > 3:
+            raise GradingMismatch("tr supports at most triple products")
         out = LocalForm.zero(self.chart)
-        if len(v.indices) == 2:
-            for (a, b), f in v.comps.items():
-                k = st.pair(a, b)
-                if k:
-                    out = out + f * k
-            return Val.scalar(out)
-        if len(v.indices) == 3:
-            for (a, b, c), f in v.comps.items():
-                total = Fraction(0)
-                for d, coeff in st.bracket_coeffs(b, c):
-                    k = st.pair(a, d)
-                    if k:
-                        total += Fraction(1, 2) * k * coeff
-                if total:
-                    out = out + f * total
-            return Val.scalar(out)
-        raise GradingMismatch("tr supports at most triple products")
+        for idx, f in v.comps.items():
+            k = st.invariant(idx)
+            if k:
+                out = out + f * k
+        return Val.scalar(out)
 
     def _bracket(self, x: Val, y: Val):
         if len(x.indices) != 1 or len(y.indices) != 1:
@@ -905,12 +828,8 @@ def _parse_field_decl(parts, no):
 
 def _structure(name, spec, no):
     """The structure constants a 'structure' section names."""
-    size = spec[len("abelian"):]
-    if spec in ("su2", "eps"):
-        st = su2_structure(name)
-    elif spec.startswith("abelian") and (not size or size.isdecimal()):
-        st = abelian_structure(name, int(size or 1))
-    else:
+    st = structure_from_spec(name, spec)
+    if st is None:
         raise SyntaxError_(f"unknown structure spec {spec!r}", no, 1)
     if not st.check_jacobi():
         raise VarcalcError(f"structure {name!r} violates the Jacobi identity")
@@ -922,8 +841,7 @@ def build_context(td: TheoryDef):
     chart = Chart(td.dim, coord_names=td.coords, jet_cutoff=td.jet_cutoff)
     chart.add_coordinates()
     ctx = ElabContext(chart, td.metric, td.orientation)
-    for st in td.structures.values():
-        ctx.add_structure(st)
+    ctx.structures.update(td.structures)
     for nm, no in td.constants:
         with located(no, 1):
             chart.add_component(nm, kind=CONST)

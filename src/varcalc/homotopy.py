@@ -35,7 +35,7 @@ which are resolved whenever they assemble into a total lambda-derivative.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 from .chart import (
@@ -75,23 +75,15 @@ def _stratum_key(chart, legs):
     return (fids, tuple(V))
 
 
-def _distributions(total, slots, dim):
+def _distributions(total, slots):
     """All ways to write the multi-index `total` as an ordered sum of
     `slots` multi-indices."""
     if slots == 1:
         yield (total,)
         return
-    def parts(t):
-        if len(t) == 1:
-            for k in range(t[0] + 1):
-                yield (k,)
-            return
-        for k in range(t[0] + 1):
-            for rest in parts(t[1:]):
-                yield (k,) + rest
-    for first in parts(total):
+    for first in product(*(range(t + 1) for t in total)):
         rem = tuple(a - b for a, b in zip(total, first))
-        for rest in _distributions(rem, slots - 1, dim):
+        for rest in _distributions(rem, slots - 1):
             yield (first,) + rest
 
 
@@ -131,7 +123,7 @@ class _Stratum:
                     if all(t == 0 for t in T):
                         words.add(hatoms)
                     continue
-                for dist in _distributions(T, len(fids), n):
+                for dist in _distributions(T, len(fids)):
                     atoms = tuple(('v', fid, I) for fid, I in zip(fids, dist))
                     res = norm_word(chart, atoms + hatoms, 1)
                     if res is not None:
@@ -382,14 +374,10 @@ class HomotopySuite:
 
     # -- horizontal cone -----------------------------------------------------
     def _check_constant(self, a):
-        for key in a.terms:
-            for atom in key:
-                if atom[0] in ('v',):
-                    raise NotConstant("cone element must be field-independent")
-                if atom[0] == 'j' and self.chart.kind(atom[1]) == DYNAMIC:
-                    raise NotConstant("cone element must be field-independent")
-                if atom[0] in ('f', 'F'):
-                    raise NotConstant("cone element must be field-independent")
+        if any(atom[0] in ('v', 'f', 'F') or
+               atom[0] == 'j' and self.chart.kind(atom[1]) == DYNAMIC
+               for key in a.terms for atom in key):
+            raise NotConstant("cone element must be field-independent")
 
     def cone_d(self, pair):
         a, b = pair

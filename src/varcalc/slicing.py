@@ -21,7 +21,7 @@ from .noether import (
     Report, bracket_bindings, decompose_dual_current, noether_cone, twin_symmetry,
 )
 from .render import render_text
-from .dsl import Structure
+from .lie import Structure, _kval, abelian_structure, schouten_PiPi
 from .theory import Theory, SymmetryAction, _solve_linear
 
 
@@ -305,19 +305,16 @@ def sigma_param_basis(sigma: SigmaTheory, sym: SymmetryAction):
             for label, chosen in comps]
 
 
-def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction, H_shift=None):
+def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction):
     """The equivariance cocycle table kappa(e_a, e_b) and its verification.
 
     residual(xi, eta) = L_{rho(xi)} H_eta - H_{[xi,eta]}
-    must be d-exact with a field-independent primitive kappa.  ``H_shift``
-    adds a deliberate perturbation to the Sigma-Noether form (negative
-    controls); a field-dependent or non-exact residual raises NotExact.
+    must be d-exact with a field-independent primitive kappa; a
+    field-dependent or non-exact residual raises NotExact.
     """
     theory = sigma.theory
     twin = twin_symmetry(theory, sym)
     H_eta = sigma_noether(sigma, twin)
-    if H_shift is not None:
-        H_eta = H_eta + H_shift
     rho_s = descended_action(sigma, sym)
     lhs = lie_derivative(rho_s, H_eta)
     bb_bulk = bracket_bindings(theory, sym, twin)
@@ -377,13 +374,9 @@ def _check_cocycle(sigma: SigmaTheory, sym: SymmetryAction, table):
 
 @dataclass
 class CornerData:
-    basis: list                      # labels of the boundary parameter basis
-    dim: int
-    f: dict                          # structure constants (a,b) -> [(c, coeff)]
+    structure: Structure             # the corner algebra's bracket
     k: dict                          # constant 2-cocycle (a,b) -> Fraction
     h_densities: dict                # basis label -> rendered corner density
-    alpha_text: str = "<h_d, c>"
-    s_text: str = "1/2 <h_d, [c,c]> + 1/2 k(c,c)"
 
 
 def corner_data(sigma: SigmaTheory, sym: SymmetryAction) -> CornerData:
@@ -400,20 +393,9 @@ def corner_data(sigma: SigmaTheory, sym: SymmetryAction) -> CornerData:
     for key, subs in sigma_param_basis(sigma, sym):
         val = substitute(hflux, subs)
         densities[key] = render_text(val.components(lambda w: ('h', corner_dir) not in w))
-    st = sym.structure
-    f = dict(st.f) if st is not None else {}
-    dims = [len(g.comps) for g in sym.param_groups]
-    dim = sum(dims)
-    return CornerData(basis=sorted(densities), dim=max(dim, 1), f=f,
-                      k={}, h_densities=densities)
-
-
-def _kval(k, a, b):
-    if (a, b) in k:
-        return Fraction(k[(a, b)])
-    if (b, a) in k:
-        return -Fraction(k[(b, a)])
-    return Fraction(0)
+    st = sym.structure or abelian_structure(
+        sym.name, sum(len(g.comps) for g in sym.param_groups))
+    return CornerData(structure=st, k={}, h_densities=densities)
 
 
 def _corner_ring_chart(dim):
@@ -424,52 +406,34 @@ def _corner_ring_chart(dim):
     return ch, hfids, cfids
 
 
-def corner_bracket_SS(dim, f, k):
+def corner_bracket_SS(st: Structure, k):
     """{S_d, S_d} in the graded corner ring (odd variables c^a, even
     variables h_a), as the BV bracket of S_d ∧ dx0 under the odd symplectic
     density omega = sum_a dh_a ∧ dc^a ∧ dx0 on the 1-d ring chart."""
     # bv imports this module at load time, so the bracket is imported here
     from .bv import bv_bracket, hamiltonian_vector_field
-    ch, hfids, cfids = _corner_ring_chart(dim)
+    ch, hfids, cfids = _corner_ring_chart(st.dim)
     z = midx_zero(1)
     dx0 = (('h', 0),)
     S = LocalForm(ch)
-    for (a, b), lst in f.items():
-        for c, coeff in lst:
-            S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
-                     Fraction(coeff) / 2)
-    for a in range(dim):
-        for b in range(dim):
+    for a, b, c, coeff in st.terms():
+        S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
+                 Fraction(coeff) / 2)
+    for a in range(st.dim):
+        for b in range(st.dim):
             kv = _kval(k, a, b)
             if kv:
                 S._accum((('j', cfids[a], z), ('j', cfids[b], z)) + dx0, kv / 2)
     omega = LocalForm(ch)
-    for a in range(dim):
+    for a in range(st.dim):
         omega._accum((('v', hfids[a], z), ('v', cfids[a], z)) + dx0, 1)
     Q = hamiltonian_vector_field(S, omega)
     return h_coefficient(bv_bracket(Q, Q, omega), (0,))
 
 
-def schouten_PiPi(dim, f, k):
-    """[Pi, Pi]_SN components for Pi^{ab}(h) = f^{ab}_c h_c + k^{ab}: the
-    cyclic sum of Pi's antisymmetrized linear part P against Pi."""
-    P = Structure("Pi", dim, {}, {})
-    for (a, b), lst in f.items():
-        for c, v in lst:
-            P.f.setdefault((a, b), []).append((c, Fraction(v) / 2))
-            P.f.setdefault((b, a), []).append((c, -Fraction(v) / 2))
-
-    def Pi(d, z):
-        return ([(('h', e), v) for e, v in P.bracket_coeffs(d, z)]
-                + [(('1',), _kval(k, d, z))])
-
-    return {abc + key: v for abc, sums in P.cyclic(Pi).items()
-            for key, v in sums.items()}
-
-
 def verify_corner_master(data: CornerData):
-    bra = corner_bracket_SS(data.dim, data.f, data.k)
-    sch = schouten_PiPi(data.dim, data.f, data.k)
+    bra = corner_bracket_SS(data.structure, data.k)
+    sch = schouten_PiPi(data.structure, data.k)
     v1 = bra.is_zero()
     v2 = not sch
     if v1 != v2:

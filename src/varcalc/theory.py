@@ -18,7 +18,7 @@ from .algebra import (
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
 from .dsl import (
-    ElabContext, FieldGroup, Structure, SymmetryDecl, SyntaxError_, TheoryDef,
+    ElabContext, FieldGroup, SymmetryDecl, SyntaxError_, TheoryDef,
     UndeclaredIdentifier, build_context, located, parse_theory,
 )
 from .render import atom_text
@@ -129,13 +129,8 @@ class Theory:
                 comps.update(_match_components(ctx, ctx.groups[gname], ctx.elaborate(ast)))
         rho = EvolutionaryField(
             self.chart, {fid: -f for fid, f in comps.items()}, name=decl.name)
-        structure = None
         lie = next((p.lie for p in decl.params if p.lie), None)
-        if lie is not None:
-            st = ctx.structures[lie]
-            flipped = {ab: [(c, -coeff) for c, coeff in lst]
-                       for ab, lst in st.f.items()}
-            structure = Structure(st.name, st.dim, flipped, st.kappa)
+        structure = ctx.structures[lie].reflected() if lie else None
         groups = [ctx.groups[p.name] for p in decl.params]
         return SymmetryAction(self, decl.name, groups, rho, structure)
 

@@ -19,9 +19,10 @@ from varcalc.euler import insert
 from varcalc.noether import (
     IDENTITY_NAMES, noether2, noether_cone, verify_identity,
 )
+from varcalc.lie import Structure, schouten_PiPi, su2_structure
 from varcalc.slicing import (
     CornerData, SliceSpec, corner_data, corner_bracket_SS, restrict_to_slice,
-    schouten_PiPi, verify_corner_master,
+    verify_corner_master,
 )
 from varcalc.bv import bv_extend, bfv_extend, check_q_nilpotent, verify_bvbfv, verify_cme
 from varcalc import mech
@@ -183,11 +184,11 @@ def test_criterion_10_corner_master_equation():
     bad = {(0, 1): [(1, Fraction(1))], (1, 0): [(1, Fraction(-1))],
            (0, 2): [(2, Fraction(1))], (2, 0): [(2, Fraction(-1))],
            (1, 2): [(2, Fraction(1))], (2, 1): [(2, Fraction(-1))]}
-    bad_cd = CornerData(basis=[0, 1, 2], dim=3, f=bad, k={}, h_densities={})
+    bad_cd = CornerData(Structure("bad", 3, bad, {}), k={}, h_densities={})
     bad_rep = verify_corner_master(bad_cd)     # verdicts must MATCH (False)
     assert not bad_rep.passed
-    assert not corner_bracket_SS(3, bad, {}).is_zero()
-    assert schouten_PiPi(3, bad, {})
+    assert not corner_bracket_SS(bad_cd.structure, {}).is_zero()
+    assert schouten_PiPi(bad_cd.structure, {})
     report(10, "su(2) corner: {S,S} = 0 and [Pi,Pi]_SN = 0 with matching "
                "verdicts; non-Jacobi fakes fail both")
 
@@ -224,7 +225,6 @@ def test_criterion_12_negative_controls():
     # (b) broken Jacobi identity rejected at structure validation
     from varcalc.theory import theory_from_text
     from varcalc.chart import VarcalcError
-    from varcalc.dsl import Structure, su2_structure
     st = su2_structure()
     broken = Structure("bad", 3,
                        {(0, 1): [(1, 1)], (1, 0): [(1, -1)],

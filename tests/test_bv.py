@@ -70,7 +70,7 @@ def test_q_nilpotent_negative_control(yang_mills):
     sym = yang_mills.symmetry("gauge")
     broken = copy.copy(sym)
     st = sym.structure
-    from varcalc.dsl import Structure
+    from varcalc.lie import Structure
     f = {k: [(c, v * (2 if k == (0, 1) else 1)) for c, v in lst]
          for k, lst in st.f.items()}
     f[(1, 0)] = [(c, -v) for c, v in f[(0, 1)]]

@@ -201,6 +201,14 @@ def test_corner_json():
         isinstance(k, str) for k in row["corner_densities"])
 
 
+@pytest.mark.parametrize("slice_arg, default", [("x=0", "t=0"), ("t=0", "x=0")])
+def test_corner_defaults_to_the_first_coordinate_off_the_slice(slice_arg, default):
+    code, out = run_cli("corner", "maxwell", "--slice", slice_arg)
+    assert code == 0
+    assert (code, out) == run_cli("corner", "maxwell", "--slice", slice_arg,
+                                  "--corner", default)
+
+
 def test_corner_on_one_dimensional_theory_is_an_error():
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -270,6 +278,9 @@ def _no_integration(*args, **kwargs):
      "than 1000000 steps"),
     (("flow", "--t", "1e308", "--dt", "1e-10"), "--t 1e+308 with --dt 1e-10 "
      "gives more than 1000000 steps"),
+    (("conserve", "--tol", "nan"), "--tol must be finite and non-negative, got nan"),
+    (("conserve", "--tol", "-1"), "--tol must be finite and non-negative, got -1.0"),
+    (("conserve", "--tol", "inf"), "--tol must be finite and non-negative, got inf"),
 ])
 def test_mech_steps_are_a_usage_error(monkeypatch, argv, message):
     # refused before the integrator is called
@@ -288,6 +299,14 @@ def test_mech_million_steps_reach_the_integrator(monkeypatch, t):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code, out = run_cli("mech", "flow", "--t", t)
+    assert code == 1 and err.getvalue() == "error: integration started\n"
+
+
+def test_mech_conserve_tol_zero_reaches_the_integrator(monkeypatch):
+    monkeypatch.setattr(cli.mechmod, "flow", _no_integration)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mech", "conserve", "--tol", "0")
     assert code == 1 and err.getvalue() == "error: integration started\n"
 
 

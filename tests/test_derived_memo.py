@@ -16,7 +16,7 @@ from varcalc.algebra import LocalForm
 from varcalc.bv import (BVTheory, bfv_extend, bv_extend, check_q_nilpotent,
                         verify_bvbfv, verify_cme)
 from varcalc.chart import NotASymmetry, NotLocal
-from varcalc.dsl import Structure
+from varcalc.lie import Structure
 from varcalc.euler import EvolutionaryField
 from varcalc.noether import (IDENTITY_NAMES, NoetherData, noether2,
                              noether_cone, twin_symmetry, verify_identity)

@@ -23,6 +23,7 @@ from varcalc.euler import interior_euler
 from varcalc.homotopy import get_suite
 from varcalc.noether import noether2
 from varcalc.randforms import FormGenerator
+from varcalc.lie import Structure
 from varcalc.slicing import corner_bracket_SS
 from varcalc.theory import _solve_linear
 from conftest import assert_exact
@@ -222,7 +223,7 @@ def test_corner_halves():
     """S = 1/2 f h c c + 1/2 k c c in the corner ring, and its bracket."""
     f = {(0, 1): [(2, 1)], (1, 2): [(0, 1)], (2, 0): [(1, 1)]}
     k = {(0, 1): 1}
-    assert_exact(corner_bracket_SS(3, f, k))
+    assert_exact(corner_bracket_SS(Structure("t", 3, f, {}), k))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 from varcalc.algebra import LocalForm, midx_zero
 from varcalc.chart import Chart, NotExact
-from varcalc.dsl import Structure, abelian_structure, su2_structure
-from varcalc.slicing import _check_cocycle, _kval, schouten_PiPi
+from varcalc.lie import Structure, _kval, abelian_structure, schouten_PiPi, su2_structure
+from varcalc.slicing import _check_cocycle
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_jacobi_verdicts_match_the_oracle():
 def test_schouten_dicts_match_the_oracle():
     nonzero = 0
     for dim, f, k in seeded_tables(12, N_TABLES):
-        got = schouten_PiPi(dim, f, k)
+        got = schouten_PiPi(Structure("t", dim, f, {}), k)
         assert got == oracle_schouten_PiPi(dim, f, k), (dim, f, k)
         assert all(type(v) is Fraction for v in got.values())
         nonzero += bool(got)
@@ -215,11 +215,11 @@ def test_named_tables():
     for st in (su2, ab, bad):
         assert st.check_jacobi() == oracle_check_jacobi(st)
     assert su2.check_jacobi() and ab.check_jacobi() and not bad.check_jacobi()
-    for dim, f, k in [(3, su2.f, {}), (3, su2.f, {(0, 1): Fraction(1)}),
-                      (2, ab.f, {(0, 1): Fraction(5)}), (3, BAD, {})]:
-        assert schouten_PiPi(dim, f, k) == oracle_schouten_PiPi(dim, f, k)
-    assert schouten_PiPi(3, su2.f, {(0, 1): Fraction(1)}) == {}
-    assert schouten_PiPi(3, BAD, {})
+    for st, k in [(su2, {}), (su2, {(0, 1): Fraction(1)}),
+                  (ab, {(0, 1): Fraction(5)}), (bad, {})]:
+        assert schouten_PiPi(st, k) == oracle_schouten_PiPi(st.dim, st.f, k)
+    assert schouten_PiPi(su2, {(0, 1): Fraction(1)}) == {}
+    assert schouten_PiPi(bad, {})
 
 
 def test_pair_reads_either_order():
