@@ -147,8 +147,13 @@ def cmd_noether2(args):
 
 def cmd_verify(args):
     from .noether import IDENTITY_NAMES, verify_identity
-    if args.cases < 1:
+    suites = args.suites or not args.theory
+    if args.cases is not None and args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
+    if not suites and (args.seed is not None or args.cases is not None):
+        raise UsageError("--seed and --cases need --suites when a theory is given")
+    if not args.theory and (args.identity or args.all or args.symmetry):
+        raise UsageError("--identity, --all and --symmetry need a theory")
     if args.identity is not None and args.identity not in IDENTITY_NAMES:
         raise UsageError(f"unknown identity {args.identity!r}; "
                          f"known: {', '.join(IDENTITY_NAMES)}")
@@ -158,15 +163,15 @@ def cmd_verify(args):
             _pick_symmetry(T, args.symmetry)
     rows, lines = [], []
     ok = True
-    if args.suites or not args.theory:
-        ok, rows = run_suites(args.seed, args.cases)
-        lines.append(f"seed={args.seed} cases={args.cases}")
+    if suites:
+        seed, cases = args.seed or 0, args.cases or 200
+        ok, rows = run_suites(seed, cases)
+        lines.append(f"seed={seed} cases={cases}")
         for r in rows[1:]:
             lines.append(f"{'FAIL' if r['failed'] else 'PASS'}  {r['identity']}  "
                          f"({r['checked']} cases, {r['failed']} failed)")
     if args.theory:
-        idents = IDENTITY_NAMES if (args.all or not args.identity) \
-            else [args.identity]
+        idents = [args.identity] if args.identity else IDENTITY_NAMES
         syms = ([args.symmetry] if args.symmetry else list(T.symmetries))
         for sname in syms:
             for ident in idents:
@@ -355,10 +360,12 @@ def build_parser():
     add("noether2", cmd_noether2, "--symmetry")
     # verify may run suites without a theory
     pv = add("verify", cmd_verify, "--symmetry", nargs="?")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--cases", type=int, default=200)
-    pv.add_argument("--identity", default=None)
-    pv.add_argument("--all", action="store_true")
+    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--cases", type=int, default=None)
+    which = pv.add_mutually_exclusive_group()
+    which.add_argument("--identity", default=None)
+    which.add_argument("--all", action="store_true",
+                       help="every identity (the default)")
     pv.add_argument("--suites", action="store_true",
                     help="run the randomized homotopy identity suites")
     add("canonical", cmd_canonical, "--symmetry", "--slice")
@@ -367,17 +374,22 @@ def build_parser():
     add("cme", cmd_cme, "--symmetry")
     add("bvbfv", cmd_bvbfv, "--symmetry", "--slice")
 
-    pm = sub.add_parser("mech")
-    pm.set_defaults(fn=cmd_mech)
-    pm.add_argument("mech_cmd", choices=["flow", "reduce", "conserve"])
-    pm.add_argument("--system", choices=sorted(_SYSTEMS), default="kepler")
-    pm.add_argument("--q", default="1,0,0")
-    pm.add_argument("--p", default="0,1,0")
-    pm.add_argument("--t", type=float, default=10.0)
-    pm.add_argument("--dt", type=float, default=1e-3)
-    pm.add_argument("--integrator", choices=["rk4", "leapfrog"], default="rk4")
-    pm.add_argument("--csv", default=None)
-    pm.add_argument("--tol", type=float, default=None)
+    # each mech subcommand accepts only the flags it reads
+    msub = sub.add_parser("mech").add_subparsers(dest="mech_cmd", required=True)
+    for name in ("reduce", "flow", "conserve"):
+        p = msub.add_parser(name)
+        p.set_defaults(fn=cmd_mech)
+        p.add_argument("--system", choices=sorted(_SYSTEMS), default="kepler")
+        p.add_argument("--q", default="1,0,0")
+        p.add_argument("--p", default="0,1,0")
+        if name != "reduce":
+            p.add_argument("--t", type=float, default=10.0)
+            p.add_argument("--dt", type=float, default=1e-3)
+            p.add_argument("--integrator", choices=["rk4", "leapfrog"], default="rk4")
+        if name == "flow":
+            p.add_argument("--csv", default=None)
+        if name == "conserve":
+            p.add_argument("--tol", type=float, default=None)
     return ap
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .chart import (
     Chart, COORD, DYNAMIC, DegenerateSlice, DoesNotDescend,
-    InvariantViolation, NoFlux, NotExact, VarcalcError, VerdictMismatch,
+    NoFlux, NotExact, VarcalcError, VerdictMismatch,
 )
 from .algebra import (
     LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_order, midx_shift,
@@ -53,8 +53,8 @@ class SigmaTheory:
         self.ssuite = get_suite(schart)
 
         # --- restrict theta and introduce momenta ----------------------------
-        theta_pulled = self.pullback(theory.theta)
-        for key in theta_pulled.terms:
+        theta_words = [key for key in theory.theta.terms if ('h', t) not in key]
+        for key in theta_words:
             for a in key:
                 if a[0] == 'v' and midx_order(a[2]):
                     raise VarcalcError(
@@ -64,7 +64,7 @@ class SigmaTheory:
         # transverse-derivative helper fields (one per bulk component used)
         self.dt_fields = {}      # bulk fid -> sigma fid of its d/dt restriction
         fields = {c.fid for c in bulk.components if c.kind != COORD}
-        needed = {a[1] for key in theta_pulled.terms for a in key
+        needed = {a[1] for key in theta_words for a in key
                   if a[0] == 'j' and a[1] in fields}
         for bfid in sorted(needed):
             comp = bulk.component(bfid)
@@ -72,7 +72,7 @@ class SigmaTheory:
                                       kind=comp.kind)
             self.dt_fields[bfid] = sc.fid
 
-        theta_s = self.to_sigma(theta_pulled)
+        theta_s = self.restrict(theory.theta)
 
         # momenta: one per vertical leg whose coefficient carries Dt fields
         self.momenta = {}        # sigma fid of Pi -> (sigma leg fid, definition)
@@ -113,7 +113,6 @@ class SigmaTheory:
                 kernel=left)
         self.theta_sigma = theta_final
         self.omega_sigma = d_v(theta_final)
-        self._verify_pullback()
         self.pairing, self.surviving = self._pairing_table()
 
     # --- plumbing -------------------------------------------------------------
@@ -126,18 +125,13 @@ class SigmaTheory:
                     names.add(self.schart.component(a[1]).name)
         return sorted(names)
 
-    def pullback(self, form: LocalForm):
-        """iota_Sigma^*: drop the terms that hold dx^t.
-
-        The output stays on the bulk chart, legs in bulk numbering; to_sigma
-        renumbers them and expresses the form in Sigma-chart variables.
-        """
-        return form.components(lambda w: ('h', self.spec.transverse) not in w)
-
-    def to_sigma(self, form: LocalForm):
-        """Express a pulled-back bulk form in Sigma-chart variables."""
+    def restrict(self, form: LocalForm):
+        """iota_Sigma^*: a bulk form on the slice x^t = 0, in Sigma-chart
+        variables.  Words holding dx^t vanish, and are dropped before their
+        jets are read; x^t is 0, as a jet and as a function argument; u_,t
+        becomes Dt_u.  A jet u_,tt, or a transverse jet inside a function
+        argument, does not descend."""
         bulk = self.theory.chart
-        schart = self.schart
         t = self.spec.transverse
         offending = set()
 
@@ -147,6 +141,8 @@ class SigmaTheory:
             if a[0] == 'ji':
                 return ('ji', self.b2s[a[1]])
             comp = bulk.component(a[1])
+            if comp.kind == COORD and comp.coord_dir == t:
+                return ('0',) if in_fn else None
             J = tuple(a[2][mu] for mu in self.tangential)
             k = a[2][t]
             if in_fn:
@@ -154,8 +150,6 @@ class SigmaTheory:
                     offending.add(comp.name)
                     return None
                 return ('j', self.b2s[a[1]], J)
-            if comp.kind == COORD and comp.coord_dir == t:
-                return None            # the slice sits at coordinate value 0
             if k == 0:
                 return (a[0], self.b2s[a[1]], J)
             if k == 1 and a[1] in self.dt_fields:
@@ -163,7 +157,8 @@ class SigmaTheory:
             offending.add(comp.name + "_," + str(t) * k)
             return None
 
-        out = transport(form, schart, jet, self._bulk_dir_to_sigma.__getitem__)
+        out = transport(form.components(lambda w: ('h', t) not in w),
+                        self.schart, jet, self._bulk_dir_to_sigma.__getitem__)
         if offending:
             raise DoesNotDescend(
                 "transverse jets obstruct the restriction: "
@@ -172,8 +167,7 @@ class SigmaTheory:
 
     def express(self, bulk_form: LocalForm):
         """iota^* followed by momentum substitution; errors on leftovers."""
-        pulled = self.pullback(bulk_form)
-        s = self.to_sigma(pulled)
+        s = self.restrict(bulk_form)
         if self.dt_solves:
             s = substitute(s, self.dt_solves)
         left = self._leftover_dt(s)
@@ -215,12 +209,6 @@ class SigmaTheory:
             return (a[0], self.s2b[fid], J)
 
         return transport(work, bulk, jet, self.tangential.__getitem__)
-
-    def _verify_pullback(self):
-        lhs = self.to_bulk(self.omega_sigma)
-        rhs = self.pullback(self.theory.omega)
-        if not (lhs - rhs).is_zero():
-            raise InvariantViolation("pi^* omega_Sigma != iota^* omega")
 
     def _pairing_table(self):
         """(the symplectic partners of each slice field, the set of slice
@@ -275,7 +263,6 @@ def descended_action(sigma: SigmaTheory, sym: SymmetryAction) -> EvolutionaryFie
     """rho_Sigma on the surviving slice fields and the momenta; components
     of fields removed by the presymplectic reduction are not part of the
     slice action."""
-    theory = sigma.theory
     comps = {}
     for bfid, expr in sym.rho.components.items():
         sfid = sigma.b2s.get(bfid)

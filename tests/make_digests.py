@@ -13,8 +13,8 @@ moved:
     PYTHONPATH=src python tests/make_digests.py
 
 Every run sees a working directory that holds the files of ``FILES`` and
-nothing else, so that the paths in error messages are the same on every
-host.
+``SLICED`` and nothing else, so that the paths in error messages are the
+same on every host.
 """
 
 from __future__ import annotations
@@ -68,6 +68,18 @@ FILES = {
                      "field q scalar\nlagrangian 1/2 * d(q) * star(d(q))\n",
     "minkowski.thy": "theory t\ndimension 2\nsignature - +\nfield q scalar\n"
                      "lagrangian 1/2 * d(q) * star(d(q))\n",
+}
+
+# valid theories whose Lagrangian holds the slice coordinate t, for the
+# slice path; a slice evaluates t at 0
+SLICED = {
+    "tdep.thy": "theory tdep\ndimension 2\ncoordinates t x\nsignature - +\n"
+                "field phi scalar\n"
+                "lagrangian 1/2 * (1 + t) * d(phi) * star(d(phi))\n",
+    "tmax.thy": "theory tmax\ndimension 4\ncoordinates t x y z\n"
+                "signature - + + +\nfield A form 1\n"
+                "lagrangian 1/2 * (1 + t) * d(A) ∧ star(d(A))\n"
+                "symmetry gauge param xi scalar\n  A = d(xi)\n",
 }
 
 
@@ -148,6 +160,8 @@ def _runs():
              ["mech", "flow", "--t", "1e9"], ["mech", "flow", "--t", "0.0001"],
              ["mech", "flow", "--q", "0,0,0", *short],
              ["mech", "flow", "--q", "nan,0,0", *short]]
+    for name in SLICED:
+        runs += _both(["canonical", name, "--slice", "t=0"])
     return runs
 
 
@@ -172,7 +186,7 @@ def digest(argv):
 
 
 def write_files(directory):
-    for name, text in FILES.items():
+    for name, text in {**FILES, **SLICED}.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 

@@ -2,15 +2,20 @@
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from varcalc.chart import DoesNotDescend, NoFlux, NotExact, VerdictMismatch
-from varcalc.algebra import LocalForm, apply_derivation, d_h, midx_zero
+from varcalc.chart import (
+    COORD, DegenerateSlice, DoesNotDescend, NoFlux, NotExact, VerdictMismatch,
+)
+from varcalc.algebra import LocalForm, apply_derivation, d_h, midx_zero, transport
+from varcalc.cli import main
 from varcalc import slicing
 from varcalc.dsl import ElabContext, elaborate_form
 from varcalc.lie import Structure, _kval, abelian_structure, schouten_PiPi, su2_structure
 from varcalc.noether import twin_symmetry
+from varcalc.render import render_text
 from varcalc.slicing import (
     CornerData, SliceSpec, _corner_ring_chart, compute_ce_cocycle, corner_data,
     corner_bracket_SS, descended_action, restrict_to_slice, sigma_noether,
@@ -54,8 +59,7 @@ def test_zero_lagrangian_slice():
     assert sig.omega_sigma.is_zero() and sig.pairing == {}
 
 
-def test_pullback_verification_runs(maxwell_slice):
-    # pi* omega_Sigma = iota* omega was verified at construction
+def test_maxwell_slice_pairing(maxwell_slice):
     assert maxwell_slice.pairing["A1"] == ["Pi_A1"]
     assert "A0" not in maxwell_slice.pairing   # reduced out
 
@@ -246,3 +250,104 @@ def test_bf_slice_constraint(bf4):
     H0, hf = split_constraint_flux(sig, sym, H)
     assert (H - H0 - d_h(hf)).is_zero()
     assert not H0.is_zero() and not hf.is_zero()
+
+
+# Lagrangians that hold the slice coordinate t: the slice evaluates it at 0
+TDEP = """theory tdep
+dimension 2
+coordinates t x
+signature - +
+field phi scalar
+lagrangian 1/2 * (1 + t) * d(phi) * star(d(phi))
+"""
+
+WT = """theory wt
+dimension 2
+coordinates t x
+signature - +
+function W
+field phi scalar
+lagrangian -1/2 * d(phi) ∧ star(d(phi)) + W(t) * phi_,0 * phi_,1 * vol
+"""
+
+TMAX = """theory tmax
+dimension 4
+coordinates t x y z
+signature - + + +
+field A form 1
+lagrangian 1/2 * (1 + t) * d(A) ∧ star(d(A))
+symmetry gauge param xi scalar
+  A = d(xi)
+"""
+
+T_DEPENDENT = {"tdep": TDEP, "wt": WT, "tmax": TMAX}
+
+
+@pytest.fixture(scope="module", params=sorted(T_DEPENDENT))
+def t_dependent(request):
+    return theory_from_text(T_DEPENDENT[request.param])
+
+
+def test_t_dependent_lagrangian_restricts_at_t_zero(t_dependent, maxwell_slice):
+    sig = restrict_to_slice(t_dependent, SliceSpec(transverse=0))
+    if sig.schart.has_name("A0"):
+        # 1 + t is 1 on the slice: the Maxwell slice data
+        assert render_text(sig.omega_sigma) == render_text(maxwell_slice.omega_sigma)
+        assert sig.pairing == maxwell_slice.pairing
+        return
+    ctx = ElabContext(sig.schart)
+    expect = elaborate_form(ctx, "-delta(phi) ∧ delta(Pi_phi) ∧ dx0")
+    assert (sig.omega_sigma - expect).is_zero()
+
+
+def _bulk_iota(form, t):
+    """iota^* on the bulk chart, written independently of the slice chart:
+    words holding dx^t vanish, and the coordinate x^t is 0 as a jet and as
+    a function argument."""
+    chart = form.chart
+
+    def image(a, in_fn):
+        if a[0] == 'j' and chart.component(a[1]).kind == COORD \
+                and chart.component(a[1]).coord_dir == t:
+            return ('0',) if in_fn else None
+        return a
+
+    return transport(form.components(lambda w: ('h', t) not in w), chart, image)
+
+
+BUNDLED = sorted(p.name[:-4] for p in resources.files("varcalc.theories").iterdir()
+                 if p.name.endswith(".thy"))
+
+
+@pytest.mark.parametrize("name", BUNDLED + sorted(T_DEPENDENT))
+def test_pi_star_omega_sigma_is_iota_star_omega(name):
+    """pi^* omega_Sigma = iota^* omega on every coordinate slice where the
+    restriction succeeds: the momentum solves undo under pi^*, so the
+    identity holds by construction (notes/decisions.md §27)."""
+    T = (theory_from_text(T_DEPENDENT[name]) if name in T_DEPENDENT
+         else load_theory(name))
+    restricted = 0
+    for t in range(T.chart.dim):
+        try:
+            sig = restrict_to_slice(T, SliceSpec(transverse=t))
+        except (DegenerateSlice, DoesNotDescend):
+            continue
+        restricted += 1
+        assert (sig.to_bulk(sig.omega_sigma) - _bulk_iota(T.omega, t)).is_zero(), t
+    assert restricted
+
+
+def test_t_dependent_theories_on_the_command_line(tmp_path, capsys):
+    for name, text in T_DEPENDENT.items():
+        (tmp_path / (name + ".thy")).write_text(text, encoding="utf-8")
+    tmax, wt = str(tmp_path / "tmax.thy"), str(tmp_path / "wt.thy")
+    for argv in (["canonical", tmax, "--slice", "t=0"],
+                 ["corner", tmax, "--slice", "t=0"],
+                 ["bvbfv", tmax, "--slice", "t=0"],
+                 ["canonical", wt, "--slice", "t=0"]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out.count("PASS") == 4
+    # the coefficient 1 + t of the A0 momentum relation is not constant
+    assert main(["canonical", tmax, "--slice", "x=0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: cannot solve the momentum relation for A0\n"

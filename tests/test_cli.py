@@ -47,10 +47,32 @@ def test_unknown_flag_rejected():
     ("verify", "maxwell", "--slice", "t=0"),
     ("canonical", "maxwell", "--slice", "t=0", "--corner", "x=0"),
     ("bvbfv", "maxwell", "--slice", "t=0", "--symmetry", "gauge", "--corner", "x=0"),
+    # each mech subcommand takes only the flags it reads
+    ("mech", "reduce", "--t", "5"),
+    ("mech", "reduce", "--dt", "0.1"),
+    ("mech", "reduce", "--integrator", "leapfrog"),
+    ("mech", "reduce", "--tol", "-1"),
+    ("mech", "flow", "--tol", "1"),
+    ("mech", "conserve", "--csv", "x.csv"),
+    ("mech", "--system", "harmonic", "flow"),
+    # verify: one identity or all, suite flags with a suite run, catalog
+    # flags with a theory
+    ("verify", "maxwell", "--identity", "thm:N1", "--all"),
+    ("verify", "maxwell", "--seed", "5", "--cases", "3"),
+    ("verify", "maxwell", "--cases", "3"),
+    ("verify", "--identity", "thm:N1"),
+    ("verify", "--all"),
+    ("verify", "--symmetry", "gauge"),
 ])
 def test_flag_the_command_ignores_is_rejected(argv):
     code, _ = run_cli(*argv)
     assert code == 2
+
+
+def test_mech_reduce_writes_no_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli("mech", "reduce", "--csv", "f")
+    assert code == 2 and not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize("argv", [
