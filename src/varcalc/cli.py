@@ -10,6 +10,7 @@ otherwise, and maps ``ok`` to the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -335,7 +336,11 @@ def cmd_mech(args):
     return "mech flow", rows, csv, True
 
 
+@functools.cache
 def build_parser():
+    """The varcalc parser, built once per process: parse_args keeps no state
+    between calls, and argparse reads COLUMNS and sys.stderr when it
+    formats a message, not when the parser is built."""
     ap = argparse.ArgumentParser(
         prog="varcalc",
         description="Symbolic variational calculus on coordinate charts")

@@ -100,43 +100,71 @@ def d_h_columns(chart, words, index):
     return cols
 
 
+class _Lazy(dict):
+    """A dict whose entry for a missing key is build(key), made and kept
+    on first read."""
+
+    __slots__ = ('build',)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Stratum:
+    """The leg words of one (fids, V) at each horizontal degree b: bases[b]
+    (sorted), index[b] (word -> position) and e[b], the matrix of d1 from
+    degree b to b+1.  Each degree is built when it is first read; a sigma1
+    image at degree b reads degrees b-2 to b (notes/decisions.md §28)."""
+
     def __init__(self, suite, fids, V):
         self.suite = suite
         self.fids = fids
-        chart = suite.chart
-        n = chart.dim
-        self.bases = {}
-        self.index = {}
-        dirs = range(n)
-        for b in range(n + 1):
-            words = set()
-            for H in combinations(dirs, b):
-                chi = [0] * n
-                for mu in H:
-                    chi[mu] = 1
-                T = tuple(v + c for v, c in zip(V, chi))
-                if any(t < 0 for t in T):
-                    continue
-                hatoms = tuple(('h', mu) for mu in H)
-                if not fids:
-                    if all(t == 0 for t in T):
-                        words.add(hatoms)
-                    continue
-                for dist in _distributions(T, len(fids)):
-                    atoms = tuple(('v', fid, I) for fid, I in zip(fids, dist))
-                    res = norm_word(chart, atoms + hatoms, 1)
-                    if res is not None:
-                        words.add(res[0])
-            basis = sorted(words)
-            self.bases[b] = basis
-            self.index[b] = {w: i for i, w in enumerate(basis)}
-        # matrices of d1: bases[b] -> bases[b+1]; d0 vanishes on leg
-        # words, so d1 is d_h there
-        self.e = {b: (d_h_columns(chart, self.bases[b], self.index[b + 1]),
-                      len(self.bases[b + 1])) for b in range(n)}
+        self.V = V
+        self.bases = _Lazy(self._basis)
+        self.index = _Lazy(self._index)
+        self.e = _Lazy(self._d1)
         self.blocks = {}
         self.images = {}
+
+    def _basis(self, b):
+        """The sorted leg words of degree b.  Atoms with equal fids commute
+        up to sign, so of their multi-index distributions only the
+        non-decreasing one is normalized; norm_word decides odd squares and
+        the jet cutoff."""
+        chart = self.suite.chart
+        fids = self.fids
+        tied = [i for i in range(1, len(fids)) if fids[i] == fids[i - 1]]
+        words = set()
+        for H in combinations(range(chart.dim), b):
+            T = tuple(v + (mu in H) for mu, v in enumerate(self.V))
+            if any(t < 0 for t in T):
+                continue
+            hatoms = tuple(('h', mu) for mu in H)
+            if not fids:
+                if not any(T):
+                    words.add(hatoms)
+                continue
+            for dist in _distributions(T, len(fids)):
+                if any(dist[i - 1] > dist[i] for i in tied):
+                    continue
+                atoms = tuple(('v', fid, I) for fid, I in zip(fids, dist))
+                res = norm_word(chart, atoms + hatoms, 1)
+                if res is not None:
+                    words.add(res[0])
+        return sorted(words)
+
+    def _index(self, b):
+        return {w: i for i, w in enumerate(self.bases[b])}
+
+    def _d1(self, b):
+        # d0 vanishes on leg words, so d1 is d_h there
+        return (d_h_columns(self.suite.chart, self.bases[b], self.index[b + 1]),
+                len(self.bases[b + 1]))
 
     def delta_pinv(self, b):
         """The block inverses of the Hodge Laplacian on the source degree
@@ -197,9 +225,9 @@ class _Stratum:
         image = self.images.get(word)
         if image is None:
             b = sum(1 for a in word if a[0] == 'h')
-            i = self.index[b][word]     # every leg word is in its basis (§24)
             image = (1, [])
             if b and self.fids:
+                i = self.index[b][word]     # every leg word is in its basis (§24)
                 rows, block_of = self.delta_pinv(b)
                 z = {}
                 for j, c in rows[i].items():
@@ -225,15 +253,19 @@ class HomotopySuite:
     def __init__(self, chart):
         self.chart = chart
         self._strata = {}
+        self._images = {}       # leg word -> its stratum's sigma1 image
 
     # -- d = d1 + d0 split -------------------------------------------------
-    def d0(self, groups):
+    def d0(self, groups, memo=None):
         """dx^mu ^ D_mu on the coefficient atoms only (d_h - d1), on
         leg-grouped data {leg word: {coefficient word: int}}: the odd
         derivation of d_h with the vertical legs left alone.  It maps c ^ l
         to d0(c) ^ l, and each word of d0(c) is t ^ dx^mu, so d0 of each
-        distinct coefficient word is taken once per call and dx^mu ^ l is
-        normalized once per (leg word, mu) (notes/decisions.md §25)."""
+        distinct coefficient word is taken once per ``memo`` (one h_inf
+        call, notes/decisions.md §28), and dx^mu ^ l is normalized once
+        per (leg word, mu) (§25)."""
+        if memo is None:
+            memo = {}
         chart = self.chart
         hdata = [_data(chart, ('h', mu)) for mu in range(chart.dim)]
         out = {}
@@ -249,7 +281,10 @@ class HomotopySuite:
             for cw, c in coeffs.items():
                 uses.setdefault(cw, []).append((row, c))
         for cw, where in uses.items():
-            for w, n in horizontal(LocalForm(chart, {cw: 1}), legs=False).terms.items():
+            image = memo.get(cw)
+            if image is None:
+                image = memo[cw] = horizontal(LocalForm(chart, {cw: 1}), legs=False).terms
+            for w, n in image.items():
                 # w is t ^ dx^mu: dx^mu sorts after every coefficient atom
                 mu, t = w[-1][1], w[:-1]
                 for row, c in where:
@@ -267,14 +302,19 @@ class HomotopySuite:
     def sigma1(self, groups):
         """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
         denominators of the images read, so that integer coefficients stay
-        integers.  Each leg word's image is read once; a coefficient word c
-        in front of it takes the sign (-1)^|c| (notes/decisions.md §25)."""
+        integers.  Each leg word's image is looked up in its stratum once
+        per suite; a coefficient word c in front of it takes the sign
+        (-1)^|c| (notes/decisions.md §25, §28)."""
         chart = self.chart
+        images = self._images
         reads = []
         for legs, coeffs in groups.items():
-            den, image = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
-            if image:
-                reads.append((den, image, coeffs))
+            read = images.get(legs)
+            if read is None:
+                read = images[legs] = \
+                    self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+            if read[1]:
+                reads.append((read[0], read[1], coeffs))
         L = lcm(*(r[0] for r in reads))
         parity = {}
         out = {}
@@ -303,9 +343,10 @@ class HomotopySuite:
         once and scaled by the lcm of its denominators (its words without
         legs are dropped, as sigma1 kills them), each sigma1 round
         multiplies the denominator by the lcm it reports, and d0 keeps
-        integers integral.  The rounds are added in order with the sign
-        (-1)^r, each word is rebuilt once, and each output coefficient is
-        divided once at the end (notes/decisions.md §16, §25)."""
+        integers integral and takes each d0(c) once per call.  The rounds
+        are added in order with the sign (-1)^r, each word is rebuilt
+        once, and each output coefficient is divided once at the end
+        (notes/decisions.md §16, §25, §28)."""
         den = lcm(*(c.denominator for c in form.terms.values()))
         groups = {}
         for key, c in form.terms.items():
@@ -317,10 +358,11 @@ class HomotopySuite:
         rounds = []
         L, cur = self.sigma1(groups)
         den *= L
+        memo = {}
         guard = 0
         while cur:
             rounds.append((den, cur))
-            L, cur = self.sigma1(self.d0(cur))
+            L, cur = self.sigma1(self.d0(cur, memo))
             den *= L
             guard += 1
             if guard > 10 * (self.chart.jet_cutoff + self.chart.dim + 2):

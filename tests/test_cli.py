@@ -420,3 +420,24 @@ def test_singular_stratum_note_is_text_only():
     assert code == 0
     assert out.splitlines() == ["singular stratum (l = 0): reduced space is T*R/Z2",
                                 "{'r': 1.0, 'p_r': 2.0, 'l': 0.0}"]
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    """main reuses the one parser of the process, and a call sees nothing
+    of the calls before it: neither --json, nor a usage error, nor --seed."""
+    assert build_parser() is build_parser()
+    code, out = run_cli("--json", "el", "maxwell")
+    assert code == 0 and json.loads(out)["command"] == "E(L)"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("el")
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith("usage: varcalc el")
+    code, out = run_cli("el", "maxwell")
+    build_parser.cache_clear()
+    fresh = run_cli("el", "maxwell")
+    assert build_parser() is build_parser()
+    assert (code, out) == fresh and out.startswith("E(L): ")
+    assert run_cli("verify", "--suites", "--cases", "3", "--seed", "3")[0] == 0
+    code, out = run_cli("verify", "--suites", "--cases", "3")
+    assert code == 0 and out.splitlines()[0] == "seed=0 cases=3"

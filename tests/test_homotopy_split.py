@@ -134,7 +134,7 @@ def test_h_inf_guard_is_an_invariant_violation(monkeypatch):
     replaced by the identity) stops at the guard with a typed error."""
     ch = _chart(2)
     suite = HomotopySuite(ch)
-    monkeypatch.setattr(suite, "d0", lambda form: form)
+    monkeypatch.setattr(suite, "d0", lambda form, memo: form)
     monkeypatch.setattr(suite, "sigma1", lambda form: (1, form))
     w = FormGenerator(ch, seed=3).form(1, 1, nterms=2)
     assert not w.is_zero()

@@ -26,6 +26,7 @@ from varcalc.algebra import (
 )
 from varcalc.chart import InvariantViolation
 from varcalc.euler import EvolutionaryField, interior_euler
+from varcalc import homotopy
 from varcalc.homotopy import HomotopySuite, _leg_split, _stratum_key, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
 from conftest import assert_exact, load_theory, on_form
@@ -225,6 +226,70 @@ def test_grouped_steps_match_per_word_steps_on_d_v_L(name):
     dvL = d_v(T.L)
     _same_steps(T.suite, dvL)
     _same_steps(T.suite, dvL - interior_euler(dvL))
+
+
+def _d0_reads(monkeypatch, suite, form):
+    """Runs h_inf on ``form`` against the Fraction series, recording the
+    coefficient words that horizontal(..., legs=False) differentiates and
+    the distinct coefficient words of each d0 round."""
+    read, rounds = [], []
+    horizontal_of = homotopy.horizontal
+    d0 = suite.d0
+
+    def counting_horizontal(f, legs=True):
+        if not legs:
+            (cw,) = f.terms
+            read.append(cw)
+        return horizontal_of(f, legs)
+
+    def recording_d0(groups, memo):
+        rounds.append({cw for coeffs in groups.values() for cw in coeffs})
+        return d0(groups, memo)
+
+    monkeypatch.setattr(homotopy, "horizontal", counting_horizontal)
+    monkeypatch.setattr(suite, "d0", recording_d0)
+    _same_series(suite, form)
+    monkeypatch.undo()
+    return read, rounds
+
+
+def test_each_d0_image_is_taken_once_per_h_inf_call_on_the_four_leg_word(monkeypatch):
+    w = _four_leg_word(Fraction(2, 3))
+    read, rounds = _d0_reads(monkeypatch, HomotopySuite(w.chart), w)
+    assert read == [()] and rounds == [{()}]
+
+
+def _read_once(read, rounds):
+    """Each distinct coefficient word of the rounds was differentiated
+    once; returns how many d0 images the rounds would take without the
+    memo, and how many they take."""
+    distinct = set().union(*rounds)
+    assert sorted(read) == sorted(distinct)
+    return sum(map(len, rounds)), len(distinct)
+
+
+@pytest.mark.parametrize("top", [False, True])
+def test_each_d0_image_is_taken_once_per_h_inf_call_on_d_v_L(monkeypatch, top):
+    """d_v L of Yang-Mills, and d_v L - I d_v L, the input that
+    h_horizontal gives h_inf."""
+    T = load_theory("yang_mills_su2")
+    form = d_v(T.L)
+    if top:
+        form = form - interior_euler(form)
+    _read_once(*_d0_reads(monkeypatch, T.suite, form))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_each_d0_image_is_taken_once_per_h_inf_call_on_suite_forms(monkeypatch, dim):
+    """On the seeded suite forms coefficient words recur across the rounds
+    of one call, and are still differentiated once."""
+    suite, forms = _suite_forms(dim)
+    per_round = once = 0
+    for w in forms:
+        a, b = _read_once(*_d0_reads(monkeypatch, suite, w))
+        per_round += a
+        once += b
+    assert per_round > once > 100, (per_round, once)
 
 
 def test_integer_rounds_keep_integer_coefficients():

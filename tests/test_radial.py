@@ -361,7 +361,8 @@ def test_strata_d1_is_d_h_on_leg_words(dim):
         suite.h_horizontal(gen.form(1 + i % 2, i % (dim + 1), nterms=2))
     assert suite._strata
     for st_ in suite._strata.values():
-        for b, (cols, _ntgt) in st_.e.items():
+        for b in range(dim):        # e builds each degree on first read
+            cols, _ntgt = st_.e[b]
             idx = st_.index[b + 1]
             for w, col in zip(st_.bases[b], cols):
                 want = oracle_d1(LocalForm(ch, {w: Fraction(1)}))
