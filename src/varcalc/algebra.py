@@ -604,6 +604,17 @@ def contract_legs(form: LocalForm):
     return out
 
 
+def source_densities(form: LocalForm):
+    """The components of a top-degree form as a source form: {fid: E_fid},
+    in fid order, with E_fid the coefficient of du^fid ^ vol (the interior
+    product along du^fid, its horizontal legs stripped) over the order-zero
+    legs the form holds."""
+    n = form.chart.dim
+    z = midx_zero(n)
+    legs = contract_legs(form)
+    return {fid: h_coefficient(legs[fid, K], range(n)) for fid, K in sorted(legs) if K == z}
+
+
 def transport(form: LocalForm, chart, image, h=None):
     """The algebra morphism onto ``chart`` given by an image per atom.
 

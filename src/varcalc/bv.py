@@ -11,8 +11,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, atom_parity, contract_legs, d_h, d_v, h_coefficient, midx_zero,
-    transport,
+    LocalForm, atom_parity, d_h, d_v, midx_zero, source_densities, transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -153,18 +152,17 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
         pair.setdefault(f1, []).append((f2, c * (-1) ** (P * p1)))
 
     comps = {}
-    EF_legs = contract_legs(EF)
+    densities = source_densities(EF)
     for u in sorted(pair):
         # coefficient of d(u) in EF determines X along the partner of u
-        coeff = EF_legs.get((u, z))
-        if coeff is None:
+        dens = densities.get(u)
+        if dens is None:
             continue
         partners = {v for v, _r in pair[u]}
         if len(partners) != 1:
             raise NotHamiltonian("degenerate symplectic pairing")
         v = partners.pop()
         ratio = sum(r for _v, r in pair[u])
-        dens = h_coefficient(coeff, range(chart.dim))
         comps[v] = comps.get(v, LocalForm.zero(chart)) + dens * (Fraction(1) / ratio)
 
     X = EvolutionaryField(chart, {k: v for k, v in comps.items()
@@ -245,8 +243,7 @@ class BFVTheory:
         # the slice x^t = const carries the induced orientation (-1)^t
         self.orientation = orientation = -1 if sigma.spec.transverse & 1 else 1
         chart, self.s2x = schart.derive(
-            schart.coord_names, keep=lambda c: c.kind != DYNAMIC
-            or c.fid in sigma.surviving or c.name.startswith("Pi_"))
+            schart.coord_names, keep=lambda c: c.kind != DYNAMIC or c.fid in sigma.surviving)
         z = midx_zero(chart.dim)
         self.ghosts = {}             # sigma param fid -> ghost fid
         self.ghost_momenta = {}      # ghost fid -> ghost momentum fid

@@ -13,11 +13,11 @@ notes/decisions.md §22).  So the Hodge Laplacian of the source degree,
 Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with e^T e on
 im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
 connected block at a time (§14), and a singular block is reported.  The
-image of each canonical leg word is computed once per stratum, and kept
-as integer numerators over one denominator.  The homological perturbation
-series in d0 (which terminates, since sigma1 lowers total leg order), run
-in integers over one running denominator (§16), then produces a homotopy
-h for the full horizontal differential satisfying
+image of each canonical leg word is computed once per chart's suite, and
+kept as integer numerators over one denominator.  The homological
+perturbation series in d0 (which terminates, since sigma1 lowers total leg
+order), run in integers over one running denominator (§16), then produces
+a homotopy h for the full horizontal differential satisfying
 
     alpha = h d alpha                     on (>=1, 0) forms,
     alpha = h d alpha + d h alpha         on (>=1, 0<q<n) forms,
@@ -117,9 +117,11 @@ class _Lazy(dict):
 
 class _Stratum:
     """The leg words of one (fids, V) at each horizontal degree b: bases[b]
-    (sorted), index[b] (word -> position) and e[b], the matrix of d1 from
-    degree b to b+1.  Each degree is built when it is first read; a sigma1
-    image at degree b reads degrees b-2 to b (notes/decisions.md §28)."""
+    (sorted), index[b] (word -> position), e[b], the matrix of d1 from
+    degree b to b+1, and blocks[b], the Laplacian blocks of sigma1 from
+    degree b (delta_pinv).  Each degree is built when it is first read; a
+    sigma1 image at degree b reads degrees b-2 to b (notes/decisions.md
+    §28).  The images themselves are kept by the suite (§29)."""
 
     def __init__(self, suite, fids, V):
         self.suite = suite
@@ -128,8 +130,7 @@ class _Stratum:
         self.bases = _Lazy(self._basis)
         self.index = _Lazy(self._index)
         self.e = _Lazy(self._d1)
-        self.blocks = {}
-        self.images = {}
+        self.blocks = _Lazy(self.delta_pinv)
 
     def _basis(self, b):
         """The sorted leg words of degree b.  Atoms with equal fids commute
@@ -178,69 +179,63 @@ class _Stratum:
         Returns (rows, block_of): the rows of e_{b-1} as {column: entry},
         and for each word of C_{b-1} its connected block of Delta as
         (word indices, {word index: its row of the block's inverse})."""
-        if b not in self.blocks:
-            dim = len(self.bases[b - 1])
-            cols, ntgt = self.e[b - 1]
-            rows = [{} for _ in range(ntgt)]
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    rows[i][j] = c
-            # Delta is the sum of the outer products of the columns of
-            # e_{b-2} and of the rows of e_{b-1}
-            D = [{} for _ in range(dim)]
-            for vec in (self.e[b - 2][0] if b >= 2 else []) + rows:
-                for j, c in vec.items():
-                    Dj = D[j]
-                    for j2, c2 in vec.items():
-                        Dj[j2] = Dj.get(j2, 0) + c * c2
-            block_of = [None] * dim
-            for j in range(dim):
-                if block_of[j] is not None:
-                    continue
-                members, stack = {j}, [j]
-                while stack:
-                    for j2, c in D[stack.pop()].items():
-                        if c and j2 not in members:
-                            members.add(j2)
-                            stack.append(j2)
-                members = sorted(members)
-                try:
-                    inv = inverse([[D[j1].get(j2, 0) for j2 in members]
-                                   for j1 in members])
-                except SingularMatrix:
-                    raise InvariantViolation(
-                        "unexpected d1-cohomology below top horizontal degree"
-                    ) from None
-                block = (members, dict(zip(members, inv)))
-                for j1 in members:
-                    block_of[j1] = block
-            self.blocks[b] = (rows, block_of)
-        return self.blocks[b]
+        dim = len(self.bases[b - 1])
+        cols, ntgt = self.e[b - 1]
+        rows = [{} for _ in range(ntgt)]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        # Delta is the sum of the outer products of the columns of
+        # e_{b-2} and of the rows of e_{b-1}
+        D = [{} for _ in range(dim)]
+        for vec in (self.e[b - 2][0] if b >= 2 else []) + rows:
+            for j, c in vec.items():
+                Dj = D[j]
+                for j2, c2 in vec.items():
+                    Dj[j2] = Dj.get(j2, 0) + c * c2
+        block_of = [None] * dim
+        for j in range(dim):
+            if block_of[j] is not None:
+                continue
+            members, stack = {j}, [j]
+            while stack:
+                for j2, c in D[stack.pop()].items():
+                    if c and j2 not in members:
+                        members.add(j2)
+                        stack.append(j2)
+            members = sorted(members)
+            try:
+                inv = inverse([[D[j1].get(j2, 0) for j2 in members]
+                               for j1 in members])
+            except SingularMatrix:
+                raise InvariantViolation(
+                    "unexpected d1-cohomology below top horizontal degree"
+                ) from None
+            block = (members, dict(zip(members, inv)))
+            for j1 in members:
+                block_of[j1] = block
+        return rows, block_of
 
     def sigma1_image(self, word):
-        """sigma1 of a canonical leg word of this stratum, memoized as
-        (den, [(target word, int numerator)]), den the lcm of the image's
-        denominators: Delta^{-1} applied to the word's row of e, which reads
-        only the blocks that row touches."""
-        image = self.images.get(word)
-        if image is None:
-            b = sum(1 for a in word if a[0] == 'h')
-            image = (1, [])
-            if b and self.fids:
-                i = self.index[b][word]     # every leg word is in its basis (§24)
-                rows, block_of = self.delta_pinv(b)
-                z = {}
-                for j, c in rows[i].items():
-                    members, inv = block_of[j]
-                    for j2, x in zip(members, inv[j]):
-                        if x:
-                            z[j2] = z.get(j2, 0) + c * x
-                terms = [(j, s) for j, s in sorted(z.items()) if s]
-                den = lcm(*(s.denominator for _j, s in terms))
-                image = (den, [(self.bases[b - 1][j], s.numerator * (den // s.denominator))
-                               for j, s in terms])
-            self.images[word] = image
-        return image
+        """sigma1 of a canonical leg word of this stratum as (den, [(target
+        word, int numerator)]), den the lcm of the image's denominators:
+        Delta^{-1} applied to the word's row of e, which reads only the
+        blocks that row touches."""
+        b = sum(1 for a in word if a[0] == 'h')
+        if not (b and self.fids):
+            return (1, [])
+        i = self.index[b][word]     # every leg word is in its basis (§24)
+        rows, block_of = self.blocks[b]
+        z = {}
+        for j, c in rows[i].items():
+            members, inv = block_of[j]
+            for j2, x in zip(members, inv[j]):
+                if x:
+                    z[j2] = z.get(j2, 0) + c * x
+        terms = [(j, s) for j, s in sorted(z.items()) if s]
+        den = lcm(*(s.denominator for _j, s in terms))
+        return (den, [(self.bases[b - 1][j], s.numerator * (den // s.denominator))
+                      for j, s in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +243,12 @@ class _Stratum:
 # ---------------------------------------------------------------------------
 
 class HomotopySuite:
-    """Bundled operators (d, dv, I, E, h>=, hv, h0, P, P0, d_C, h_C) on a chart."""
+    """Bundled operators (d, dv, I, E, h>=, hv, h0, P, P0) on a chart."""
 
     def __init__(self, chart):
         self.chart = chart
         self._strata = {}
-        self._images = {}       # leg word -> its stratum's sigma1 image
+        self._images = {}       # leg word -> its sigma1 image, the one memo
 
     # -- d = d1 + d0 split -------------------------------------------------
     def d0(self, groups, memo=None):
@@ -302,9 +297,9 @@ class HomotopySuite:
     def sigma1(self, groups):
         """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
         denominators of the images read, so that integer coefficients stay
-        integers.  Each leg word's image is looked up in its stratum once
-        per suite; a coefficient word c in front of it takes the sign
-        (-1)^|c| (notes/decisions.md §25, §28)."""
+        integers.  Each leg word's image is computed by its stratum once
+        per suite and kept in _images; a coefficient word c in front of it
+        takes the sign (-1)^|c| (notes/decisions.md §25, §28, §29)."""
         chart = self.chart
         images = self._images
         reads = []
@@ -414,24 +409,13 @@ class HomotopySuite:
     def euler_projector0(self, form):
         return self.euler_projector(form) + zero_star(form)
 
-    # -- horizontal cone -----------------------------------------------------
+    # -- de Rham homotopy on the base (field-independent forms) --------------
     def _check_constant(self, a):
         if any(atom[0] in ('v', 'f', 'F') or
                atom[0] == 'j' and self.chart.kind(atom[1]) == DYNAMIC
                for key in a.terms for atom in key):
             raise NotConstant("cone element must be field-independent")
 
-    def cone_d(self, pair):
-        a, b = pair
-        self._check_constant(a)
-        return (-d_h(a), d_h(b) + a)
-
-    def cone_h(self, pair):
-        a, b = pair
-        self._check_constant(a)
-        return (zero_star(b), self.h_zero(b))
-
-    # -- de Rham homotopy on the base (field-independent forms) --------------
     def poincare_x(self, form):
         """Radial homotopy in the chart coordinates; acts on
         field-independent forms with polynomial coordinate coefficients."""

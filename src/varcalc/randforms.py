@@ -54,8 +54,3 @@ class FormGenerator:
             word += [('h', mu) for mu in hs]
             out._accum(tuple(word), self.rational())
         return out
-
-    def form_random_grading(self, pmax=2, nterms=3):
-        p = self.rng.randint(0, pmax)
-        q = self.rng.randint(0, self.chart.dim)
-        return self.form(p, q, nterms)

@@ -12,8 +12,8 @@ from .chart import (
     NoFlux, NotExact, VarcalcError, VerdictMismatch,
 )
 from .algebra import (
-    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_order, midx_shift,
-    midx_zero, substitute, transport,
+    LocalForm, d_h, d_v, h_coefficient, midx_order, midx_shift, midx_zero,
+    source_densities, substitute, transport,
 )
 from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -74,36 +74,42 @@ class SigmaTheory:
 
         theta_s = self.restrict(theory.theta)
 
-        # momenta: one per vertical leg whose coefficient carries Dt fields
+        # momenta: one per vertical leg whose coefficient carries Dt fields;
+        # density == Pi is solved for its lex-max unsolved Dt field, and the
+        # solution substituted into the earlier ones (notes/decisions.md §29)
         self.momenta = {}        # sigma fid of Pi -> (sigma leg fid, definition)
         self.dt_solves = {}      # bindings (sigma Dt fid, 0) -> expression
         z = midx_zero(schart.dim)
-        legs = contract_legs(theta_s)
-        for (sfid, K), C in sorted(legs.items()):
-            if K != z:
-                continue
-            dts = sorted({a[1] for k in C.terms for a in k
-                          if a[0] == 'j' and a[1] in set(self.dt_fields.values())})
+        dtset = set(self.dt_fields.values())
+
+        def dts_of(form):
+            return {a[1] for k in form.terms for a in k if a[0] == 'j' and a[1] in dtset}
+
+        for sfid, density in source_densities(theta_s).items():
+            dts = dts_of(density)
             if not dts:
                 continue
-            density = h_coefficient(C, range(schart.dim))
             bname = schart.component(sfid).name
             pc = schart.add_component("Pi_" + bname, ghost=schart.ghost(sfid),
                                       kind=DYNAMIC)
             self.momenta[pc.fid] = (sfid, density)
-            # solve density == Pi for the lex-max Dt field appearing linearly
             eq = density - LocalForm.from_word(schart, (('j', pc.fid, z),))
-            solved = None
+            if any((dt, z) in self.dt_solves for dt in dts):
+                eq = substitute(eq, self.dt_solves)
+                dts = dts_of(eq)
             for dt in sorted(dts, reverse=True):
                 sol = _solve_linear(eq, (dt, z))
                 if sol is not None:
-                    solved = (dt, sol)
                     break
-            if solved is None:
+            else:
                 raise DegenerateSlice(
                     f"cannot solve the momentum relation for {bname}",
                     kernel=[bname])
-            self.dt_solves[(solved[0], z)] = solved[1]
+            new = {(dt, z): sol}
+            for key, expr in self.dt_solves.items():
+                if dt in dts_of(expr):
+                    self.dt_solves[key] = substitute(expr, new)
+            self.dt_solves.update(new)
 
         theta_final = substitute(theta_s, self.dt_solves) if self.dt_solves else theta_s
         left = self._leftover_dt(theta_final)
@@ -222,10 +228,9 @@ class SigmaTheory:
                    if a[0] == 'j' and schart.kind(a[1]) == DYNAMIC})
         table = {}
         kernel = []
-        z = midx_zero(schart.dim)
-        legs = contract_legs(src)
+        densities = source_densities(src)
         for f in sorted(fields):
-            co = legs.get((f, z), LocalForm(schart))
+            co = densities.get(f, LocalForm(schart))
             partners = sorted({schart.component(a[1]).name
                                for k in co.terms for a in k if a[0] == 'v'})
             nm = schart.component(f).name

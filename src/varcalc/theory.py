@@ -12,7 +12,7 @@ from .chart import (
     NoFixpoint, NoSolvedForm, VarcalcError,
 )
 from .algebra import (
-    LocalForm, contract_legs, d_h, d_v, h_coefficient, midx_zero, substitute,
+    LocalForm, d_h, d_v, h_coefficient, midx_zero, source_densities, substitute,
     zero_star,
 )
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
@@ -139,10 +139,7 @@ class Theory:
         """Each 'solve' jet from the first unused EL generator, in fid
         order, that is linear in it; one solved jet per generator."""
         chart = self.chart
-        z = midx_zero(chart.dim)
-        legs = contract_legs(self.EL)
-        generators = {fid: h_coefficient(legs[fid, K], range(chart.dim))
-                      for fid, K in sorted(legs) if K == z}
+        generators = source_densities(self.EL)
         bindings = {}
         for name, midx, line in self.td.solve:
             if not chart.has_name(name):

@@ -9,7 +9,9 @@ import pytest
 from varcalc.chart import (
     COORD, DegenerateSlice, DoesNotDescend, NoFlux, NotExact, VerdictMismatch,
 )
-from varcalc.algebra import LocalForm, apply_derivation, d_h, midx_zero, transport
+from varcalc.algebra import (
+    LocalForm, apply_derivation, d_h, midx_zero, substitute, transport,
+)
 from varcalc.cli import main
 from varcalc import slicing
 from varcalc.dsl import ElabContext, elaborate_form
@@ -351,3 +353,79 @@ def test_t_dependent_theories_on_the_command_line(tmp_path, capsys):
     assert main(["canonical", tmax, "--slice", "x=0"]) == 1
     assert capsys.readouterr().err == \
         "error: cannot solve the momentum relation for A0\n"
+
+
+# Two fields whose momentum relations both hold Dt_p and Dt_q.  Each
+# relation is solved for its lex-max unsolved Dt field after the solved ones
+# are substituted, and the new solution is substituted back into the earlier
+# ones (notes/decisions.md §29).
+KINETIC = ("theory {name}\ndimension 2\ncoordinates t x\nsignature - +\n"
+           "field p scalar\nfield q scalar\n"
+           "lagrangian ({kinetic} - 1/2 * p_,1 * p_,1 - 1/2 * q_,1 * q_,1) * dx0 * dx1\n")
+# kinetic matrix [[1, 1], [1, 2]]
+INVERTIBLE = KINETIC.format(
+    name="inv", kinetic="1/2 * p_,0 * p_,0 + p_,0 * q_,0 + q_,0 * q_,0")
+# kinetic matrix [[2, 2], [2, 2]]
+SINGULAR = KINETIC.format(name="sing", kinetic="(p_,0 + q_,0) * (p_,0 + q_,0)")
+
+
+def test_invertible_kinetic_matrix_pairs_each_field_with_its_momentum():
+    T = theory_from_text(INVERTIBLE)
+    sig = restrict_to_slice(T, SliceSpec(transverse=0))
+    assert sig.pairing == {"p": ["Pi_p"], "q": ["Pi_q"], "Pi_p": ["p"], "Pi_q": ["q"]}
+    ctx = ElabContext(sig.schart)
+    expect = elaborate_form(
+        ctx, "-delta(p) ∧ delta(Pi_p) ∧ dx0 - delta(q) ∧ delta(Pi_q) ∧ dx0")
+    assert (sig.omega_sigma - expect).is_zero()
+    # the momenta are Pi = -K Dt in this orientation, so the solves are
+    # Dt = -K^-1 Pi with K^-1 = [[2, -1], [-1, 1]]
+    z = midx_zero(1)
+    densities = {sig.schart.component(sfid).name: render_text(d)
+                 for sfid, d in sig.momenta.values()}
+    assert densities == {"p": "-Dt_p - Dt_q", "q": "-Dt_p - 2 * Dt_q"}
+    solves = {sig.schart.component(fid).name: render_text(expr)
+              for (fid, _z), expr in sig.dt_solves.items()}
+    assert solves == {"Dt_p": "-2 * Pi_p + Pi_q", "Dt_q": "Pi_p - Pi_q"}
+    assert all(K == z for _fid, K in sig.dt_solves)
+    assert (sig.to_bulk(sig.omega_sigma) - _bulk_iota(T.omega, 0)).is_zero()
+
+
+def test_singular_kinetic_matrix_is_a_degenerate_slice():
+    T = theory_from_text(SINGULAR)
+    with pytest.raises(DegenerateSlice, match="cannot solve the momentum relation for q"):
+        restrict_to_slice(T, SliceSpec(transverse=0))
+
+
+def test_shared_dt_fields_on_the_command_line(tmp_path, capsys):
+    inv, sing = tmp_path / "inv.thy", tmp_path / "sing.thy"
+    inv.write_text(INVERTIBLE, encoding="utf-8")
+    sing.write_text(SINGULAR, encoding="utf-8")
+    assert main(["canonical", str(inv), "--slice", "t=0"]) == 0
+    assert capsys.readouterr().out == (
+        "field pairing: {'p': ['Pi_p'], 'q': ['Pi_q'], 'Pi_p': ['p'], 'Pi_q': ['q']}\n"
+        "omega_Sigma = -delta(p) ∧ delta(Pi_p) ∧ dx0 - delta(q) ∧ delta(Pi_q) ∧ dx0\n")
+    assert main(["canonical", str(sing), "--slice", "t=0"]) == 1
+    assert capsys.readouterr().err == "error: cannot solve the momentum relation for q\n"
+
+
+def test_bundled_momentum_solves_substitute_nothing(monkeypatch):
+    """On every bundled theory each momentum relation holds one Dt field of
+    its own, so the elimination calls substitute only for theta_Sigma."""
+    calls = []
+    monkeypatch.setattr(slicing, "substitute",
+                        lambda form, b: calls.append(b) or substitute(form, b))
+    restricted = 0
+    for name in BUNDLED:
+        T = load_theory(name)
+        for t in range(T.chart.dim):
+            calls.clear()
+            try:
+                sig = restrict_to_slice(T, SliceSpec(transverse=t))
+            except (DegenerateSlice, DoesNotDescend):
+                continue
+            assert len(calls) == (1 if sig.dt_solves else 0), (name, t)
+            restricted += 1
+    assert restricted > 20
+    calls.clear()
+    restrict_to_slice(theory_from_text(INVERTIBLE), SliceSpec(transverse=0))
+    assert len(calls) == 3      # one forward, one back, then theta_Sigma

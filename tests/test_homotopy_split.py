@@ -57,7 +57,7 @@ def test_d0_is_d_h_minus_d1(dim):
     fatoms = _function_atoms(ch)
     checked = 0
     for i in range(40):
-        w = gen.form_random_grading(pmax=2, nterms=3)
+        w = form_random_grading(gen, pmax=2, nterms=3)
         if i % 2:
             # multiply in function / fiber-integral coefficients
             w = LocalForm.from_word(ch, (fatoms[i % len(fatoms)],),
@@ -67,6 +67,14 @@ def test_d0_is_d_h_minus_d1(dim):
         assert on_form(suite.d0, w) == d_h(w) - d1(w)
         checked += 1
     assert checked >= 30
+
+
+def form_random_grading(gen, pmax=2, nterms=3):
+    """A random form of random bidegree, moved here verbatim from
+    FormGenerator, which has no other caller for it."""
+    p = gen.rng.randint(0, pmax)
+    q = gen.rng.randint(0, gen.chart.dim)
+    return gen.form(p, q, nterms)
 
 
 def _exercise(suite, gen, n):
@@ -120,7 +128,7 @@ def test_sigma1_cold_equals_warm(dim):
     ch = _chart(dim)
     warm = HomotopySuite(ch)
     _exercise(warm, FormGenerator(ch, seed=1), 12)
-    assert any(st.images for st in warm._strata.values())
+    assert warm._images
     gen = FormGenerator(ch, seed=2)
     for i in range(12):
         w = gen.form(1 + i % 2, i % (ch.dim + 1), nterms=3)

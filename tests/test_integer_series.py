@@ -38,7 +38,8 @@ from test_splice import SEEDED, forms
 
 class FractionSeries:
     """sigma1 and h_inf as they were before the integer series, reading the
-    Laplacian blocks (delta_pinv) of the suite's own strata."""
+    Laplacian blocks (blocks, built by delta_pinv) of the suite's own
+    strata."""
 
     def __init__(self, suite):
         self.suite = suite
@@ -55,7 +56,7 @@ class FractionSeries:
                 raise InvariantViolation("leg word missing from its stratum basis")
             image = []
             if b and st.fids:
-                rows, block_of = st.delta_pinv(b)
+                rows, block_of = st.blocks[b]
                 z = {}
                 for j, c in rows[i].items():
                     members, inv = block_of[j]

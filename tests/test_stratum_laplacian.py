@@ -31,6 +31,7 @@ class PinvStratum(_Stratum):
     def __init__(self, suite, fids, V):
         super().__init__(suite, fids, V)
         self.pinv = {}
+        self.images = {}
 
     def delta_pinv(self, b):
         """(e e^T)^+ for the d1 matrix e from degree b-1 to b, so that
