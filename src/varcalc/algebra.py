@@ -471,13 +471,32 @@ def chain_rule(chart, atom, leg):
     return out
 
 
+def _put_factor(chart, terms, atom, mu=None):
+    """Add the one-atom word of a jet or leg factor ``atom`` to an image's
+    terms, read off its cached atom data (_data) without norm_word, with
+    dx^mu after it when ``mu`` is given: a zero factor adds no term, a
+    factor of 1 the empty word (or dx^mu alone), and otherwise the word
+    holds the chart's cached atom object, with the sign -1 when dx^mu moves
+    past an odd one.  Raises JetCutoffExceeded as norm_word does."""
+    d = _data(chart, atom)
+    if d[2] == _ZERO:
+        return
+    word = () if d[2] == _ONE else (d[3],)
+    if mu is None:
+        terms[word] = 1
+    else:
+        terms[word + (_data(chart, ('h', mu))[3],)] = -1 if word and d[1] else 1
+
+
 def _d_mu(chart, atom, mu, legs):
     """D_mu of one atom, or None for zero: a jet's multi-index shifts by mu,
     and so does a vertical leg's when ``legs`` is true; a function atom or
     fiber integral goes through the chain rule."""
     t = atom[0]
     if t == 'j' or (t == 'v' and legs):
-        return LocalForm.from_word(chart, ((t, atom[1], midx_shift(atom[2], mu)),))
+        terms = {}
+        _put_factor(chart, terms, (t, atom[1], midx_shift(atom[2], mu)))
+        return LocalForm(chart, terms)
     if t in ('f', 'F'):
         return chain_rule(chart, atom, lambda a: ('j', a[1], midx_shift(a[2], mu)))
     return None
@@ -512,10 +531,17 @@ def horizontal(form: LocalForm, legs=True):
     mu of dx^mu ^ D_mu(atom).  Moving dx^mu across the atoms before the one
     D_mu acts on is the Koszul sign apply_derivation gives parity 1, so this
     is the sum over mu of dx^mu ^ D_mu(form) in one pass over the words.
-    With ``legs`` false the vertical legs are left alone (the suite's d0)."""
+    With ``legs`` false the vertical legs are left alone (the suite's d0).
+    A jet or leg has one word per mu (_put_factor), in mu order."""
     chart = form.chart
 
     def image(atom):
+        t = atom[0]
+        if t == 'j' or (t == 'v' and legs):
+            terms = {}
+            for mu in range(chart.dim):
+                _put_factor(chart, terms, (t, atom[1], midx_shift(atom[2], mu)), mu)
+            return LocalForm(chart, terms)
         out = LocalForm(chart)
         for mu in range(chart.dim):
             im = _d_mu(chart, atom, mu, legs)
@@ -561,7 +587,11 @@ def d_v(form: LocalForm):
         t = atom[0]
         if t == 'j':
             v = leg(atom)
-            return None if v is None else LocalForm.from_word(chart, (v,))
+            if v is None:
+                return None
+            terms = {}
+            _put_factor(chart, terms, v)
+            return LocalForm(chart, terms)
         if t in ('f', 'F'):
             return chain_rule(chart, atom, leg)
         return None

@@ -112,6 +112,18 @@ class BVTheory:
         if not rem.is_zero():
             raise ResidualNonzero("BV flow/boundary identity failed", rem)
         self.omega = d_v(self.theta)
+        self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
+
+    @property
+    def master_bracket(self) -> LocalForm:
+        """{L_BV, L_BV}, which the CME and condition 2 of the BV-BFV check
+        both read: built once per (Q, omega_BV), so a copy whose Q is
+        replaced gets the bracket of its own Q."""
+        Q, omega = self.Q, self.omega_BV
+        got = self._bracket
+        if got is None or got[0] is not Q or got[1] is not omega:
+            got = self._bracket = (Q, omega, bv_bracket(Q, Q, omega))
+        return got[2]
 
 
 def zero_ghost_body(bv: BVTheory, form):
@@ -209,7 +221,7 @@ def verify_cme(bv: BVTheory) -> tuple[Report, LocalForm]:
     by its primitive.  On a top form B the homotopy identity reads
     B = d h0 B + P0 B, so the residual B - d h0 B is P0({L,L}) and is zero
     exactly when B is in Im(d); returns the h0-primitive."""
-    B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
+    B = bv.master_bracket
     if B.is_zero():
         return Report("densitised CME", True, "{L,L} = 0"), B
     prim = bv.suite.h_zero(B)
@@ -344,7 +356,7 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
     # content of its canonical primitive is L_BFV, i.e.
     # iota*(i_Q theta_BV) - L_BFV is d_Sigma-exact.  The bulk verdict needs
     # no primitive, so it reads P0 directly; X is decided by its primitive.
-    B = bv_bracket(bv.Q, bv.Q, bv.omega_BV)
+    B = bv.master_bracket
     ok2 = True
     det2 = ""
     if not bv.suite.euler_projector0(B).is_zero():

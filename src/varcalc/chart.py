@@ -208,9 +208,9 @@ class Chart:
         self._fn_by_name: dict[str, FunctionSymbol] = {}
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
-        # derivation images per operator key ('d', legs), ('D', mu, legs)
-        # or 'dv': atom -> _image_data tuple or None, filled by
-        # algebra.apply_derivation
+        # derivation images per operator key ('d', legs), ('D', mu, legs),
+        # 'dv' or ('i', field) for euler.insert: atom -> _image_data tuple
+        # or None, filled by algebra.apply_derivation
         self.images: dict = {}
         # frozenset of promoted fids -> chart, filled by promoted()
         self.promotions: dict[frozenset, Chart] = {}

@@ -98,13 +98,16 @@ class EvolutionaryField:
 
 
 def insert(rho: EvolutionaryField, form: LocalForm):
-    """Interior product i_rho: contracts one vertical leg with D_K(rho)."""
+    """Interior product i_rho: contracts one vertical leg with D_K(rho).
+    The images are read and filled in one table per (chart, field),
+    ``form.chart.images[('i', rho)]``; a field hashes by identity."""
     parity = (1 + rho.ghost_shift) & 1
 
     def image(atom):
         return rho.component(atom[1], atom[2]) if atom[0] == 'v' else None
 
-    return apply_derivation(form, parity, image)
+    return apply_derivation(form, parity, image,
+                            form.chart.images.setdefault(('i', rho), {}))
 
 
 def lie_derivative(rho: EvolutionaryField, form: LocalForm):

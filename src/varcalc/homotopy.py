@@ -55,6 +55,24 @@ from .euler import interior_euler, exterior_euler
 # strata of the leg complex
 # ---------------------------------------------------------------------------
 
+def _d0_weight(chart, cw):
+    """A weight of a coefficient word below that of every word of its d0
+    image: twice each jet's order, less one per coordinate, plus the
+    derivative orders of its function atoms.  D_mu raises a jet's order
+    (+2), turns a coordinate into 1 (+1), raises a derivative order in the
+    chain rule (at least +1), and sends every other atom to 0."""
+    w = 0
+    for a in cw:
+        t = a[0]
+        if t == 'j':
+            w += 2 * sum(a[2]) - (chart.kind(a[1]) == COORD)
+        elif t == 'f':
+            w += sum(a[2])
+        elif t == 'F':
+            w += sum(sum(app[2]) for app in a[2])
+    return w
+
+
 def _leg_split(key):
     """Split a canonical word into (coefficient atoms, leg atoms)."""
     for i, a in enumerate(key):
@@ -135,8 +153,10 @@ class _Stratum:
     def _basis(self, b):
         """The sorted leg words of degree b.  Atoms with equal fids commute
         up to sign, so of their multi-index distributions only the
-        non-decreasing one is normalized; norm_word decides odd squares and
-        the jet cutoff."""
+        non-decreasing one is kept, and its legs followed by the dx atoms
+        are already in canonical order.  Each leg's atom data (_data)
+        raises JetCutoffExceeded above the cutoff, a word where an odd leg
+        repeats vanishes, and the words hold the chart's cached atoms."""
         chart = self.suite.chart
         fids = self.fids
         tied = [i for i in range(1, len(fids)) if fids[i] == fids[i - 1]]
@@ -145,7 +165,7 @@ class _Stratum:
             T = tuple(v + (mu in H) for mu, v in enumerate(self.V))
             if any(t < 0 for t in T):
                 continue
-            hatoms = tuple(('h', mu) for mu in H)
+            hatoms = tuple(_data(chart, ('h', mu))[3] for mu in H)
             if not fids:
                 if not any(T):
                     words.add(hatoms)
@@ -153,10 +173,10 @@ class _Stratum:
             for dist in _distributions(T, len(fids)):
                 if any(dist[i - 1] > dist[i] for i in tied):
                     continue
-                atoms = tuple(('v', fid, I) for fid, I in zip(fids, dist))
-                res = norm_word(chart, atoms + hatoms, 1)
-                if res is not None:
-                    words.add(res[0])
+                data = [_data(chart, ('v', fid, I)) for fid, I in zip(fids, dist)]
+                if any(data[i][1] and dist[i - 1] == dist[i] for i in tied):
+                    continue
+                words.add(tuple(d[3] for d in data) + hatoms)
         return sorted(words)
 
     def _index(self, b):
@@ -338,7 +358,8 @@ class HomotopySuite:
         once and scaled by the lcm of its denominators (its words without
         legs are dropped, as sigma1 kills them), each sigma1 round
         multiplies the denominator by the lcm it reports, and d0 keeps
-        integers integral and takes each d0(c) once per call.  The rounds
+        integers integral and takes each d0(c) once per call, keeping d0(c)
+        only while a later round can reach c (_d0_weight).  The rounds
         are added in order with the sign (-1)^r, each word is rebuilt
         once, and each output coefficient is divided once at the end
         (notes/decisions.md §16, §25, §28)."""
@@ -354,9 +375,22 @@ class HomotopySuite:
         L, cur = self.sigma1(groups)
         den *= L
         memo = {}
+        weights = {}        # _d0_weight of each word of memo and cur
         guard = 0
         while cur:
             rounds.append((den, cur))
+            # this and later rounds differentiate the words of cur and their
+            # d0 images, none lighter than cur's lightest word
+            low = None
+            for coeffs in cur.values():
+                for cw in coeffs:
+                    w = weights.get(cw)
+                    if w is None:
+                        w = weights[cw] = _d0_weight(self.chart, cw)
+                    if low is None or w < low:
+                        low = w
+            for cw in [cw for cw in memo if weights[cw] < low]:
+                del memo[cw], weights[cw]
             L, cur = self.sigma1(self.d0(cur, memo))
             den *= L
             guard += 1

@@ -100,17 +100,30 @@ class Theory:
                     raise GradingError(
                         f"lagrangian must be a (0, {self.chart.dim}) form, got ({p},{q})")
         self.EL = exterior_euler(self.L)
-        dvL = d_v(self.L)
-        self.theta = self.suite.h_horizontal(dvL)
-        self.omega = d_v(self.theta)
-        self.Lh = self.suite.h_vertical(self.EL)      # P(L) = hv E L
-        resid = dvL - self.EL - d_h(self.theta)
-        if not resid.is_zero():
-            raise InvariantViolation("d_v L != E L + d theta")
         self.solved = self._build_solved_forms()
         self.derived = {}          # (builder, SymmetryAction) -> result, see per_symmetry()
         self.symmetries = {decl.name: self._declared_action(decl)
                            for decl in td.symmetries}
+
+    # theta, omega and P(L) are built on first read: a command such as
+    # el, equiv, bv or cme never reads theta (notes/decisions.md §30)
+    @functools.cached_property
+    def theta(self):
+        """theta = h>=(d_v L), checked against d_v L = E L + d theta."""
+        dvL = d_v(self.L)
+        theta = self.suite.h_horizontal(dvL)
+        if not (dvL - self.EL - d_h(theta)).is_zero():
+            raise InvariantViolation("d_v L != E L + d theta")
+        return theta
+
+    @functools.cached_property
+    def omega(self):
+        return d_v(self.theta)
+
+    @functools.cached_property
+    def Lh(self):
+        """P(L) = hv E L."""
+        return self.suite.h_vertical(self.EL)
 
     def _declared_action(self, decl: SymmetryDecl) -> SymmetryAction:
         """The action a symmetry section declares, realized through the

@@ -169,6 +169,35 @@ def test_bv_and_bfv_map_coordinates():
     assert len(reps) == 3 and reps[0].passed and reps[1].passed
 
 
+def test_master_bracket_is_built_once_per_extension(monkeypatch):
+    """verify_cme and condition 2 of verify_bvbfv read one {L_BV, L_BV};
+    a copy of the extension with another Q builds its own."""
+    import copy
+    from importlib import resources
+    from varcalc import bv as bv_module
+    calls = []
+    bracket = bv_module.bv_bracket
+
+    def counting(XF, XG, omega):
+        calls.append(XF)
+        return bracket(XF, XG, omega)
+
+    monkeypatch.setattr(bv_module, "bv_bracket", counting)
+    T = theory_from_text(resources.files("varcalc.theories").joinpath(
+        "maxwell.thy").read_text(encoding="utf-8"))
+    sym = T.symmetry("gauge")
+    bv = bv_extend(T, sym)
+    spec = SliceSpec(transverse=0)
+    assert verify_cme(bv)[0].passed
+    reps = verify_bvbfv(bv, bfv_extend(restrict_to_slice(T, spec), sym), spec)
+    assert reps[1].passed and verify_cme(bv)[0].passed
+    assert calls == [bv.Q]
+    other = copy.copy(bv)
+    other.Q = hamiltonian_vector_field(bv.L * 2, bv.omega_BV)
+    assert (other.master_bracket - bv.master_bracket * 4).is_zero()
+    assert calls == [bv.Q, other.Q]
+
+
 @pytest.mark.parametrize("t", range(4))
 def test_bvbfv_maxwell_every_slice(maxwell, bv_maxwell, t):
     """All three conditions on every coordinate slice x^t = 0: the BFV

@@ -98,10 +98,12 @@ def test_lazy_strata_of_the_seeded_suites_equal_eager_ones(monkeypatch):
 
 @pytest.mark.parametrize("name", THEORIES)
 def test_lazy_strata_of_theta_equal_eager_ones(name):
-    """The strata that building theta = h>=(d_v L) makes, on a fresh load."""
+    """The strata that building theta = h>=(d_v L) makes, on a fresh load
+    and the first read of theta."""
     text = resources.files("varcalc.theories").joinpath(
         name + ".thy").read_text(encoding="utf-8")
     T = theory_from_text(text)
+    T.theta
     suite = get_suite(T.chart)
     assert suite._strata
     for key, st in suite._strata.items():
