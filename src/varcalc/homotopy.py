@@ -362,7 +362,7 @@ class HomotopySuite:
         only while a later round can reach c (_d0_weight).  The rounds
         are added in order with the sign (-1)^r, each word is rebuilt
         once, and each output coefficient is divided once at the end
-        (notes/decisions.md §16, §25, §28)."""
+        (notes/decisions.md §16, §25, §28, §30)."""
         den = lcm(*(c.denominator for c in form.terms.values()))
         groups = {}
         for key, c in form.terms.items():
