@@ -3,6 +3,7 @@ and the BV-BFV compatibility conditions on a coordinate slice."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .chart import (
@@ -103,16 +104,26 @@ class BVTheory:
         self.omega_BV = omega
         # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19)
         self.Q = hamiltonian_vector_field(self.L, omega)
-        # boundary structure: theta_BV is the homotopy primitive in
-        # dv L_BV = E L_BV + d theta_BV; the flow equation makes
-        # i_Q omega_BV = E L_BV exactly, so i_Q omega = dv L - d theta.
+        self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
+
+    # theta_BV and omega are built on first read, as a Theory's are: bv and
+    # cme read neither (notes/decisions.md §30, §31)
+    @functools.cached_property
+    def theta(self):
+        """The boundary structure: theta_BV is the homotopy primitive in
+        dv L_BV = E L_BV + d theta_BV, and the flow equation makes
+        i_Q omega_BV = E L_BV exactly, so i_Q omega_BV = dv L_BV - d theta_BV
+        is checked here, against the Q of this object."""
         dvL = d_v(self.L)
-        self.theta = self.suite.h_horizontal(dvL)
-        rem = insert(self.Q, omega) - dvL + d_h(self.theta)
+        theta = self.suite.h_horizontal(dvL)
+        rem = insert(self.Q, self.omega_BV) - dvL + d_h(theta)
         if not rem.is_zero():
             raise ResidualNonzero("BV flow/boundary identity failed", rem)
-        self.omega = d_v(self.theta)
-        self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
+        return theta
+
+    @functools.cached_property
+    def omega(self):
+        return d_v(self.theta)
 
     @property
     def master_bracket(self) -> LocalForm:

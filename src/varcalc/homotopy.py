@@ -12,7 +12,9 @@ on strata with legs d1 has no cohomology (a Koszul complex,
 notes/decisions.md §22).  So the Hodge Laplacian of the source degree,
 Delta = e_{b-2} e_{b-2}^T + e^T e, is invertible and agrees with e^T e on
 im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
-connected block at a time (§14), and a singular block is reported.  The
+connected block at a time (§14), and a singular block is reported.  On
+a stratum with one vertical leg Delta is a scalar, and the image is
+written in closed form with no stratum built (§31).  The
 image of each canonical leg word is computed once per chart's suite, and
 kept as integer numerators over one denominator.  The homological
 perturbation series in d0 (which terminates, since sigma1 lowers total leg
@@ -46,7 +48,8 @@ from .chart import (
 from .chart import pseudo_inverse_psd  # noqa: F401
 from .algebra import (
     LocalForm, _add, _data, _q, _splice, _word_data, apply_derivation,
-    atom_parity, d_h, d_v, horizontal, midx_zero, norm_word, zero_star,
+    atom_parity, d_h, d_v, horizontal, midx_lower, midx_zero, norm_word,
+    zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -116,6 +119,29 @@ def d_h_columns(chart, words, index):
             col[index.setdefault(k, len(index))] = c
         cols.append(col)
     return cols
+
+
+def _one_leg_image(chart, legs):
+    """sigma1 of a leg word v_I ∧ dx^h_0 ∧ ... ∧ dx^h_{b-1} with one vertical
+    leg, in closed form, as _Stratum.sigma1_image returns it: with F the
+    free directions mu of its stratum (I_mu - [mu in H] >= 0), the Hodge
+    Laplacian is |F| Id (notes/decisions.md §31), so sigma1 = e^T / |F|
+    and the image is (1/|F|) sum over k with I_{h_k} >= 1 of
+    (-1)^(p_v + k) v_{I - e_{h_k}} ∧ dx^{H - h_k}, p_v the leg's parity."""
+    v, hatoms = legs[0], legs[1:]
+    fid, I = v[1], v[2]
+    H = [a[1] for a in hatoms]
+    odd = _data(chart, v)[1]
+    terms = []
+    for k, mu in enumerate(H):
+        if I[mu]:
+            low = _data(chart, ('v', fid, midx_lower(I, mu)))[3]
+            terms.append(((low,) + hatoms[:k] + hatoms[k + 1:],
+                          -1 if (odd + k) & 1 else 1))
+    if not terms:
+        return (1, [])
+    terms.sort()
+    return (sum(1 for mu, i in enumerate(I) if i >= (mu in H)), terms)
 
 
 class _Lazy(dict):
@@ -317,17 +343,22 @@ class HomotopySuite:
     def sigma1(self, groups):
         """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
         denominators of the images read, so that integer coefficients stay
-        integers.  Each leg word's image is computed by its stratum once
-        per suite and kept in _images; a coefficient word c in front of it
-        takes the sign (-1)^|c| (notes/decisions.md §25, §28, §29)."""
+        integers.  Each leg word's image is computed once per suite and kept
+        in _images: in closed form when the word has one vertical leg
+        (_one_leg_image), else by its stratum.  A coefficient word c in
+        front of it takes the sign (-1)^|c| (notes/decisions.md §25, §28,
+        §29, §31)."""
         chart = self.chart
         images = self._images
         reads = []
         for legs, coeffs in groups.items():
             read = images.get(legs)
             if read is None:
-                read = images[legs] = \
-                    self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+                if legs[0][0] == 'v' and (len(legs) == 1 or legs[1][0] == 'h'):
+                    read = _one_leg_image(chart, legs)
+                else:
+                    read = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+                images[legs] = read
             if read[1]:
                 reads.append((read[0], read[1], coeffs))
         L = lcm(*(r[0] for r in reads))

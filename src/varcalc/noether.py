@@ -51,6 +51,16 @@ def noether_cone(theory: Theory, sym: SymmetryAction):
     return S, J
 
 
+@per_symmetry
+def flow_remainder(theory: Theory, sym: SymmetryAction):
+    """A - d h>=(A), A = i_rho omega + d_v J the flow integrand of a
+    symmetry: lemma:flow-density and thm:hamflow-closed both read it, so a
+    verify --all takes one h>=(A) per symmetry."""
+    _S, J = noether_cone(theory, sym)
+    A = insert(sym.rho, theory.omega) + d_v(J)
+    return A - d_h(theory.suite.h_horizontal(A))
+
+
 def verify_noether1(theory: Theory, sym: SymmetryAction):
     S, J = noether_cone(theory, sym)
     residual = d_h(J) + S - insert(sym.rho, theory.EL)
@@ -198,10 +208,8 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
         return verify_noether1(theory, sym)
 
     if ident == "lemma:flow-density":
-        _S, J = noether_cone(theory, sym)
-        A = insert(sym.rho, theory.omega) + d_v(J)
         lel = lie_derivative(sym.rho, theory.EL)
-        residual = A - d_h(suite.h_horizontal(A)) + suite.h_horizontal(lel)
+        residual = flow_remainder(theory, sym) + suite.h_horizontal(lel)
         return _residual_report(ident, residual)
 
     if ident == "thm:inv-eom":
@@ -209,9 +217,7 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:hamflow-closed":
-        _S, J = noether_cone(theory, sym)
-        A = insert(sym.rho, theory.omega) + d_v(J)
-        residual = theory.reduce_on_shell(A - d_h(suite.h_horizontal(A)))
+        residual = theory.reduce_on_shell(flow_remainder(theory, sym))
         return _residual_report(ident + " (integrand, on shell)", residual)
 
     if ident == "cor:equi-dJ":

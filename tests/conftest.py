@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from varcalc.algebra import LocalForm, _q  # noqa: E402
-from varcalc.homotopy import _leg_split  # noqa: E402
+from varcalc.homotopy import _leg_split, _Stratum, _stratum_key  # noqa: E402
 from varcalc.theory import theory_from_text  # noqa: E402
 
 _cache = {}
@@ -33,6 +33,20 @@ def sigma1_terms(image):
     assert all(type(n) is int and n for _w, n in terms)
     out = [(w, _q(Fraction(n, den))) for w, n in terms]
     assert den == lcm(1, *(c.denominator for _w, c in out))
+    return out
+
+
+def image_strata(suite):
+    """{stratum key: a new _Stratum of ``suite``} for the stratum of every
+    leg word in the suite's sigma1 image table, in the order the words were
+    first read.  The suite writes the image of a one-leg word in closed
+    form and builds no stratum for it (notes/decisions.md §31), so a test
+    of the strata reads them from the words here, not from suite._strata."""
+    out = {}
+    for legs in suite._images:
+        key = _stratum_key(suite.chart, legs)
+        if key not in out:
+            out[key] = _Stratum(suite, *key)
     return out
 
 

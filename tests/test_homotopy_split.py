@@ -12,7 +12,7 @@ from varcalc.algebra import (
 from varcalc.chart import InvariantViolation
 from varcalc.homotopy import HomotopySuite, _Stratum, get_suite
 from varcalc.randforms import FormGenerator, suite_chart
-from conftest import on_form, sigma1_terms
+from conftest import image_strata, on_form, sigma1_terms
 
 sympy = pytest.importorskip("sympy")
 
@@ -96,7 +96,7 @@ def test_sigma1_is_pseudo_inverse_of_d1_on_every_stratum(dim):
     suite = HomotopySuite(ch)
     _exercise(suite, FormGenerator(ch, seed=5), 12)
     degrees = 0
-    for st in suite._strata.values():
+    for st in image_strata(suite).values():
         for b in range(1, dim + 1):
             if not 0 < len(st.bases[b]) <= 20 or len(st.bases[b - 1]) > 20:
                 continue

@@ -25,7 +25,7 @@ from varcalc.chart import COORD, DYNAMIC, Chart, NonScalableTerm
 from varcalc.euler import exterior_euler
 from varcalc.homotopy import get_suite, resolve_fiber_integrals
 from varcalc.randforms import FormGenerator
-from conftest import assert_exact
+from conftest import assert_exact, image_strata
 from test_splice import C, CHARTS, G_CONST, G_FN, SEEDED, U0, U1, V_FN, forms
 
 
@@ -352,15 +352,16 @@ def test_gradient_pattern():
 
 @pytest.mark.parametrize("dim", sorted(CHARTS))
 def test_strata_d1_is_d_h_on_leg_words(dim):
-    """Every stratum built by h_horizontal on seeded forms holds the
-    matrices of d1."""
+    """The stratum of every leg word that h_horizontal reads on seeded
+    forms holds the matrices of d1."""
     ch = CHARTS[dim]
     suite = get_suite(ch)
     gen = FormGenerator(ch, seed=dim)
     for i in range(12):
         suite.h_horizontal(gen.form(1 + i % 2, i % (dim + 1), nterms=2))
-    assert suite._strata
-    for st_ in suite._strata.values():
+    strata = image_strata(suite)
+    assert strata
+    for st_ in strata.values():
         for b in range(dim):        # e builds each degree on first read
             cols, _ntgt = st_.e[b]
             idx = st_.index[b + 1]

@@ -16,7 +16,7 @@ from varcalc.chart import InvariantViolation, pseudo_inverse_psd, rref
 from varcalc.homotopy import HomotopySuite, _leg_split, _Stratum, _stratum_key
 from varcalc.randforms import suite_chart
 
-from conftest import assert_exact, sigma1_terms
+from conftest import assert_exact, image_strata, sigma1_terms
 
 
 def _d1_rank(st, b):
@@ -73,7 +73,8 @@ class PinvStratum(_Stratum):
 
 
 def _seeded_strata(monkeypatch, seed, cases):
-    """The strata that the seeded criterion-5 suites build, per chart."""
+    """The strata of the leg words that the seeded criterion-5 suites read,
+    per chart."""
     charts = []
 
     def recording_chart(**kw):
@@ -83,7 +84,7 @@ def _seeded_strata(monkeypatch, seed, cases):
     monkeypatch.setattr(verify, "suite_chart", recording_chart)
     ok, _rows = verify.run_suites(seed=seed, cases=cases)
     assert ok
-    return [(ch, ch._homotopy_suite._strata) for ch in charts]
+    return [(ch, image_strata(ch._homotopy_suite)) for ch in charts]
 
 
 def test_laplacian_images_equal_pseudo_inverse_images(monkeypatch):
