@@ -705,6 +705,21 @@ def transport(form: LocalForm, chart, image, h=None):
     return out
 
 
+def relabel(form: LocalForm, chart, fids, args=None):
+    """The transport onto ``chart`` that renames component fids: each jet,
+    leg and inverse-constant atom of fid f becomes that of fids.get(f, f),
+    and a jet inside a function argument that of args.get(f, f) when
+    ``args`` is given.  Every other part of a word stays as it is."""
+    args = fids if args is None else args
+
+    def image(a, in_fn):
+        if a[0] in ('f', 'F'):
+            return a
+        return (a[0], (args if in_fn else fids).get(a[1], a[1])) + a[2:]
+
+    return transport(form, chart, image)
+
+
 def zero_star(form: LocalForm):
     """Evaluation on the zero section of the dynamical fields: a fiber
     integral becomes its inner applications over k + 1."""

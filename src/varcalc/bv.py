@@ -12,7 +12,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, atom_parity, d_h, d_v, midx_zero, source_densities, transport,
+    LocalForm, atom_parity, d_h, d_v, midx_zero, relabel, source_densities, transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -53,35 +53,19 @@ class BVTheory:
         self.suite = get_suite(chart)
 
         z = midx_zero(chart.dim)
-        param_to_ghost = {self.b2x[pf]: gf for pf, gf in self.ghosts.items()}
-
-        def jet(a, in_fn):
-            if a[0] in ('f', 'F'):
-                return a
-            fid = self.b2x[a[1]]
-            if not in_fn:
-                fid = param_to_ghost.get(fid, fid)
-            return (a[0], fid) + a[2:]
-
-        def lift(form):
-            """Transport a base-chart form, promoting parameter jets to
-            ghost jets in place (components are parameter-linear)."""
-            return transport(form, chart, jet)
-
-        self.lift = lift
-        L0 = lift(theory.L)
+        # lift: parameter jets become ghost jets in place, except inside a
+        # function argument (components are parameter-linear)
+        self._lift = {b: self.ghosts.get(b, x) for b, x in self.b2x.items()}
+        L0 = self.lift(theory.L)
 
         # Q_CE on fields: rho with the parameter replaced by the ghost
         self.qce = {}
         for bfid, comp_form in sym.rho.components.items():
-            self.qce[self.b2x[bfid]] = lift(comp_form)
+            self.qce[self.b2x[bfid]] = self.lift(comp_form)
         # Q_CE on ghosts: -1/2 [c, c] with the engine bracket
-        qc = {}
-        for p, a, b, coeff in sym.bracket_terms():
-            qc.setdefault(self.ghosts[p], LocalForm(chart))._accum(
-                (('j', self.ghosts[a], z), ('j', self.ghosts[b], z)),
-                -Fraction(coeff) / 2)
-        self.qce.update((fid, q) for fid, q in qc.items() if not q.is_zero())
+        for p, br in sym.bracket(chart, self.ghosts, self.ghosts).items():
+            if not br.is_zero():
+                self.qce[self.ghosts[p]] = br * Fraction(-1, 2)
 
         vol = _vol(chart)
         LBV = L0
@@ -105,6 +89,10 @@ class BVTheory:
         # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19)
         self.Q = hamiltonian_vector_field(self.L, omega)
         self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
+
+    def lift(self, form):
+        """A base-chart form on the BV chart, parameter jets as ghost jets."""
+        return relabel(form, self.chart, self._lift, self.b2x)
 
     # theta_BV and omega are built on first read, as a Theory's are: bv and
     # cme read neither (notes/decisions.md §30, §31)
@@ -296,10 +284,10 @@ class BFVTheory:
         # L_BFV = <H0, c> + 1/2 <c+, [c,c]>
         self.L = move(H0)    # parameters become ghosts via self.ghosts
         vol = _vol(chart)
-        for p, a, b, coeff in sym.bracket_terms():
-            self.L._accum((('j', self.ghost_momenta[c_of[p]], z),
-                           ('j', c_of[a], z), ('j', c_of[b], z)) + vol,
-                          Fraction(coeff) / 2 * orientation)
+        for p, br in sym.bracket(chart, c_of, c_of).items():
+            dag = (('j', self.ghost_momenta[c_of[p]], z),)
+            for key, c in br.terms.items():
+                self.L._accum(dag + key + vol, Fraction(c * orientation, 2))
         gh = {self.L.key_ghost(k) for k in self.L.terms}
         if gh - {1}:
             raise VarcalcError(f"L_BFV must have ghost degree 1, got {gh}")
@@ -345,15 +333,12 @@ def verify_bvbfv(bv: BVTheory, bfv: BFVTheory, spec: SliceSpec):
         if len(partners) == 1:
             special[bfv.chart.component(gmfid).name] = partners[0]
 
-    def jet(a, in_fn):
-        if a[0] in ('f', 'F'):
-            return a
-        name = bfv.chart.component(a[1]).name
-        return (a[0], bvs.schart.by_name(special.get(name, name)).fid) + a[2:]
+    # BFV chart -> BV-slice chart, by name and ghost pairing
+    names = {c.fid: bvs.schart.by_name(special.get(c.name, c.name)).fid
+             for c in bfv.chart.components}
 
     def bridge(form):
-        """BFV chart -> BV-slice chart, by name and ghost pairing."""
-        return transport(form, bvs.schart, jet)
+        return relabel(form, bvs.schart, names)
 
     # 1. iota* dv theta_BV = pi* omega_BFV
     lhs = bvs.omega_sigma

@@ -672,9 +672,9 @@ def parse_theory(text) -> TheoryDef:
         current_sym = None
         at[head] = no
         if head == "theory":
-            td.name = _operand(parts, 1, no)
+            td.name = _operand(parts, 1, no, last=True)
         elif head == "dimension":
-            td.dim = _operand(parts, 1, no, int)
+            td.dim = _operand(parts, 1, no, int, last=True)
             if td.dim < 1:
                 raise SyntaxError_("dimension must be >= 1", no, 1)
         elif head == "coordinates":
@@ -696,23 +696,23 @@ def parse_theory(text) -> TheoryDef:
                 raise SyntaxError_("metric expects rational entries", no, 1) from None
             metric_head = head
         elif head == "orientation":
-            td.orientation = _operand(parts, 1, no, int)
+            td.orientation = _operand(parts, 1, no, int, last=True)
             if td.orientation not in (1, -1):
                 raise SyntaxError_("orientation must be 1 or -1", no, 1)
         elif head == "jet_cutoff":
-            td.jet_cutoff = _operand(parts, 1, no, int)
+            td.jet_cutoff = _operand(parts, 1, no, int, last=True)
             if td.jet_cutoff < 0:
                 raise SyntaxError_("jet_cutoff must be >= 0", no, 1)
         elif head == "constant":
             td.constants.extend((nm, no) for nm in parts[1:])
         elif head == "function":
-            arity = 1
-            if "arity" in parts:
-                arity = _operand(parts, parts.index("arity") + 1, no, int)
-            td.functions.append((_operand(parts, 1, no), arity, no))
+            declared = parts[2:3] == ["arity"]
+            arity = _operand(parts, 3, no, int, last=True) if declared else 1
+            td.functions.append((_operand(parts, 1, no, last=not declared), arity, no))
         elif head == "structure":
             name = _operand(parts, 1, no)
-            td.structures[name] = _structure(name, parts[2] if len(parts) > 2 else "abelian", no)
+            spec = _operand(parts, 2, no, last=True) if len(parts) > 2 else "abelian"
+            td.structures[name] = _structure(name, spec, no)
         elif head == "field":
             td.fields.append((_parse_field_decl(parts[1:], no), no))
         elif head == "source":
@@ -781,15 +781,18 @@ def _parse_tail(expr, line, no):
     return parse_expression(expr, no, col), no, col
 
 
-def _operand(parts, k, no, conv=str):
+def _operand(parts, k, no, conv=str, last=False):
     """parts[k] through conv; a SyntaxError_ at line ``no`` when it is
-    missing or malformed."""
+    missing or malformed, or when ``last`` is true and a token follows it."""
     try:
-        return conv(parts[k])
+        value = conv(parts[k])
     except (IndexError, ValueError):
         what = "an integer" if conv is int else "an argument"
         raise SyntaxError_(f"{parts[k - 1]!r} expects {what}" if k
                            else f"expected {what}", no, 1) from None
+    if last and len(parts) > k + 1:
+        raise SyntaxError_(f"unexpected token {parts[k + 1]!r} in {parts[0]}", no, 1)
+    return value
 
 
 def _parse_field_decl(parts, no):

@@ -10,9 +10,9 @@ from .chart import (
     ResidualNonzero, VarcalcError,
 )
 from .algebra import (
-    LocalForm, d_h, d_v, midx_zero, substitute, transport, zero_star,
+    LocalForm, d_h, d_v, midx_zero, relabel, substitute, transport, zero_star,
 )
-from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
+from .euler import insert, interior_euler, lie_derivative
 from .homotopy import get_suite
 from .theory import SymmetryAction, Theory, per_symmetry
 from .render import render_text
@@ -157,33 +157,20 @@ def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
 
 
 # ---------------------------------------------------------------------------
-# twin parameters and bracket substitution
+# bracket substitution on the twin parameter
 # ---------------------------------------------------------------------------
 
-@per_symmetry
-def twin_symmetry(theory: Theory, sym: SymmetryAction) -> SymmetryAction:
-    """The same action read through the auxiliary twin parameter copy."""
-    chart = theory.chart
+def bracket_bindings(sym: SymmetryAction, chart, fids=None):
+    """Bindings on ``chart`` substituting the twin parameter eta by
+    [xi, eta] (with the engine's internal bracket), turning X_eta into
+    X_{[xi,eta]}; ``fids`` carries the theory chart's fids to ``chart``'s
+    when the two differ."""
+    tw = sym.twin_fids()
+    xi = {p: fids[p] if fids else p for p in tw}
+    eta = {p: fids[q] if fids else q for p, q in tw.items()}
     z = midx_zero(chart.dim)
-    twins = [theory.ctx.groups[g.name + "__b"] for g in sym.param_groups]
-    bindings = {(fid, z): LocalForm.from_word(chart, (('j', tg.comps[key], z),))
-                for g, tg in zip(sym.param_groups, twins)
-                for key, fid in g.comps.items()}
-    comps = {fid: substitute(f, bindings) for fid, f in sym.rho.components.items()}
-    name = sym.name + "__b"
-    return SymmetryAction(theory, name, twins,
-                          EvolutionaryField(chart, comps, name=name), sym.structure)
-
-
-def bracket_bindings(theory: Theory, sym: SymmetryAction, twin: SymmetryAction):
-    """Bindings substituting the twin parameter by [xi, eta] (with the
-    engine's internal bracket), turning X_eta into X_{[xi,eta]}."""
-    chart = theory.chart
-    z = midx_zero(chart.dim)
-    out = {(tfid, z): LocalForm(chart) for tfid in twin.param_fids()}
-    for tfid, fa, fb, coeff in sym.bracket_terms(twin):
-        out[(tfid, z)]._accum((('j', fa, z), ('j', fb, z)), coeff)
-    return out
+    br = sym.bracket(chart, xi, eta)
+    return {(eta[p], z): br.get(p, LocalForm(chart)) for p in sym.param_fids()}
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +210,31 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
     if ident == "cor:equi-dJ":
         if not sym.is_local:
             raise NotLocal("cor:equi-dJ requires a local symmetry")
-        twin = twin_symmetry(theory, sym)
-        S_e, J_e = noether_cone(theory, twin)
-        dJ_e = d_h(J_e)
-        lhs = lie_derivative(sym.rho, dJ_e)
-        bb = bracket_bindings(theory, sym, twin)
-        S_b = substitute(S_e, bb)
-        J_b = substitute(J_e, bb)
-        residual = lhs - d_h(J_b) - S_b
+        # the twin current is the relabelling xi -> eta (notes/decisions.md §32)
+        tw = sym.twin_fids()
+        S_e, J_e = (relabel(f, theory.chart, tw) for f in noether_cone(theory, sym))
+        lhs = lie_derivative(sym.rho, d_h(J_e))
+        bb = bracket_bindings(sym, theory.chart)
+        residual = lhs - d_h(substitute(J_e, bb)) - substitute(S_e, bb)
         return _residual_report(ident, residual)
 
     if ident == "lem:inv-C":
-        twin = twin_symmetry(theory, sym)
-        data = noether2(theory, twin)
-        residual = theory.reduce_on_shell(lie_derivative(sym.rho, data.C))
+        C_e = relabel(noether2(theory, sym).C, theory.chart, sym.twin_fids())
+        residual = theory.reduce_on_shell(lie_derivative(sym.rho, C_e))
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:jext=0":
         if not sym.is_local:
             raise NotLocal("thm:jext=0 requires a local symmetry")
-        twin = twin_symmetry(theory, sym)
-        data = noether2(theory, twin)
-        bb = bracket_bindings(theory, sym, twin)
+        data = noether2(theory, sym)
+        tw = sym.twin_fids()
+        C_e, j_e = (relabel(f, theory.chart, tw) for f in (data.C, data.j))
+        bb = bracket_bindings(sym, theory.chart)
         # equivariance of C (checked, reported)
-        lc = lie_derivative(sym.rho, data.C)
-        c_br = substitute(data.C, bb)
-        eq = lc - c_br
+        eq = lie_derivative(sym.rho, C_e) - substitute(C_e, bb)
         eq_exact = eq.is_zero()
         eq_onshell = eq_exact or theory.reduce_on_shell(eq).is_zero()
-        j_br = substitute(data.j, bb)
+        j_br = substitute(j_e, bb)
         if not j_br.is_zero():
             return Report(ident, False,
                           f"j on a commutator is nonzero: {render_text(j_br)}")

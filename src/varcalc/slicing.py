@@ -13,12 +13,12 @@ from .chart import (
 )
 from .algebra import (
     LocalForm, d_h, d_v, h_coefficient, midx_order, midx_shift, midx_zero,
-    source_densities, substitute, transport,
+    relabel, source_densities, substitute, transport,
 )
 from .euler import EvolutionaryField, interior_euler, lie_derivative
 from .homotopy import get_suite
 from .noether import (
-    Report, bracket_bindings, decompose_dual_current, noether_cone, twin_symmetry,
+    Report, bracket_bindings, decompose_dual_current, noether_cone,
 )
 from .render import render_text
 from .lie import Structure, _kval, abelian_structure, schouten_PiPi
@@ -304,30 +304,25 @@ def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction):
     must be d-exact with a field-independent primitive kappa; a
     field-dependent or non-exact residual raises NotExact.
     """
-    theory = sigma.theory
-    twin = twin_symmetry(theory, sym)
-    H_eta = sigma_noether(sigma, twin)
-    rho_s = descended_action(sigma, sym)
-    lhs = lie_derivative(rho_s, H_eta)
-    bb_bulk = bracket_bindings(theory, sym, twin)
-    z = midx_zero(sigma.schart.dim)
-    bb = {}
-    for (tfid, _zz), expr in bb_bulk.items():
-        bb[(sigma.b2s[tfid], z)] = sigma.express(expr)
-    H_br = substitute(H_eta, bb)
-    residual = lhs - H_br
+    schart = sigma.schart
+    tw = {sigma.b2s[p]: sigma.b2s[q] for p, q in sym.twin_fids().items()}
+    H_eta = relabel(sigma_noether(sigma, sym), schart, tw)
+    lhs = lie_derivative(descended_action(sigma, sym), H_eta)
+    residual = lhs - substitute(H_eta, bracket_bindings(sym, schart, sigma.b2s))
     # the cocycle is field independent: any dynamical jet in the full
     # symbolic residual means the equivariance equation fails
     for key in residual.terms:
         for a in key:
-            if a[0] in ('j', 'v') and sigma.schart.kind(a[1]) == DYNAMIC:
+            if a[0] in ('j', 'v') and schart.kind(a[1]) == DYNAMIC:
                 raise NotExact(
                     "equivariance residual is field-dependent: "
                     + render_text(residual), residual)
     # kappa per basis pair
     table = {}
     basis = sigma_param_basis(sigma, sym)
-    basis_twin = sigma_param_basis(sigma, twin)
+    # the twin basis is the xi basis with its keys renamed
+    basis_twin = [(label, {(tw[fid], j): v for (fid, j), v in sub.items()})
+                  for label, sub in basis]
     suite = sigma.ssuite
     for (ka, sub_a) in basis:
         for (kb, sub_b) in basis_twin:

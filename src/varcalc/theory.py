@@ -45,19 +45,31 @@ class SymmetryAction:
             out.extend(sorted(g.comps.values()))
         return out
 
-    def bracket_terms(self, other=None):
-        """The terms of the bracket [xi, eta] of this action's parameter xi
-        with ``other``'s parameter eta (default xi itself): (c, a, b, f) for
-        each term f xi^a eta^b of its component c, as parameter fids, with a
-        from this action and c, b from ``other``."""
-        other = other or self
-        if self.structure is None:
-            return
-        for g, og in zip(self.param_groups, other.param_groups):
-            for (fidx, lidx), c in og.comps.items():
-                if lidx:
-                    for a, b, f in self.structure.brackets_onto(lidx[0]):
-                        yield c, g.comps[(fidx, (a,))], og.comps[(fidx, (b,))], f
+    def twin_fids(self):
+        """{xi fid: eta fid}: each parameter component and its copy in the
+        twin group that build_context declares right after the parameter's
+        group, so the renaming keeps the canonical order of every atom of a
+        form that holds no eta (notes/decisions.md §32)."""
+        groups = self.theory.ctx.groups
+        return {fid: groups[g.name + "__b"].comps[key]
+                for g in self.param_groups for key, fid in g.comps.items()}
+
+    def bracket(self, chart, left, right):
+        """The bracket [xi, eta] on ``chart``: {c: sum of f xi^a eta^b} over
+        the parameter components c of this action, where xi^a is the jet of
+        left[a] and eta^b that of right[b] (left and right map this action's
+        parameter fids to fids of ``chart``).  A component with no bracket
+        term is left out, so an abelian action gives {}."""
+        out = {}
+        z = midx_zero(chart.dim)
+        for g in self.param_groups:
+            for (fidx, lidx), c in g.comps.items():
+                st = self.structure if lidx else None
+                for a, b, f in st.brackets_onto(lidx[0]) if st else ():
+                    out.setdefault(c, LocalForm(chart))._accum(
+                        (('j', left[g.comps[(fidx, (a,))]], z),
+                         ('j', right[g.comps[(fidx, (b,))]], z)), f)
+        return out
 
 
 def _match_components(ctx: ElabContext, g: FieldGroup, val):

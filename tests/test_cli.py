@@ -121,6 +121,20 @@ def test_verify_all_maxwell():
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_all_names_only_the_declared_symmetry(tmp_path):
+    # a field-valued shift is not a symmetry of the free scalar: every row
+    # that says so names the declared symmetry, not an internal copy of it
+    path = tmp_path / "notsym.thy"
+    path.write_text("theory t\ndimension 2\nsignature - +\nfield phi scalar\n"
+                    "lagrangian -1/2*d(phi)∧star(d(phi))\n"
+                    "symmetry shift param xi scalar\n  phi = xi\nsolve phi_,00\n",
+                    encoding="utf-8")
+    code, out = run_cli("verify", "--all", str(path))
+    assert code == 1
+    assert out.count("shift is not a symmetry of t") == 6
+    assert "__b" not in out
+
+
 def test_verify_suites_json_deterministic():
     code1, out1 = run_cli("--json", "verify", "--suites", "--cases", "5")
     code2, out2 = run_cli("--json", "verify", "--suites", "--cases", "5")

@@ -1,7 +1,7 @@
 """Derived objects per (theory, symmetry action).
 
-``noether_cone``, ``noether2``, ``twin_symmetry`` and ``bv_extend`` are
-built once per theory and action (``theory.derived``).  A memoized result
+``noether_cone``, ``noether2`` and ``bv_extend`` are built once per
+theory and action (``theory.derived``).  A memoized result
 must equal an unmemoized build, a failed build must fail again on the next
 call, and no command may write into a result that later callers share.
 """
@@ -19,7 +19,7 @@ from varcalc.chart import NotASymmetry, NotLocal
 from varcalc.lie import Structure
 from varcalc.euler import EvolutionaryField
 from varcalc.noether import (IDENTITY_NAMES, NoetherData, noether2,
-                             noether_cone, twin_symmetry, verify_identity)
+                             noether_cone, verify_identity)
 from varcalc.render import render_text
 from varcalc.slicing import (SliceSpec, compute_ce_cocycle, corner_data,
                              restrict_to_slice, sigma_noether,
@@ -60,20 +60,13 @@ def test_memo_matches_unmemoized_build(name, snames):
     T = _fresh(name)
     for sname in snames:
         sym = T.symmetry(sname)
-        twin = twin_symmetry(T, sym)
-        assert twin_symmetry(T, sym) is twin
-        raw_twin = twin_symmetry.__wrapped__(T, sym)
-        assert (twin.name, twin.param_fids(), twin.structure, twin.is_local) == \
-            (raw_twin.name, raw_twin.param_fids(), raw_twin.structure, raw_twin.is_local)
-        assert _texts(twin.rho.components) == _texts(raw_twin.rho.components)
-        for act in (sym, twin):
-            cone = noether_cone(T, act)
-            assert noether_cone(T, act) is cone
-            raw = noether_cone.__wrapped__(T, act)
-            assert [render_text(f) for f in cone] == [render_text(f) for f in raw]
-            data = noether2(T, act)
-            assert noether2(T, act) is data
-            _same_noether(data, noether2.__wrapped__(T, act))
+        cone = noether_cone(T, sym)
+        assert noether_cone(T, sym) is cone
+        raw = noether_cone.__wrapped__(T, sym)
+        assert [render_text(f) for f in cone] == [render_text(f) for f in raw]
+        data = noether2(T, sym)
+        assert noether2(T, sym) is data
+        _same_noether(data, noether2.__wrapped__(T, sym))
         bv = bv_extend(T, sym)
         assert bv_extend(T, sym) is bv
         _same_bv(bv, BVTheory(T, sym))
@@ -137,7 +130,6 @@ def test_commands_do_not_mutate_shared_results(yang_mills):
     T = yang_mills
     sym = T.symmetry("gauge")
     noether2(T, sym)
-    noether2(T, twin_symmetry(T, sym))
     bv = bv_extend(T, sym)
     snapshot = [(f, dict(f.terms)) for f in _shared_forms(T)]
     assert len(snapshot) > 20

@@ -183,11 +183,27 @@ _HEAD = "theory t\ndimension 2\nsignature + +\n"
     (_HEAD + "field q scalar\nlagrangian\n", 5, "'lagrangian' expects an argument"),
     ("theory t\ndimension 2\nmetric 1 x / 0 1\n", 3, "metric expects rational entries"),
     ("theory t\ndimension 2\nsignature + x\n", 3, "signature expects '+' or '-', found 'x'"),
+    ("theory t\ndimension 2 7\n", 2, "unexpected token '7' in dimension"),
+    ("theory t extra\ndimension 2\n", 1, "unexpected token 'extra' in theory"),
+    (_HEAD + "orientation 1 junk\n", 4, "unexpected token 'junk' in orientation"),
+    (_HEAD + "jet_cutoff 4 5\n", 4, "unexpected token '5' in jet_cutoff"),
+    (_HEAD + "structure g su2 junk\n", 4, "unexpected token 'junk' in structure"),
+    (_HEAD + "function V arity 2 3\n", 4, "unexpected token '3' in function"),
+    (_HEAD + "function V junk\n", 4, "unexpected token 'junk' in function"),
 ], ids=["dimension", "form", "theory", "orientation", "jet_cutoff", "arity", "ghost",
-        "components", "param_components", "lagrangian", "metric", "signature"])
+        "components", "param_components", "lagrangian", "metric", "signature",
+        "dimension_trailing", "theory_trailing", "orientation_trailing",
+        "jet_cutoff_trailing", "structure_trailing", "arity_trailing",
+        "function_trailing"])
 def test_malformed_operand_is_a_positioned_syntax_error(tmp_path, capsys, text, line,
                                                         message):
     _check_positioned(tmp_path, capsys, text, line, 1, message)
+
+
+def test_optional_header_operands_keep_their_defaults():
+    td = parse_theory(_HEAD + "function V\nfunction W arity 2\nstructure g\n")
+    assert [(name, arity) for name, arity, _no in td.functions] == [("V", 1), ("W", 2)]
+    assert td.structures["g"].dim == 1 and not td.structures["g"].f
 
 
 def _check_positioned(tmp_path, capsys, text, line, col, message, error=SyntaxError_):
