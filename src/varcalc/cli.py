@@ -162,6 +162,8 @@ def cmd_verify(args):
         T = _load_theory(args.theory)
         if args.symmetry:
             _pick_symmetry(T, args.symmetry)
+        elif not T.symmetries and args.identity not in (None, "thm:dbom"):
+            raise VarcalcError("theory declares no symmetry")
     rows, lines = [], []
     ok = True
     if suites:
@@ -173,7 +175,9 @@ def cmd_verify(args):
                          f"({r['checked']} cases, {r['failed']} failed)")
     if args.theory:
         idents = [args.identity] if args.identity else IDENTITY_NAMES
-        syms = ([args.symmetry] if args.symmetry else list(T.symmetries))
+        syms = [args.symmetry] if args.symmetry else list(T.symmetries)
+        if not syms:        # thm:dbom alone reads no symmetry
+            syms, idents = [None], ["thm:dbom"]
         for sname in syms:
             for ident in idents:
                 try:
@@ -187,7 +191,7 @@ def cmd_verify(args):
                 rows.append({"identity": ident, "symmetry": sname,
                              "passed": passed, "detail": detail})
                 lines.append(
-                    f"{'PASS' if passed else 'FAIL'}  {sname}  {ident}  {detail}")
+                    f"{'PASS' if passed else 'FAIL'}  {sname or '-'}  {ident}  {detail}")
     return "verify", rows, _text(*lines), ok
 
 

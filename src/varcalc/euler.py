@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import GradingError, GhostDegreeMismatch
+from .chart import DYNAMIC, GradingError, GhostDegreeMismatch
 from .algebra import (
     LocalForm, _add, apply_derivation, contract_legs, d_v, midx_last,
     midx_lower, midx_zero, prepend_atom, prolong, total_derivative,
@@ -111,6 +111,29 @@ def insert(rho: EvolutionaryField, form: LocalForm):
 
 
 def lie_derivative(rho: EvolutionaryField, form: LocalForm):
-    """Cartan formula L_rho = i_rho d_v + d_v i_rho."""
-    return insert(rho, d_v(form)) + d_v(insert(rho, form))
+    """L_rho = [i_rho, d_v], the graded commutator, as one derivation of
+    parity ``rho.ghost_shift & 1`` (the prolongation formula): a jet u^a_K
+    of a dynamical field goes to D_K rho^a, a leg du^a_K to
+    +-d_v(D_K rho^a) (+ for an even shift), a function atom to i_rho d_v
+    of its word, every other atom to zero.  For an even shift this is
+    i_rho d_v + d_v i_rho; for an odd one it is i_rho d_v - d_v i_rho,
+    which is i_rho d_v on a form without legs (notes/decisions.md §33).
+    The images are read and filled in one table per (chart, field),
+    ``form.chart.images[('L', rho)]``."""
+    chart = form.chart
+    parity = rho.ghost_shift & 1
 
+    def image(atom):
+        t = atom[0]
+        if t == 'j':
+            return rho.component(atom[1], atom[2]) \
+                if chart.kind(atom[1]) == DYNAMIC else None
+        if t == 'v':
+            im = d_v(rho.component(atom[1], atom[2]))
+            return -im if parity else im
+        if t in ('f', 'F'):
+            return insert(rho, d_v(LocalForm(chart, {(atom,): 1})))
+        return None
+
+    return apply_derivation(form, parity, image,
+                            chart.images.setdefault(('L', rho), {}))

@@ -61,6 +61,12 @@ def flow_remainder(theory: Theory, sym: SymmetryAction):
     return A - d_h(theory.suite.h_horizontal(A))
 
 
+@per_symmetry
+def lie_EL(theory: Theory, sym: SymmetryAction):
+    """L_rho(E L): lemma:flow-density and thm:inv-eom both read it."""
+    return lie_derivative(sym.rho, theory.EL)
+
+
 def verify_noether1(theory: Theory, sym: SymmetryAction):
     S, J = noether_cone(theory, sym)
     residual = d_h(J) + S - insert(sym.rho, theory.EL)
@@ -156,6 +162,15 @@ def noether2(theory: Theory, sym: SymmetryAction) -> NoetherData:
     return NoetherData(S=S, J=J, C=C, K=K, j=j, s=s)
 
 
+@per_symmetry
+def twin_constraint(theory: Theory, sym: SymmetryAction):
+    """(C_eta, L_rho C_eta), C_eta the relabelling xi -> eta of the
+    constraint current (notes/decisions.md §32): lem:inv-C and thm:jext=0
+    both read it."""
+    C_e = relabel(noether2(theory, sym).C, theory.chart, sym.twin_fids())
+    return C_e, lie_derivative(sym.rho, C_e)
+
+
 # ---------------------------------------------------------------------------
 # bracket substitution on the twin parameter
 # ---------------------------------------------------------------------------
@@ -195,12 +210,11 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
         return verify_noether1(theory, sym)
 
     if ident == "lemma:flow-density":
-        lel = lie_derivative(sym.rho, theory.EL)
-        residual = flow_remainder(theory, sym) + suite.h_horizontal(lel)
+        residual = flow_remainder(theory, sym) + suite.h_horizontal(lie_EL(theory, sym))
         return _residual_report(ident, residual)
 
     if ident == "thm:inv-eom":
-        residual = theory.reduce_on_shell(lie_derivative(sym.rho, theory.EL))
+        residual = theory.reduce_on_shell(lie_EL(theory, sym))
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:hamflow-closed":
@@ -210,28 +224,27 @@ def verify_identity(theory: Theory, sym_name, ident) -> Report:
     if ident == "cor:equi-dJ":
         if not sym.is_local:
             raise NotLocal("cor:equi-dJ requires a local symmetry")
-        # the twin current is the relabelling xi -> eta (notes/decisions.md §32)
+        # the twin current is the relabelling xi -> eta (notes/decisions.md §32);
+        # L_rho d_h J_eta = d_h L_rho J_eta, as [L_rho, d_h] = 0 (§33)
         tw = sym.twin_fids()
         S_e, J_e = (relabel(f, theory.chart, tw) for f in noether_cone(theory, sym))
-        lhs = lie_derivative(sym.rho, d_h(J_e))
         bb = bracket_bindings(sym, theory.chart)
-        residual = lhs - d_h(substitute(J_e, bb)) - substitute(S_e, bb)
+        residual = d_h(lie_derivative(sym.rho, J_e) - substitute(J_e, bb)) \
+            - substitute(S_e, bb)
         return _residual_report(ident, residual)
 
     if ident == "lem:inv-C":
-        C_e = relabel(noether2(theory, sym).C, theory.chart, sym.twin_fids())
-        residual = theory.reduce_on_shell(lie_derivative(sym.rho, C_e))
+        residual = theory.reduce_on_shell(twin_constraint(theory, sym)[1])
         return _residual_report(ident + " (on shell)", residual)
 
     if ident == "thm:jext=0":
         if not sym.is_local:
             raise NotLocal("thm:jext=0 requires a local symmetry")
-        data = noether2(theory, sym)
-        tw = sym.twin_fids()
-        C_e, j_e = (relabel(f, theory.chart, tw) for f in (data.C, data.j))
+        C_e, lie_C_e = twin_constraint(theory, sym)
+        j_e = relabel(noether2(theory, sym).j, theory.chart, sym.twin_fids())
         bb = bracket_bindings(sym, theory.chart)
         # equivariance of C (checked, reported)
-        eq = lie_derivative(sym.rho, C_e) - substitute(C_e, bb)
+        eq = lie_C_e - substitute(C_e, bb)
         eq_exact = eq.is_zero()
         eq_onshell = eq_exact or theory.reduce_on_shell(eq).is_zero()
         j_br = substitute(j_e, bb)

@@ -135,6 +135,26 @@ def test_verify_all_names_only_the_declared_symmetry(tmp_path):
     assert "__b" not in out
 
 
+@pytest.mark.parametrize("name", ["point_particle", "scalar_field_null"])
+def test_verify_without_a_symmetry_checks_thm_dbom_once(name):
+    # thm:dbom reads no symmetry; every other identity needs one
+    code, out = run_cli("verify", "--all", name)
+    assert (code, out) == (0, "PASS  -  thm:dbom  \n")
+    code, out = run_cli("--json", "verify", "--all", name)
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"identity": "thm:dbom", "symmetry": None, "passed": True, "detail": ""}]
+    assert run_cli("verify", name, "--identity", "thm:dbom") == (0, "PASS  -  thm:dbom  \n")
+
+
+@pytest.mark.parametrize("ident", ["thm:N1", "lem:inv-C", "thm:jext=0"])
+def test_verify_an_identity_that_needs_a_symmetry_without_one(ident, capsys):
+    assert main(["verify", "point_particle", "--identity", ident]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theory declares no symmetry\n"
+
+
 def test_verify_suites_json_deterministic():
     code1, out1 = run_cli("--json", "verify", "--suites", "--cases", "5")
     code2, out2 = run_cli("--json", "verify", "--suites", "--cases", "5")
