@@ -209,8 +209,9 @@ class Chart:
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
         # derivation images per operator key ('d', legs), ('D', mu, legs),
-        # 'dv' or ('i', field) for euler.insert: atom -> _image_data tuple
-        # or None, filled by algebra.apply_derivation
+        # 'dv', ('i', field) for euler.insert or ('L', field) for
+        # euler.lie_derivative: atom -> _image_data tuple or None, filled by
+        # algebra.apply_derivation
         self.images: dict = {}
         # frozenset of promoted fids -> chart, filled by promoted()
         self.promotions: dict[frozenset, Chart] = {}

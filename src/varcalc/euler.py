@@ -112,14 +112,11 @@ def insert(rho: EvolutionaryField, form: LocalForm):
 
 def lie_derivative(rho: EvolutionaryField, form: LocalForm):
     """L_rho = [i_rho, d_v], the graded commutator, as one derivation of
-    parity ``rho.ghost_shift & 1`` (the prolongation formula): a jet u^a_K
-    of a dynamical field goes to D_K rho^a, a leg du^a_K to
-    +-d_v(D_K rho^a) (+ for an even shift), a function atom to i_rho d_v
-    of its word, every other atom to zero.  For an even shift this is
-    i_rho d_v + d_v i_rho; for an odd one it is i_rho d_v - d_v i_rho,
-    which is i_rho d_v on a form without legs (notes/decisions.md §33).
-    The images are read and filled in one table per (chart, field),
-    ``form.chart.images[('L', rho)]``."""
+    parity rho.ghost_shift & 1 (notes/decisions.md §33): u^a_K of a
+    dynamical field goes to D_K rho^a, du^a_K to +-d_v(D_K rho^a) (+ for an
+    even shift), a function atom to i_rho d_v of its word.  For an odd shift
+    this is i_rho d_v - d_v i_rho.  The images are read and filled in one
+    table per (chart, field), ``form.chart.images[('L', rho)]``."""
     chart = form.chart
     parity = rho.ghost_shift & 1
 
