@@ -208,11 +208,11 @@ class Chart:
         self._fn_by_name: dict[str, FunctionSymbol] = {}
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
-        # derivation images per operator key ('d', legs), ('D', mu, legs),
-        # 'dv', ('i', field) for euler.insert or ('L', field) for
-        # euler.lie_derivative: atom -> _image_data tuple or None, filled by
-        # algebra.apply_derivation
+        # ('d', legs), ('D', mu, legs) or 'dv' -> {atom: _image_data tuple or
+        # None}, filled by algebra.apply_derivation (a field keeps its own)
         self.images: dict = {}
+        self.strata: dict = {}          # (fids, V) -> homotopy._Stratum
+        self.sigma1_images: dict = {}   # leg word -> its sigma1 image
         # frozenset of promoted fids -> chart, filled by promoted()
         self.promotions: dict[frozenset, Chart] = {}
 

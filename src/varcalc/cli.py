@@ -289,6 +289,8 @@ def _mech_state(args, dim):
             v = []
         if len(v) != dim:
             raise UsageError(f"{flag} expects {dim} comma-separated numbers, got {text!r}")
+        if not all(map(math.isfinite, v)):
+            raise UsageError(f"{flag} must be finite, got {text!r}")
         return v
     return mechmod.PhasePoint(vector(args.q, "--q"), vector(args.p, "--p"))
 

@@ -81,6 +81,7 @@ class EvolutionaryField:
                 f"components of {name} shift ghost degree inconsistently: {sorted(shifts)}")
         self.ghost_shift = shifts.pop() if shifts else 0
         self._prolonged = {}
+        self.images = {}    # ('i' | 'L', chart) -> images of insert | lie_derivative
 
     def component(self, fid, midx):
         """D_K of the component of ``fid`` (algebra.prolong), zero for a
@@ -100,14 +101,14 @@ class EvolutionaryField:
 def insert(rho: EvolutionaryField, form: LocalForm):
     """Interior product i_rho: contracts one vertical leg with D_K(rho).
     The images are read and filled in one table per (chart, field),
-    ``form.chart.images[('i', rho)]``; a field hashes by identity."""
+    ``rho.images[('i', form.chart)]``."""
     parity = (1 + rho.ghost_shift) & 1
 
     def image(atom):
         return rho.component(atom[1], atom[2]) if atom[0] == 'v' else None
 
     return apply_derivation(form, parity, image,
-                            form.chart.images.setdefault(('i', rho), {}))
+                            rho.images.setdefault(('i', form.chart), {}))
 
 
 def lie_derivative(rho: EvolutionaryField, form: LocalForm):
@@ -116,7 +117,7 @@ def lie_derivative(rho: EvolutionaryField, form: LocalForm):
     dynamical field goes to D_K rho^a, du^a_K to +-d_v(D_K rho^a) (+ for an
     even shift), a function atom to i_rho d_v of its word.  For an odd shift
     this is i_rho d_v - d_v i_rho.  The images are read and filled in one
-    table per (chart, field), ``form.chart.images[('L', rho)]``."""
+    table per (chart, field), ``rho.images[('L', form.chart)]``."""
     chart = form.chart
     parity = rho.ghost_shift & 1
 
@@ -133,4 +134,4 @@ def lie_derivative(rho: EvolutionaryField, form: LocalForm):
         return None
 
     return apply_derivation(form, parity, image,
-                            chart.images.setdefault(('L', rho), {}))
+                            rho.images.setdefault(('L', chart), {}))

@@ -15,7 +15,7 @@ im e^T, and sigma1 = Delta^{-1} e^T = e^+; Delta is inverted one
 connected block at a time (§14), and a singular block is reported.  On
 a stratum with one vertical leg Delta is a scalar, and the image is
 written in closed form with no stratum built (§31).  The
-image of each canonical leg word is computed once per chart's suite, and
+image of each canonical leg word is computed once per chart, and
 kept as integer numerators over one denominator.  The homological
 perturbation series in d0 (which terminates, since sigma1 lowers total leg
 order), run in integers over one running denominator (§16), then produces
@@ -165,7 +165,7 @@ class _Stratum:
     degree b to b+1, and blocks[b], the Laplacian blocks of sigma1 from
     degree b (delta_pinv).  Each degree is built when it is first read; a
     sigma1 image at degree b reads degrees b-2 to b (notes/decisions.md
-    §28).  The images themselves are kept by the suite (§29)."""
+    §28).  The images themselves are kept by the chart (§29, §34)."""
 
     def __init__(self, suite, fids, V):
         self.suite = suite
@@ -293,8 +293,8 @@ class HomotopySuite:
 
     def __init__(self, chart):
         self.chart = chart
-        self._strata = {}
-        self._images = {}       # leg word -> its sigma1 image, the one memo
+        self._strata = chart.strata
+        self._images = chart.sigma1_images     # the one sigma1 memo
 
     # -- d = d1 + d0 split -------------------------------------------------
     def d0(self, groups, memo=None):
@@ -343,7 +343,7 @@ class HomotopySuite:
     def sigma1(self, groups):
         """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
         denominators of the images read, so that integer coefficients stay
-        integers.  Each leg word's image is computed once per suite and kept
+        integers.  Each leg word's image is computed once per chart and kept
         in _images: in closed form when the word has one vertical leg
         (_one_leg_image), else by its stratum.  A coefficient word c in
         front of it takes the sign (-1)^|c| (notes/decisions.md §25, §28,
@@ -561,11 +561,7 @@ def resolve_fiber_integrals(form: LocalForm):
 
 
 def get_suite(chart) -> HomotopySuite:
-    suite = getattr(chart, "_homotopy_suite", None)
-    if suite is None:
-        suite = HomotopySuite(chart)
-        chart._homotopy_suite = suite
-    return suite
+    return HomotopySuite(chart)
 
 
 def bruteforce_dexactness(target, extra_rounds=1):

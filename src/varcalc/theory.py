@@ -23,6 +23,8 @@ from .dsl import (
 )
 from .render import atom_text
 
+MAX_ROUNDS = 12     # substitution rounds reduce_on_shell runs to a fixpoint
+
 
 class SymmetryAction:
     """A (local) Lie algebra action by evolutionary vector fields: the
@@ -30,7 +32,7 @@ class SymmetryAction:
     ``structure`` (None for an abelian action)."""
 
     def __init__(self, theory, name, param_groups, rho, structure=None):
-        self.theory = theory
+        self.groups = theory.ctx.groups     # read by twin_fids; no theory held
         self.name = name
         self.param_groups = param_groups
         self.rho = rho
@@ -50,8 +52,7 @@ class SymmetryAction:
         twin group that build_context declares right after the parameter's
         group, so the renaming keeps the canonical order of every atom of a
         form that holds no eta (notes/decisions.md §32)."""
-        groups = self.theory.ctx.groups
-        return {fid: groups[g.name + "__b"].comps[key]
+        return {fid: self.groups[g.name + "__b"].comps[key]
                 for g in self.param_groups for key, fid in g.comps.items()}
 
     def bracket(self, chart, left, right):
@@ -182,23 +183,23 @@ class Theory:
                     f"with invertible coefficient")
         return bindings
 
-    def reduce_on_shell(self, form: LocalForm, max_rounds=12):
+    def reduce_on_shell(self, form: LocalForm):
         """Substitute declared solved forms (and their prolongations) to a
         fixpoint; certifies membership in the prolonged EL ideal.  Raises
-        NoFixpoint if the form still changes after ``max_rounds`` rounds."""
+        NoFixpoint if the form still changes after MAX_ROUNDS rounds."""
         if not self.solved:
             if form.is_zero():
                 return form
             raise NoSolvedForm(
                 "theory declares no solved forms for its EL generators")
         cur = form
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             nxt = substitute(cur, self.solved)
             if nxt == cur:
                 return nxt
             cur = nxt
         raise NoFixpoint(
-            f"on-shell reduction reached no fixpoint after {max_rounds} round(s)", cur)
+            f"on-shell reduction reached no fixpoint after {MAX_ROUNDS} round(s)", cur)
 
     # -- symmetry-facing API -------------------------------------------------
     def symmetry(self, name) -> SymmetryAction:

@@ -317,6 +317,21 @@ def _no_integration(*args, **kwargs):
     raise _Integrated("integration started")
 
 
+@pytest.mark.parametrize("cmd", ["flow", "reduce", "conserve"])
+@pytest.mark.parametrize("flag", ["--q", "--p"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_mech_non_finite_state_is_a_usage_error(monkeypatch, cmd, flag, value):
+    # refused before a phase point is built or anything is integrated
+    monkeypatch.setattr(cli.mechmod, "flow", _no_integration)
+    monkeypatch.setattr(cli.mechmod, "reduce_so3", _no_integration)
+    text = f"{value},0,0"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("mech", cmd, f"{flag}={text}")
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"error: {flag} must be finite, got {text!r}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("flow", "--dt", "0"), "--dt must be positive, got 0.0"),
     (("conserve", "--dt", "-0.01"), "--dt must be positive, got -0.01"),

@@ -16,6 +16,7 @@ from varcalc.noether import (
     IDENTITY_NAMES, decompose_dual_current, noether2, noether_cone,
     verify_identity, verify_noether1,
 )
+from varcalc import theory as theory_mod
 from varcalc.theory import theory_from_text
 from conftest import load_theory
 
@@ -246,14 +247,17 @@ def test_solve_needs_a_named_constant_coefficient():
                          "solve phi_,00\n")
 
 
-def test_reduce_on_shell_raises_without_fixpoint(maxwell_sourced):
+def test_reduce_on_shell_raises_without_fixpoint(maxwell_sourced, monkeypatch):
     # C + j reaches zero in the first round and is confirmed a fixpoint in
     # the second; one round is not enough to certify it
     T = maxwell_sourced
     data = noether2(T, T.symmetry("gauge"))
     form = data.C + data.j
     assert not form.is_zero()
-    with pytest.raises(NoFixpoint) as info:
-        T.reduce_on_shell(form, max_rounds=1)
+    with monkeypatch.context() as m:
+        m.setattr(theory_mod, "MAX_ROUNDS", 1)
+        with pytest.raises(NoFixpoint) as info:
+            T.reduce_on_shell(form)
     assert info.value.form is not None and info.value.form.is_zero()
+    assert "after 1 round(s)" in str(info.value)
     assert T.reduce_on_shell(form).is_zero()

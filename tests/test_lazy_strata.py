@@ -91,7 +91,7 @@ def test_lazy_strata_of_the_seeded_suites_equal_eager_ones(monkeypatch):
     assert ok
     words = {}
     for ch in charts:
-        suite = ch._homotopy_suite
+        suite = get_suite(ch)
         for key, st in image_strata(suite).items():
             words[ch.dim] = words.get(ch.dim, 0) + _same_as_eager(suite, key, st)
     assert set(words) == {2, 3} and min(words.values()) > 1000, words

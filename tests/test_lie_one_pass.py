@@ -187,12 +187,14 @@ def test_bv_q_anticommutes_with_d_h_without_legs(name):
 
 
 def test_images_are_kept_per_chart_and_field(suite_fields, monkeypatch):
-    """The images live in chart.images[('L', rho)]: a second pass over the
-    same form derives no atom again, so it calls no d_v."""
+    """The images live in rho.images[('L', chart)], and the chart's own
+    table holds no field: a second pass over the same form derives no atom
+    again, so it calls no d_v."""
     ch, even, _odd = suite_fields
     w = random_forms(ch, 50, 2, count=1)[0]
     first = lie_derivative(even, w)
-    assert ch.images[('L', even)]
+    assert even.images[('L', ch)]
+    assert all(key == 'dv' or key[0] in ('d', 'D') for key in ch.images)
     calls = []
     monkeypatch.setattr(euler, "d_v", lambda form: calls.append(form) or d_v(form))
     assert lie_derivative(even, w).terms == first.terms

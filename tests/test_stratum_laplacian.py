@@ -13,7 +13,9 @@ import pytest
 from varcalc import verify
 from varcalc.algebra import LocalForm
 from varcalc.chart import InvariantViolation, pseudo_inverse_psd, rref
-from varcalc.homotopy import HomotopySuite, _leg_split, _Stratum, _stratum_key
+from varcalc.homotopy import (
+    HomotopySuite, _leg_split, _Stratum, _stratum_key, get_suite,
+)
 from varcalc.randforms import suite_chart
 
 from conftest import assert_exact, image_strata, sigma1_terms
@@ -84,7 +86,7 @@ def _seeded_strata(monkeypatch, seed, cases):
     monkeypatch.setattr(verify, "suite_chart", recording_chart)
     ok, _rows = verify.run_suites(seed=seed, cases=cases)
     assert ok
-    return [(ch, image_strata(ch._homotopy_suite)) for ch in charts]
+    return [(ch, image_strata(get_suite(ch))) for ch in charts]
 
 
 def test_laplacian_images_equal_pseudo_inverse_images(monkeypatch):
