@@ -502,13 +502,11 @@ def _d_mu(chart, atom, mu, legs):
     return None
 
 
-def total_derivative(form: LocalForm, mu, legs=True):
-    """The total derivative D_mu (even derivation); with ``legs`` false it
-    differentiates the coefficient atoms only and leaves vertical legs
-    alone."""
+def total_derivative(form: LocalForm, mu):
+    """The total derivative D_mu (even derivation)."""
     chart = form.chart
-    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, legs),
-                            chart.images.setdefault(('D', mu, legs), {}))
+    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, True),
+                            chart.images.setdefault(('D', mu), {}))
 
 
 def prolong(memo, tag, base, J, j0):

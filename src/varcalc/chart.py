@@ -208,7 +208,7 @@ class Chart:
         self._fn_by_name: dict[str, FunctionSymbol] = {}
         # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
         self.atom_data: dict[tuple, tuple] = {}
-        # ('d', legs), ('D', mu, legs) or 'dv' -> {atom: _image_data tuple or
+        # ('d', legs), ('D', mu) or 'dv' -> {atom: _image_data tuple or
         # None}, filled by algebra.apply_derivation (a field keeps its own)
         self.images: dict = {}
         self.strata: dict = {}          # (fids, V) -> homotopy._Stratum

@@ -14,6 +14,7 @@ import functools
 import math
 import os
 import sys
+from fractions import Fraction
 from importlib import resources
 
 from .chart import DoesNotDescend, NotLocal, VarcalcError
@@ -62,7 +63,11 @@ def _parse_slice(theory, slice_arg, corner_arg=None, with_corner=False):
         if nm not in names:
             raise UsageError(f"unknown coordinate {nm!r} in {flag}; "
                              f"coordinates: {', '.join(names)}")
-        if val not in ("", "0"):
+        try:
+            value = Fraction(val or 0)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"{flag} expects NAME=0, got {arg!r}") from None
+        if value:
             raise VarcalcError(f"{what} sit at coordinate value 0")
         return names.index(nm)
 

@@ -94,9 +94,6 @@ class EvolutionaryField:
                 prolong(self._prolonged, fid, base, midx, midx_zero(len(midx))))
         return got
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components.values())
-
 
 def insert(rho: EvolutionaryField, form: LocalForm):
     """Interior product i_rho: contracts one vertical leg with D_K(rho).

@@ -58,24 +58,6 @@ from .euler import interior_euler, exterior_euler
 # strata of the leg complex
 # ---------------------------------------------------------------------------
 
-def _d0_weight(chart, cw):
-    """A weight of a coefficient word below that of every word of its d0
-    image: twice each jet's order, less one per coordinate, plus the
-    derivative orders of its function atoms.  D_mu raises a jet's order
-    (+2), turns a coordinate into 1 (+1), raises a derivative order in the
-    chain rule (at least +1), and sends every other atom to 0."""
-    w = 0
-    for a in cw:
-        t = a[0]
-        if t == 'j':
-            w += 2 * sum(a[2]) - (chart.kind(a[1]) == COORD)
-        elif t == 'f':
-            w += sum(a[2])
-        elif t == 'F':
-            w += sum(sum(app[2]) for app in a[2])
-    return w
-
-
 def _leg_split(key):
     """Split a canonical word into (coefficient atoms, leg atoms)."""
     for i, a in enumerate(key):
@@ -389,11 +371,10 @@ class HomotopySuite:
         once and scaled by the lcm of its denominators (its words without
         legs are dropped, as sigma1 kills them), each sigma1 round
         multiplies the denominator by the lcm it reports, and d0 keeps
-        integers integral and takes each d0(c) once per call, keeping d0(c)
-        only while a later round can reach c (_d0_weight).  The rounds
+        integers integral and takes each d0(c) once per call.  The rounds
         are added in order with the sign (-1)^r, each word is rebuilt
         once, and each output coefficient is divided once at the end
-        (notes/decisions.md §16, §25, §28, §30)."""
+        (notes/decisions.md §16, §25, §28, §35)."""
         den = lcm(*(c.denominator for c in form.terms.values()))
         groups = {}
         for key, c in form.terms.items():
@@ -406,22 +387,9 @@ class HomotopySuite:
         L, cur = self.sigma1(groups)
         den *= L
         memo = {}
-        weights = {}        # _d0_weight of each word of memo and cur
         guard = 0
         while cur:
             rounds.append((den, cur))
-            # this and later rounds differentiate the words of cur and their
-            # d0 images, none lighter than cur's lightest word
-            low = None
-            for coeffs in cur.values():
-                for cw in coeffs:
-                    w = weights.get(cw)
-                    if w is None:
-                        w = weights[cw] = _d0_weight(self.chart, cw)
-                    if low is None or w < low:
-                        low = w
-            for cw in [cw for cw in memo if weights[cw] < low]:
-                del memo[cw], weights[cw]
             L, cur = self.sigma1(self.d0(cur, memo))
             den *= L
             guard += 1

@@ -221,6 +221,13 @@ def test_unknown_identity_is_a_usage_error(capsys):
      "unknown coordinate 'q' in --slice; coordinates: t, x, y, z"),
     (("corner", "maxwell", "--slice", "t=0", "--corner", "t=0"),
      "--corner must name a direction other than the --slice one"),
+    (("canonical", "maxwell", "--slice", "t=abc"), "--slice expects NAME=0, got 't=abc'"),
+    (("canonical", "maxwell", "--slice", "t=nan"), "--slice expects NAME=0, got 't=nan'"),
+    (("canonical", "maxwell", "--slice", "t=inf"), "--slice expects NAME=0, got 't=inf'"),
+    (("canonical", "maxwell", "--slice", "t=1/0"), "--slice expects NAME=0, got 't=1/0'"),
+    (("corner", "maxwell", "--corner", "x=abc"), "--corner expects NAME=0, got 'x=abc'"),
+    (("corner", "maxwell", "--corner", "x=nan"), "--corner expects NAME=0, got 'x=nan'"),
+    (("corner", "maxwell", "--corner", "x=-inf"), "--corner expects NAME=0, got 'x=-inf'"),
 ])
 def test_unknown_name_in_a_flag_is_a_usage_error(argv, message, capsys):
     """Exit 2 before any identity runs: no FAIL row is printed."""
@@ -285,7 +292,9 @@ def test_theory_without_symmetry_is_an_error(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("--slice", "t=5"), "slices sit at coordinate value 0"),
+    (("--slice", "t=1"), "slices sit at coordinate value 0"),
     (("--slice", "t=0", "--corner", "x=5"), "corners sit at coordinate value 0"),
+    (("--slice", "t=0", "--corner", "x=1"), "corners sit at coordinate value 0"),
 ])
 def test_slice_and_corner_sit_at_zero(argv, message):
     err = io.StringIO()
@@ -293,6 +302,17 @@ def test_slice_and_corner_sit_at_zero(argv, message):
         code, out = run_cli("corner", "maxwell", *argv)
     assert code == 1 and out == ""
     assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0.0", "-0", ""])
+@pytest.mark.parametrize("flag", ["--slice", "--corner"])
+def test_any_spelling_of_zero_is_the_coordinate_value_0(flag, value):
+    base = ["corner", "maxwell", "--slice", "t=0", "--corner", "x=0"]
+    argv = list(base)
+    i = argv.index(flag) + 1
+    argv[i] = argv[i][:2] + value
+    code, out = run_cli(*argv)
+    assert code == 0 and (code, out) == run_cli(*base)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -29,8 +29,7 @@ from test_splice import SEEDED, forms
 def operators(chart):
     ops = [d_h, lambda f: on_form(get_suite(chart).d0, f), d_v]
     for mu in range(chart.dim):
-        for legs in (True, False):
-            ops.append(lambda f, mu=mu, legs=legs: total_derivative(f, mu, legs))
+        ops.append(lambda f, mu=mu: total_derivative(f, mu))
     return ops
 
 
@@ -126,7 +125,7 @@ def test_cutoff_image_stores_nothing():
             total_derivative(form, 0)
         with pytest.raises(JetCutoffExceeded):
             d_h(form)
-        for key in (('D', 0, True), ('d', True)):
+        for key in (('D', 0), ('d', True)):
             assert low in ch.images[key]
             assert top not in ch.images[key]
     assert_tables_hold_data(ch)

@@ -293,39 +293,6 @@ def test_each_d0_image_is_taken_once_per_h_inf_call_on_suite_forms(monkeypatch, 
     assert per_round > once > 100, (per_round, once)
 
 
-def _coefficient_words_with_functions():
-    """Coefficient words with coordinates, a function of a coordinate and
-    of a jet, and a fiber integral, on the 2-d suite chart."""
-    ch = suite_chart(dim=2, nfields=1)
-    V = ch.add_function("V", arity=2).sym_id
-    x0, u = ('j', ch.by_name("x0").fid, (0, 0)), ('j', ch.by_name("u0").fid, (0, 1))
-    fx = ('f', V, (0, 1), (x0, u))
-    words = [(x0,), (x0, u), (fx,), (u, fx), (('F', 0, (fx,)),),
-             (x0, ('F', 1, (fx, ('f', V, (2, 0), (u, x0)))))]
-    return ch, [LocalForm.from_word(ch, w).terms.popitem()[0] for w in words]
-
-
-def test_d0_outweighs_each_coefficient_word():
-    """Every word of d0(c) is heavier than c (homotopy._d0_weight), so an
-    h_inf round whose lightest word outweighs c can never differentiate c
-    again, and the series drops d0(c) from its memo."""
-    charts = []
-    for dim in (2, 3):
-        suite, forms = _suite_forms(dim)
-        charts.append((suite.chart, {_leg_split(k)[0] for w in forms for k in w.terms}))
-    T = load_theory("yang_mills_su2")
-    charts.append((T.chart, {_leg_split(k)[0] for k in d_v(T.L).terms}))
-    charts.append(_coefficient_words_with_functions())
-    checked = 0
-    for ch, words in charts:
-        for cw in words:
-            w = homotopy._d0_weight(ch, cw)
-            for key in horizontal(LocalForm(ch, {cw: 1}), legs=False).terms:
-                assert homotopy._d0_weight(ch, key[:-1]) > w, (cw, key)
-                checked += 1
-    assert checked > 500
-
-
 def test_integer_rounds_keep_integer_coefficients():
     """d0 keeps integers integral, and sigma1 scales its image by the lcm L
     it reports, so an integral input gives integral rounds."""

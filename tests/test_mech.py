@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from varcalc.mech import (
-    DimensionMismatch, MechSystem, OriginSingularity, PhasePoint, TOL,
-    casimir, check_conservation, flow, free_system, harmonic_system,
-    kepler_system, kks_pairing, momentum, reduce_so3, reduced_flow,
-    reduction_commutes,
+    DimensionMismatch, MechSystem, NonFiniteState, OriginSingularity,
+    PhasePoint, TOL, casimir, check_conservation, flow, free_system,
+    harmonic_system, kepler_system, kks_pairing, momentum, reduce_so3,
+    reduced_flow, reduction_commutes,
 )
 
 
@@ -34,6 +34,15 @@ def test_momentum_pins():
     assert np.allclose(momentum(st2), 0)
     with pytest.raises(DimensionMismatch):
         momentum(PhasePoint([1, 0], [0, 1]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("in_q", [True, False])
+def test_phase_point_refuses_non_finite_entries(bad, in_q):
+    q, p = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    (q if in_q else p)[1] = bad
+    with pytest.raises(NonFiniteState):
+        PhasePoint(q, p)
 
 
 def test_momentum_equivariance():

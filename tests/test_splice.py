@@ -3,9 +3,9 @@ against the sort-every-word kernel it replaced.
 
 The oracle below is that kernel verbatim: each image word is spliced into
 the word and the result is re-sorted by norm_word.  The operators built on
-the kernel (d_h, d_v, total_derivative, insert) run once as they are and
-once with the oracle patched in, and must give the same terms in the same
-order with exact coefficients.  The seeded words hold odd legs after
+the kernel (d_h with and without legs, d_v, total_derivative, insert) run
+once as they are and once with the oracle patched in, and must give the
+same terms in the same order with exact coefficients.  The seeded words hold odd legs after
 odd atoms, repeated ghost-1 legs, coordinate jets whose derivative is 1,
 a named constant next to its inverse, and function atoms and fiber
 integrals.
@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from varcalc import algebra, euler
 from varcalc.algebra import (
-    LocalForm, atom_parity, d_h, d_v, iter_midx, midx_zero, norm_word,
-    prepend_atom, total_derivative,
+    LocalForm, atom_parity, d_h, d_v, horizontal, iter_midx, midx_zero,
+    norm_word, prepend_atom, total_derivative,
 )
 from varcalc.chart import CONST, JetCutoffExceeded
 from varcalc.euler import EvolutionaryField, insert
@@ -182,8 +182,14 @@ def test_d_v(form):
 
 @SEEDED
 @given(forms(), st.integers(0, 2))
-def test_total_derivative_coefficients_only(form, mu):
-    same(lambda f: total_derivative(f, mu % f.chart.dim, legs=False), form)
+def test_total_derivative(form, mu):
+    same(lambda f: total_derivative(f, mu % f.chart.dim), form)
+
+
+@SEEDED
+@given(forms())
+def test_horizontal_coefficients_only(form):
+    same(lambda f: horizontal(f, legs=False), form)
 
 
 @SEEDED
