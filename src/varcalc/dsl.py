@@ -173,6 +173,8 @@ class _Parser:
         if self.peek()[0] == "/":
             self.next()
             den = self.expect("num")
+            if not den[1]:
+                raise SyntaxError_("division by zero", den[2], den[3])
             value /= den[1]
         return value
 
@@ -812,6 +814,8 @@ def _parse_field_decl(parts, no):
         elif tok == "form":
             j += 1
             deg = _operand(rest, j, no, int)
+            if deg < 0:
+                raise SyntaxError_("form degree must be >= 0", no, 1)
         elif tok == "lie":
             j += 1
             lie = _operand(rest, j, no)
@@ -821,6 +825,8 @@ def _parse_field_decl(parts, no):
         elif tok == "components":
             j += 1
             mult = _operand(rest, j, no, int)
+            if mult < 1:
+                raise SyntaxError_("components must be >= 1", no, 1)
         elif tok == "constant":
             constant = True
         else:

@@ -126,46 +126,34 @@ def _one_leg_image(chart, legs):
     return (sum(1 for mu, i in enumerate(I) if i >= (mu in H)), terms)
 
 
-class _Lazy(dict):
-    """A dict whose entry for a missing key is build(key), made and kept
-    on first read."""
-
-    __slots__ = ('build',)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class _Stratum:
     """The leg words of one (fids, V) at each horizontal degree b: bases[b]
-    (sorted), index[b] (word -> position), e[b], the matrix of d1 from
-    degree b to b+1, and blocks[b], the Laplacian blocks of sigma1 from
-    degree b (delta_pinv).  Each degree is built when it is first read; a
-    sigma1 image at degree b reads degrees b-2 to b (notes/decisions.md
-    §28).  The images themselves are kept by the chart (§29, §34)."""
+    (sorted) and index[b] (word -> position), filled by basis; e[b], the
+    matrix of d1 from degree b to b+1, filled by d1; and blocks[b], the
+    Laplacian blocks of sigma1 from degree b, filled by delta_pinv.  It is
+    plain data and keeps no chart: each method takes the chart from its
+    caller and builds a degree when it is first read; a sigma1 image at
+    degree b reads degrees b-2 to b (notes/decisions.md §28, §36).  The
+    images themselves are kept by the chart (§29, §34)."""
 
-    def __init__(self, suite, fids, V):
-        self.suite = suite
+    def __init__(self, fids, V):
         self.fids = fids
         self.V = V
-        self.bases = _Lazy(self._basis)
-        self.index = _Lazy(self._index)
-        self.e = _Lazy(self._d1)
-        self.blocks = _Lazy(self.delta_pinv)
+        self.bases = {}
+        self.index = {}
+        self.e = {}
+        self.blocks = {}
 
-    def _basis(self, b):
-        """The sorted leg words of degree b.  Atoms with equal fids commute
-        up to sign, so of their multi-index distributions only the
-        non-decreasing one is kept, and its legs followed by the dx atoms
-        are already in canonical order.  Each leg's atom data (_data)
-        raises JetCutoffExceeded above the cutoff, a word where an odd leg
-        repeats vanishes, and the words hold the chart's cached atoms."""
-        chart = self.suite.chart
+    def basis(self, chart, b):
+        """The sorted leg words of degree b, for a stratum with fids.  Atoms
+        with equal fids commute up to sign, so of their multi-index
+        distributions only the non-decreasing one is kept, and its legs
+        followed by the dx atoms are already in canonical order.  Each
+        leg's atom data (_data) raises JetCutoffExceeded above the cutoff,
+        a word where an odd leg repeats vanishes, and the words hold the
+        chart's cached atoms."""
+        if b in self.bases:
+            return self.bases[b]
         fids = self.fids
         tied = [i for i in range(1, len(fids)) if fids[i] == fids[i - 1]]
         words = set()
@@ -174,10 +162,6 @@ class _Stratum:
             if any(t < 0 for t in T):
                 continue
             hatoms = tuple(_data(chart, ('h', mu))[3] for mu in H)
-            if not fids:
-                if not any(T):
-                    words.add(hatoms)
-                continue
             for dist in _distributions(T, len(fids)):
                 if any(dist[i - 1] > dist[i] for i in tied):
                     continue
@@ -185,17 +169,19 @@ class _Stratum:
                 if any(data[i][1] and dist[i - 1] == dist[i] for i in tied):
                     continue
                 words.add(tuple(d[3] for d in data) + hatoms)
-        return sorted(words)
+        basis = self.bases[b] = sorted(words)
+        self.index[b] = {w: i for i, w in enumerate(basis)}
+        return basis
 
-    def _index(self, b):
-        return {w: i for i, w in enumerate(self.bases[b])}
+    def d1(self, chart, b):
+        """(columns, number of rows) of the matrix of d1 from degree b to
+        b+1; d0 vanishes on leg words, so d1 is d_h there."""
+        if b not in self.e:
+            ntgt = len(self.basis(chart, b + 1))
+            self.e[b] = (d_h_columns(chart, self.basis(chart, b), self.index[b + 1]), ntgt)
+        return self.e[b]
 
-    def _d1(self, b):
-        # d0 vanishes on leg words, so d1 is d_h there
-        return (d_h_columns(self.suite.chart, self.bases[b], self.index[b + 1]),
-                len(self.bases[b + 1]))
-
-    def delta_pinv(self, b):
+    def delta_pinv(self, chart, b):
         """The block inverses of the Hodge Laplacian on the source degree
         of sigma1 from degree b, Delta = e_{b-2} e_{b-2}^T + e_{b-1}^T e_{b-1}
         on C_{b-1}.  On im e_{b-1}^T Delta is e_{b-1}^T e_{b-1}, so when
@@ -204,11 +190,14 @@ class _Stratum:
         is below top degree on strata with legs (notes/decisions.md §22);
         a singular block raises InvariantViolation.
 
-        Returns (rows, block_of): the rows of e_{b-1} as {column: entry},
-        and for each word of C_{b-1} its connected block of Delta as
-        (word indices, {word index: its row of the block's inverse})."""
+        Returns (rows, block_of), kept in blocks[b]: the rows of e_{b-1} as
+        {column: entry}, and for each word of C_{b-1} its connected block
+        of Delta as (word indices, {word index: its row of the block's
+        inverse})."""
+        if b in self.blocks:
+            return self.blocks[b]
+        cols, ntgt = self.d1(chart, b - 1)
         dim = len(self.bases[b - 1])
-        cols, ntgt = self.e[b - 1]
         rows = [{} for _ in range(ntgt)]
         for j, col in enumerate(cols):
             for i, c in col.items():
@@ -216,7 +205,7 @@ class _Stratum:
         # Delta is the sum of the outer products of the columns of
         # e_{b-2} and of the rows of e_{b-1}
         D = [{} for _ in range(dim)]
-        for vec in (self.e[b - 2][0] if b >= 2 else []) + rows:
+        for vec in (self.d1(chart, b - 2)[0] if b >= 2 else []) + rows:
             for j, c in vec.items():
                 Dj = D[j]
                 for j2, c2 in vec.items():
@@ -242,9 +231,10 @@ class _Stratum:
             block = (members, dict(zip(members, inv)))
             for j1 in members:
                 block_of[j1] = block
+        self.blocks[b] = (rows, block_of)
         return rows, block_of
 
-    def sigma1_image(self, word):
+    def sigma1_image(self, chart, word):
         """sigma1 of a canonical leg word of this stratum as (den, [(target
         word, int numerator)]), den the lcm of the image's denominators:
         Delta^{-1} applied to the word's row of e, which reads only the
@@ -252,8 +242,8 @@ class _Stratum:
         b = sum(1 for a in word if a[0] == 'h')
         if not (b and self.fids):
             return (1, [])
+        rows, block_of = self.delta_pinv(chart, b)
         i = self.index[b][word]     # every leg word is in its basis (§24)
-        rows, block_of = self.blocks[b]
         z = {}
         for j, c in rows[i].items():
             members, inv = block_of[j]
@@ -317,11 +307,6 @@ class HomotopySuite:
         return {legs: terms for legs, terms in out.items() if terms}
 
     # -- sigma1 and the perturbed homotopy ----------------------------------
-    def _stratum(self, skey):
-        if skey not in self._strata:
-            self._strata[skey] = _Stratum(self, *skey)
-        return self._strata[skey]
-
     def sigma1(self, groups):
         """(L, L sigma1(groups)) on leg-grouped data, L the lcm of the
         denominators of the images read, so that integer coefficients stay
@@ -339,7 +324,11 @@ class HomotopySuite:
                 if legs[0][0] == 'v' and (len(legs) == 1 or legs[1][0] == 'h'):
                     read = _one_leg_image(chart, legs)
                 else:
-                    read = self._stratum(_stratum_key(chart, legs)).sigma1_image(legs)
+                    skey = _stratum_key(chart, legs)
+                    st = self._strata.get(skey)
+                    if st is None:
+                        st = self._strata[skey] = _Stratum(*skey)
+                    read = st.sigma1_image(chart, legs)
                 images[legs] = read
             if read[1]:
                 reads.append((read[0], read[1], coeffs))

@@ -37,16 +37,18 @@ def sigma1_terms(image):
 
 
 def image_strata(suite):
-    """{stratum key: a new _Stratum of ``suite``} for the stratum of every
-    leg word in the suite's sigma1 image table, in the order the words were
-    first read.  The suite writes the image of a one-leg word in closed
-    form and builds no stratum for it (notes/decisions.md §31), so a test
-    of the strata reads them from the words here, not from suite._strata."""
+    """{stratum key: a new _Stratum} for the stratum of every
+    leg word with a vertical leg in the suite's sigma1 image table, in the
+    order the words were first read.  The suite writes the image of a
+    one-leg word in closed form and builds no stratum for it
+    (notes/decisions.md §31), so a test of the strata reads them from the
+    words here, not from suite._strata.  A word with no vertical leg has
+    image 0, and its stratum has no basis (§36)."""
     out = {}
     for legs in suite._images:
         key = _stratum_key(suite.chart, legs)
-        if key not in out:
-            out[key] = _Stratum(suite, *key)
+        if key[0] and key not in out:
+            out[key] = _Stratum(*key)
     return out
 
 

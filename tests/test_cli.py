@@ -115,6 +115,22 @@ def test_malformed_theory_exit_code(tmp_path=None):
     assert code == 2
 
 
+@pytest.mark.parametrize("decl, lagrangian, where", [
+    ("field q scalar", "1/0 * q * q * vol", "5:14: division by zero"),
+    ("field A form -1", "1/2 * d(A) * star(d(A))", "4:1: form degree must be >= 0"),
+    ("field q scalar components 0", "q * q * vol", "4:1: components must be >= 1"),
+])
+def test_malformed_number_or_declaration_exits_2(tmp_path, capsys, decl, lagrangian,
+                                                 where):
+    """A zero denominator and a degree or count out of range are positioned
+    syntax errors: exit 2 with one line on stderr and no traceback."""
+    path = tmp_path / "bad.thy"
+    path.write_text(f"theory t\ndimension 2\nsignature + +\n{decl}\nlagrangian {lagrangian}\n",
+                    encoding="utf-8")
+    assert main(["el", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:{where}\n")
+
+
 def test_verify_all_maxwell():
     code, out = run_cli("verify", "--all", "maxwell")
     assert code == 0

@@ -84,9 +84,9 @@ def _exercise(suite, gen, n):
         suite.h_horizontal(w)
 
 
-def _dense(st, b):
+def _dense(ch, st, b):
     """The d1 matrix e from degree b to b+1 as a sympy matrix."""
-    cols, ntgt = st.e[b]
+    cols, ntgt = st.d1(ch, b)
     return sympy.Matrix(ntgt, len(cols), lambda i, j: cols[j].get(i, 0))
 
 
@@ -98,11 +98,11 @@ def test_sigma1_is_pseudo_inverse_of_d1_on_every_stratum(dim):
     degrees = 0
     for st in image_strata(suite).values():
         for b in range(1, dim + 1):
-            if not 0 < len(st.bases[b]) <= 20 or len(st.bases[b - 1]) > 20:
+            if not 0 < len(st.basis(ch, b)) <= 20 or len(st.basis(ch, b - 1)) > 20:
                 continue
-            pinv = _dense(st, b - 1).pinv()
+            pinv = _dense(ch, st, b - 1).pinv()
             for i, word in enumerate(st.bases[b]):
-                image = dict(sigma1_terms(st.sigma1_image(word)))
+                image = dict(sigma1_terms(st.sigma1_image(ch, word)))
                 assert [image.get(w, 0) for w in st.bases[b - 1]] == list(pinv.col(i))
             degrees += 1
     assert degrees > 2 * dim
@@ -114,13 +114,13 @@ def test_d1_cohomology_below_top_degree_is_rejected(dim):
     suite = HomotopySuite(ch)
     _exercise(suite, FormGenerator(ch, seed=5), 4)
     key = next(k for k, s in suite._strata.items()
-               if s.fids and _dense(s, 0).rank() > 0)
-    _Stratum(suite, *key).delta_pinv(1)          # acyclic as built
-    broken = _Stratum(suite, *key)
-    cols, ntgt = broken.e[0]
+               if s.fids and _dense(ch, s, 0).rank() > 0)
+    _Stratum(*key).delta_pinv(ch, 1)             # acyclic as built
+    broken = _Stratum(*key)
+    cols, ntgt = broken.d1(ch, 0)
     broken.e[0] = ([{}] * len(cols), ntgt)
     with pytest.raises(InvariantViolation, match="unexpected d1-cohomology"):
-        broken.delta_pinv(1)
+        broken.delta_pinv(ch, 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

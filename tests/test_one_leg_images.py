@@ -5,7 +5,7 @@ On a stratum with one vertical leg the Hodge Laplacian of the source
 degree is |F| Id, F the free directions of the stratum, so sigma1 = e^T/|F|
 (notes/decisions.md §31).  HomotopySuite.sigma1 writes the image of such a
 word in closed form and builds no stratum.  The oracle is
-_Stratum.sigma1_image on a new suite, which inverts the Laplacian block by
+_Stratum.sigma1_image on a new stratum, which inverts the Laplacian block by
 block on the stratum's bases.  Both return (den, [(word, numerator)]), and
 they must be equal."""
 
@@ -25,7 +25,7 @@ from make_digests import THEORIES
 
 
 def _stratum_image(chart, legs):
-    return _Stratum(HomotopySuite(chart), *_stratum_key(chart, legs)).sigma1_image(legs)
+    return _Stratum(*_stratum_key(chart, legs)).sigma1_image(chart, legs)
 
 
 def _one_leg(legs):

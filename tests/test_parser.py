@@ -244,10 +244,29 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
     (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = e'\n", 7, 7,
      "stray prime on 'e'"),
     (_HEAD + "field q scalar\nsource j scalar = q'\n", 5, 19, "stray prime on 'q'"),
+    (_HEAD + "field q scalar\nlagrangian 1/0 * q * q * vol\n", 5, 14, "division by zero"),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e scalar\n  q = 1/0 * e\n",
+     7, 9, "division by zero"),
+    (_HEAD + "function V\nfield q scalar\nlagrangian fint(1/0; V(l q)) * vol\n", 6, 19,
+     "division by zero"),
+    (_HEAD + "function V\nfield q scalar\nlagrangian V{1/0}(q) * vol\n", 6, 16,
+     "division by zero"),
+    (_HEAD + "field A form -1\nlagrangian 0\n", 4, 1, "form degree must be >= 0"),
+    (_HEAD + "field q scalar\nsource j form -1 = 0\nlagrangian 0\n", 5, 1,
+     "form degree must be >= 0"),
+    (_HEAD + "field q scalar\nlagrangian 0\nsymmetry s param e form -1\n  q = 0\n", 6, 1,
+     "form degree must be >= 0"),
+    (_HEAD + "field q scalar components 0\nlagrangian 0\n", 4, 1,
+     "components must be >= 1"),
+    (_HEAD + "field q scalar components -2\nlagrangian 0\n", 4, 1,
+     "components must be >= 1"),
 ], ids=["solve_direction", "solve_digits", "solve_adjacent", "solve_component",
         "metric_ragged", "metric_size", "metric_det", "metric_degenerate", "coordinates",
         "orientation_3", "orientation_0", "jet_cutoff", "symmetry_twice", "structure",
-        "stray_prime", "stray_prime_symmetry", "stray_prime_source"])
+        "stray_prime", "stray_prime_symmetry", "stray_prime_source", "zero_denominator",
+        "zero_denominator_symmetry", "zero_denominator_fint", "zero_denominator_orders",
+        "form_negative", "source_form_negative", "param_form_negative", "components_0",
+        "components_negative"])
 def test_malformed_value_is_a_positioned_syntax_error(tmp_path, capsys, text, line, col,
                                                       message):
     _check_positioned(tmp_path, capsys, text, line, col, message)

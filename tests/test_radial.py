@@ -363,7 +363,7 @@ def test_strata_d1_is_d_h_on_leg_words(dim):
     assert strata
     for st_ in strata.values():
         for b in range(dim):        # e builds each degree on first read
-            cols, _ntgt = st_.e[b]
+            cols, _ntgt = st_.d1(ch, b)
             idx = st_.index[b + 1]
             for w, col in zip(st_.bases[b], cols):
                 want = oracle_d1(LocalForm(ch, {w: Fraction(1)}))

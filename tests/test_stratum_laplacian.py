@@ -13,59 +13,59 @@ import pytest
 from varcalc import verify
 from varcalc.algebra import LocalForm
 from varcalc.chart import InvariantViolation, pseudo_inverse_psd, rref
-from varcalc.homotopy import (
-    HomotopySuite, _leg_split, _Stratum, _stratum_key, get_suite,
-)
+from varcalc.homotopy import _leg_split, _Stratum, _stratum_key, get_suite
 from varcalc.randforms import suite_chart
 
 from conftest import assert_exact, image_strata, sigma1_terms
 
 
-def _d1_rank(st, b):
+def _d1_rank(ch, st, b):
     """Rank of the d1 matrix e from degree b to b+1, by rref."""
-    cols, ntgt = st.e[b]
+    cols, ntgt = st.d1(ch, b)
     return len(rref([[col.get(i, 0) for i in range(ntgt)] for col in cols])[1])
 
 
 class PinvStratum(_Stratum):
     """A stratum whose sigma1 is the former dense pseudo-inverse route."""
 
-    def __init__(self, suite, fids, V):
-        super().__init__(suite, fids, V)
+    def __init__(self, fids, V):
+        super().__init__(fids, V)
         self.pinv = {}
         self.images = {}
 
-    def delta_pinv(self, b):
+    def delta_pinv(self, chart, b):
         """(e e^T)^+ for the d1 matrix e from degree b-1 to b, so that
         sigma1 = e^T (e e^T)^+ = e^+.  Below top degree on strata with
         legs d1 is acyclic, which is checked on the ranks of e."""
         if b not in self.pinv:
-            if (self.fids and b < self.suite.chart.dim
-                    and _d1_rank(self, b - 1) + _d1_rank(self, b) != len(self.bases[b])):
+            if (self.fids and b < chart.dim
+                    and _d1_rank(chart, self, b - 1) + _d1_rank(chart, self, b)
+                    != len(self.basis(chart, b))):
                 raise InvariantViolation(
                     "unexpected d1-cohomology below top horizontal degree")
-            dim = len(self.bases[b])
+            dim = len(self.basis(chart, b))
             D = [[Fraction(0)] * dim for _ in range(dim)]
-            for col in self.e[b - 1][0]:
+            for col in self.d1(chart, b - 1)[0]:
                 for i, c in col.items():
                     for i2, c2 in col.items():
                         D[i][i2] += c * c2
             self.pinv[b] = pseudo_inverse_psd(D)
         return self.pinv[b]
 
-    def sigma1_image(self, word):
+    def sigma1_image(self, chart, word):
         """sigma1 of a canonical leg word of this stratum, memoized as a
         list of (target word, coefficient)."""
         image = self.images.get(word)
         if image is None:
             b = sum(1 for a in word if a[0] == 'h')
+            self.basis(chart, b)
             i = self.index[b].get(word)
             if i is None:
                 raise InvariantViolation("leg word missing from its stratum basis")
             image = []
             if b:
-                z = [row[i] for row in self.delta_pinv(b)]
-                cols, _ = self.e[b - 1]
+                z = [row[i] for row in self.delta_pinv(chart, b)]
+                cols, _ = self.d1(chart, b - 1)
                 for j, col in enumerate(cols):
                     s = sum(c * z[k] for k, c in col.items() if z[k])
                     if s:
@@ -92,21 +92,20 @@ def _seeded_strata(monkeypatch, seed, cases):
 def test_laplacian_images_equal_pseudo_inverse_images(monkeypatch):
     compared = {2: 0, 3: 0}
     for ch, strata in _seeded_strata(monkeypatch, seed=0, cases=40):
-        oracle_suite = HomotopySuite(ch)
         for key, st in strata.items():
-            oracle = PinvStratum(oracle_suite, *key)
+            oracle = PinvStratum(*key)
             for b in range(1, ch.dim + 1):
-                for word in st.bases[b]:
-                    image = sigma1_terms(st.sigma1_image(word))
-                    assert image == oracle.sigma1_image(word), (key, word)
+                for word in st.basis(ch, b):
+                    image = sigma1_terms(st.sigma1_image(ch, word))
+                    assert image == oracle.sigma1_image(ch, word), (key, word)
                     assert_exact(dict(image))
                     compared[ch.dim] += 1
     assert compared[2] > 1000 and compared[3] > 1000, compared
 
 
 def _stratum(nlegs):
-    """The stratum of the first nlegs legs of du0_,11 du1_,00 dc_,0 dc_,0
-    wedged with dx0, on the 2-d suite chart."""
+    """(chart, stratum) of the first nlegs legs of du0_,11 du1_,00 dc_,0
+    dc_,0 wedged with dx0, on the 2-d suite chart."""
     ch = suite_chart(dim=2, nfields=2, ghost_field=True)
     u0, u1, c = (ch.by_name(n).fid for n in ("u0", "u1", "c"))
     legs = (('v', u0, (0, 2)), ('v', u1, (2, 0)), ('v', c, (1, 0)),
@@ -114,7 +113,7 @@ def _stratum(nlegs):
     word = LocalForm.from_word(ch, legs[:nlegs] + (('h', 0),))
     (key,) = word.terms
     _coeffs, legs = _leg_split(key)
-    return _Stratum(HomotopySuite(ch), *_stratum_key(ch, legs))
+    return ch, _Stratum(*_stratum_key(ch, legs))
 
 
 def _product(rows, Q):
@@ -141,17 +140,17 @@ def test_penrose_identities_on_the_four_leg_stratum():
     du0_,11 du1_,00 dc_,0 dc_,0 dx0, whose degree-1 basis has 411 words:
     with A = e_0 and X = sigma1, A X A = A, X A X = X, and A X and X A
     are symmetric."""
-    st = _stratum(4)
+    ch, st = _stratum(4)
+    cols, _ = st.d1(ch, 0)
     src, tgt = st.bases[0], st.bases[1]
     assert len(tgt) == 411
-    cols, _ = st.e[0]
     rows = [{} for _ in tgt]
     for j, col in enumerate(cols):
         for i, c in col.items():
             rows[i][j] = c
     X = [[0] * len(tgt) for _ in src]
     for i, word in enumerate(tgt):
-        image = sigma1_terms(st.sigma1_image(word))
+        image = sigma1_terms(st.sigma1_image(ch, word))
         assert_exact(dict(image))
         for target, c in image:
             X[st.index[0][target]][i] = c
@@ -170,12 +169,12 @@ def test_penrose_identities_on_the_four_leg_stratum():
 def test_singular_laplacian_block_is_rejected():
     """At top degree no rank guard runs; a Laplacian block that is singular
     there (e_{n-1} broken to zero) still raises the cohomology error."""
-    st = _stratum(3)
-    n = st.suite.chart.dim
-    cols, ntgt = st.e[n - 1]
+    ch, st = _stratum(3)
+    n = ch.dim
+    cols, ntgt = st.d1(ch, n - 1)
     st.e[n - 1] = ([{}] * len(cols), ntgt)
     with pytest.raises(InvariantViolation, match="unexpected d1-cohomology"):
-        st.delta_pinv(n)
+        st.delta_pinv(ch, n)
 
 
 def test_d1_is_acyclic_below_top_degree(monkeypatch):
@@ -183,12 +182,13 @@ def test_d1_is_acyclic_below_top_degree(monkeypatch):
     with legs that criterion 5 builds on the 2-d and 3-d suite charts, and
     on the four-leg stratum: the Koszul exactness that sigma1 rests on and
     that the engine no longer checks (notes/decisions.md §22)."""
-    strata = [(ch.dim, st) for ch, sts in _seeded_strata(monkeypatch, seed=0, cases=200)
+    strata = [(ch, st) for ch, sts in _seeded_strata(monkeypatch, seed=0, cases=200)
               for st in sts.values() if st.fids]
-    strata.append((2, _stratum(4)))
+    strata.append(_stratum(4))
     checked = {2: 0, 3: 0}
-    for n, st in strata:
-        for b in range(1, n):
-            assert _d1_rank(st, b - 1) + _d1_rank(st, b) == len(st.bases[b]), (st.fids, b)
-            checked[n] += 1
+    for ch, st in strata:
+        for b in range(1, ch.dim):
+            assert _d1_rank(ch, st, b - 1) + _d1_rank(ch, st, b) == len(st.bases[b]), \
+                (st.fids, b)
+            checked[ch.dim] += 1
     assert checked[2] > 100 and checked[3] > 100, checked
