@@ -9,13 +9,18 @@ A term is a word of atoms in a fixed canonical order:
     ('v',  fid, midx)        vertical leg  (variation of a jet)
     ('h',  mu)               horizontal leg dx^mu
 
-Atoms carry a parity (total form degree + ghost degree mod 2); words are
-sorted into canonical order with Koszul signs, powers of odd atoms vanish,
-and a LocalForm is a dict {word: int | Fraction}.  A coefficient is an int
-when it is integral and a Fraction only when it is not (_q), so integral
-data multiplies as plain ints; a division goes through Fraction.  Every
-operator below is a graded derivation or contraction driven by a per-atom
-image map, so sign handling lives in exactly one place.
+A word is stored as a tuple of int codes, one per atom (Chart.encode):
+the order of the codes is the canonical order, and the lowest bit of a
+code is its atom's parity (total form degree + ghost degree mod 2), so the
+kernel sorts, bisects and reads signs on ints.  Tuple atoms appear only
+where words are built (LocalForm.from_word, Chart.encode_word) and where
+they are printed (Chart.decode_word).  Words are sorted into canonical
+order with Koszul signs, powers of odd atoms vanish, and a LocalForm is a
+dict {word: int | Fraction}.  A coefficient is an int when it is integral
+and a Fraction only when it is not (_q), so integral data multiplies as
+plain ints; a division goes through Fraction.  Every operator below is a
+graded derivation or contraction driven by a per-atom image map, so sign
+handling lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -25,12 +30,9 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .chart import (
-    Chart, COORD, CONST, CPARAM, DYNAMIC,
-    GradingError, GhostDegreeMismatch, JetCutoffExceeded, UnassignedSymbol,
-    VarcalcError,
+    Chart, DYNAMIC, ONE, ZERO,
+    GradingError, GhostDegreeMismatch, UnassignedSymbol, VarcalcError,
 )
-
-_RANK = {'j': 0, 'ji': 0, 'f': 1, 'F': 2, 'v': 3, 'h': 4}
 
 
 def midx_zero(n):
@@ -76,128 +78,54 @@ def iter_midx(n, order):
             yield (first,) + rest
 
 
-def atom_parity(chart, atom):
-    t = atom[0]
-    if t == 'j':
-        return chart.ghost(atom[1]) & 1
-    if t == 'v':
-        return (1 + chart.ghost(atom[1])) & 1
-    if t == 'h':
-        return 1
-    return 0
+def atom_ghost(chart, code):
+    a = chart.decode(code)
+    return chart.ghost(a[1]) if a[0] in ('j', 'v') else 0
 
 
-def atom_ghost(chart, atom):
-    t = atom[0]
-    if t in ('j', 'v'):
-        return chart.ghost(atom[1])
-    return 0
+def norm_word(chart, word, coeff):
+    """Canonicalize a word of codes; returns (word, coeff) or None if zero.
 
-
-def _sort_key(atom):
-    return (_RANK[atom[0]],) + atom[1:]
-
-
-# what norm_word does with an atom
-_KEEP, _CONST, _ONE, _ZERO = range(4)
-
-
-def _atom_data(chart, atom):
-    """(sort key, parity, action, atom) of an atom on a chart; raises
-    JetCutoffExceeded for a jet or leg above the chart's cutoff."""
-    t = atom[0]
-    action = _KEEP
-    if t in ('j', 'ji'):
-        kind = chart.kind(atom[1])
-        order = midx_order(atom[2]) if t == 'j' else 0
-        if order and kind in (COORD, CONST, CPARAM):
-            # D_mu x^nu = delta; every other derivative of a constant is 0
-            if kind == COORD and order == 1 and \
-                    atom[2][chart.component(atom[1]).coord_dir] == 1:
-                action = _ONE
-            else:
-                action = _ZERO
-        elif order > chart.jet_cutoff:
-            raise JetCutoffExceeded(
-                f"jet order {order} exceeds cutoff {chart.jet_cutoff}")
-        elif kind == CONST:
-            action = _CONST
-    elif t == 'v' and midx_order(atom[2]) > chart.jet_cutoff:
-        raise JetCutoffExceeded(
-            f"jet order {midx_order(atom[2])} exceeds cutoff {chart.jet_cutoff}")
-    return _sort_key(atom), atom_parity(chart, atom), action, atom
-
-
-def norm_word(chart, atoms, coeff):
-    """Canonicalize a word; returns (key, coeff) or None if zero.
-
-    Atoms are sorted into canonical order with the Koszul sign of every
-    odd-odd transposition; factors of 1 are dropped, a zero factor or an
-    odd square kills the word, and named constants cancel against their
-    inverses.  Per-atom data comes from the chart's ``atom_data`` cache.
+    The codes are sorted with the Koszul sign of every transposition of
+    two odd atoms; a zero factor (ZERO) or an odd square kills the word,
+    and named constants cancel against their inverses.
     """
-    if not coeff:
+    if not coeff or ZERO in word:
         return None
-    cache = chart.atom_data
-    work = []
-    has_const = False
-    for a in atoms:
-        d = cache.get(a)
-        if d is None:
-            d = cache[a] = _atom_data(chart, a)
-        action = d[2]
-        if action == _ZERO:
-            return None
-        if action != _ONE:
-            work.append(d)
-            has_const = has_const or action == _CONST
-    # insertion sort on the cached keys, tracking odd-odd transpositions
+    key = tuple(sorted(word))
+    odd = [c for c in word if c & 1]
     sign = 1
-    out = []
-    for item in work:
-        ka, pa = item[0], item[1]
-        i = len(out)
-        while i > 0 and out[i - 1][0] > ka:
-            if pa and out[i - 1][1]:
-                sign = -sign
-            i -= 1
-        out.insert(i, item)
-    if has_const:
-        out = _cancel_constants(chart, out)
-    for i in range(1, len(out)):
-        if out[i][1] and out[i][0] == out[i - 1][0]:
+    if len(odd) > 1:
+        if len(set(odd)) < len(odd):
             return None     # odd square
+        if key != word:
+            for i in range(1, len(odd)):
+                c = odd[i]
+                for b in odd[:i]:
+                    if b > c:
+                        sign = -sign
+    if any(c & 2 for c in key):
+        key = _cancel_constants(chart, key)
     coeff = _q(coeff)
-    return tuple(item[3] for item in out), (coeff if sign > 0 else -coeff)
+    return key, (coeff if sign > 0 else -coeff)
 
 
-def _cancel_constants(chart, out):
-    """Cancel named constants against their inverses in a sorted word of
-    atom data; the net powers go back in canonical place."""
+def _cancel_constants(chart, key):
+    """Cancel named constants against their inverses in a sorted word; the
+    net powers go back in canonical place (they are even: no signs)."""
     cleaned = []
     counts = {}
-    for item in out:
-        if item[2] == _CONST:
-            a = item[3]
+    for c in key:
+        if c & 2:
+            a = chart.decode(c)
             counts[a[1]] = counts.get(a[1], 0) + (1 if a[0] == 'j' else -1)
         else:
-            cleaned.append(item)
+            cleaned.append(c)
     zero = midx_zero(chart.dim)
-    const_items = []
-    for fid in sorted(counts):
-        c = counts[fid]
-        a = ('j', fid, zero) if c > 0 else ('ji', fid)
-        const_items += [chart.atom_data[a]] * abs(c)
-    # reinsert constants (parity 0: no signs); keep global order
-    merged = []
-    ci = 0
-    for item in cleaned:
-        while ci < len(const_items) and const_items[ci][0] <= item[0]:
-            merged.append(const_items[ci])
-            ci += 1
-        merged.append(item)
-    merged.extend(const_items[ci:])
-    return merged
+    for fid, n in counts.items():
+        if n:
+            cleaned += [chart.encode(('j', fid, zero) if n > 0 else ('ji', fid))] * abs(n)
+    return tuple(sorted(cleaned))
 
 
 def _q(c):
@@ -221,45 +149,33 @@ def _add(terms, key, c):
     terms[key] = c if type(c) is int else _q(c)
 
 
-def _data(chart, atom):
-    d = chart.atom_data.get(atom)
-    if d is None:
-        d = chart.atom_data[atom] = _atom_data(chart, atom)
-    return d
+def _word_data(key):
+    """The odd-prefix counts of a normalized word: odd[m] is the number of
+    odd atoms in key[:m]."""
+    return list(accumulate([c & 1 for c in key], initial=0))
 
 
-def _word_data(chart, key):
-    """The sort keys of a normalized word and its odd-prefix counts:
-    odd[m] is the number of odd atoms in key[:m]."""
-    cache = chart.atom_data
-    try:
-        data = [cache[a] for a in key]
-    except KeyError:
-        data = [_data(chart, a) for a in key]
-    return [d[0] for d in data], list(accumulate([d[1] for d in data], initial=0))
+def _splice(key, odd, i, drop, ins):
+    """Merge a normalized run of codes into a normalized word.
 
-
-def _splice(key, keys, odd, i, drop, ins):
-    """Merge a normalized run of atoms into a normalized word.
-
-    ``ins`` is the atom data of the new atoms in canonical order; they go
-    in at index i of ``key``, whose own atom key[i] (the first of its run)
-    is dropped when ``drop`` is true.  Each new atom lands at its bisect
-    position p among the other atoms, and an odd one crosses the odd atoms
-    between i and p, read off the odd-prefix counts.  Returns (word, parity
-    of the Koszul sign) or None when an odd atom meets its equal at the
-    seam.  Named constants are not cancelled here: callers send words
-    where one enters through norm_word.
+    ``ins`` holds the new codes in canonical order; they go in at index i
+    of ``key``, whose own atom key[i] (the first of its run) is dropped
+    when ``drop`` is true.  Each new code lands at its bisect position p
+    in the word, and an odd one crosses the odd atoms between i and p,
+    read off the odd-prefix counts.  Returns (word, parity of the Koszul
+    sign) or None when an odd atom meets its equal at the seam.  Named
+    constants are not cancelled here: callers send words where one enters
+    through norm_word.
     """
     n = len(key)
     par_i = odd[i + 1] - odd[i] if drop else 0
     sign = 0
     word = ()
     prev = 0
-    for kx, px, _action, x in ins:
-        p = bisect_left(keys, kx)
-        if px:
-            if p < n and keys[p] == kx and not (drop and p == i):
+    for x in ins:
+        p = bisect_left(key, x)
+        if x & 1:
+            if p < n and key[p] == x and not (drop and p == i):
                 return None     # odd square
             sign ^= (odd[p] - (par_i if p > i else 0) - odd[i]) & 1
         if drop and prev <= i < p:
@@ -275,19 +191,25 @@ def _splice(key, keys, odd, i, drop, ins):
     return word, sign
 
 
-def _image_data(chart, im):
-    """(word, coeff, -coeff, atom data) per term of an image form, as a
-    tuple; the atom data is None when the word holds a named constant or
+def _image_data(im):
+    """(word, coeff, -coeff, word or None) per term of an image form, as a
+    tuple; the last entry is None when the word holds a named constant or
     its inverse, which must go through norm_word to cancel."""
     if im is None or not im.terms:
         return None
-    out = []
-    for ikey, ic in im.terms.items():
-        ins = tuple(_data(chart, a) for a in ikey)
-        if any(d[2] == _CONST for d in ins):
-            ins = None
-        out.append((ikey, ic, -ic, ins))
-    return tuple(out)
+    return tuple((ikey, ic, -ic, None if any(c & 2 for c in ikey) else ikey)
+                 for ikey, ic in im.terms.items())
+
+
+def _normal(word):
+    """Whether a word of codes is normalized as it stands: non-decreasing,
+    with no repeated odd code, no named constant and no zero factor."""
+    prev = 0
+    for c in word:
+        if c < prev or c & 2 or (c == prev and c & 1):
+            return False
+        prev = c
+    return True
 
 
 class LocalForm:
@@ -297,6 +219,7 @@ class LocalForm:
 
     def __init__(self, chart: Chart, terms=None):
         self.chart = chart
+        # a word of codes -> its coefficient
         self.terms: dict[tuple, int | Fraction] = terms if terms is not None else {}
 
     # -- constructors ------------------------------------------------------
@@ -311,12 +234,19 @@ class LocalForm:
 
     @classmethod
     def from_word(cls, chart, atoms, coeff=1):
+        """The form of one word of atom tuples, normalized."""
         f = cls(chart)
-        f._accum(atoms, coeff)
+        f.add_word(atoms, coeff)
         return f
 
-    def _accum(self, atoms, coeff):
-        res = norm_word(self.chart, atoms, coeff)
+    def add_word(self, atoms, coeff):
+        """Add a word of atom tuples, encoded (Chart.encode_word) and
+        normalized; a zero coefficient encodes nothing, so it raises
+        nothing."""
+        self._accum(self.chart.encode_word(atoms) if coeff else (), coeff)
+
+    def _accum(self, word, coeff):
+        res = norm_word(self.chart, word, coeff)
         if res is not None:
             _add(self.terms, *res)
 
@@ -358,13 +288,12 @@ class LocalForm:
         return NotImplemented
 
     # -- grading -----------------------------------------------------------
-    @staticmethod
-    def key_vdeg(key):
-        return sum(1 for a in key if a[0] == 'v')
+    def key_vdeg(self, key):
+        chart = self.chart
+        return bisect_left(key, chart.code_h) - bisect_left(key, chart.code_v)
 
-    @staticmethod
-    def key_hdeg(key):
-        return sum(1 for a in key if a[0] == 'h')
+    def key_hdeg(self, key):
+        return len(key) - bisect_left(key, self.chart.code_h)
 
     def key_ghost(self, key):
         return sum(atom_ghost(self.chart, a) for a in key)
@@ -400,7 +329,7 @@ class LocalForm:
 # ---------------------------------------------------------------------------
 
 def apply_derivation(form: LocalForm, parity, image, images=None):
-    """Graded derivation: image(atom) -> LocalForm | None (None = zero).
+    """Graded derivation: image(code) -> LocalForm | None (None = zero).
 
     The image of an atom is spliced in place with the Koszul sign of moving
     an operator of the given parity across the atoms before it (operators
@@ -416,7 +345,7 @@ def apply_derivation(form: LocalForm, parity, image, images=None):
     if images is None:
         images = {}
     for key, coeff in form.terms.items():
-        keys = odd = None
+        odd = None
         n = len(key)
         i = 0
         while i < n:            # derive each distinct atom once per run
@@ -427,10 +356,10 @@ def apply_derivation(form: LocalForm, parity, image, images=None):
             if atom in images:
                 im = images[atom]
             else:
-                im = images[atom] = _image_data(chart, image(atom))
+                im = images[atom] = _image_data(image(atom))
             if im is not None:
-                if keys is None:
-                    keys, odd = _word_data(chart, key)
+                if odd is None:
+                    odd = _word_data(key)
                 run = j - i
                 flip = parity & odd[i] & 1
                 c0 = coeff * run if run > 1 else coeff
@@ -439,7 +368,7 @@ def apply_derivation(form: LocalForm, parity, image, images=None):
                         out._accum(key[:i] + ikey + key[i + 1:],
                                    c0 * (nic if flip else ic))
                         continue
-                    res = _splice(key, keys, odd, i, True, ins)
+                    res = _splice(key, odd, i, True, ins)
                     if res is not None:
                         neg = res[1] ^ flip
                         # an image coefficient of 1, as in the images of
@@ -467,31 +396,32 @@ def chain_rule(chart, atom, leg):
             napp = ('f', sym, nd, args)
             if atom[0] == 'F':
                 napp = ('F', atom[1] + 1, inner[:ai] + (napp,) + inner[ai + 1:])
-            out._accum((napp, d), 1)
+            out.add_word((napp, d), 1)
     return out
 
 
 def _put_factor(chart, terms, atom, mu=None):
     """Add the one-atom word of a jet or leg factor ``atom`` to an image's
-    terms, read off its cached atom data (_data) without norm_word, with
-    dx^mu after it when ``mu`` is given: a zero factor adds no term, a
-    factor of 1 the empty word (or dx^mu alone), and otherwise the word
-    holds the chart's cached atom object, with the sign -1 when dx^mu moves
-    past an odd one.  Raises JetCutoffExceeded as norm_word does."""
-    d = _data(chart, atom)
-    if d[2] == _ZERO:
+    terms, read off its code without norm_word, with dx^mu after it when
+    ``mu`` is given: a zero factor adds no term, a factor of 1 the empty
+    word (or dx^mu alone), and otherwise the word holds the atom's code,
+    with the sign -1 when dx^mu moves past an odd one.  Raises
+    JetCutoffExceeded as Chart.encode does."""
+    c = chart.encode(atom)
+    if c == ZERO:
         return
-    word = () if d[2] == _ONE else (d[3],)
+    word = () if c == ONE else (c,)
     if mu is None:
         terms[word] = 1
     else:
-        terms[word + (_data(chart, ('h', mu))[3],)] = -1 if word and d[1] else 1
+        terms[word + (chart.encode(('h', mu)),)] = -1 if c & 1 and word else 1
 
 
-def _d_mu(chart, atom, mu, legs):
+def _d_mu(chart, code, mu, legs):
     """D_mu of one atom, or None for zero: a jet's multi-index shifts by mu,
     and so does a vertical leg's when ``legs`` is true; a function atom or
     fiber integral goes through the chain rule."""
+    atom = chart.decode(code)
     t = atom[0]
     if t == 'j' or (t == 'v' and legs):
         terms = {}
@@ -505,7 +435,7 @@ def _d_mu(chart, atom, mu, legs):
 def total_derivative(form: LocalForm, mu):
     """The total derivative D_mu (even derivation)."""
     chart = form.chart
-    return apply_derivation(form, 0, lambda atom: _d_mu(chart, atom, mu, True),
+    return apply_derivation(form, 0, lambda code: _d_mu(chart, code, mu, True),
                             chart.images.setdefault(('D', mu), {}))
 
 
@@ -533,7 +463,8 @@ def horizontal(form: LocalForm, legs=True):
     A jet or leg has one word per mu (_put_factor), in mu order."""
     chart = form.chart
 
-    def image(atom):
+    def image(code):
+        atom = chart.decode(code)
         t = atom[0]
         if t == 'j' or (t == 'v' and legs):
             terms = {}
@@ -542,7 +473,7 @@ def horizontal(form: LocalForm, legs=True):
             return LocalForm(chart, terms)
         out = LocalForm(chart)
         for mu in range(chart.dim):
-            im = _d_mu(chart, atom, mu, legs)
+            im = _d_mu(chart, code, mu, legs)
             if im is not None:
                 out = out + prepend_atom(im, ('h', mu))
         return out
@@ -556,14 +487,14 @@ def prepend_atom(form: LocalForm, atom):
     out = LocalForm(chart)
     if not form.terms:
         return out
-    d = _data(chart, atom)
-    if d[2] != _KEEP:
+    c = chart.encode(atom)
+    if c < 0 or c & 2:
+        w = () if c == ONE else (c,)
         for key, coeff in form.terms.items():
-            out._accum((atom,) + key, coeff)
+            out._accum(w + key, coeff)
         return out
     for key, coeff in form.terms.items():
-        keys, odd = _word_data(chart, key)
-        res = _splice(key, keys, odd, 0, False, (d,))
+        res = _splice(key, _word_data(key), 0, False, (c,))
         if res is not None:
             _add(out.terms, res[0], -coeff if res[1] else coeff)
     return out
@@ -581,7 +512,8 @@ def d_v(form: LocalForm):
     def leg(a):
         return ('v', a[1], a[2]) if chart.kind(a[1]) == DYNAMIC else None
 
-    def image(atom):
+    def image(code):
+        atom = chart.decode(code)
         t = atom[0]
         if t == 'j':
             v = leg(atom)
@@ -600,11 +532,13 @@ def d_v(form: LocalForm):
 def h_coefficient(form: LocalForm, dirs):
     """Coefficient of dx^dirs (ascending directions) in a form: the terms
     whose horizontal legs are exactly those, with the legs stripped."""
-    target = tuple(('h', mu) for mu in dirs)
-    out = LocalForm(form.chart)
+    chart = form.chart
+    target = tuple(chart.encode(('h', mu)) for mu in dirs)
+    out = LocalForm(chart)
     for key, c in form.terms.items():
-        if tuple(a for a in key if a[0] == 'h') == target:
-            out._accum(tuple(a for a in key if a[0] != 'h'), c)
+        h = bisect_left(key, chart.code_h)
+        if key[h:] == target:
+            out._accum(key[:h], c)
     return out
 
 
@@ -615,20 +549,21 @@ def contract_legs(form: LocalForm):
     one leg, times the run length and apply_derivation's sign for image 1:
     minus when the leg is odd and the atoms before it have odd total parity."""
     chart = form.chart
+    lo, hi = chart.code_v, chart.code_h
     out = {}
     for key, coeff in form.terms.items():
         left_par = 0
         seen = None
-        for i, atom in enumerate(key):
-            par = atom_parity(chart, atom)
-            if atom[0] == 'v' and atom != seen:
-                if atom[1:] not in out:
-                    out[atom[1:]] = LocalForm(chart)
-                sgn = -1 if par and left_par & 1 else 1
-                _add(out[atom[1:]].terms, key[:i] + key[i + 1:],
-                     coeff * sgn * key.count(atom))
-            seen = atom
-            left_par += par
+        for i, c in enumerate(key):
+            if lo <= c < hi and c != seen:
+                leg = chart.decode(c)[1:]
+                if leg not in out:
+                    out[leg] = LocalForm(chart)
+                sgn = -1 if c & 1 and left_par & 1 else 1
+                _add(out[leg].terms, key[:i] + key[i + 1:],
+                     coeff * sgn * key.count(c))
+            seen = c
+            left_par += c & 1
     return out
 
 
@@ -650,10 +585,14 @@ def transport(form: LocalForm, chart, image, h=None):
     after its jet arguments are mapped by ``image(arg, True)``, to an atom,
     a LocalForm on ``chart`` multiplied in at that place, or None for zero.
     ``image(arg, True)`` gives an atom, ('0',), or None, which drops the
-    term.  ``h`` renumbers the horizontal legs dx^mu.  Each output word is
-    normalized once on ``chart``, which gives the Koszul signs; a word whose
-    atoms all map to themselves on the form's own chart is kept as it is.
+    term.  ``h`` renumbers the horizontal legs dx^mu.  The atoms are tuples
+    here: each is decoded once on the form's chart and its image encoded
+    on ``chart``.  An output word that is normalized as it stands (_normal)
+    is added directly; every other one is normalized once on ``chart``,
+    which gives the Koszul signs.
     """
+    src = form.chart
+
     def app(a):
         args = []
         for x in a[3]:
@@ -664,19 +603,21 @@ def transport(form: LocalForm, chart, image, h=None):
             args.append(x)
         return ('f', a[1], a[2], tuple(args))
 
-    def atom_image(a):
+    def atom_image(code):
+        a = src.decode(code)
         t = a[0]
         if t == 'h':
-            return ('h', h(a[1])) if h else a
-        if t == 'f':
-            a = app(a)
-        elif t == 'F':
-            inner = [app(x) for x in a[2]]
-            a = None if None in inner else ('F', a[1], tuple(sorted(inner)))
-        return None if a is None else image(a, False)
+            b = ('h', h(a[1])) if h else a
+        else:
+            if t == 'f':
+                a = app(a)
+            elif t == 'F':
+                inner = [app(x) for x in a[2]]
+                a = None if None in inner else ('F', a[1], tuple(sorted(inner)))
+            b = None if a is None else image(a, False)
+        return chart.encode_word((b,)) if type(b) is tuple else b
 
     out = LocalForm(chart)
-    same = chart is form.chart
     images = {}
     for key, c in form.terms.items():
         word = []
@@ -688,18 +629,18 @@ def transport(form: LocalForm, chart, image, h=None):
                 break
             word.append(b)
         else:
-            if same and tuple(word) == key:
-                _add(out.terms, key, c)
-                continue
             parts = [((), c)]
             for b in word:
                 if type(b) is tuple:
-                    parts = [(w + (b,), pc) for w, pc in parts]
+                    parts = [(w + b, pc) for w, pc in parts]
                 else:
                     parts = [(w + k, pc * kc)
                              for w, pc in parts for k, kc in b.terms.items()]
             for w, pc in parts:
-                out._accum(w, pc)
+                if _normal(w):
+                    _add(out.terms, w, pc)
+                else:
+                    out._accum(w, pc)
     return out
 
 
@@ -728,7 +669,9 @@ def zero_star(form: LocalForm):
         if t in ('j', 'v') and chart.kind(a[1]) == DYNAMIC:
             return ('0',) if in_fn else None
         if t == 'F':
-            return LocalForm(chart, {a[2]: _q(Fraction(1, a[1] + 1))})
+            # the inner applications are even: sorted codes are normalized
+            return LocalForm(chart, {tuple(sorted(chart.encode(x) for x in a[2])):
+                                     _q(Fraction(1, a[1] + 1))})
         return a
 
     return transport(form, chart, image)
@@ -783,8 +726,8 @@ def substitute(form: LocalForm, bindings):
             return ('0',)
         if len(r.terms) == 1:
             (w, c), = r.terms.items()
-            if c == 1 and len(w) == 1 and w[0][0] == 'j':
-                return w[0]
+            if c == 1 and len(w) == 1 and chart.decode(w[0])[0] == 'j':
+                return chart.decode(w[0])
         raise VarcalcError(
             "substitution inside a function argument must be "
             "a plain jet or zero")
@@ -843,7 +786,8 @@ def evaluate(form: LocalForm, assign: PointAssignment):
     total = Fraction(0)
     for key, coeff in form.terms.items():
         val = Fraction(coeff)
-        for atom in key:
+        for code in key:
+            atom = chart.decode(code)
             t = atom[0]
             if t == 'j':
                 val *= assign.jet(atom[1], atom[2])

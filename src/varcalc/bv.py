@@ -12,7 +12,7 @@ from .chart import (
     VarcalcError,
 )
 from .algebra import (
-    LocalForm, atom_parity, d_h, d_v, midx_zero, relabel, source_densities, transport,
+    LocalForm, d_h, d_v, midx_zero, relabel, source_densities, transport,
 )
 from .euler import EvolutionaryField, insert, interior_euler, lie_derivative
 from .homotopy import get_suite
@@ -25,8 +25,8 @@ from .theory import SymmetryAction, Theory, per_symmetry
 
 
 def _vol(chart):
-    """The volume word dx0 ∧ ... ∧ dx(n-1)."""
-    return tuple(('h', mu) for mu in range(chart.dim))
+    """The codes of the volume word dx0 ∧ ... ∧ dx(n-1)."""
+    return chart.encode_word(tuple(('h', mu) for mu in range(chart.dim)))
 
 
 class BVTheory:
@@ -71,9 +71,11 @@ class BVTheory:
         LBV = L0
         for fid, qf in sorted(self.qce.items()):
             af = self.antifields[fid]
+            head = chart.encode_word((('j', af, z),))
             for key, c in qf.terms.items():
-                LBV = LBV + LocalForm.from_word(
-                    chart, (('j', af, z),) + key + vol, c)
+                term = LocalForm(chart)
+                term._accum(head + key + vol, c)
+                LBV = LBV + term
         self.L = LBV
         if not (zero_ghost_body(self, self.L) - L0).is_zero():
             raise VarcalcError("BV body projection does not reproduce L")
@@ -84,7 +86,7 @@ class BVTheory:
         # canonical (-1)-symplectic density: omega = sum d(phi+) ^ d(phi) vol
         omega = LocalForm(chart)
         for fid, af in sorted(self.antifields.items()):
-            omega._accum((('v', af, z), ('v', fid, z)) + vol, 1)
+            omega._accum(chart.encode_word((('v', af, z), ('v', fid, z))) + vol, 1)
         self.omega_BV = omega
         # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19)
         self.Q = hamiltonian_vector_field(self.L, omega)
@@ -129,7 +131,7 @@ def zero_ghost_body(bv: BVTheory, form):
     """Set every nonzero-ghost generator to zero."""
     chart = bv.chart
     return form.components(lambda w: not any(
-        a[0] in ('j', 'v') and chart.ghost(a[1]) for a in w))
+        a[0] in ('j', 'v') and chart.ghost(a[1]) for a in map(chart.decode, w)))
 
 
 def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryField:
@@ -151,14 +153,15 @@ def hamiltonian_vector_field(F: LocalForm, omega: LocalForm) -> EvolutionaryFiel
     # I i_X omega per unit X along v), one entry per omega term
     pair = {}
     for key, c in src.terms.items():
-        legs = [a for a in key if a[0] == 'v']
-        rest = [a for a in key if a[0] not in ('v', 'h')]
+        atoms = [chart.decode(x) for x in key]
+        legs = [a for a in atoms if a[0] == 'v']
+        rest = [a for a in atoms if a[0] not in ('v', 'h')]
         if len(legs) != 2 or rest:
             raise NotHamiltonian("symplectic density is not a constant pairing")
         (f1, m1), (f2, m2) = (legs[0][1], legs[0][2]), (legs[1][1], legs[1][2])
         if m1 != z or m2 != z:
             raise NotHamiltonian("symplectic pairing involves higher jets")
-        p1, p2 = (atom_parity(chart, a) for a in legs)
+        p1, p2 = (x & 1 for x in key if chart.code_v <= x < chart.code_h)
         pair.setdefault(f2, []).append((f1, c * (-1) ** (P * p2 + p1 * p2)))
         pair.setdefault(f1, []).append((f2, c * (-1) ** (P * p1)))
 
@@ -285,7 +288,7 @@ class BFVTheory:
         self.L = move(H0)    # parameters become ghosts via self.ghosts
         vol = _vol(chart)
         for p, br in sym.bracket(chart, c_of, c_of).items():
-            dag = (('j', self.ghost_momenta[c_of[p]], z),)
+            dag = chart.encode_word((('j', self.ghost_momenta[c_of[p]], z),))
             for key, c in br.terms.items():
                 self.L._accum(dag + key + vol, Fraction(c * orientation, 2))
         gh = {self.L.key_ghost(k) for k in self.L.terms}
@@ -294,7 +297,7 @@ class BFVTheory:
 
         omega = move(sigma.omega_sigma)
         for cfid, gm in sorted(self.ghost_momenta.items()):
-            omega._accum((('v', gm, z), ('v', cfid, z)) + vol,
+            omega._accum(chart.encode_word((('v', gm, z), ('v', cfid, z))) + vol,
                          Fraction(-orientation))
         self.omega_BFV = omega
         self.C_BFV = H0

@@ -8,6 +8,7 @@ its chart; operators read grading and parity data from here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -140,6 +141,23 @@ class CMEFails(VarcalcError):
 
 DEFAULT_JET_CUTOFF = 6
 
+# Atom codes (Chart.encode).  The code of a kept atom is
+# (rank * stride + field) << 2 | flags: bit 0 is its parity and bit 1 marks
+# a named constant or its inverse, so the kernel reads both off the int.
+# The ranks 0-4 are jets, 'f', 'F', vertical legs and dx^mu, so the order
+# of the codes is the canonical order of the atoms.  A jet or leg field is
+# fid * slot + 1 + its multi-index in radix cutoff + 1, 'ji' takes
+# fid * slot, just before its fid's jets, and dx^mu's field is mu.  'f'
+# and 'F' atoms are numbered by first encounter in a registry that
+# promoted charts share: they are even, so their order carries no sign.
+# The stride holds at least 1024 fids, and keeps every code of a chart of
+# dimension <= 4 and cutoff <= 12 below 2**30.  ZERO and ONE are the codes
+# of the factors 0 and 1, which no normalized word holds
+# (notes/decisions.md §37).
+_STRIDE = 1 << 25
+ZERO = -1
+ONE = -2
+
 # field kinds
 DYNAMIC = "dynamic"
 PARAM = "param"          # field-valued symmetry parameter
@@ -206,9 +224,18 @@ class Chart:
         self._by_name: dict[str, FieldComponent] = {}
         self.functions: list[FunctionSymbol] = []
         self._fn_by_name: dict[str, FunctionSymbol] = {}
-        # atom -> (sort key, parity, action, atom), filled by algebra.norm_word
-        self.atom_data: dict[tuple, tuple] = {}
-        # ('d', legs), ('D', mu) or 'dv' -> {atom: _image_data tuple or
+        # the atom codec (encode, decode): a word is a tuple of int codes
+        self._radix = jet_cutoff + 1
+        self._slot = self._radix ** dim + 1
+        stride = max(_STRIDE, 1 << (self._slot * 1024).bit_length())
+        self._stride = stride
+        self.code_f, self.code_F, self.code_v, self.code_h = (
+            r * stride << 2 for r in range(1, 5))
+        self.codes: dict[tuple, int] = {}     # atom -> code, ZERO or ONE
+        self.atoms: dict[int, tuple] = {}     # code -> atom
+        # f/F atom -> code and code -> atom, shared with promoted charts
+        self.registry: dict = {}
+        # ('d', legs), ('D', mu) or 'dv' -> {code: _image_data tuple or
         # None}, filled by algebra.apply_derivation (a field keeps its own)
         self.images: dict = {}
         self.strata: dict = {}          # (fids, V) -> homotopy._Stratum
@@ -302,7 +329,127 @@ class Chart:
                                   DYNAMIC if c.fid in fids else c.kind, c.coord_dir)
             for fn in self.functions:
                 new.add_function(fn.name, fn.arity, fn.model)
+            new.registry = self.registry
         return new
+
+    # -- atom codes ----------------------------------------------------------
+    def encode(self, atom):
+        """The code of an atom on this chart: ZERO for a factor that is
+        zero (a derivative of a coordinate, named constant or constant
+        parameter), ONE for D_mu x^mu, else an int whose order is the
+        canonical order of the atoms.  Raises JetCutoffExceeded for a jet
+        or leg above the cutoff (notes/decisions.md §37)."""
+        code = self.codes.get(atom)
+        if code is None:
+            code = self.codes[atom] = self._code(atom)
+            if code >= 0:
+                self.atoms[code] = atom
+        return code
+
+    def _code(self, atom):
+        t = atom[0]
+        stride = self._stride
+        if t in ('f', 'F'):
+            reg = self.registry
+            code = reg.get(atom)
+            if code is None:
+                code = ((1 if t == 'f' else 2) * stride + len(reg) // 2) << 2
+                reg[atom] = code
+                reg[code] = atom
+            return code
+        if t == 'h':
+            return (4 * stride + atom[1]) << 2 | 1
+        fid = atom[1]
+        comp = self.components[fid]
+        slot = 0
+        if t != 'ji':
+            for e in atom[2]:
+                slot = slot * self._radix + e
+            slot += 1
+            order = sum(atom[2])
+        else:
+            order = 0
+        flags = 0
+        if t == 'v':
+            if order > self.jet_cutoff:
+                raise JetCutoffExceeded(
+                    f"jet order {order} exceeds cutoff {self.jet_cutoff}")
+            rank, flags = 3, (1 + comp.ghost) & 1
+        else:
+            if order and comp.kind in (COORD, CONST, CPARAM):
+                # D_mu x^nu = delta; every other derivative of a constant is 0
+                return ONE if comp.kind == COORD and order == 1 and \
+                    atom[2][comp.coord_dir] == 1 else ZERO
+            if order > self.jet_cutoff:
+                raise JetCutoffExceeded(
+                    f"jet order {order} exceeds cutoff {self.jet_cutoff}")
+            rank = 0
+            if t == 'j':
+                flags = comp.ghost & 1
+            if comp.kind == CONST:
+                flags |= 2
+        if (fid + 1) * self._slot > stride:
+            raise VarcalcError(f"too many components for the atom codes of a "
+                               f"chart of dimension {self.dim}")
+        return (rank * stride + fid * self._slot + slot) << 2 | flags
+
+    def decode(self, code):
+        """The atom of a code (the inverse of encode on kept atoms)."""
+        atom = self.atoms.get(code)
+        if atom is None:
+            if self.code_f <= code < self.code_v:
+                atom = self.registry[code]
+            else:
+                atom = self._atom(code)
+            self.atoms[code] = atom
+        return atom
+
+    def _atom(self, code):
+        rank, rest = divmod(code >> 2, self._stride)
+        if rank == 4:
+            return ('h', rest)
+        fid, slot = divmod(rest, self._slot)
+        if not slot:
+            return ('ji', fid)
+        slot -= 1
+        midx = []
+        for _ in range(self.dim):
+            slot, e = divmod(slot, self._radix)
+            midx.append(e)
+        return ('v' if rank == 3 else 'j', fid, tuple(reversed(midx)))
+
+    def encode_word(self, atoms):
+        """The codes of a word of atoms, in its order: a factor of one is
+        left out, and a zero factor ends the word as (ZERO,)."""
+        out = []
+        for a in atoms:
+            code = self.codes.get(a)
+            if code is None:
+                code = self.encode(a)
+            if code < 0:
+                if code == ZERO:
+                    return (ZERO,)
+                continue
+            out.append(code)
+        return tuple(out)
+
+    def decode_word(self, word):
+        """The atoms of a normalized word in the canonical order of atom
+        tuples: the codes give that order except inside the run of 'f' and
+        'F' atoms, which are ordered by the registry and are re-sorted
+        here (they are even, so their order carries no sign)."""
+        atoms = [self.decode(c) for c in word]
+        lo = bisect_left(word, self.code_f)
+        hi = bisect_left(word, self.code_v, lo)
+        if hi - lo > 1:
+            fs = atoms[lo:hi]
+            fs.sort(key=lambda a: (a[0] == 'F', a))
+            atoms[lo:hi] = fs
+        return tuple(atoms)
+
+    def dx(self, code):
+        """The direction mu of the code of dx^mu."""
+        return (code >> 2) - 4 * self._stride
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ by tr(.), [.,.] or <.,.>.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,6 +179,15 @@ class _Parser:
             value /= den[1]
         return value
 
+    def parse_integer(self, what):
+        """A number in an integer slot; a positioned SyntaxError_ at the
+        number when it is not an integer."""
+        t = self.peek()
+        value = self.parse_number()
+        if value.denominator != 1:
+            raise SyntaxError_(f"{what} must be an integer, got {value}", t[2], t[3])
+        return value.numerator
+
     def parse_atom(self):
         t = self.peek()
         if t[0] == "num":
@@ -210,7 +220,7 @@ class _Parser:
             name, primes = t[1]
             if name == "fint" and self.peek()[0] == "(":
                 self.next()
-                k = self.parse_number()
+                k = self.parse_integer("fint power")
                 self.expect(";")
                 apps = [self.parse_atom()]
                 while self.peek()[0] == "*":
@@ -220,10 +230,10 @@ class _Parser:
                 return ("fint", k, apps)
             if self.peek()[0] == "{":
                 self.next()
-                dords = [int(self.parse_number())]
+                dords = [self.parse_integer("derivative order")]
                 while self.peek()[0] == ",":
                     self.next()
-                    dords.append(int(self.parse_number()))
+                    dords.append(self.parse_integer("derivative order"))
                 self.expect("}")
                 self.expect("(")
                 args = self.parse_args()
@@ -471,10 +481,11 @@ class ElabContext:
         chart = self.chart
         out = LocalForm(chart)
         for key, coeff in form.terms.items():
-            body = tuple(a for a in key if a[0] != 'h')
-            hset = tuple(a[1] for a in key if a[0] == 'h')
+            h = bisect_left(key, chart.code_h)
+            body = key[:h]
+            hset = tuple(chart.dx(c) for c in key[h:])
             for c, comp in self.hodge_legs(hset):
-                word = body + tuple(('h', mu) for mu in comp)
+                word = body + chart.encode_word(tuple(('h', mu) for mu in comp))
                 out._accum(word, coeff * c)
         return out
 
@@ -525,6 +536,7 @@ class ElabContext:
             if v is None or len(v.terms) != 1:
                 raise GradingMismatch("inv expects a single named constant")
             (w, c), = v.terms.items()
+            w = self.chart.decode_word(w)
             if c != 1 or len(w) != 1 or w[0][0] != 'j' or \
                     self.chart.kind(w[0][1]) != CONST or midx_order(w[0][2]):
                 raise GradingMismatch("inv expects a single named constant")
@@ -606,6 +618,7 @@ class ElabContext:
             return ('0',)
         if len(v.terms) == 1:
             (w, c), = v.terms.items()
+            w = self.chart.decode_word(w)
             if c == 1 and len(w) == 1 and w[0][0] == 'j':
                 if self.chart.ghost(w[0][1]) & 1:
                     raise GradingMismatch("function arguments must be even, "
@@ -636,9 +649,9 @@ class ElabContext:
                 raise GradingMismatch("fint expects function applications")
             v = self._call(app)
             (w, c), = v.comps[()].terms.items()
-            inner.append(w[0])
+            inner.append(self.chart.decode(w[0]))
         return Val.scalar(LocalForm.from_word(
-            self.chart, (('F', int(k), tuple(sorted(inner))),)))
+            self.chart, (('F', k, tuple(sorted(inner))),)))
 
 
 def elaborate_form(ctx: ElabContext, text, line_no=1) -> LocalForm:
@@ -710,6 +723,8 @@ def parse_theory(text) -> TheoryDef:
         elif head == "function":
             declared = parts[2:3] == ["arity"]
             arity = _operand(parts, 3, no, int, last=True) if declared else 1
+            if arity < 0:
+                raise SyntaxError_("arity must be >= 0", no, 1)
             td.functions.append((_operand(parts, 1, no, last=not declared), arity, no))
         elif head == "structure":
             name = _operand(parts, 1, no)

@@ -100,8 +100,10 @@ def insert(rho: EvolutionaryField, form: LocalForm):
     The images are read and filled in one table per (chart, field),
     ``rho.images[('i', form.chart)]``."""
     parity = (1 + rho.ghost_shift) & 1
+    chart = form.chart
 
-    def image(atom):
+    def image(code):
+        atom = chart.decode(code)
         return rho.component(atom[1], atom[2]) if atom[0] == 'v' else None
 
     return apply_derivation(form, parity, image,
@@ -118,7 +120,8 @@ def lie_derivative(rho: EvolutionaryField, form: LocalForm):
     chart = form.chart
     parity = rho.ghost_shift & 1
 
-    def image(atom):
+    def image(code):
+        atom = chart.decode(code)
         t = atom[0]
         if t == 'j':
             return rho.component(atom[1], atom[2]) \
@@ -127,7 +130,7 @@ def lie_derivative(rho: EvolutionaryField, form: LocalForm):
             im = d_v(rho.component(atom[1], atom[2]))
             return -im if parity else im
         if t in ('f', 'F'):
-            return insert(rho, d_v(LocalForm(chart, {(atom,): 1})))
+            return insert(rho, d_v(LocalForm(chart, {(code,): 1})))
         return None
 
     return apply_derivation(form, parity, image,

@@ -36,6 +36,7 @@ which are resolved whenever they assemble into a total lambda-derivative.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -47,9 +48,8 @@ from .chart import (
 # imported for bench/tracer.py, which traces it under this module
 from .chart import pseudo_inverse_psd  # noqa: F401
 from .algebra import (
-    LocalForm, _add, _data, _q, _splice, _word_data, apply_derivation,
-    atom_parity, d_h, d_v, horizontal, midx_lower, midx_zero, norm_word,
-    zero_star,
+    LocalForm, _add, _q, _splice, _word_data, apply_derivation, d_h, d_v,
+    horizontal, midx_lower, midx_zero, norm_word, zero_star,
 )
 from .euler import interior_euler, exterior_euler
 
@@ -58,15 +58,14 @@ from .euler import interior_euler, exterior_euler
 # strata of the leg complex
 # ---------------------------------------------------------------------------
 
-def _leg_split(key):
+def _leg_split(chart, key):
     """Split a canonical word into (coefficient atoms, leg atoms)."""
-    for i, a in enumerate(key):
-        if a[0] in ('v', 'h'):
-            return key[:i], key[i:]
-    return key, ()
+    i = bisect_left(key, chart.code_v)
+    return key[:i], key[i:]
 
 
 def _stratum_key(chart, legs):
+    legs = [chart.decode(c) for c in legs]
     fids = tuple(sorted(a[1] for a in legs if a[0] == 'v'))
     V = [0] * chart.dim
     for a in legs:
@@ -110,14 +109,14 @@ def _one_leg_image(chart, legs):
     Laplacian is |F| Id (notes/decisions.md §31), so sigma1 = e^T / |F|
     and the image is (1/|F|) sum over k with I_{h_k} >= 1 of
     (-1)^(p_v + k) v_{I - e_{h_k}} ∧ dx^{H - h_k}, p_v the leg's parity."""
-    v, hatoms = legs[0], legs[1:]
-    fid, I = v[1], v[2]
-    H = [a[1] for a in hatoms]
-    odd = _data(chart, v)[1]
+    hatoms = legs[1:]
+    _v, fid, I = chart.decode(legs[0])
+    H = [chart.dx(c) for c in hatoms]
+    odd = legs[0] & 1
     terms = []
     for k, mu in enumerate(H):
         if I[mu]:
-            low = _data(chart, ('v', fid, midx_lower(I, mu)))[3]
+            low = chart.encode(('v', fid, midx_lower(I, mu)))
             terms.append(((low,) + hatoms[:k] + hatoms[k + 1:],
                           -1 if (odd + k) & 1 else 1))
     if not terms:
@@ -149,9 +148,8 @@ class _Stratum:
         with equal fids commute up to sign, so of their multi-index
         distributions only the non-decreasing one is kept, and its legs
         followed by the dx atoms are already in canonical order.  Each
-        leg's atom data (_data) raises JetCutoffExceeded above the cutoff,
-        a word where an odd leg repeats vanishes, and the words hold the
-        chart's cached atoms."""
+        leg's code (Chart.encode) raises JetCutoffExceeded above the
+        cutoff, and a word where an odd leg repeats vanishes."""
         if b in self.bases:
             return self.bases[b]
         fids = self.fids
@@ -161,14 +159,14 @@ class _Stratum:
             T = tuple(v + (mu in H) for mu, v in enumerate(self.V))
             if any(t < 0 for t in T):
                 continue
-            hatoms = tuple(_data(chart, ('h', mu))[3] for mu in H)
+            hatoms = tuple(chart.encode(('h', mu)) for mu in H)
             for dist in _distributions(T, len(fids)):
                 if any(dist[i - 1] > dist[i] for i in tied):
                     continue
-                data = [_data(chart, ('v', fid, I)) for fid, I in zip(fids, dist)]
-                if any(data[i][1] and dist[i - 1] == dist[i] for i in tied):
+                codes = tuple(chart.encode(('v', fid, I)) for fid, I in zip(fids, dist))
+                if any(codes[i] & 1 and dist[i - 1] == dist[i] for i in tied):
                     continue
-                words.add(tuple(d[3] for d in data) + hatoms)
+                words.add(codes + hatoms)
         basis = self.bases[b] = sorted(words)
         self.index[b] = {w: i for i, w in enumerate(basis)}
         return basis
@@ -239,7 +237,7 @@ class _Stratum:
         word, int numerator)]), den the lcm of the image's denominators:
         Delta^{-1} applied to the word's row of e, which reads only the
         blocks that row touches."""
-        b = sum(1 for a in word if a[0] == 'h')
+        b = len(word) - bisect_left(word, chart.code_h)
         if not (b and self.fids):
             return (1, [])
         rows, block_of = self.delta_pinv(chart, b)
@@ -280,16 +278,16 @@ class HomotopySuite:
         if memo is None:
             memo = {}
         chart = self.chart
-        hdata = [_data(chart, ('h', mu)) for mu in range(chart.dim)]
+        hcodes = [chart.encode(('h', mu)) for mu in range(chart.dim)]
         out = {}
         uses = {}
         for legs, coeffs in groups.items():
             # per mu, the group of dx^mu ^ legs in out and the parity of its
             # Koszul sign, or None when dx^mu is in legs
-            keys, odd = _word_data(chart, legs)
+            odd = _word_data(legs)
             row = []
-            for d in hdata:
-                s = _splice(legs, keys, odd, 0, False, (d,))
+            for c in hcodes:
+                s = _splice(legs, odd, 0, False, (c,))
                 row.append(None if s is None else (out.setdefault(s[0], {}), s[1]))
             for cw, c in coeffs.items():
                 uses.setdefault(cw, []).append((row, c))
@@ -299,7 +297,7 @@ class HomotopySuite:
                 image = memo[cw] = horizontal(LocalForm(chart, {cw: 1}), legs=False).terms
             for w, n in image.items():
                 # w is t ^ dx^mu: dx^mu sorts after every coefficient atom
-                mu, t = w[-1][1], w[:-1]
+                mu, t = chart.dx(w[-1]), w[:-1]
                 for row, c in where:
                     dest = row[mu]
                     if dest is not None:
@@ -321,7 +319,7 @@ class HomotopySuite:
         for legs, coeffs in groups.items():
             read = images.get(legs)
             if read is None:
-                if legs[0][0] == 'v' and (len(legs) == 1 or legs[1][0] == 'h'):
+                if legs[0] < chart.code_h and (len(legs) == 1 or legs[1] >= chart.code_h):
                     read = _one_leg_image(chart, legs)
                 else:
                     skey = _stratum_key(chart, legs)
@@ -341,7 +339,7 @@ class HomotopySuite:
             for cw, c in coeffs.items():
                 odd = parity.get(cw)
                 if odd is None:
-                    odd = parity[cw] = sum(atom_parity(chart, a) for a in cw) & 1
+                    odd = parity[cw] = sum(c & 1 for c in cw) & 1
                 signed.append((cw, -c * scale if odd else c * scale))
             # the targets are leg words of the stratum, so every
             # coefficient word followed by one stays normalized
@@ -368,7 +366,7 @@ class HomotopySuite:
         groups = {}
         for key, c in form.terms.items():
             # the legs of a normalized word are a normalized leg word
-            coeffs, legs = _leg_split(key)
+            coeffs, legs = _leg_split(self.chart, key)
             if legs:
                 groups.setdefault(legs, {})[coeffs] = \
                     c if den == 1 else c.numerator * (den // c.denominator)
@@ -400,15 +398,18 @@ class HomotopySuite:
     def h_horizontal(self, form):
         """Anderson-style horizontal homotopy h>= on vertical degree >= 1."""
         n = self.chart.dim
-        if any(LocalForm.key_vdeg(k) < 1 for k in form.terms):
+        if any(form.key_vdeg(k) < 1 for k in form.terms):
             raise GradingError("horizontal homotopy needs vertical degree >= 1")
-        top = form.components(lambda w: LocalForm.key_hdeg(w) == n)
+        top = form.components(lambda w: form.key_hdeg(w) == n)
         return self.h_inf(form - interior_euler(top))
 
     def h_vertical(self, form):
         """Radial-scaling vertical homotopy; lowers vertical degree by one."""
+        ch = self.chart
         for key in form.terms:
-            if any(a[0] == 'F' for a in key) and any(a[0] == 'v' for a in key):
+            # a leg next to a fiber integral, whose codes lie in [code_F, code_v)
+            if form.key_vdeg(key) and \
+                    bisect_left(key, ch.code_v) > bisect_left(key, ch.code_F):
                 raise NonScalableTerm(
                     "vertical homotopy applied to a form already carrying "
                     "a fiber-integral factor")
@@ -433,9 +434,10 @@ class HomotopySuite:
 
     # -- de Rham homotopy on the base (field-independent forms) --------------
     def _check_constant(self, a):
+        chart = self.chart
         if any(atom[0] in ('v', 'f', 'F') or
-               atom[0] == 'j' and self.chart.kind(atom[1]) == DYNAMIC
-               for key in a.terms for atom in key):
+               atom[0] == 'j' and chart.kind(atom[1]) == DYNAMIC
+               for key in a.terms for atom in map(chart.decode, key)):
             raise NotConstant("cone element must be field-independent")
 
     def poincare_x(self, form):
@@ -458,17 +460,21 @@ def _radial(form, leg, kind, jet):
     ('F', w - 1, atoms) instead (notes/decisions.md §8)."""
     chart = form.chart
 
-    def image(a):
-        return LocalForm(chart, {(jet(a),): 1}) if a[0] == leg else None
+    def image(code):
+        a = chart.decode(code)
+        return LocalForm(chart, {(chart.encode(jet(a)),): 1}) if a[0] == leg else None
 
     out = LocalForm(chart)
     for key, c in apply_derivation(form, 1, image).terms.items():
-        w = sum(1 for a in key if a[0] == leg
+        atoms = [chart.decode(x) for x in key]
+        w = sum(1 for a in atoms if a[0] == leg
                 or (a[0] == 'j' and chart.kind(a[1]) == kind))
-        fs = tuple(a for a in key if a[0] == 'f' and any(
-            x[0] == 'j' and chart.kind(x[1]) == DYNAMIC for x in a[3]))
+        fs = [i for i, a in enumerate(atoms) if a[0] == 'f' and any(
+            x[0] == 'j' and chart.kind(x[1]) == DYNAMIC for x in a[3])]
         if fs:
-            out._accum(tuple(a for a in key if a not in fs) + (('F', w - 1, fs),), c)
+            F = ('F', w - 1, tuple(sorted(atoms[i] for i in fs)))
+            out._accum(tuple(x for i, x in enumerate(key) if i not in fs)
+                       + (chart.encode(F),), c)
         else:
             out.terms[key] = _q(Fraction(c, w))
     return out
@@ -481,10 +487,10 @@ def resolve_fiber_integrals(form: LocalForm):
     chart = form.chart
     groups = {}
     for key, coeff in form.terms.items():
-        fpos = [i for i, a in enumerate(key) if a[0] == 'F']
+        fpos = [i for i, c in enumerate(key) if chart.code_F <= c < chart.code_v]
         if len(fpos) != 1:
             continue
-        node = key[fpos[0]]
+        node = chart.decode(key[fpos[0]])
         k, inner = node[1], node[2]
         if k != 0 or len(inner) != 1:
             continue
@@ -494,11 +500,11 @@ def resolve_fiber_integrals(form: LocalForm):
         for slot, arg in enumerate(args):
             if dords[slot] < 1 or arg[0] != 'j':
                 continue
-            arg_atom = ('j', arg[1], arg[2])
-            if arg_atom not in rest:
+            arg_code = chart.encode(('j', arg[1], arg[2]))
+            if arg_code not in rest:
                 continue
             w = list(rest)
-            w.remove(arg_atom)
+            w.remove(arg_code)
             base = tuple(d - (1 if s == slot else 0) for s, d in enumerate(dords))
             gkey = (tuple(w), sym, base, args, coeff)
             groups.setdefault(gkey, {})[slot] = key
@@ -511,9 +517,9 @@ def resolve_fiber_integrals(form: LocalForm):
             continue
         for key in set(slots.values()):
             del out.terms[key]
-        out._accum(w + (('f', sym, base, args),), coeff)
+        out._accum(w + (chart.encode(('f', sym, base, args)),), coeff)
         zargs = tuple(('0',) if a[0] == 'j' else a for a in args)
-        out._accum(w + (('f', sym, base, zargs),), -coeff)
+        out._accum(w + (chart.encode(('f', sym, base, zargs)),), -coeff)
     return out
 
 
@@ -536,6 +542,7 @@ def bruteforce_dexactness(target, extra_rounds=1):
     pool = set()
 
     def lowerings(key):
+        key = tuple(map(chart.decode, key))
         for i, a in enumerate(key):
             if a[0] == 'h':
                 rest = key[:i] + key[i + 1:]
@@ -552,7 +559,7 @@ def bruteforce_dexactness(target, extra_rounds=1):
         new = set()
         for key in frontier:
             for cand in lowerings(key):
-                res = norm_word(chart, cand, 1)
+                res = norm_word(chart, chart.encode_word(cand), 1)
                 if res is not None:
                     new.add(res[0])
         pool |= new

@@ -88,7 +88,7 @@ def promote_param_linear(form: LocalForm, param_fids):
     chart = form.chart
     pset = set(param_fids)
     for key, c in form.terms.items():
-        if sum(a[0] == 'j' and a[1] in pset for a in key) != 1:
+        if sum(a[0] == 'j' and a[1] in pset for a in map(chart.decode, key)) != 1:
             raise NonlinearParameter(
                 f"term is not parameter-linear: {render_text(LocalForm(chart, {key: c}))}")
 
@@ -103,9 +103,10 @@ def contract_param(form: LocalForm, param_fids, base_chart):
     term by the parameter jet, in place.  Terms without a parameter leg
     are annihilated (the tautological fiber contraction)."""
     pset = set(param_fids)
+    chart = form.chart
 
     def legs(key):
-        return sum(a[0] == 'v' and a[1] in pset for a in key)
+        return sum(a[0] == 'v' and a[1] in pset for a in map(chart.decode, key))
 
     if any(legs(key) > 1 for key in form.terms):
         raise NonlinearParameter("form is not parameter-linear")

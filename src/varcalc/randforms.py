@@ -52,5 +52,5 @@ class FormGenerator:
                 word.append(('v',) + self.rng.choice(self.jets))
             hs = self.rng.sample(range(ch.dim), q)
             word += [('h', mu) for mu in hs]
-            out._accum(tuple(word), self.rational())
+            out.add_word(word, self.rational())
         return out

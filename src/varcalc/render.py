@@ -63,13 +63,15 @@ _SLOT = {'v': 1, 'h': 2}        # factors, vertical legs, horizontal legs
 
 
 def _rendered(form):
-    """Each term of a form in print order, every atom rendered once:
+    """Each term of a form in print order, its words decoded to atom tuples
+    (Chart.decode_word), every atom rendered once:
     (coefficient, [factors, vertical legs, horizontal legs], unsigned
     text)."""
     chart = form.chart
     out = []
-    for key in sorted(form.terms, key=_term_sort_key):
-        c = form.terms[key]
+    words = {chart.decode_word(key): c for key, c in form.terms.items()}
+    for key in sorted(words, key=_term_sort_key):
+        c = words[key]
         lists = ([], [], [])
         for a in key:
             lists[_SLOT.get(a[0], 0)].append(atom_text(chart, a))

@@ -53,7 +53,9 @@ class SigmaTheory:
         self.ssuite = get_suite(schart)
 
         # --- restrict theta and introduce momenta ----------------------------
-        theta_words = [key for key in theory.theta.terms if ('h', t) not in key]
+        dxt = bulk.encode(('h', t))
+        theta_words = [bulk.decode_word(key) for key in theory.theta.terms
+                       if dxt not in key]
         for key in theta_words:
             for a in key:
                 if a[0] == 'v' and midx_order(a[2]):
@@ -83,7 +85,8 @@ class SigmaTheory:
         dtset = set(self.dt_fields.values())
 
         def dts_of(form):
-            return {a[1] for k in form.terms for a in k if a[0] == 'j' and a[1] in dtset}
+            return {a[1] for k in form.terms for a in schart.decode_word(k)
+                    if a[0] == 'j' and a[1] in dtset}
 
         for sfid, density in source_densities(theta_s).items():
             dts = dts_of(density)
@@ -126,7 +129,7 @@ class SigmaTheory:
         dtset = set(self.dt_fields.values())
         names = set()
         for key in form.terms:
-            for a in key:
+            for a in self.schart.decode_word(key):
                 if a[0] in ('j', 'v') and a[1] in dtset:
                     names.add(self.schart.component(a[1]).name)
         return sorted(names)
@@ -163,7 +166,8 @@ class SigmaTheory:
             offending.add(comp.name + "_," + str(t) * k)
             return None
 
-        out = transport(form.components(lambda w: ('h', t) not in w),
+        dxt = bulk.encode(('h', t))
+        out = transport(form.components(lambda w: dxt not in w),
                         self.schart, jet, self._bulk_dir_to_sigma.__getitem__)
         if offending:
             raise DoesNotDescend(
@@ -222,9 +226,9 @@ class SigmaTheory:
         dynamical."""
         schart = self.schart
         src = interior_euler(self.omega_sigma)
-        fields = ({a[1] for k in self.omega_sigma.terms for a in k
-                   if a[0] == 'v'} |
-                  {a[1] for k in self.omega_sigma.terms for a in k
+        atoms = {a for k in self.omega_sigma.terms for a in schart.decode_word(k)}
+        fields = ({a[1] for a in atoms if a[0] == 'v'} |
+                  {a[1] for a in atoms
                    if a[0] == 'j' and schart.kind(a[1]) == DYNAMIC})
         table = {}
         kernel = []
@@ -232,7 +236,8 @@ class SigmaTheory:
         for f in sorted(fields):
             co = densities.get(f, LocalForm(schart))
             partners = sorted({schart.component(a[1]).name
-                               for k in co.terms for a in k if a[0] == 'v'})
+                               for k in co.terms for a in schart.decode_word(k)
+                               if a[0] == 'v'})
             nm = schart.component(f).name
             if partners:
                 table[nm] = partners
@@ -312,7 +317,7 @@ def compute_ce_cocycle(sigma: SigmaTheory, sym: SymmetryAction):
     # the cocycle is field independent: any dynamical jet in the full
     # symbolic residual means the equivariance equation fails
     for key in residual.terms:
-        for a in key:
+        for a in schart.decode_word(key):
             if a[0] in ('j', 'v') and schart.kind(a[1]) == DYNAMIC:
                 raise NotExact(
                     "equivariance residual is field-dependent: "
@@ -379,7 +384,8 @@ def corner_data(sigma: SigmaTheory, sym: SymmetryAction) -> CornerData:
     densities = {}
     for key, subs in sigma_param_basis(sigma, sym):
         val = substitute(hflux, subs)
-        densities[key] = render_text(val.components(lambda w: ('h', corner_dir) not in w))
+        dxc = val.chart.encode(('h', corner_dir))
+        densities[key] = render_text(val.components(lambda w: dxc not in w))
     st = sym.structure or abelian_structure(
         sym.name, sum(len(g.comps) for g in sym.param_groups))
     return CornerData(structure=st, k={}, h_densities=densities)
@@ -404,16 +410,16 @@ def corner_bracket_SS(st: Structure, k):
     dx0 = (('h', 0),)
     S = LocalForm(ch)
     for a, b, c, coeff in st.terms():
-        S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
+        S.add_word((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
                  Fraction(coeff) / 2)
     for a in range(st.dim):
         for b in range(st.dim):
             kv = _kval(k, a, b)
             if kv:
-                S._accum((('j', cfids[a], z), ('j', cfids[b], z)) + dx0, kv / 2)
+                S.add_word((('j', cfids[a], z), ('j', cfids[b], z)) + dx0, kv / 2)
     omega = LocalForm(ch)
     for a in range(st.dim):
-        omega._accum((('v', hfids[a], z), ('v', cfids[a], z)) + dx0, 1)
+        omega.add_word((('v', hfids[a], z), ('v', cfids[a], z)) + dx0, 1)
     Q = hamiltonian_vector_field(S, omega)
     return h_coefficient(bv_bracket(Q, Q, omega), (0,))
 

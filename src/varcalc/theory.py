@@ -12,8 +12,8 @@ from .chart import (
     NoFixpoint, NoSolvedForm, VarcalcError,
 )
 from .algebra import (
-    LocalForm, d_h, d_v, h_coefficient, midx_zero, source_densities, substitute,
-    zero_star,
+    LocalForm, d_h, d_v, h_coefficient, midx_zero, relabel, source_densities,
+    substitute, zero_star,
 )
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
@@ -67,7 +67,7 @@ class SymmetryAction:
             for (fidx, lidx), c in g.comps.items():
                 st = self.structure if lidx else None
                 for a, b, f in st.brackets_onto(lidx[0]) if st else ():
-                    out.setdefault(c, LocalForm(chart))._accum(
+                    out.setdefault(c, LocalForm(chart)).add_word(
                         (('j', left[g.comps[(fidx, (a,))]], z),
                          ('j', right[g.comps[(fidx, (b,))]], z)), f)
         return out
@@ -228,13 +228,18 @@ class Theory:
         """Same EL set; returns (bool, witness) with witness = (constant
         part, d-primitive) of the difference when equivalent.  Raises
         ChartMismatch, naming the first difference, when the two charts
-        differ in what a Lagrangian can hold."""
+        differ in what a Lagrangian can hold.  The other theory's forms
+        are moved onto this chart, whose codes they then read."""
         mismatch = _chart_difference(self, other)
         if mismatch:
             raise ChartMismatch(f"theories live on different charts: {mismatch}")
-        diff = other.L - self.L
-        same = (other.EL - self.EL).is_zero()
-        same_p = (other.Lh - self.Lh).is_zero()
+
+        def moved(form):
+            return form if other is self else relabel(form, self.chart, {})
+
+        diff = moved(other.L) - self.L
+        same = (moved(other.EL) - self.EL).is_zero()
+        same_p = (moved(other.Lh) - self.Lh).is_zero()
         if same != same_p:
             raise InvariantViolation("E and P disagree on Lagrangian equivalence")
         if not same:
@@ -303,7 +308,7 @@ def _solve_linear(E: LocalForm, target):
     nonzero rational times named constants and their inverses."""
     chart = E.chart
     fid, midx = target
-    atom = ('j', fid, midx)
+    atom = chart.encode(('j', fid, midx))
     lead = LocalForm(chart)
     rest = LocalForm(chart)
     for key, c in E.terms.items():
@@ -312,7 +317,8 @@ def _solve_linear(E: LocalForm, target):
                 return None
             i = key.index(atom)
             cof = key[:i] + key[i + 1:]
-            if any(a[0] == 'j' and chart.kind(a[1]) == DYNAMIC for a in cof):
+            if any(a[0] == 'j' and chart.kind(a[1]) == DYNAMIC
+                   for a in map(chart.decode, cof)):
                 return None
             lead._accum(cof, c)
         else:
@@ -320,6 +326,7 @@ def _solve_linear(E: LocalForm, target):
     if lead.is_zero() or len(lead.terms) != 1:
         return None
     (cof_word, cval), = lead.terms.items()
+    cof_word = chart.decode_word(cof_word)
     if any(a[0] not in ('j', 'ji') or chart.kind(a[1]) != CONST for a in cof_word):
         return None
     # invert the constant monomial

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from varcalc.algebra import LocalForm, _q  # noqa: E402
+from varcalc.algebra import LocalForm, _q, norm_word  # noqa: E402
 from varcalc.homotopy import _leg_split, _Stratum, _stratum_key  # noqa: E402
 from varcalc.theory import theory_from_text  # noqa: E402
 
@@ -22,6 +22,43 @@ def assert_exact(form):
     for key, c in getattr(form, "terms", form).items():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
             (key, c)
+
+
+def norm(chart, atoms, coeff):
+    """norm_word on a word of atom tuples, as LocalForm.add_word encodes
+    it, with the result decoded: (atoms, coeff) or None."""
+    res = norm_word(chart, chart.encode_word(atoms) if coeff else (), coeff)
+    return None if res is None else (chart.decode_word(res[0]), res[1])
+
+
+def atom_parity(chart, atom):
+    """The parity of an atom tuple, as the engine read it before atom codes
+    carried it: the oracles of the tests read it."""
+    t = atom[0]
+    if t == 'j':
+        return chart.ghost(atom[1]) & 1
+    if t == 'v':
+        return (1 + chart.ghost(atom[1])) & 1
+    if t == 'h':
+        return 1
+    return 0
+
+
+def code_word(chart, atoms):
+    """The codes of a normalized word of atom tuples, in code order."""
+    return tuple(sorted(chart.encode_word(atoms)))
+
+
+def atom_terms(form):
+    """The terms of a LocalForm (or of a {word: c} dict on ``form.chart``)
+    with each word decoded to atom tuples in canonical order."""
+    return {form.chart.decode_word(k): c for k, c in form.terms.items()}
+
+
+def coded(chart, terms):
+    """{word of codes: c} for {normalized word of atom tuples: c}: the
+    encoded words, with the run of function atoms in code order."""
+    return {code_word(chart, w): c for w, c in terms.items()}
 
 
 def sigma1_terms(image):
@@ -59,7 +96,7 @@ def on_form(step, form):
     sigma1."""
     groups = {}
     for key, c in form.terms.items():
-        coeffs, legs = _leg_split(key)
+        coeffs, legs = _leg_split(form.chart, key)
         groups.setdefault(legs, {})[coeffs] = c
     got = step(groups)
     L, got = got if type(got) is tuple else (None, got)

@@ -1,19 +1,19 @@
-"""Derivation images of jet and leg atoms read off their cached atom data,
-against the LocalForm construction they replaced, kept verbatim here.
+"""Derivation images of jet and leg atoms read off their codes, against the LocalForm construction they replaced, kept verbatim here.
 
 The oracle builds the image of a 'j' or 'v' atom under D_mu, under
 dx^mu ^ D_mu (with and without legs) and under d_v as a LocalForm: through
 LocalForm.from_word, and for dx^mu ^ D_mu through prepend_atom and a sum
 over mu.  The engine writes the one-atom words directly.  For every atom
 of a chart, the image data in the chart's table (Chart.images) must equal
-the oracle's image data term by term and in order, every atom of every
-image word must be the chart's cached atom object, and an image above the
-jet cutoff must raise JetCutoffExceeded in both paths."""
+the oracle's image data term by term and in order, every code of every
+image word must be the chart's code object for its atom, and an image
+above the jet cutoff must raise JetCutoffExceeded in both paths.  The
+tables are keyed by codes; the oracle reads the decoded atom."""
 
 import pytest
 
 from varcalc.algebra import (
-    LocalForm, _data, _image_data, chain_rule, d_v, horizontal, iter_midx,
+    LocalForm, _image_data, chain_rule, d_v, horizontal, iter_midx,
     midx_shift, prepend_atom, total_derivative,
 )
 from varcalc.chart import (
@@ -74,8 +74,8 @@ def operators(chart):
 
 
 def atoms(chart, top):
-    """The cached jet, inverse and leg atoms of every component up to order
-    ``top``, and the horizontal legs."""
+    """The codes of the jet, inverse and leg atoms of every component up to
+    order ``top``, and of the horizontal legs."""
     out = []
     for comp in chart.components:
         orders = range(top + 1) if comp.kind in (DYNAMIC, PARAM) else (0,)
@@ -87,7 +87,7 @@ def atoms(chart, top):
         if comp.kind == CONST:
             out.append(('ji', comp.fid))
     out += [('h', mu) for mu in range(chart.dim)]
-    return [_data(chart, a)[3] for a in out]
+    return [chart.encode(a) for a in out]
 
 
 def check_chart(chart, top):
@@ -98,13 +98,13 @@ def check_chart(chart, top):
         for atom in atoms(chart, top):
             op(LocalForm(chart, {(atom,): 1}))
             got = chart.images[key][atom]
-            assert got == _image_data(chart, oracle(atom)), (key, atom)
+            assert got == _image_data(oracle(chart.decode(atom))), (key, atom)
             for ikey, ic, nic, ins in got or ():
                 assert type(ic) is int and nic == -ic
                 for a in ikey:
-                    assert a is chart.atom_data[a][3], (key, atom, a)
+                    assert a is chart.codes[chart.decode(a)], (key, atom, a)
                 if ins is not None:
-                    assert all(d is chart.atom_data[a] for d, a in zip(ins, ikey))
+                    assert ins is ikey
             nonzero += got is not None
     return nonzero
 
@@ -129,16 +129,16 @@ def test_coordinates_constants_and_constant_parameters():
     ch.add_component("b", ghost=-1)
     assert check_chart(ch, top=2) > 0
     z = (0, 0, 0)
-    t_atom = _data(ch, ('j', 0, z))[3]
+    t_atom = ch.encode(('j', 0, z))
     assert ch.images[('D', 0)][t_atom] == (((), 1, -1, ()),)
     assert ch.images[('D', 1)][t_atom] is None
-    h0 = ch.atom_data[('h', 0)][3]
-    assert ch.images[('d', True)][t_atom] == (((h0,), 1, -1, (ch.atom_data[h0],)),)
+    h0 = ch.encode(('h', 0))
+    assert ch.images[('d', True)][t_atom] == (((h0,), 1, -1, (h0,)),)
     for fid in (m, e):
         for key in (('d', True), ('d', False), 'dv', ('D', 2)):
-            assert ch.images[key][_data(ch, ('j', fid, z))[3]] is None
-    assert ch.images['dv'][_data(ch, ('j', xi, z))[3]] is None
-    assert ch.images[('D', 2)][_data(ch, ('j', xi, z))[3]] is not None
+            assert ch.images[key][ch.encode(('j', fid, z))] is None
+    assert ch.images['dv'][ch.encode(('j', xi, z))] is None
+    assert ch.images[('D', 2)][ch.encode(('j', xi, z))] is not None
 
 
 def test_function_atoms_keep_the_chain_rule():
@@ -146,9 +146,10 @@ def test_function_atoms_keep_the_chain_rule():
     V = ch.add_function("V", arity=1).sym_id
     u = ch.by_name("u0").fid
     f = ('f', V, (0,), (('j', u, (1, 0)),))
+    fc = ch.encode(f)
     for key, op, oracle in operators(ch):
-        op(LocalForm(ch, {(f,): 1}))
-        assert ch.images[key][f] == _image_data(ch, oracle(f)), key
+        op(LocalForm(ch, {(fc,): 1}))
+        assert ch.images[key][fc] == _image_data(oracle(f)), key
 
 
 @pytest.mark.parametrize("t", ['j', 'v'])
@@ -156,7 +157,7 @@ def test_jet_at_the_cutoff_raises_in_both_paths(t):
     ch = suite_chart(dim=2, nfields=1, ghost_field=True)
     for name in ("u0", "c"):
         atom = (t, ch.by_name(name).fid, (ch.jet_cutoff, 0))
-        form = LocalForm(ch, {(_data(ch, atom)[3],): 1})
+        form = LocalForm(ch, {(ch.encode(atom),): 1})
         with pytest.raises(JetCutoffExceeded):
             oracle_d_mu(ch, atom, 0, True)
         with pytest.raises(JetCutoffExceeded):

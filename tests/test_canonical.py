@@ -139,7 +139,7 @@ def _graded_partial(form, fid, parity):
     z = midx_zero(chart.dim)
 
     def image(atom):
-        if atom == ('j', fid, z):
+        if atom == chart.encode(('j', fid, z)):
             return LocalForm.scalar(chart, 1)
         return None
 
@@ -154,13 +154,13 @@ def _hand_written_corner_bracket_SS(dim, f, k):
     S = LocalForm(ch)
     for (a, b), lst in f.items():
         for c, coeff in lst:
-            S._accum((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)),
+            S.add_word((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)),
                      Fraction(coeff) / 2)
     for a in range(dim):
         for b in range(dim):
             kv = _kval(k, a, b)
             if kv:
-                S._accum((('j', cfids[a], z), ('j', cfids[b], z)), kv / 2)
+                S.add_word((('j', cfids[a], z), ('j', cfids[b], z)), kv / 2)
     out = LocalForm(ch)
     for a in range(dim):
         dSc = _graded_partial(S, cfids[a], 1)
@@ -312,7 +312,8 @@ def _bulk_iota(form, t):
             return ('0',) if in_fn else None
         return a
 
-    return transport(form.components(lambda w: ('h', t) not in w), chart, image)
+    dxt = chart.encode(('h', t))
+    return transport(form.components(lambda w: dxt not in w), chart, image)
 
 
 BUNDLED = sorted(p.name[:-4] for p in resources.files("varcalc.theories").iterdir()

@@ -61,7 +61,7 @@ forms = st.lists(terms, min_size=1, max_size=3)
 def _form(spec):
     out = LocalForm(CH)
     for fns, jets, legs, hs, coeff in spec:
-        out._accum(tuple(fns + jets + legs + hs), Fraction(coeff))
+        out.add_word(fns + jets + legs + hs, Fraction(coeff))
     return out
 
 

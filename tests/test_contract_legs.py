@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varcalc.algebra import (
-    LocalForm, atom_parity, contract_legs, iter_midx, midx_zero, prepend_atom,
+    LocalForm, contract_legs, iter_midx, midx_zero, prepend_atom,
     total_derivative,
 )
 from varcalc.chart import CONST, GradingError
 from varcalc.euler import interior_euler
 from varcalc.randforms import suite_chart
 from varcalc.render import render_text
-from conftest import assert_exact
+from conftest import assert_exact, atom_terms
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -54,7 +54,7 @@ def reference_apply_derivation(form: LocalForm, parity, image):
                         word = key[:i] + ikey + key[i + 1:]
                         out._accum(word, coeff * ic * sgn * run)
                 seen = atom
-            left_par += atom_parity(chart, atom)
+            left_par += atom & 1     # the parity bit of the atom's code
     return out
 
 
@@ -77,7 +77,7 @@ def reference_contract_leg(form: LocalForm, fid, midx):
     """Interior product with the coordinate vertical vector dual to one leg."""
     chart = form.chart
     par = (1 + chart.ghost(fid)) & 1
-    target = ('v', fid, midx)
+    target = chart.encode(('v', fid, midx))
 
     def image(atom):
         if atom == target:
@@ -90,7 +90,7 @@ def reference_contract_leg(form: LocalForm, fid, midx):
 def reference_leg_multiindices(form):
     """The set of (fid, midx) vertical legs appearing in a form."""
     out = set()
-    for key in form.terms:
+    for key in atom_terms(form):
         for atom in key:
             if atom[0] == 'v':
                 out.add((atom[1], atom[2]))
@@ -173,7 +173,7 @@ def forms(draw, dim, homogeneous):
         else:
             word += draw(_legs(A, draw(st.integers(1, 3))))
             word += draw(st.lists(st.sampled_from(A.volume), max_size=dim, unique=True))
-        out._accum(tuple(draw(st.permutations(word))), draw(coeffs))
+        out.add_word(draw(st.permutations(word)), draw(coeffs))
     return out
 
 

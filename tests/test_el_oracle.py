@@ -12,7 +12,7 @@ import sympy as sp
 from sympy.calculus.euler import euler_equations
 
 from varcalc.chart import COORD, CONST, DYNAMIC
-from conftest import load_theory
+from conftest import atom_terms, load_theory
 
 THEORIES = ["point_particle", "scalar_field", "scalar_field_null", "maxwell",
             "maxwell_sourced", "maxwell_first_order", "chern_simons_su2",
@@ -72,11 +72,11 @@ def test_el_matches_sympy_euler_equations(name):
     S = SympyChart(chart)
     vol = tuple(('h', mu) for mu in range(chart.dim))
     density = sp.Integer(0)
-    for key, c in T.L.terms.items():
+    for key, c in atom_terms(T.L).items():
         assert key[-chart.dim:] == vol, key
         density += S.value(key[:-chart.dim], c)
     got = {fid: sp.Integer(0) for fid in S.fields}
-    for key, c in T.EL.terms.items():
+    for key, c in atom_terms(T.EL).items():
         assert key[-chart.dim:] == vol, key
         leg = key[-chart.dim - 1]
         assert leg[0] == 'v' and not any(leg[2]), key

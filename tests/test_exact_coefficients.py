@@ -97,7 +97,7 @@ def bindings(draw, n):
     even = ATOMS[n]["even"]
     out = LocalForm(CHARTS[n])
     for _ in range(draw(st.integers(1, 2))):
-        out._accum(tuple(draw(st.lists(even, max_size=2))), 1)
+        out.add_word(draw(st.lists(even, max_size=2)), 1)
     return out
 
 

@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from varcalc.algebra import LocalForm, d_h, d_v, zero_star
+from varcalc.algebra import LocalForm, d_h, d_v, relabel, zero_star
 from varcalc.bv import (
     bfv_extend, bv_bracket, bv_extend, hamiltonian_vector_field,
     verify_bfv_cme, verify_cme,
@@ -54,9 +54,14 @@ def _parent_verify_bfv_cme(bfv):
 
 
 def _parent_lagrangians_equivalent(self, other):
-    diff = other.L - self.L
-    same = (other.EL - self.EL).is_zero()
-    same_p = (self.suite.euler_projector(other.L)
+    # the other theory's forms, its projection built on its own chart,
+    # moved onto this chart (its atom codes)
+    other_P = self.suite.euler_projector(other.L)
+    other_L, other_EL, other_P = (relabel(f, self.chart, {})
+                                  for f in (other.L, other.EL, other_P))
+    diff = other_L - self.L
+    same = (other_EL - self.EL).is_zero()
+    same_p = (other_P
               - self.suite.euler_projector(self.L)).is_zero()
     if same != same_p:
         raise InvariantViolation("E and P disagree on Lagrangian equivalence")

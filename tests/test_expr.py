@@ -10,6 +10,7 @@ from varcalc.algebra import (
     substitute, total_derivative,
 )
 from varcalc.randforms import suite_chart, FormGenerator
+from conftest import atom_terms
 
 
 def chart1():
@@ -190,7 +191,7 @@ def test_vertical_homotopy_formal_integrand_and_nonscalable():
     w = LocalForm.from_word(ch, (('j', q, z), ('f', W.sym_id, (1,), (('j', q, z),)),
                                  ('v', q, z), ('h', 0)))
     hv = suite.h_vertical(w)
-    assert any(a[0] == 'F' for key in hv.terms for a in key)
+    assert any(a[0] == 'F' for key in atom_terms(hv) for a in key)
     with _pytest.raises(NonScalableTerm):
         suite.h_vertical(hv.wedge(LocalForm.from_word(ch, (('v', q, z),))))
 

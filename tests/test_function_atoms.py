@@ -24,6 +24,7 @@ from varcalc.dsl import build_context, elaborate_form, parse_theory
 from varcalc.homotopy import get_suite
 from varcalc.noether import verify_noether1
 from varcalc.theory import theory_from_text
+from conftest import atom_terms
 
 _HEAD = ("theory atoms\ndimension 2\nsignature + +\nconstant m\nfunction V\n"
          "function W arity 2\nfield u0 scalar\nfield u1 scalar\n")
@@ -68,7 +69,7 @@ def random_forms(seed, p, q):
 
 
 def test_forms_hold_function_atoms_and_constants():
-    words = [key for w in random_forms(0, None, None) for key in w.terms]
+    words = [key for w in random_forms(0, None, None) for key in atom_terms(w)]
     assert any(a[0] == 'f' for key in words for a in key)
     assert any(a[0] == 'ji' for key in words for a in key)
     assert any(a[0] == 'j' and CHART.component(a[1]).name == "m"
@@ -143,7 +144,7 @@ def test_top_form_homotopy_residual_evaluates_to_zero(monkeypatch):
                              - zero_star(w) for w in random_forms(2, 0, 2))
                  if not r.is_zero()]
     assert len(residuals) > 100
-    assert any(a[0] == 'F' for r in residuals for key in r.terms for a in key)
+    assert any(a[0] == 'F' for r in residuals for key in atom_terms(r) for a in key)
     for r in residuals:
         for _ in range(2):
             assert evaluate(r, _random_point(CHART, rng)) == 0

@@ -40,7 +40,8 @@ def d1(form):
     chart = form.chart
     out = LocalForm(chart)
     for mu in range(chart.dim):
-        def image(atom, mu=mu):
+        def image(code, mu=mu):
+            atom = chart.decode(code)
             if atom[0] == 'v':
                 return LocalForm.from_word(chart, (('v', atom[1], midx_shift(atom[2], mu)),))
             return None

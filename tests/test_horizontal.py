@@ -18,7 +18,7 @@ from hypothesis import given
 
 from varcalc.algebra import LocalForm, d_h, prepend_atom, total_derivative
 from varcalc.homotopy import get_suite
-from conftest import assert_exact, load_theory, on_form
+from conftest import assert_exact, atom_terms, load_theory, on_form
 from test_el_oracle import THEORIES
 from test_splice import SEEDED, forms
 
@@ -28,7 +28,7 @@ def coefficient_derivative(f, mu):
     l the word's vertical and horizontal legs."""
     ch = f.chart
     out = LocalForm(ch)
-    for key, c in f.terms.items():
+    for key, c in atom_terms(f).items():
         n = next((i for i, a in enumerate(key) if a[0] in ('v', 'h')), len(key))
         out = out + total_derivative(LocalForm.from_word(ch, key[:n], c), mu).wedge(
             LocalForm.from_word(ch, key[n:]))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 
 from varcalc.algebra import (
-    LocalForm, _add, _q, atom_parity, d_v, horizontal, iter_midx,
+    LocalForm, _add, _q, d_v, horizontal, iter_midx,
     total_derivative,
 )
 from varcalc.chart import InvariantViolation
@@ -61,7 +61,7 @@ class FractionSeries:
         images = self.images.setdefault(id(st), {})
         image = images.get(word)
         if image is None:
-            b = sum(1 for a in word if a[0] == 'h')
+            b = sum(1 for a in map(self.chart.decode, word) if a[0] == 'h')
             # the engine builds no basis for a stratum without vertical legs
             if st.fids and word not in st.basis(self.chart, b):
                 raise InvariantViolation("leg word missing from its stratum basis")
@@ -84,13 +84,13 @@ class FractionSeries:
         chart = self.chart
         out = LocalForm(chart)
         for key, coeff in form.terms.items():
-            coeffs, legs = _leg_split(key)
+            coeffs, legs = _leg_split(chart, key)
             if not legs:
                 continue
             image = self.sigma1_image(_suite_stratum(self.suite, legs), legs)
             if not image:
                 continue
-            if sum(atom_parity(chart, a) for a in coeffs) & 1:
+            if sum(a & 1 for a in coeffs) & 1:      # parity bits of the codes
                 coeff = -coeff
             for target, c in image:
                 _add(out.terms, coeffs + target, coeff * c)
@@ -125,13 +125,13 @@ def per_word_sigma1(suite, form):
     chart = suite.chart
     reads = []
     for key, coeff in form.terms.items():
-        coeffs, legs = _leg_split(key)
+        coeffs, legs = _leg_split(chart, key)
         if not legs:
             continue
         den, image = _suite_stratum(suite, legs).sigma1_image(chart, legs)
         if not image:
             continue
-        if sum(atom_parity(chart, a) for a in coeffs) & 1:
+        if sum(a & 1 for a in coeffs) & 1:      # parity bits of the codes
             coeff = -coeff
         reads.append((coeffs, coeff, den, image))
     L = lcm(*(r[2] for r in reads))
@@ -192,7 +192,7 @@ def _four_leg_word(coeff):
 # -- the series ----------------------------------------------------------------
 
 @SEEDED
-@given(forms().map(lambda f: f.components(lambda w: LocalForm.key_vdeg(w) <= 4)))
+@given(forms().map(lambda f: f.components(lambda w: f.key_vdeg(w) <= 4)))
 def test_h_inf_matches_fraction_series_on_splice_forms(form):
     """The seeded words of test_splice, with at most four legs per word
     (a fifth leg can take a minute: ROADMAP item 7)."""

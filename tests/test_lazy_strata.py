@@ -48,11 +48,11 @@ class EagerStratum(_Stratum):
                 hatoms = tuple(('h', mu) for mu in H)
                 if not fids:
                     if all(t == 0 for t in T):
-                        words.add(hatoms)
+                        words.add(chart.encode_word(hatoms))
                     continue
                 for dist in _distributions(T, len(fids)):
                     atoms = tuple(('v', fid, I) for fid, I in zip(fids, dist))
-                    res = norm_word(chart, atoms + hatoms, 1)
+                    res = norm_word(chart, chart.encode_word(atoms + hatoms), 1)
                     if res is not None:
                         words.add(res[0])
             basis = sorted(words)
@@ -130,7 +130,7 @@ def test_three_equal_fids(name, odd):
     repeats = 0
     for b in range(ch.dim + 1):
         for word in st.basis(ch, b):
-            legs = [a for a in word if a[0] == 'v']
+            legs = [a for a in ch.decode_word(word) if a[0] == 'v']
             assert len(legs) == 3
             repeats += len(set(legs)) < 3
     assert (repeats == 0) == odd

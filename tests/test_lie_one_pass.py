@@ -28,7 +28,7 @@ from varcalc.euler import EvolutionaryField, insert, lie_derivative
 from varcalc.randforms import suite_chart
 from varcalc.theory import theory_from_text
 
-from conftest import load_theory
+from conftest import atom_terms, coded, load_theory
 from make_digests import THEORIES
 
 PAIRS = [(name, s) for name, (_coords, syms) in THEORIES.items() for s in syms]
@@ -72,7 +72,7 @@ def random_forms(chart, seed, p, count=COUNT):
                 word.append(function_atom())
             word += [('v',) + rng.choice(legs) for _ in range(p)]
             word += [('h', mu) for mu in sorted(rng.sample(range(n), rng.randint(0, n)))]
-            w._accum(tuple(word), Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))
+            w.add_word(word, Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))
         if w.terms:
             out.append(w)
     return out
@@ -100,14 +100,14 @@ def test_one_pass_is_the_cartan_sum(name, sym, p):
 def test_forms_hold_function_atoms_and_fiber_integrals():
     T = load_theory("scalar_field")
     kinds = {a[0] for p in range(3) for w in random_forms(T.chart, p, p)
-             for key in w.terms for a in key}
+             for key in atom_terms(w) for a in key}
     assert {'f', 'F', 'j', 'v', 'h'} <= kinds
     # a function atom's image is the chain rule V'(u) D_K rho
     rho = T.symmetry("transl").rho
     phi = T.chart.by_name("phi").fid
     z = midx_zero(2)
-    V = LocalForm(T.chart, {(('f', 0, (0,), (('j', phi, z),)),): 1})
-    dV = LocalForm(T.chart, {(('f', 0, (1,), (('j', phi, z),)),): 1})
+    V = LocalForm(T.chart, coded(T.chart, {(('f', 0, (0,), (('j', phi, z),)),): 1}))
+    dV = LocalForm(T.chart, coded(T.chart, {(('f', 0, (1,), (('j', phi, z),)),): 1}))
     assert lie_derivative(rho, V).terms == dV.wedge(rho.components[phi]).terms
 
 
@@ -171,7 +171,7 @@ def test_lie_derivative_commutes_with_d_h(name, sym):
     n = T.chart.dim
     for p in range(3):
         for w in random_forms(T.chart, 30 + p, p):
-            w = w.components(lambda key: LocalForm.key_hdeg(key) < n)
+            w = w.components(lambda key: w.key_hdeg(key) < n)
             assert lie_derivative(rho, d_h(w)).terms == d_h(lie_derivative(rho, w)).terms
 
 
@@ -182,7 +182,7 @@ def test_bv_q_anticommutes_with_d_h_without_legs(name):
     bv = _bv(name)
     n = bv.chart.dim
     for w in random_forms(bv.chart, 40, 0):
-        w = w.components(lambda key: LocalForm.key_hdeg(key) < n)
+        w = w.components(lambda key: w.key_hdeg(key) < n)
         assert lie_derivative(bv.Q, d_h(w)).terms == (-d_h(lie_derivative(bv.Q, w))).terms
 
 

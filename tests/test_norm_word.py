@@ -1,17 +1,17 @@
-"""Word normalization on cached per-atom data, checked against the
-insertion-sort normalizer it replaced, on atoms the seeded suites never
-generate."""
+"""Word normalization on atom codes, checked against the insertion-sort
+normalizer on atom tuples it replaced, on atoms the seeded suites never
+generate: each word is encoded, normalized and decoded (conftest.norm)."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varcalc.algebra import atom_parity, midx_order, midx_zero, norm_word
+from varcalc.algebra import midx_order, midx_zero
 from varcalc.chart import (
     COORD, CONST, CPARAM, Chart, JetCutoffExceeded,
 )
-from conftest import assert_exact
+from conftest import assert_exact, atom_parity, norm
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=600)
 
@@ -149,7 +149,7 @@ def _outcome(fn, chart, word, coeff):
 @given(words, coeffs)
 def test_norm_word_matches_insertion_sort_reference(word, coeff):
     want = _outcome(reference_norm_word, CH, word, coeff)
-    got = _outcome(norm_word, CH, word, coeff)
+    got = _outcome(norm, CH, word, coeff)
     assert got == want
     if isinstance(got, tuple):
         assert_exact(dict([got]))
@@ -158,22 +158,22 @@ def test_norm_word_matches_insertion_sort_reference(word, coeff):
 def test_oracle_words_reach_every_branch():
     # the strategy's atoms drive each action of the normalizer at least once
     z = (0, 0)
-    assert norm_word(CH, (('j', X0, (1, 0)), ('j', U, z)), 1) == ((('j', U, z),), 1)
-    assert norm_word(CH, (('j', X0, (0, 1)),), 1) is None
-    assert norm_word(CH, (('j', P, (1, 0)),), 1) is None
-    assert norm_word(CH, (('j', K, z), ('ji', K), ('j', U, z)), 2) == \
+    assert norm(CH, (('j', X0, (1, 0)), ('j', U, z)), 1) == ((('j', U, z),), 1)
+    assert norm(CH, (('j', X0, (0, 1)),), 1) is None
+    assert norm(CH, (('j', P, (1, 0)),), 1) is None
+    assert norm(CH, (('j', K, z), ('ji', K), ('j', U, z)), 2) == \
         ((('j', U, z),), 2)
-    assert norm_word(CH, (('v', U, z), ('j', U, z), ('v', U, z)), 1) is None
-    assert norm_word(CH, (('h', 1), ('h', 0)), 1) == ((('h', 0), ('h', 1)), -1)
+    assert norm(CH, (('v', U, z), ('j', U, z), ('v', U, z)), 1) is None
+    assert norm(CH, (('h', 1), ('h', 0)), 1) == ((('h', 0), ('h', 1)), -1)
     with pytest.raises(JetCutoffExceeded):
-        norm_word(CH, (('v', U, (2, 1)),), 1)
+        norm(CH, (('v', U, (2, 1)),), 1)
 
 
 def test_promoted_chart_starts_with_an_empty_cache():
     ch = _chart()
     atom = ('j', P, (1, 0))
-    assert norm_word(ch, (atom,), 1) is None        # d of a constant parameter
+    assert norm(ch, (atom,), 1) is None        # d of a constant parameter
     pro = ch.promoted([P])
-    assert pro.atom_data is not ch.atom_data
-    assert norm_word(pro, (atom,), 1) == ((atom,), 1)
-    assert norm_word(ch, (atom,), 1) is None
+    assert pro.codes is not ch.codes
+    assert norm(pro, (atom,), 1) == ((atom,), 1)
+    assert norm(ch, (atom,), 1) is None

@@ -28,17 +28,17 @@ def _stratum_image(chart, legs):
     return _Stratum(*_stratum_key(chart, legs)).sigma1_image(chart, legs)
 
 
-def _one_leg(legs):
-    return sum(a[0] == 'v' for a in legs) == 1
+def _one_leg(chart, legs):
+    return sum(a[0] == 'v' for a in chart.decode_word(legs)) == 1
 
 
 def _check(suite, legs):
     """The suite's image of a one-leg word against the stratum's, and its
-    target words hold the chart's cached atoms."""
+    target words hold the chart's code objects."""
     image = suite._images[legs]
-    assert image == _stratum_image(suite.chart, legs), legs
-    cache = suite.chart.atom_data
-    assert all(a is cache[a][3] for word, _n in image[1] for a in word)
+    chart = suite.chart
+    assert image == _stratum_image(chart, legs), legs
+    assert all(a is chart.codes[chart.decode(a)] for word, _n in image[1] for a in word)
 
 
 def _argvs():
@@ -75,9 +75,9 @@ def test_closed_form_on_every_word_the_commands_read(monkeypatch):
         assert not suite._strata
         chart = suite.chart
         for legs in suite._images:
-            if _one_leg(legs):
+            if _one_leg(chart, legs):
                 _check(suite, legs)
-                ghost = chart.ghost(legs[0][1])
+                ghost = chart.ghost(chart.decode(legs[0])[1])
                 words += 1
                 even += ghost % 2 == 1
                 antifield += ghost < 0
@@ -99,7 +99,7 @@ def test_closed_form_on_every_low_order_word(dim):
                 for b in range(dim + 1):
                     for H in combinations(range(dim), b):
                         atoms = (('v', comp.fid, I),) + tuple(('h', mu) for mu in H)
-                        legs, _c = norm_word(ch, atoms, 1)
+                        legs, _c = norm_word(ch, ch.encode_word(atoms), 1)
                         suite.sigma1({legs: {(): 1}})
                         _check(suite, legs)
                         checked += 1
@@ -119,8 +119,8 @@ def test_closed_form_at_the_jet_cutoff(dim):
         for I in ((cut,) + (0,) * (dim - 1), (0,) * (dim - 1) + (cut,)):
             for b in range(dim + 1):
                 for H in combinations(range(dim), b):
-                    legs, _c = norm_word(
-                        ch, (('v', fid, I),) + tuple(('h', mu) for mu in H), 1)
+                    legs, _c = norm_word(ch, ch.encode_word(
+                        (('v', fid, I),) + tuple(('h', mu) for mu in H)), 1)
                     suite.sigma1({legs: {(): 1}})
                     _check(suite, legs)
     assert not suite._strata

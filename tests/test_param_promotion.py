@@ -18,7 +18,7 @@ from varcalc.homotopy import get_suite
 from varcalc.noether import contract_param, noether_cone, promote_param_linear
 from varcalc.render import render_text
 from varcalc.theory import theory_from_text
-from conftest import assert_exact, load_theory
+from conftest import assert_exact, atom_terms, load_theory
 
 
 # ---------------------------------------------------------------------------
@@ -30,22 +30,23 @@ def oracle_promote_param_linear(form: LocalForm, param_fids):
     pset = set(param_fids)
     pro = chart.promoted(param_fids)
     out = LocalForm(pro)
-    for key, c in form.terms.items():
+    for code_key, c in form.terms.items():
+        key = chart.decode_word(code_key)
         hits = [i for i, a in enumerate(key)
                 if a[0] == 'j' and a[1] in pset]
         if len(hits) != 1:
             raise NonlinearParameter(
-                f"term is not parameter-linear: {render_text(LocalForm(chart, {key: c}))}")
+                f"term is not parameter-linear: {render_text(LocalForm(chart, {code_key: c}))}")
         i = hits[0]
         word = key[:i] + (('v', key[i][1], key[i][2]),) + key[i + 1:]
-        out._accum(word, c)
+        out.add_word(word, c)
     return out
 
 
 def oracle_contract_param(form: LocalForm, param_fids, base_chart):
     pset = set(param_fids)
     out = LocalForm(base_chart)
-    for key, c in form.terms.items():
+    for key, c in atom_terms(form).items():
         hits = [i for i, a in enumerate(key)
                 if a[0] == 'v' and a[1] in pset]
         if not hits:
@@ -54,7 +55,7 @@ def oracle_contract_param(form: LocalForm, param_fids, base_chart):
             raise NonlinearParameter("form is not parameter-linear")
         i = hits[0]
         word = key[:i] + (('j', key[i][1], key[i][2]),) + key[i + 1:]
-        out._accum(word, c)
+        out.add_word(word, c)
     return out
 
 

@@ -251,6 +251,14 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
      "division by zero"),
     (_HEAD + "function V\nfield q scalar\nlagrangian V{1/0}(q) * vol\n", 6, 16,
      "division by zero"),
+    (_HEAD + "function V\nfield q scalar\nlagrangian V{1/2}(q) * vol\n", 6, 14,
+     "derivative order must be an integer, got 1/2"),
+    (_HEAD + "function V arity 2\nfield q scalar\nlagrangian V{0,3/2}(q, q) * vol\n", 6, 16,
+     "derivative order must be an integer, got 3/2"),
+    (_HEAD + "function V\nfield q scalar\nlagrangian fint(1/2; V(l q)) * vol\n", 6, 17,
+     "fint power must be an integer, got 1/2"),
+    (_HEAD + "function V arity -1\nfield q scalar\nlagrangian 0\n", 4, 1,
+     "arity must be >= 0"),
     (_HEAD + "field A form -1\nlagrangian 0\n", 4, 1, "form degree must be >= 0"),
     (_HEAD + "field q scalar\nsource j form -1 = 0\nlagrangian 0\n", 5, 1,
      "form degree must be >= 0"),
@@ -265,6 +273,7 @@ _SOLVE = _HEAD + "field q scalar\nlagrangian 1/2 * d(q) ∧ star(d(q))\nsolve "
         "orientation_3", "orientation_0", "jet_cutoff", "symmetry_twice", "structure",
         "stray_prime", "stray_prime_symmetry", "stray_prime_source", "zero_denominator",
         "zero_denominator_symmetry", "zero_denominator_fint", "zero_denominator_orders",
+        "fraction_order", "fraction_second_order", "fraction_fint_power", "arity_negative",
         "form_negative", "source_form_negative", "param_form_negative", "components_0",
         "components_negative"])
 def test_malformed_value_is_a_positioned_syntax_error(tmp_path, capsys, text, line, col,
@@ -336,6 +345,14 @@ def test_elaboration_error_is_positioned(tmp_path, capsys, text, line, col, mess
         theory_from_text(text)
     assert type(e.value) is error
     _check_positioned(tmp_path, capsys, text, line, col, message, error)
+
+
+def test_arity_zero_stays_legal():
+    """A function of no arguments is a constant symbol: V() elaborates."""
+    from varcalc.theory import theory_from_text
+    T = theory_from_text(_HEAD + "function V arity 0\nfield q scalar\n"
+                         "lagrangian V() * q * q * vol\n")
+    assert render_text(T.L) == "q * q * V() ∧ dx0 ∧ dx1"
 
 
 def test_jet_cutoff_zero_is_honoured():

@@ -18,14 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varcalc.algebra import (
-    LocalForm, apply_derivation, atom_parity, d_h, iter_midx, midx_shift,
+    LocalForm, apply_derivation, d_h, iter_midx, midx_shift,
     midx_zero, prepend_atom,
 )
 from varcalc.chart import COORD, DYNAMIC, Chart, NonScalableTerm
 from varcalc.euler import exterior_euler
 from varcalc.homotopy import get_suite, resolve_fiber_integrals
 from varcalc.randforms import FormGenerator
-from conftest import assert_exact, image_strata
+from conftest import assert_exact, atom_parity, atom_terms, code_word, image_strata
 from test_splice import C, CHARTS, G_CONST, G_FN, SEEDED, U0, U1, V_FN, forms
 
 
@@ -36,7 +36,7 @@ from test_splice import C, CHARTS, G_CONST, G_FN, SEEDED, U0, U1, V_FN, forms
 def oracle_h_vertical(form):
     chart = form.chart
     out = LocalForm(chart)
-    for key, coeff in form.terms.items():
+    for key, coeff in atom_terms(form).items():
         atoms = list(key)
         vpos = [i for i, a in enumerate(atoms) if a[0] == 'v']
         if not vpos:
@@ -66,16 +66,16 @@ def oracle_h_vertical(form):
             if scaled_f:
                 word = [a for a in word if a not in scaled_f]
                 word.append(('F', k, tuple(sorted(scaled_f))))
-                out._accum(tuple(word), coeff * sgn)
+                out.add_word(word, coeff * sgn)
             else:
-                out._accum(tuple(word), coeff * sgn * Fraction(1, k + 1))
+                out.add_word(word, coeff * sgn * Fraction(1, k + 1))
     return oracle_resolve_fiber_integrals(out)
 
 
 def oracle_poincare_x(form):
     chart = form.chart
     out = LocalForm(chart)
-    for key, coeff in form.terms.items():
+    for key, coeff in atom_terms(form).items():
         atoms = list(key)
         hpos = [i for i, a in enumerate(atoms) if a[0] == 'h']
         if not hpos:
@@ -91,7 +91,7 @@ def oracle_poincare_x(form):
             xfid = next(c.fid for c in chart.components
                         if c.kind == COORD and c.coord_dir == mu)
             word = atoms[:i] + [('j', xfid, midx_zero(chart.dim))] + atoms[i + 1:]
-            out._accum(tuple(word), coeff * sgn * Fraction(1, q + degx))
+            out.add_word(word, coeff * sgn * Fraction(1, q + degx))
     return out
 
 
@@ -101,7 +101,8 @@ def oracle_resolve_fiber_integrals(form: LocalForm):
     while changed:
         changed = False
         groups = {}
-        for key, coeff in form.terms.items():
+        terms = atom_terms(form)
+        for key, coeff in terms.items():
             fpos = [i for i, a in enumerate(key) if a[0] == 'F']
             if len(fpos) != 1:
                 continue
@@ -127,15 +128,15 @@ def oracle_resolve_fiber_integrals(form: LocalForm):
             needed = [s for s, a in enumerate(args) if a[0] == 'j']
             if not needed or any(s not in slots for s in needed):
                 continue
-            if any(key not in form.terms or form.terms[key] != coeff
+            if any(key not in terms or terms[key] != coeff
                    for key in slots.values()):
                 continue
             for key in set(slots.values()):
-                form.terms.pop(key, None)
+                form.terms.pop(code_word(chart, key), None)
             out = LocalForm(chart)
-            out._accum(w + (('f', sym, base, args),), coeff)
+            out.add_word(w + (('f', sym, base, args),), coeff)
             zargs = tuple(('0',) if a[0] == 'j' else a for a in args)
-            out._accum(w + (('f', sym, base, zargs),), -coeff)
+            out.add_word(w + (('f', sym, base, zargs),), -coeff)
             form = form + out
             changed = True
             break
@@ -146,7 +147,8 @@ def oracle_d1(form):
     chart = form.chart
     out = LocalForm(chart)
     for mu in range(chart.dim):
-        def image(atom, mu=mu):
+        def image(code, mu=mu):
+            atom = chart.decode(code)
             if atom[0] == 'v':
                 return LocalForm.from_word(chart, (('v', atom[1], midx_shift(atom[2], mu)),))
             return None
@@ -221,7 +223,7 @@ def vertical_forms(draw):
         word += draw(st.lists(a["odd_leg"], max_size=2))
         word += draw(st.lists(a["ghost_leg"], max_size=3))
         word += draw(st.lists(a["h"], max_size=2))
-        out._accum(tuple(draw(st.permutations(word))), draw(coeffs))
+        out.add_word(draw(st.permutations(word)), draw(coeffs))
     return out
 
 
@@ -236,7 +238,7 @@ def coordinate_forms(draw):
         word = draw(st.lists(a["coord"], max_size=4))
         word += draw(st.lists(a["const"], max_size=2))
         word += [('h', mu) for mu in draw(st.permutations(range(ch.dim)))[:q]]
-        out._accum(tuple(draw(st.permutations(word))), draw(coeffs))
+        out.add_word(draw(st.permutations(word)), draw(coeffs))
     return out
 
 
@@ -260,7 +262,7 @@ def fiber_patterns(draw):
             d = base[:slot] + (base[slot] + 1,) + base[slot + 1:]
             fiber = ('F', 0, (('f', sym, d, args),))
             cs = c if draw(st.integers(0, 5)) else c + 1
-            out._accum(tuple(rest) + (('j', arg[1], arg[2]), fiber), cs)
+            out.add_word(tuple(rest) + (('j', arg[1], arg[2]), fiber), cs)
     return out
 
 
@@ -297,7 +299,8 @@ def test_poincare_x_de_rham_identity(form):
     ch = form.chart
     P = get_suite(ch).poincare_x
     const = LocalForm(ch, {k: c for k, c in form.terms.items() if not any(
-        a[0] == 'h' or (a[0] == 'j' and ch.kind(a[1]) == COORD) for a in k)})
+        a[0] == 'h' or (a[0] == 'j' and ch.kind(a[1]) == COORD)
+        for a in ch.decode_word(k))})
     assert (form - d_h(P(form)) - P(d_h(form)) - const).is_zero()
 
 
@@ -322,11 +325,11 @@ def test_resolve_groups_sharing_a_word(dim):
 
     form = LocalForm(ch)
     for word in ((a, b, fiber((1, 1))), (b, b, fiber((0, 2))), (a, a, fiber((2, 0)))):
-        form._accum(word + (('h', 0),), Fraction(2, 3))
+        form.add_word(word + (('h', 0),), Fraction(2, 3))
     copy = LocalForm(ch, dict(form.terms))
     got = resolve_fiber_integrals(form)
     same(got, oracle_resolve_fiber_integrals(copy))
-    assert sum(1 for key in got.terms if any(x[0] == 'F' for x in key)) == 1
+    assert sum(1 for key in atom_terms(got) if any(x[0] == 'F' for x in key)) == 1
 
 
 def test_gradient_pattern():
@@ -347,7 +350,7 @@ def test_gradient_pattern():
         same(suite.h_vertical(E), oracle_h_vertical(E))
     # the plain pattern resolves to V(q) - V(0): no fiber integral is left
     P = suite.h_vertical(exterior_euler(L))
-    assert P.terms and all(a[0] != 'F' for key in P.terms for a in key)
+    assert P.terms and all(a[0] != 'F' for key in atom_terms(P) for a in key)
 
 
 @pytest.mark.parametrize("dim", sorted(CHARTS))

@@ -26,7 +26,7 @@ from varcalc.bv import bfv_extend, bv_extend
 from varcalc.chart import DYNAMIC, VarcalcError
 from varcalc.euler import interior_euler
 from varcalc.slicing import SliceSpec, restrict_to_slice
-from conftest import load_theory
+from conftest import atom_terms, load_theory
 
 BUNDLED = sorted(p.name[:-4] for p in resources.files("varcalc.theories").iterdir()
                  if p.name.endswith(".thy"))
@@ -55,7 +55,7 @@ def oracle_momentum_densities(sig, theta_s):
     for (sfid, K), C in sorted(legs.items()):
         if K != z:
             continue
-        dts = sorted({a[1] for k in C.terms for a in k
+        dts = sorted({a[1] for k in atom_terms(C) for a in k
                       if a[0] == 'j' and a[1] in set(sig.dt_fields.values())})
         if not dts:
             continue
@@ -69,9 +69,9 @@ def oracle_pairing_coefficients(sig):
     leg in I omega_Sigma, and its partners."""
     schart = sig.schart
     src = interior_euler(sig.omega_sigma)
-    fields = ({a[1] for k in sig.omega_sigma.terms for a in k
+    fields = ({a[1] for k in atom_terms(sig.omega_sigma) for a in k
                if a[0] == 'v'} |
-              {a[1] for k in sig.omega_sigma.terms for a in k
+              {a[1] for k in atom_terms(sig.omega_sigma) for a in k
                if a[0] == 'j' and schart.kind(a[1]) == DYNAMIC})
     coefficients = {}
     table = {}
@@ -81,7 +81,7 @@ def oracle_pairing_coefficients(sig):
         co = legs.get((f, z), LocalForm(schart))
         coefficients[f] = co
         partners = sorted({schart.component(a[1]).name
-                           for k in co.terms for a in k if a[0] == 'v'})
+                           for k in atom_terms(co) for a in k if a[0] == 'v'})
         nm = schart.component(f).name
         if partners:
             table[nm] = partners

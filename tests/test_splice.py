@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from varcalc import algebra, euler
 from varcalc.algebra import (
-    LocalForm, atom_parity, d_h, d_v, horizontal, iter_midx, midx_zero,
+    LocalForm, d_h, d_v, horizontal, iter_midx, midx_zero,
     norm_word, prepend_atom, total_derivative,
 )
 from varcalc.chart import CONST, JetCutoffExceeded
@@ -66,14 +66,14 @@ def oracle_apply_derivation(form: LocalForm, parity, image, images=None):
                         word = key[:i] + ikey + key[i + 1:]
                         _accum(out, word, coeff * ic * sgn * run)
                 seen = atom
-            left_par += atom_parity(chart, atom)
+            left_par += atom & 1     # the parity bit of the atom's code
     return out
 
 
 def oracle_prepend_atom(form: LocalForm, atom):
     out = LocalForm(form.chart)
     for key, coeff in form.terms.items():
-        _accum(out, (atom,) + key, coeff)
+        _accum(out, form.chart.encode_word((atom,)) + key, coeff)
     return out
 
 
@@ -164,7 +164,7 @@ def forms(draw, dim=None, legs=True, ghost_free=False):
             word += draw(st.lists(a["odd_leg"], max_size=2))
             word += draw(st.lists(a["ghost_leg"], max_size=3))
             word += draw(st.lists(a["h"], max_size=2))
-        out._accum(tuple(draw(st.permutations(word))), draw(coeffs))
+        out.add_word(draw(st.permutations(word)), draw(coeffs))
     return out
 
 

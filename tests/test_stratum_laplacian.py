@@ -57,7 +57,7 @@ class PinvStratum(_Stratum):
         list of (target word, coefficient)."""
         image = self.images.get(word)
         if image is None:
-            b = sum(1 for a in word if a[0] == 'h')
+            b = sum(1 for a in chart.decode_word(word) if a[0] == 'h')
             self.basis(chart, b)
             i = self.index[b].get(word)
             if i is None:
@@ -112,7 +112,7 @@ def _stratum(nlegs):
             ('v', c, (1, 0)))
     word = LocalForm.from_word(ch, legs[:nlegs] + (('h', 0),))
     (key,) = word.terms
-    _coeffs, legs = _leg_split(key)
+    _coeffs, legs = _leg_split(ch, key)
     return ch, _Stratum(*_stratum_key(ch, legs))
 
 

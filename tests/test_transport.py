@@ -23,7 +23,7 @@ from varcalc.algebra import (
 from varcalc.chart import (
     CONST, DYNAMIC, Chart, GhostDegreeMismatch, GradingError, VarcalcError,
 )
-from conftest import assert_exact
+from conftest import assert_exact, atom_terms
 from test_splice import C, CHARTS, SEEDED, U0, U1, forms
 
 
@@ -50,7 +50,7 @@ def oracle_transport(form: LocalForm, chart, jet, h=None):
         return ('f', a[1], a[2], tuple(args))
 
     out = LocalForm(chart)
-    for key, c in form.terms.items():
+    for key, c in atom_terms(form).items():
         word = []
         for a in key:
             t = a[0]
@@ -67,14 +67,14 @@ def oracle_transport(form: LocalForm, chart, jet, h=None):
                 break
             word.append(b)
         else:
-            out._accum(tuple(word), c)
+            out.add_word(word, c)
     return out
 
 
 def oracle_zero_star(form: LocalForm):
     chart = form.chart
     out = LocalForm(chart)
-    for key, coeff in form.terms.items():
+    for key, coeff in atom_terms(form).items():
         word = []
         dead = False
         for atom in key:
@@ -96,7 +96,7 @@ def oracle_zero_star(form: LocalForm):
             else:
                 word.append(atom)
         if not dead:
-            out._accum(tuple(word), coeff)
+            out.add_word(word, coeff)
     return out
 
 
@@ -139,7 +139,7 @@ def oracle_substitute(form: LocalForm, bindings):
                         args.append(('0',))
                         continue
                     if len(r.terms) == 1:
-                        (w, c), = r.terms.items()
+                        (w, c), = atom_terms(r).items()
                         if c == 1 and len(w) == 1 and w[0][0] == 'j':
                             args.append(w[0])
                             continue
@@ -150,7 +150,7 @@ def oracle_substitute(form: LocalForm, bindings):
         return ('f', atom[1], atom[2], tuple(args))
 
     out = LocalForm(chart)
-    for key, coeff in form.terms.items():
+    for key, coeff in atom_terms(form).items():
         # expand word left-to-right, splicing replacements
         parts = [LocalForm.scalar(chart, coeff)]
         for atom in key:
