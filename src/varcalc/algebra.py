@@ -31,7 +31,8 @@ from itertools import accumulate
 
 from .chart import (
     Chart, DYNAMIC, ONE, ZERO,
-    GradingError, GhostDegreeMismatch, UnassignedSymbol, VarcalcError,
+    ChartMismatch, GradingError, GhostDegreeMismatch, UnassignedSymbol,
+    VarcalcError,
 )
 
 
@@ -250,9 +251,27 @@ class LocalForm:
         if res is not None:
             _add(self.terms, *res)
 
+    def on(self, chart):
+        """This form in the codes of ``chart``: itself when chart reads
+        them (Chart.reads_codes_of), else its relabel onto chart, which
+        decodes each atom here and encodes it there.  Raises ChartMismatch
+        across dimensions, where a multi-index has no code."""
+        if chart.reads_codes_of(self.chart):
+            return self
+        if chart.dim != self.chart.dim:
+            raise ChartMismatch(f"a form of dimension {self.chart.dim} "
+                                f"on a chart of dimension {chart.dim}")
+        return relabel(self, chart, {})
+
     # -- ring structure ----------------------------------------------------
+    # a sum, product or comparison reads the right operand in the codes of
+    # the left one's chart (on): two charts number their function atoms
+    # each in its own order
+
     def __add__(self, other):
         out = LocalForm(self.chart, dict(self.terms))
+        if other.chart is not self.chart:
+            other = other.on(self.chart)
         for k, c in other.terms.items():
             _add(out.terms, k, c)
         return out
@@ -274,6 +293,8 @@ class LocalForm:
 
     def wedge(self, other):
         out = LocalForm(self.chart)
+        if other.chart is not self.chart:
+            other = other.on(self.chart)
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 out._accum(k1 + k2, c1 * c2)
@@ -284,7 +305,7 @@ class LocalForm:
 
     def __eq__(self, other):
         if isinstance(other, LocalForm):
-            return self.terms == other.terms
+            return self.terms == other.on(self.chart).terms
         return NotImplemented
 
     # -- grading -----------------------------------------------------------

@@ -451,6 +451,16 @@ class Chart:
         """The direction mu of the code of dx^mu."""
         return (code >> 2) - 4 * self._stride
 
+    def reads_codes_of(self, other):
+        """Whether each code of a form on chart ``other`` names the same
+        atom on this chart, the component at a fid taken to be the same
+        field: the two have one dimension and cutoff, and other has
+        numbered no 'f'/'F' atom or numbers them in this chart's
+        registry."""
+        return other is self or (
+            self._slot == other._slot and self._radix == other._radix
+            and (not other.registry or other.registry is self.registry))
+
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q

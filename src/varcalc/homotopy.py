@@ -361,7 +361,9 @@ class HomotopySuite:
         integers integral and takes each d0(c) once per call.  The rounds
         are added in order with the sign (-1)^r, each word is rebuilt
         once, and each output coefficient is divided once at the end
-        (notes/decisions.md §16, §25, §28, §35)."""
+        (notes/decisions.md §16, §25, §28, §35).  A form on another chart
+        is read in this chart's codes (LocalForm.on)."""
+        form = form.on(self.chart)
         den = lcm(*(c.denominator for c in form.terms.values()))
         groups = {}
         for key, c in form.terms.items():

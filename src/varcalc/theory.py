@@ -12,8 +12,8 @@ from .chart import (
     NoFixpoint, NoSolvedForm, VarcalcError,
 )
 from .algebra import (
-    LocalForm, d_h, d_v, h_coefficient, midx_zero, relabel, source_densities,
-    substitute, zero_star,
+    LocalForm, d_h, d_v, h_coefficient, midx_zero, source_densities, substitute,
+    zero_star,
 )
 from .euler import EvolutionaryField, exterior_euler, lie_derivative
 from .homotopy import HomotopySuite, get_suite
@@ -228,18 +228,13 @@ class Theory:
         """Same EL set; returns (bool, witness) with witness = (constant
         part, d-primitive) of the difference when equivalent.  Raises
         ChartMismatch, naming the first difference, when the two charts
-        differ in what a Lagrangian can hold.  The other theory's forms
-        are moved onto this chart, whose codes they then read."""
+        differ in what a Lagrangian can hold."""
         mismatch = _chart_difference(self, other)
         if mismatch:
             raise ChartMismatch(f"theories live on different charts: {mismatch}")
-
-        def moved(form):
-            return form if other is self else relabel(form, self.chart, {})
-
-        diff = moved(other.L) - self.L
-        same = (moved(other.EL) - self.EL).is_zero()
-        same_p = (moved(other.Lh) - self.Lh).is_zero()
+        diff = other.L - self.L
+        same = (other.EL - self.EL).is_zero()
+        same_p = (other.Lh - self.Lh).is_zero()
         if same != same_p:
             raise InvariantViolation("E and P disagree on Lagrangian equivalence")
         if not same:

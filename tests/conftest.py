@@ -2,14 +2,17 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from math import lcm
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from varcalc.algebra import LocalForm, _q, norm_word  # noqa: E402
+from varcalc.algebra import LocalForm, _q, iter_midx, midx_zero, norm_word  # noqa: E402
+from varcalc.chart import COORD, CONST, CPARAM  # noqa: E402
 from varcalc.homotopy import _leg_split, _Stratum, _stratum_key  # noqa: E402
+from varcalc.randforms import suite_chart  # noqa: E402
 from varcalc.theory import theory_from_text  # noqa: E402
 
 _cache = {}
@@ -59,6 +62,60 @@ def coded(chart, terms):
     """{word of codes: c} for {normalized word of atom tuples: c}: the
     encoded words, with the run of function atoms in code order."""
     return {code_word(chart, w): c for w, c in terms.items()}
+
+
+TWO_FUNCTIONS = (
+    "theory t\ndimension 2\nsignature + +\njet_cutoff 3\nconstant m\n"
+    "function W\nfunction V arity 2\nfield q scalar\nfield p scalar\n"
+    "field c scalar ghost 1\n"
+    "lagrangian 1/2 * m * d(q) ∧ star(d(q)) + V(q, p) * W(p) * vol\n")
+
+
+def codec_suite_chart(dim):
+    """A suite chart with a ghost, a named constant g, a constant parameter
+    e and two function symbols."""
+    ch = suite_chart(dim, nfields=2, ghost_field=True)
+    ch.add_component("g", kind=CONST)
+    ch.add_component("e", kind=CPARAM)
+    ch.add_function("V", arity=1)
+    ch.add_function("G", arity=2)
+    return ch
+
+
+def codec_charts():
+    """The charts the atom codec is checked on, by name."""
+    return {"suite2": codec_suite_chart(2), "suite3": codec_suite_chart(3),
+            "two_functions": theory_from_text(TWO_FUNCTIONS).chart}
+
+
+def codec_atoms(ch):
+    """Kept atoms of every kind: jets and legs of every component up to the
+    cutoff order, inverses of named constants, dx^mu, and function atoms
+    and fiber integrals over jet arguments."""
+    n = ch.dim
+    cut = ch.jet_cutoff
+    z = midx_zero(n)
+    orders = [m for k in range(cut + 1) for m in iter_midx(n, k)]
+    out = [('h', mu) for mu in range(n)]
+    jets = []
+    for comp in ch.components:
+        if comp.kind in (COORD, CONST, CPARAM):
+            out.append(('j', comp.fid, z))
+            if comp.kind == CONST:
+                out.append(('ji', comp.fid))
+            continue
+        jets += [('j', comp.fid, m) for m in orders]
+        out += [('v', comp.fid, m) for m in orders]
+    out += jets
+    args = [a for a in jets if ch.ghost(a[1]) % 2 == 0][:3] + [('0',)]
+    for fn in ch.functions:
+        for dords in iter_midx(fn.arity, 1):
+            for arg in combinations(args, fn.arity):
+                out.append(('f', fn.sym_id, dords, arg))
+    fs = [a for a in out if a[0] == 'f'][:3]
+    out += [('F', k, tuple(sorted(inner))) for k in (0, 1)
+            for inner in ((fs[0],), (fs[1], fs[2]))]
+    return out
 
 
 def sigma1_terms(image):

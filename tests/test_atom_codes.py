@@ -4,181 +4,29 @@ is a tuple of int codes, one per atom.
 Over atoms of every kind, on the 2-d and 3-d suite charts with a ghost
 and on a theory with two function symbols (jets at the cutoff order,
 ghosts, inverses of named constants, function atoms and fiber
-integrals): decode inverts encode, the order of the codes is the order
-of the former sort key except inside the run of function atoms, and a
-word normalized on codes decodes to the word and signed coefficient of
-the former normalizer on atom tuples, kept verbatim below as the oracle.
+integrals; conftest.codec_atoms): decode inverts encode, and the order of
+the codes is the order of the former sort key except inside the run of
+function atoms.  Words normalized on codes are checked against the
+former normalizer on atom tuples in test_norm_word.py, on these charts
+too.
 """
 
 import gc
 import weakref
-from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from varcalc.algebra import LocalForm, iter_midx, midx_order, midx_zero, norm_word
-from varcalc.chart import (
-    COORD, CONST, CPARAM, ONE, ZERO, JetCutoffExceeded,
-)
-from varcalc.randforms import suite_chart
+from varcalc.algebra import LocalForm, midx_zero, norm_word
+from varcalc.chart import ONE, ZERO, JetCutoffExceeded
 from varcalc.render import render_text
 from varcalc.theory import theory_from_text
-from conftest import atom_parity, norm
+from conftest import (
+    TWO_FUNCTIONS, atom_parity, codec_atoms, codec_charts, codec_suite_chart,
+)
+from test_norm_word import _sort_key
 
-SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=400)
-
-
-# -- the former normalizer on atom tuples, verbatim ---------------------------
-
-_RANK = {'j': 0, 'ji': 0, 'f': 1, 'F': 2, 'v': 3, 'h': 4}
-
-
-def _sort_key(atom):
-    return (_RANK[atom[0]],) + atom[1:]
-
-
-_KEEP, _CONST, _ONE, _ZERO = range(4)
-
-
-def _atom_data(chart, atom):
-    t = atom[0]
-    action = _KEEP
-    if t in ('j', 'ji'):
-        kind = chart.kind(atom[1])
-        order = midx_order(atom[2]) if t == 'j' else 0
-        if order and kind in (COORD, CONST, CPARAM):
-            # D_mu x^nu = delta; every other derivative of a constant is 0
-            if kind == COORD and order == 1 and \
-                    atom[2][chart.component(atom[1]).coord_dir] == 1:
-                action = _ONE
-            else:
-                action = _ZERO
-        elif order > chart.jet_cutoff:
-            raise JetCutoffExceeded(
-                f"jet order {order} exceeds cutoff {chart.jet_cutoff}")
-        elif kind == CONST:
-            action = _CONST
-    elif t == 'v' and midx_order(atom[2]) > chart.jet_cutoff:
-        raise JetCutoffExceeded(
-            f"jet order {midx_order(atom[2])} exceeds cutoff {chart.jet_cutoff}")
-    return _sort_key(atom), atom_parity(chart, atom), action, atom
-
-
-def tuple_norm_word(chart, atoms, coeff):
-    if not coeff:
-        return None
-    cache = {}
-    work = []
-    has_const = False
-    for a in atoms:
-        d = cache.get(a)
-        if d is None:
-            d = cache[a] = _atom_data(chart, a)
-        action = d[2]
-        if action == _ZERO:
-            return None
-        if action != _ONE:
-            work.append(d)
-            has_const = has_const or action == _CONST
-    sign = 1
-    out = []
-    for item in work:
-        ka, pa = item[0], item[1]
-        i = len(out)
-        while i > 0 and out[i - 1][0] > ka:
-            if pa and out[i - 1][1]:
-                sign = -sign
-            i -= 1
-        out.insert(i, item)
-    if has_const:
-        cleaned = []
-        counts = {}
-        for item in out:
-            if item[2] == _CONST:
-                a = item[3]
-                counts[a[1]] = counts.get(a[1], 0) + (1 if a[0] == 'j' else -1)
-            else:
-                cleaned.append(item)
-        zero = midx_zero(chart.dim)
-        const_items = []
-        for fid in sorted(counts):
-            c = counts[fid]
-            a = ('j', fid, zero) if c > 0 else ('ji', fid)
-            const_items += [_atom_data(chart, a)] * abs(c)
-        merged = []
-        ci = 0
-        for item in cleaned:
-            while ci < len(const_items) and const_items[ci][0] <= item[0]:
-                merged.append(const_items[ci])
-                ci += 1
-            merged.append(item)
-        merged.extend(const_items[ci:])
-        out = merged
-    for i in range(1, len(out)):
-        if out[i][1] and out[i][0] == out[i - 1][0]:
-            return None     # odd square
-    coeff = Fraction(coeff)
-    coeff = coeff.numerator if coeff.denominator == 1 else coeff
-    return tuple(item[3] for item in out), (coeff if sign > 0 else -coeff)
-
-
-# -- charts and their atoms ---------------------------------------------------
-
-TWO_FUNCTIONS = (
-    "theory t\ndimension 2\nsignature + +\njet_cutoff 3\nconstant m\n"
-    "function W\nfunction V arity 2\nfield q scalar\nfield p scalar\n"
-    "field c scalar ghost 1\n"
-    "lagrangian 1/2 * m * d(q) ∧ star(d(q)) + V(q, p) * W(p) * vol\n")
-
-
-def _suite(dim):
-    ch = suite_chart(dim, nfields=2, ghost_field=True)
-    ch.add_component("g", kind=CONST)
-    ch.add_component("e", kind=CPARAM)
-    ch.add_function("V", arity=1)
-    ch.add_function("G", arity=2)
-    return ch
-
-
-def charts():
-    return {"suite2": _suite(2), "suite3": _suite(3),
-            "two_functions": theory_from_text(TWO_FUNCTIONS).chart}
-
-
-def atoms(ch):
-    """Kept atoms of every kind: jets and legs of every component up to the
-    cutoff order, inverses of named constants, dx^mu, and function atoms
-    and fiber integrals over jet arguments."""
-    n = ch.dim
-    cut = ch.jet_cutoff
-    z = midx_zero(n)
-    orders = [m for k in range(cut + 1) for m in iter_midx(n, k)]
-    out = [('h', mu) for mu in range(n)]
-    jets = []
-    for comp in ch.components:
-        if comp.kind in (COORD, CONST, CPARAM):
-            out.append(('j', comp.fid, z))
-            if comp.kind == CONST:
-                out.append(('ji', comp.fid))
-            continue
-        jets += [('j', comp.fid, m) for m in orders]
-        out += [('v', comp.fid, m) for m in orders]
-    out += jets
-    args = [a for a in jets if ch.ghost(a[1]) % 2 == 0][:3] + [('0',)]
-    for fn in ch.functions:
-        for dords in iter_midx(fn.arity, 1):
-            for arg in combinations(args, fn.arity):
-                out.append(('f', fn.sym_id, dords, arg))
-    fs = [a for a in out if a[0] == 'f'][:3]
-    out += [('F', k, tuple(sorted(inner))) for k in (0, 1)
-            for inner in ((fs[0],), (fs[1], fs[2]))]
-    return out
-
-
-CHARTS = charts()
-ATOMS = {name: atoms(ch) for name, ch in CHARTS.items()}
+CHARTS = codec_charts()
+ATOMS = {name: codec_atoms(ch) for name, ch in CHARTS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -219,29 +67,6 @@ def test_zero_one_and_cutoff():
     for t in ('j', 'v'):
         with pytest.raises(JetCutoffExceeded):
             ch.encode((t, u0, (ch.jet_cutoff + 1, 0)))
-
-
-@st.composite
-def words(draw):
-    name = draw(st.sampled_from(sorted(CHARTS)))
-    ch = CHARTS[name]
-    pool = ATOMS[name]
-    odd = [a for a in pool if atom_parity(ch, a)]
-    consts = [a for a in pool if a[0] in ('j', 'ji') and ch.kind(a[1]) == CONST]
-    extra = [('j', ch.components[0].fid, (1,) + (0,) * (ch.dim - 1)),     # 1
-             ('j', ch.components[0].fid, (0,) * (ch.dim - 1) + (1,))]     # 0
-    atom = st.one_of(st.sampled_from(pool), st.sampled_from(odd),
-                     st.sampled_from(consts), st.sampled_from(extra))
-    coeff = draw(st.one_of(st.integers(-3, 3),
-                           st.fractions(min_value=-3, max_value=3, max_denominator=5)))
-    return ch, tuple(draw(st.lists(atom, max_size=8))), coeff
-
-
-@SEEDED
-@given(words())
-def test_norm_word_on_codes_matches_the_tuple_normalizer(case):
-    ch, word, coeff = case
-    assert norm(ch, word, coeff) == tuple_norm_word(ch, word, coeff)
 
 
 def test_normalized_words_are_their_own_normal_form():
@@ -290,7 +115,7 @@ def test_promoted_and_derived_charts_read_the_same_codes():
 def test_the_registry_holds_no_chart():
     gc.disable()
     try:
-        ch = _suite(2)
+        ch = codec_suite_chart(2)
         pro = ch.promoted({ch.by_name("e").fid})
         u0 = ch.by_name("u0").fid
         pro.encode(('f', 0, (0,), (('j', u0, (0, 0)),)))

@@ -8,13 +8,13 @@ from importlib import resources
 
 import pytest
 
-from varcalc.algebra import LocalForm, d_h, d_v, relabel, zero_star
+from varcalc.algebra import LocalForm, d_h, d_v, zero_star
 from varcalc.bv import (
     bfv_extend, bv_bracket, bv_extend, hamiltonian_vector_field,
     verify_bfv_cme, verify_cme,
 )
 from varcalc.chart import (
-    ChartMismatch, CMEFails, GradingError, InvariantViolation, VarcalcError,
+    ChartMismatch, CMEFails, InvariantViolation, VarcalcError,
 )
 from varcalc.noether import Report, decompose_dual_current
 from varcalc.render import form_json, render_text
@@ -54,14 +54,9 @@ def _parent_verify_bfv_cme(bfv):
 
 
 def _parent_lagrangians_equivalent(self, other):
-    # the other theory's forms, its projection built on its own chart,
-    # moved onto this chart (its atom codes)
-    other_P = self.suite.euler_projector(other.L)
-    other_L, other_EL, other_P = (relabel(f, self.chart, {})
-                                  for f in (other.L, other.EL, other_P))
-    diff = other_L - self.L
-    same = (other_EL - self.EL).is_zero()
-    same_p = (other_P
+    diff = other.L - self.L
+    same = (other.EL - self.EL).is_zero()
+    same_p = (self.suite.euler_projector(other.L)
               - self.suite.euler_projector(self.L)).is_zero()
     if same != same_p:
         raise InvariantViolation("E and P disagree on Lagrangian equivalence")
@@ -217,10 +212,13 @@ def test_zero_form_json():
 
 def test_equivalence_across_dimensions_is_a_chart_mismatch():
     """The parent code failed here only through the grading of the other
-    Lagrangian; the chart comparison now names the difference first."""
+    Lagrangian; on atom codes its first difference of the two Lagrangians
+    already refuses two dimensions, and the chart comparison names the
+    difference first."""
     T, other = load_theory("maxwell"), load_theory("chern_simons_su2")
     _res, want = _outcome(_parent_lagrangians_equivalent, T, other)
     _res, got = _outcome(T.lagrangians_equivalent, other)
-    assert want == (GradingError, "Euler projector acts on (0, top) forms", None)
+    assert want == (ChartMismatch, "a form of dimension 4 on a chart of dimension 3",
+                    None)
     assert got == (ChartMismatch, "theories live on different charts: dimension 4 vs 3",
                    None)

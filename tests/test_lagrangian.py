@@ -61,6 +61,27 @@ def test_lagrangians_equivalent():
     assert not same3 and w3 is None
 
 
+def test_forms_of_two_theories_combine_with_function_atoms():
+    # each chart numbers its function atoms in the order it meets them, so
+    # one Lagrangian written in two orders is held in different codes
+    base = "theory a\ndimension 2\nsignature + +\nfunction V\nfield q scalar\n"
+    A = theory_from_text(base + "lagrangian 2 * V'(q) * vol + V(q) * vol\n")
+    B = theory_from_text(base + "lagrangian V(q) * vol + 2 * V'(q) * vol\n")
+    assert A.L.terms != B.L.terms
+    assert (A.L - B.L).is_zero() and (B.L - A.L).is_zero()
+    assert A.L == B.L and A.EL == B.EL
+    v, w = elaborate_form(A.ctx, "V(q)"), elaborate_form(B.ctx, "V'(q)")
+    assert v.wedge(w) == elaborate_form(B.ctx, "V(q) * V'(q)")
+    # the witness closes on the difference, whichever theory is asked
+    C = theory_from_text(base + "lagrangian V'(q) * q_,0 * vol + V(q) * vol"
+                         " + 3 * vol + 2 * V'(q) * vol\n")
+    for S, T in ((A, C), (C, A)):
+        same, (const, prim) = S.lagrangians_equivalent(T)
+        assert same
+        assert (T.L - S.L - const - d_h(prim)).is_zero()
+        assert not const.is_zero() and not prim.is_zero()
+
+
 @pytest.mark.parametrize("a, b, difference", [
     ("maxwell", "bf_abelian_4d", "fid 4 holds A0 (dynamic, ghost 0) vs B01 (dynamic, ghost 0)"),
     ("maxwell", "chern_simons_su2", "dimension 4 vs 3"),

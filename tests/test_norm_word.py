@@ -1,6 +1,9 @@
 """Word normalization on atom codes, checked against the insertion-sort
 normalizer on atom tuples it replaced, on atoms the seeded suites never
-generate: each word is encoded, normalized and decoded (conftest.norm)."""
+generate: each word is encoded, normalized and decoded (conftest.norm).
+The words are drawn on a chart with every component kind and on the
+atom codec's charts (conftest.codec_charts), whose function atoms each
+chart numbers in the order it meets them."""
 
 from fractions import Fraction
 
@@ -11,7 +14,7 @@ from varcalc.algebra import midx_order, midx_zero
 from varcalc.chart import (
     COORD, CONST, CPARAM, Chart, JetCutoffExceeded,
 )
-from conftest import assert_exact, atom_parity, norm
+from conftest import assert_exact, atom_parity, codec_atoms, codec_charts, norm
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=600)
 
@@ -138,6 +141,24 @@ coeffs = st.one_of(st.integers(-3, 3),
                    st.fractions(min_value=-3, max_value=3, max_denominator=5))
 
 
+def codec_words(ch):
+    """Words over a codec chart's atoms, odd atoms and named constants drawn
+    often, with a factor D_0 x^0 (one) and D_last x^0 (zero)."""
+    pool = codec_atoms(ch)
+    x0 = next(c.fid for c in ch.components if c.coord_dir == 0)
+    unit = [('j', x0, (1,) + (0,) * (ch.dim - 1)), ('j', x0, (0,) * (ch.dim - 1) + (1,))]
+    odd_atoms = [a for a in pool if atom_parity(ch, a)]
+    named = [a for a in pool if a[0] in ('j', 'ji') and ch.kind(a[1]) == CONST]
+    return st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(odd_atoms),
+                              st.sampled_from(named), st.sampled_from(unit)),
+                    max_size=8)
+
+
+cases = st.one_of(st.tuples(st.just(CH), words),
+                  *(st.tuples(st.just(ch), codec_words(ch))
+                    for _name, ch in sorted(codec_charts().items())))
+
+
 def _outcome(fn, chart, word, coeff):
     try:
         return fn(chart, tuple(word), coeff)
@@ -145,11 +166,12 @@ def _outcome(fn, chart, word, coeff):
         return JetCutoffExceeded
 
 
-@SEEDED
-@given(words, coeffs)
-def test_norm_word_matches_insertion_sort_reference(word, coeff):
-    want = _outcome(reference_norm_word, CH, word, coeff)
-    got = _outcome(norm, CH, word, coeff)
+@settings(SEEDED, max_examples=1600)
+@given(cases, coeffs)
+def test_norm_word_matches_insertion_sort_reference(case, coeff):
+    chart, word = case
+    want = _outcome(reference_norm_word, chart, word, coeff)
+    got = _outcome(norm, chart, word, coeff)
     assert got == want
     if isinstance(got, tuple):
         assert_exact(dict([got]))
