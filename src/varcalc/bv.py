@@ -24,9 +24,23 @@ from .slicing import (
 from .theory import SymmetryAction, Theory, per_symmetry
 
 
-def _vol(chart):
-    """The codes of the volume word dx0 ∧ ... ∧ dx(n-1)."""
-    return chart.encode_word(tuple(('h', mu) for mu in range(chart.dim)))
+def graded_extension(chart, body, omega, conj, q, sign):
+    """The graded extension of ``body`` by generators x with conjugates
+    x† = conj[x] (notes/decisions.md §38): (L, omega) with
+    L = body + Σ_x x† ∧ q[x] ∧ vol over sorted(q), and
+    omega = omega + sign Σ_x d x† ∧ d x ∧ vol over sorted(conj).
+    The input forms are left as they are."""
+    z = midx_zero(chart.dim)
+    vol = chart.encode_word(tuple(('h', mu) for mu in range(chart.dim)))
+    L = LocalForm(chart, dict(body.terms))
+    for x in sorted(q):
+        head = chart.encode_word((('j', conj[x], z),))
+        for key, c in q[x].terms.items():
+            L._accum(head + key + vol, c)
+    omega = LocalForm(chart, dict(omega.terms))
+    for x in sorted(conj):
+        omega._accum(chart.encode_word((('v', conj[x], z), ('v', x, z))) + vol, sign)
+    return L, omega
 
 
 class BVTheory:
@@ -52,7 +66,6 @@ class BVTheory:
         self.chart = chart
         self.suite = get_suite(chart)
 
-        z = midx_zero(chart.dim)
         # lift: parameter jets become ghost jets in place, except inside a
         # function argument (components are parameter-linear)
         self._lift = {b: self.ghosts.get(b, x) for b, x in self.b2x.items()}
@@ -67,29 +80,17 @@ class BVTheory:
             if not br.is_zero():
                 self.qce[self.ghosts[p]] = br * Fraction(-1, 2)
 
-        vol = _vol(chart)
-        LBV = L0
-        for fid, qf in sorted(self.qce.items()):
-            af = self.antifields[fid]
-            head = chart.encode_word((('j', af, z),))
-            for key, c in qf.terms.items():
-                term = LocalForm(chart)
-                term._accum(head + key + vol, c)
-                LBV = LBV + term
-        self.L = LBV
+        # L_BV = L + sum phi+ Q_CE(phi) vol, with the canonical
+        # (-1)-symplectic density omega = sum d(phi+) ^ d(phi) vol
+        self.L, self.omega_BV = graded_extension(
+            chart, L0, LocalForm(chart), self.antifields, self.qce, 1)
         if not (zero_ghost_body(self, self.L) - L0).is_zero():
             raise VarcalcError("BV body projection does not reproduce L")
         for key in self.L.terms:
             if self.L.key_ghost(key) != 0:
                 raise VarcalcError("L_BV has a term of nonzero ghost degree")
-
-        # canonical (-1)-symplectic density: omega = sum d(phi+) ^ d(phi) vol
-        omega = LocalForm(chart)
-        for fid, af in sorted(self.antifields.items()):
-            omega._accum(chart.encode_word((('v', af, z), ('v', fid, z))) + vol, 1)
-        self.omega_BV = omega
         # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19)
-        self.Q = hamiltonian_vector_field(self.L, omega)
+        self.Q = hamiltonian_vector_field(self.L, self.omega_BV)
         self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
 
     def lift(self, form):
@@ -258,7 +259,6 @@ class BFVTheory:
         self.orientation = orientation = -1 if sigma.spec.transverse & 1 else 1
         chart, self.s2x = schart.derive(
             schart.coord_names, keep=lambda c: c.kind != DYNAMIC or c.fid in sigma.surviving)
-        z = midx_zero(chart.dim)
         self.ghosts = {}             # sigma param fid -> ghost fid
         self.ghost_momenta = {}      # ghost fid -> ghost momentum fid
         c_of = {}                    # bulk param fid -> ghost fid
@@ -284,24 +284,19 @@ class BFVTheory:
             return transport(form, chart, jet)
 
         H0, hflux = split_constraint_flux(sigma, sym, H)
-        # L_BFV = <H0, c> + 1/2 <c+, [c,c]>
-        self.L = move(H0)    # parameters become ghosts via self.ghosts
-        vol = _vol(chart)
-        for p, br in sym.bracket(chart, c_of, c_of).items():
-            dag = chart.encode_word((('j', self.ghost_momenta[c_of[p]], z),))
-            for key, c in br.terms.items():
-                self.L._accum(dag + key + vol, Fraction(c * orientation, 2))
+        # L_BFV = <H0, c> + 1/2 <c+, [c,c]> (parameters become ghosts via
+        # self.ghosts), omega_BFV = omega_Sigma - sum dc+ ^ dc vol, both
+        # with the induced orientation
+        half = Fraction(orientation, 2)
+        self.L, self.omega_BFV = graded_extension(
+            chart, move(H0), move(sigma.omega_sigma), self.ghost_momenta,
+            {c_of[p]: br * half for p, br in sym.bracket(chart, c_of, c_of).items()},
+            -orientation)
         gh = {self.L.key_ghost(k) for k in self.L.terms}
         if gh - {1}:
             raise VarcalcError(f"L_BFV must have ghost degree 1, got {gh}")
-
-        omega = move(sigma.omega_sigma)
-        for cfid, gm in sorted(self.ghost_momenta.items()):
-            omega._accum(chart.encode_word((('v', gm, z), ('v', cfid, z))) + vol,
-                         Fraction(-orientation))
-        self.omega_BFV = omega
         self.C_BFV = H0
-        self.Q = hamiltonian_vector_field(self.L, omega)
+        self.Q = hamiltonian_vector_field(self.L, self.omega_BFV)
 
 
 def bfv_extend(sigma: SigmaTheory, sym: SymmetryAction) -> BFVTheory:

@@ -338,7 +338,8 @@ class Chart:
         zero (a derivative of a coordinate, named constant or constant
         parameter), ONE for D_mu x^mu, else an int whose order is the
         canonical order of the atoms.  Raises JetCutoffExceeded for a jet
-        or leg above the cutoff (notes/decisions.md §37)."""
+        or leg above the cutoff, and ChartMismatch for a multi-index or a
+        dx^mu of another dimension (notes/decisions.md §37)."""
         code = self.codes.get(atom)
         if code is None:
             code = self.codes[atom] = self._code(atom)
@@ -358,11 +359,16 @@ class Chart:
                 reg[code] = atom
             return code
         if t == 'h':
+            if not 0 <= atom[1] < self.dim:
+                raise ChartMismatch(f"dx{atom[1]} on a chart of dimension {self.dim}")
             return (4 * stride + atom[1]) << 2 | 1
         fid = atom[1]
         comp = self.components[fid]
         slot = 0
         if t != 'ji':
+            if len(atom[2]) != self.dim:
+                raise ChartMismatch(f"a multi-index of length {len(atom[2])} "
+                                    f"on a chart of dimension {self.dim}")
             for e in atom[2]:
                 slot = slot * self._radix + e
             slot += 1

@@ -403,23 +403,21 @@ def corner_bracket_SS(st: Structure, k):
     """{S_d, S_d} in the graded corner ring (odd variables c^a, even
     variables h_a), as the BV bracket of S_d ∧ dx0 under the odd symplectic
     density omega = sum_a dh_a ∧ dc^a ∧ dx0 on the 1-d ring chart."""
-    # bv imports this module at load time, so the bracket is imported here
-    from .bv import bv_bracket, hamiltonian_vector_field
+    # bv imports this module at load time, so its routines are imported here
+    from .bv import bv_bracket, graded_extension, hamiltonian_vector_field
     ch, hfids, cfids = _corner_ring_chart(st.dim)
     z = midx_zero(1)
-    dx0 = (('h', 0),)
-    S = LocalForm(ch)
-    for a, b, c, coeff in st.terms():
-        S.add_word((('j', hfids[c], z), ('j', cfids[a], z), ('j', cfids[b], z)) + dx0,
-                 Fraction(coeff) / 2)
+    body = LocalForm(ch)
     for a in range(st.dim):
         for b in range(st.dim):
             kv = _kval(k, a, b)
             if kv:
-                S.add_word((('j', cfids[a], z), ('j', cfids[b], z)) + dx0, kv / 2)
-    omega = LocalForm(ch)
-    for a in range(st.dim):
-        omega.add_word((('v', hfids[a], z), ('v', cfids[a], z)) + dx0, 1)
+                body.add_word((('j', cfids[a], z), ('j', cfids[b], z), ('h', 0)), kv / 2)
+    # S_d ∧ dx0 = 1/2 k(c, c) dx0 + Σ_c h_c ∧ 1/2 f^{ab}_c c^a c^b ∧ dx0
+    q = {c: LocalForm(ch) for c in cfids}
+    for a, b, c, coeff in st.terms():
+        q[cfids[c]].add_word((('j', cfids[a], z), ('j', cfids[b], z)), Fraction(coeff) / 2)
+    S, omega = graded_extension(ch, body, LocalForm(ch), dict(zip(cfids, hfids)), q, 1)
     Q = hamiltonian_vector_field(S, omega)
     return h_coefficient(bv_bracket(Q, Q, omega), (0,))
 

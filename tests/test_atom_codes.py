@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from varcalc.algebra import LocalForm, midx_zero, norm_word
-from varcalc.chart import ONE, ZERO, JetCutoffExceeded
+from varcalc.chart import ONE, ZERO, ChartMismatch, JetCutoffExceeded
 from varcalc.render import render_text
 from varcalc.theory import theory_from_text
 from conftest import (
@@ -67,6 +67,26 @@ def test_zero_one_and_cutoff():
     for t in ('j', 'v'):
         with pytest.raises(JetCutoffExceeded):
             ch.encode((t, u0, (ch.jet_cutoff + 1, 0)))
+
+
+def test_atoms_of_another_dimension_are_refused_before_a_code_is_kept():
+    """A multi-index or dx^mu of another dimension has no code here: it
+    would read as a code of this chart and overwrite that atom's entry."""
+    ch = codec_suite_chart(2)
+    u0 = ch.by_name("u0").fid
+    own = ('j', u0, (0, 1))
+    code = ch.encode(own)
+    kept = (dict(ch.codes), dict(ch.atoms))
+    for t in ('j', 'v'):
+        for midx in ((0, 0, 1), (1,)):
+            with pytest.raises(ChartMismatch, match="of length"):
+                ch.encode((t, u0, midx))
+    for mu in (2, 5, -1):
+        with pytest.raises(ChartMismatch, match=f"dx{mu} on a chart of dimension 2"):
+            ch.encode(('h', mu))
+    assert (ch.codes, ch.atoms) == kept
+    assert ch.decode(code) == own
+    assert ch.decode_word(ch.encode_word((own, ('h', 1)))) == (own, ('h', 1))
 
 
 def test_normalized_words_are_their_own_normal_form():

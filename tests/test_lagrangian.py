@@ -282,3 +282,37 @@ def test_reduce_on_shell_raises_without_fixpoint(maxwell_sourced, monkeypatch):
     assert info.value.form is not None and info.value.form.is_zero()
     assert "after 1 round(s)" in str(info.value)
     assert T.reduce_on_shell(form).is_zero()
+
+
+def test_fiber_integral_of_two_applications_varies_each():
+    """fint(0; V(l q) * W(l q)) * vol: the product rule under the fiber
+    integral gives one fint(1; ...) per differentiated application."""
+    T = theory_from_text("theory f\ndimension 2\nsignature + +\nfunction V\n"
+                         "function W\nfield q scalar\n"
+                         "lagrangian fint(0; V(l q) * W(l q)) * vol\n")
+    want = elaborate_form(T.ctx, "(fint(1; V'(l q) * W(l q)) + fint(1; V(l q) * W'(l q)))"
+                                 " * delta(q) * vol")
+    assert len(want.terms) == 2
+    assert T.EL == want
+
+
+def test_pairing_and_trace_agree_on_su2():
+    """The Killing pairing <.,.> and tr read the same su(2) form: the
+    Yang-Mills kinetic term written both ways differs by zero."""
+    head = ("theory p\ndimension 4\ncoordinates t x y z\nsignature - + + +\n"
+            "structure su2 eps\nfield A form 1 lie su2\nlagrangian ")
+    pair = theory_from_text(head + "1/2 * <d(A), star(d(A))>\n")
+    trace = theory_from_text(head + "1/2 * tr(d(A) * star(d(A)))\n")
+    assert not pair.L.is_zero() and pair.L == trace.L
+    diff = theory_from_text(
+        head + "1/2 * <d(A), star(d(A))> - 1/2 * tr(d(A) * star(d(A)))\n")
+    assert diff.EL.is_zero()
+
+
+def test_trace_distributes_over_signed_and_scaled_summands(chern_simons):
+    head = ("theory c\ndimension 3\ncoordinates t x y\nsignature - + +\n"
+            "structure su2 eps\nfield A form 1 lie su2\nlagrangian ")
+    plus = theory_from_text(head + "tr(A ∧ d(A) + 2/3 * (A ∧ A ∧ A))\n")
+    minus = theory_from_text(head + "tr(-(A ∧ d(A)) - 2/3 * (A ∧ A ∧ A))\n")
+    assert plus.L == chern_simons.L
+    assert minus.EL == -chern_simons.EL and not minus.EL.is_zero()
