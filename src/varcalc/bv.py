@@ -80,8 +80,7 @@ class BVTheory:
             if not br.is_zero():
                 self.qce[self.ghosts[p]] = br * Fraction(-1, 2)
 
-        # L_BV = L + sum phi+ Q_CE(phi) vol, with the canonical
-        # (-1)-symplectic density omega = sum d(phi+) ^ d(phi) vol
+        # L_BV = L + sum phi+ Q_CE(phi) vol, omega_BV = sum d(phi+) ^ d(phi) vol
         self.L, self.omega_BV = graded_extension(
             chart, L0, LocalForm(chart), self.antifields, self.qce, 1)
         if not (zero_ghost_body(self, self.L) - L0).is_zero():
@@ -89,7 +88,8 @@ class BVTheory:
         for key in self.L.terms:
             if self.L.key_ghost(key) != 0:
                 raise VarcalcError("L_BV has a term of nonzero ghost degree")
-        # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19)
+        # Q reproduces Q_CE on fields and ghosts (notes/decisions.md §19);
+        # it is taken after the checks, so an invalid L raises their error
         self.Q = hamiltonian_vector_field(self.L, self.omega_BV)
         self._bracket = None         # (Q, omega_BV, {L_BV, L_BV})
 
@@ -284,9 +284,9 @@ class BFVTheory:
             return transport(form, chart, jet)
 
         H0, hflux = split_constraint_flux(sigma, sym, H)
-        # L_BFV = <H0, c> + 1/2 <c+, [c,c]> (parameters become ghosts via
-        # self.ghosts), omega_BFV = omega_Sigma - sum dc+ ^ dc vol, both
-        # with the induced orientation
+        # L_BFV = <H0, c> + orientation/2 <c+, [c,c]> (parameters become
+        # ghosts via self.ghosts), omega_BFV = omega_Sigma - orientation
+        # sum dc+ ^ dc vol
         half = Fraction(orientation, 2)
         self.L, self.omega_BFV = graded_extension(
             chart, move(H0), move(sigma.omega_sigma), self.ghost_momenta,
